@@ -18,8 +18,8 @@ from .core import (Grid, HypothesisClass, LinearFn, LossSpec, Transcript,
                    validate_outcome, vshaped_loss)
 from .errors import (FormatError, NumericFailure, PreconditionError,
                      ResourceLimitError)
-from .forecaster import (BmForecaster, RoundOutput, bm_predict, bm_update,
-                         choose_n, rround, run_online, seed_streams)
+from .forecaster import (BmForecaster, RoundOutput, choose_n, rround,
+                         run_online, seed_streams)
 from .harness import (AdversarySpec, RateFit, SweepConfig, evaluate_metric,
                       fit_rate, generate_stream, ingest_csv, parse_class_spec,
                       parse_losses, read_results, resolve_n, run_sweep,
@@ -42,8 +42,8 @@ __all__ = [
     "PreconditionError", "PredictorSnapshot", "RADIUS", "RateFit",
     "ResourceLimitError", "RoundOutput", "SweepConfig", "Transcript",
     "TranscriptStep", "WitnessFn", "absolute_loss", "affine_restricted",
-    "alg_predict", "bm_external_regrets", "bm_predict", "bm_update", "cal",
-    "cell_statistics", "check_column_stochastic", "choose_n", "class_members",
+    "alg_predict", "bm_external_regrets", "cal", "cell_statistics",
+    "check_column_stochastic", "choose_n", "class_members",
     "constrained_lstsq", "cover_class", "cover_thetas", "custom_loss",
     "estimate_dsmcal", "estimate_dsomni", "estimate_saerr", "evaluate_metric",
     "finite_class", "fit_rate", "generate_stream", "ingest_csv",

@@ -20,11 +20,10 @@ import numpy as np
 
 from .core import Grid, make_grid, validate_context, validate_outcome
 from .errors import FormatError
-from .forecaster import BmForecaster
-from .linalg import stationary_distribution
+from .forecaster import BmForecaster, commit_round
 from .metrics import (DEFAULT_LOSSES, MetricReport, per_cell_min_squared,
                       per_cell_omni_gap, per_cell_sup_numerators)
-from .ons import OnsState, alg_predict
+from .ons import OnsState
 from . import metrics as _metrics
 from .core import linear_ball, affine_restricted
 
@@ -58,20 +57,7 @@ class MixturePredictor:
     def cond_dist(self, t, x):
         """Conditional distribution over grid points that snapshot t commits
         to on context x (deterministic)."""
-        snap = self.snapshots[t]
-        n = self.grid.n
-        w = np.empty(n + 1)
-        for i, learner in enumerate(snap.learners):
-            w[i] = alg_predict(learner, x)
-        scaled = w * n
-        idx = np.minimum(scaled.astype(int), n)
-        frac = scaled - idx
-        cols = np.arange(n + 1)
-        Q = np.zeros((n + 1, n + 1))
-        Q[idx, cols] = 1.0 - frac
-        interior = idx < n
-        Q[idx[interior] + 1, cols[interior]] = frac[interior]
-        return stationary_distribution(Q)
+        return commit_round(self.snapshots[t].learners, x, self.grid)[2]
 
 
 def train_mixture(stream, n, seed=0, stride=1):

@@ -20,13 +20,11 @@ from .batch import (estimate_dsmcal, estimate_dsomni, estimate_saerr,
 from .core import Transcript
 from .errors import FormatError, NumericFailure, PreconditionError, \
     ResourceLimitError
-from .harness import (AdversarySpec, SweepConfig, fit_rate, generate_stream,
-                      evaluate_metric, ingest_csv, parse_class_spec,
-                      parse_losses, read_results, resolve_n, run_sweep,
-                      simulate_run)
+from .harness import (METRICS, AdversarySpec, SweepConfig, fit_rate,
+                      generate_stream, evaluate_metric, ingest_csv,
+                      parse_class_spec, parse_losses, read_results, resolve_n,
+                      run_sweep, simulate_run)
 
-REPORT_NAMES = ("smcal1", "smcal2", "psmcal1", "psmcal2", "mcal2", "cal2",
-                "sreg", "psreg", "somni")
 BATCH_REPORTS = ("saerr", "dsmcal2", "dsomni")
 
 
@@ -59,7 +57,7 @@ def build_parser():
 
     met = sub.add_parser("metrics", help="evaluate a report on a transcript")
     met.add_argument("--transcript", required=True)
-    met.add_argument("--report", required=True, choices=list(REPORT_NAMES))
+    met.add_argument("--report", required=True, choices=list(METRICS))
     met.add_argument("--class", dest="class_spec", default=None,
                      help="ball1 | ball4 | affine-res | cover:EPS | "
                           "finite:FILE")
@@ -152,8 +150,12 @@ def _cmd_fit_rate(args):
 def _cmd_batch(args):
     train_spec = _adversary_from_arg(args.train)
     test_spec = _adversary_from_arg(args.test)
-    d = 2 if train_spec.kind != "csv" else \
-        ingest_csv(train_spec.path)[0][0][0].shape[0]
+    d = 2
+    if train_spec.kind == "csv":
+        pairs, _ = ingest_csv(train_spec.path)
+        if not pairs:
+            raise FormatError(f"{train_spec.path}: no data rows to train on")
+        d = pairs[0][0].shape[0]
     train = generate_stream(train_spec, args.T, d, seed=args.seed)
     from .forecaster import choose_n
     n = choose_n(args.T, d, "smcal")

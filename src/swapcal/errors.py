@@ -7,9 +7,9 @@ catch separately.
 
 
 class NumericFailure(RuntimeError):
-    """An iterative numeric routine did not reach its tolerance.
+    """A numeric routine did not reach its tolerance.
 
-    Carries the best residual seen so the caller can judge how close the
+    Carries the (best) residual seen so the caller can judge how close the
     routine got.
     """
 

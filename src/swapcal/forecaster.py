@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Grid, Transcript, validate_context, validate_outcome
 from .linalg import stationary_distribution
-from .ons import alg_predict, ons_init, ons_step
+from .ons import ons_init, ons_step
 
 
 def seed_streams(seed):
@@ -51,21 +51,35 @@ class RoundOutput:
 def rround(w, grid):
     """Round w in [0, 1] onto the grid: a 2-sparse distribution on the
     neighboring grid points with mean exactly w. Grid points map to point
-    masses; w = 1 maps to the point mass on the last grid point."""
-    w = float(w)
-    if not (0.0 <= w <= 1.0):
-        raise ValueError(f"value {w} outside [0, 1]")
+    masses; w = 1 maps to the point mass on the last grid point.
+
+    A scalar w gives one vector of length n+1; an array w gives the
+    (n+1, len(w)) matrix whose columns are the roundings of its entries.
+    """
+    w = np.asarray(w, dtype=float)
+    ok = (w >= 0.0) & (w <= 1.0)
+    if not ok.all():
+        raise ValueError(f"value {w[~ok].flat[0]} outside [0, 1]")
     n = grid.n
-    q = np.zeros(n + 1)
-    scaled = w * n
-    i = int(scaled)
-    if i >= n:
-        q[n] = 1.0
-        return q
-    frac = scaled - i
-    q[i] = 1.0 - frac
-    q[i + 1] = frac
-    return q
+    scaled = np.atleast_1d(w) * n
+    idx = np.minimum(scaled.astype(int), n)
+    frac = scaled - idx
+    cols = np.arange(len(scaled))
+    # spare row n+1 takes the zero upper weight of w = 1 and is dropped
+    q = np.zeros((n + 2, len(scaled)))
+    q[idx, cols] = 1.0 - frac
+    q[idx + 1, cols] = frac
+    return q[:n + 1, 0] if w.ndim == 0 else q[:n + 1]
+
+
+def commit_round(learners, x, grid):
+    """The round's commitment for context x: the clamped learner proposals
+    w, the column-stochastic rounding matrix Q = rround(w), and its
+    stationary distribution P = QP. Returns (w, Q, P)."""
+    thetas = np.array([s.theta for s in learners])
+    w = np.minimum(np.maximum(thetas @ x, 0.0), 1.0)
+    Q = rround(w, grid)
+    return w, Q, stationary_distribution(Q)
 
 
 class BmForecaster:
@@ -101,24 +115,10 @@ class BmForecaster:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"context dimension {x.shape} does not match {self.d}")
-        n = self.grid.n
-        w = np.empty(n + 1)
-        for i, learner in enumerate(self.learners):
-            w[i] = alg_predict(learner, x)
-        # vectorized rround of all n+1 columns
-        scaled = w * n
-        idx = np.minimum(scaled.astype(int), n)
-        frac = scaled - idx
-        cols = np.arange(n + 1)
-        Q = np.zeros((n + 1, n + 1))
-        Q[idx, cols] = 1.0 - frac
-        interior = idx < n
-        Q[idx[interior] + 1, cols[interior]] = frac[interior]
-        P = stationary_distribution(Q)
+        w, Q, P = commit_round(self.learners, x, self.grid)
         u = self.rng.random()
-        sampled = int(np.searchsorted(np.cumsum(P), u, side="right"))
-        if sampled > n:
-            sampled = n
+        sampled = min(int(np.searchsorted(np.cumsum(P), u, side="right")),
+                      self.grid.n)
         return RoundOutput(cond_dist=P, q_matrix=Q, per_cell_w=w,
                            sampled_index=sampled)
 
@@ -131,17 +131,6 @@ class BmForecaster:
         learners = self.learners
         for i in range(len(learners)):
             learners[i] = ons_step(learners[i], x, float(P[i]), y)
-
-
-def bm_predict(forecaster, x):
-    """Operation alias for BmForecaster.predict."""
-    return forecaster.predict(x)
-
-
-def bm_update(forecaster, out, y, x):
-    """Operation alias for BmForecaster.update. Returns the forecaster."""
-    forecaster.update(out, y, x)
-    return forecaster
 
 
 def run_online(forecaster, stream, keep_q=True):

@@ -20,7 +20,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,8 +247,20 @@ def parse_losses(spec):
         raise ValueError("empty loss menu")
     return out
 
-_METRIC_NAMES = ("smcal1", "smcal2", "psmcal1", "psmcal2", "mcal2", "cal2",
-                 "sreg", "psreg", "somni")
+# name -> (metric on (transcript, class, losses), default class spec). The
+# metrics are looked up on their module at call time, not bound here.
+METRICS = {
+    "smcal1": (lambda tr, hc, _: metrics_mod.smcal(tr, hc, 1), "ball1"),
+    "smcal2": (lambda tr, hc, _: metrics_mod.smcal(tr, hc, 2), "ball1"),
+    "psmcal1": (lambda tr, hc, _: metrics_mod.psmcal(tr, hc, 1), "ball1"),
+    "psmcal2": (lambda tr, hc, _: metrics_mod.psmcal(tr, hc, 2), "ball1"),
+    "mcal2": (lambda tr, hc, _: metrics_mod.mcal(tr, hc, 2), "ball1"),
+    "cal2": (lambda tr, _, __: metrics_mod.cal(tr, 2), None),
+    "sreg": (lambda tr, hc, _: metrics_mod.sreg(tr, hc), "ball4"),
+    "psreg": (lambda tr, hc, _: metrics_mod.psreg(tr, hc), "ball4"),
+    "somni": (lambda tr, hc, losses: metrics_mod.somni(tr, losses=losses,
+                                                       hc=hc), "affine-res"),
+}
 
 
 def evaluate_metric(tr, name, hc=None, losses=None):
@@ -258,27 +270,13 @@ def evaluate_metric(tr, name, hc=None, losses=None):
     radius-4 ball, omniprediction the affine-restricted class.
     """
     base, _, cls = name.partition(":")
-    if cls and hc is None:
-        hc = parse_class_spec(cls)
-    if base == "smcal1":
-        return metrics_mod.smcal(tr, hc or linear_ball(1.0), 1)
-    if base == "smcal2":
-        return metrics_mod.smcal(tr, hc or linear_ball(1.0), 2)
-    if base == "psmcal1":
-        return metrics_mod.psmcal(tr, hc or linear_ball(1.0), 1)
-    if base == "psmcal2":
-        return metrics_mod.psmcal(tr, hc or linear_ball(1.0), 2)
-    if base == "mcal2":
-        return metrics_mod.mcal(tr, hc or linear_ball(1.0), 2)
-    if base == "cal2":
-        return metrics_mod.cal(tr, 2)
-    if base == "sreg":
-        return metrics_mod.sreg(tr, hc or linear_ball(4.0))
-    if base == "psreg":
-        return metrics_mod.psreg(tr, hc or linear_ball(4.0))
-    if base == "somni":
-        return metrics_mod.somni(tr, losses=losses, hc=hc)
-    raise ValueError(f"unknown metric {base!r}; known: {', '.join(_METRIC_NAMES)}")
+    if base not in METRICS:
+        raise ValueError(f"unknown metric {base!r}; known: "
+                         f"{', '.join(METRICS)}")
+    fn, default = METRICS[base]
+    if hc is None:
+        hc = parse_class_spec(cls or default)
+    return fn(tr, hc, losses)
 
 
 # ---------------------------------------------------------------------------

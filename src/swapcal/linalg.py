@@ -1,8 +1,9 @@
 """Small dense linear-algebra kernels used by the forecaster.
 
-Everything here is deterministic: direct solves with explicit fallbacks, no
-randomized algorithms. Matrices are plain numpy arrays; the curvature matrix
-maintained by the online learner is stored as its inverse throughout.
+Everything here is deterministic and takes one path per call: no fallback
+chains, no randomized algorithms. Matrices are plain numpy arrays; the
+curvature matrix maintained by the online learner is stored as its inverse
+throughout.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from .errors import NumericFailure
 STATIONARY_TOL = 1e-8
 PROJECTION_TOL = 1e-9
 PROJECTION_MAX_ITER = 200
-_POWER_ITER_CAP = 2000
-_POWER_DAMPING = 1e-6
 
 
 def check_column_stochastic(Q, tol=1e-9):
@@ -23,99 +22,48 @@ def check_column_stochastic(Q, tol=1e-9):
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] < 1:
         raise ValueError("matrix must be square and non-empty")
-    if not np.all(np.isfinite(Q)):
+    if not np.isfinite(Q).all():
         raise ValueError("matrix has non-finite entries")
     if Q.min() < -1e-12:
         raise ValueError(f"matrix has negative entry {Q.min()}")
     colsums = Q.sum(axis=0)
-    err = float(np.max(np.abs(colsums - 1.0)))
+    err = float(abs(colsums - 1.0).max())
     if err > tol:
         raise ValueError(f"columns must sum to 1 within {tol}, worst error {err}")
     return Q
 
 
-def _clip_and_normalize(p):
-    p = np.clip(p, 0.0, None)
-    s = p.sum()
-    if not np.isfinite(s) or s <= 0.0:
-        return None
-    return p / s
-
-
 def stationary_distribution(Q, tol=STATIONARY_TOL):
     """Stationary distribution p of a column-stochastic matrix: Q p = p.
 
-    Solves the stacked least-squares system [(Q - I); 1^T] p = [0; 1], clips
-    tiny negatives, renormalizes, and checks the residual ||Q p - p||_inf. If
-    the direct solve misses the tolerance, falls back to lightly damped power
-    iteration (with iterate averaging, which handles periodic chains). Among
-    multiple stationary distributions the least-squares minimum-norm solution
-    is returned.
+    One path: the minimum-norm least-squares solution of the stacked system
+    [(Q - I); 1^T] p = [0; 1], with roundoff negatives set to zero and the
+    result renormalized. The system is always consistent, so the solution
+    meets the residual check ||Q p - p||_inf <= tol up to roundoff.
 
-    Raises NumericFailure, carrying the best residual seen, if no candidate
-    meets the tolerance.
+    Tie-break: when the chain has several closed classes, with stationary
+    distributions v_i, the solutions are the affine combinations of the v_i
+    and the minimum-norm one is sum_i v_i / ||v_i||^2, normalized. The v_i
+    have disjoint supports, so this is a convex combination: each closed
+    class gets mass in proportion to 1 / ||v_i||^2 (Q = I gives the uniform
+    distribution) and transient states get none.
+
+    Raises NumericFailure, carrying the residual, if the check fails.
     """
     Q = check_column_stochastic(Q)
     n = Q.shape[0]
-    if n == 1:
-        return np.ones(1)
-    A = np.vstack([Q - np.eye(n), np.ones((1, n))])
+    A = np.ones((n + 1, n))
+    A[:n] = Q - np.eye(n)
     b = np.zeros(n + 1)
-    b[-1] = 1.0
-
-    candidates = []
-    # fast path: normal equations (unique solution case)
-    G = A.T @ A
-    try:
-        p = np.linalg.solve(G, A.T @ b)
-        if np.all(np.isfinite(p)):
-            candidates.append(p)
-    except np.linalg.LinAlgError:
-        pass
-
-    best_resid = np.inf
-    best_p = None
-    for trial in range(2):
-        if trial == 1:
-            # minimum-norm least squares, also the tie-break rule
-            p = np.linalg.lstsq(A, b, rcond=None)[0]
-            candidates = [p]
-        for cand in candidates:
-            pn = _clip_and_normalize(cand)
-            if pn is None:
-                continue
-            resid = float(np.max(np.abs(Q @ pn - pn)))
-            if resid <= tol:
-                return pn
-            if resid < best_resid:
-                best_resid, best_p = resid, pn
-        candidates = []
-
-    # damped power iteration with running average
-    u = np.full(n, 1.0 / n)
-    p = u.copy() if best_p is None else best_p.copy()
-    avg = np.zeros(n)
-    for k in range(1, _POWER_ITER_CAP + 1):
-        q = Q @ p
-        resid = float(np.max(np.abs(q - p)))
-        if resid <= tol:
-            return p
-        if resid < best_resid:
-            best_resid, best_p = resid, p.copy()
-        avg += p
-        if k % 32 == 0:
-            m = _clip_and_normalize(avg / k)
-            if m is not None:
-                resid_m = float(np.max(np.abs(Q @ m - m)))
-                if resid_m <= tol:
-                    return m
-                if resid_m < best_resid:
-                    best_resid, best_p = resid_m, m
-        p = (1.0 - _POWER_DAMPING) * q + _POWER_DAMPING * u
-        p = p / p.sum()
-    raise NumericFailure(
-        f"stationary distribution did not reach residual {tol}; "
-        f"best {best_resid:.3e}", residual=best_resid)
+    b[n] = 1.0
+    p = np.maximum(np.linalg.lstsq(A, b, rcond=None)[0], 0.0)
+    p /= p.sum()
+    resid = float(abs(Q @ p - p).max())
+    if not resid <= tol:
+        raise NumericFailure(
+            f"stationary distribution residual {resid:.3e} exceeds {tol}",
+            residual=resid)
+    return p
 
 
 def sherman_morrison_update(M, g):

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MEMBER_CAP, HypothesisClass, LossSpec, absolute_loss,
-                   affine_restricted, cover_thetas, post_process, squared_loss,
-                   vshaped_loss)
+from .core import (MEMBER_CAP, LossSpec, absolute_loss, affine_restricted,
+                   cover_thetas, post_process, squared_loss, vshaped_loss)
 from .errors import NumericFailure, PreconditionError
 
 LSTSQ_TOL = 1e-9

@@ -31,9 +31,6 @@ class OnsState:
     theta: np.ndarray
     inv_curvature: np.ndarray
     rounds_seen: int = 0
-    beta: float = BETA
-    omega: float = OMEGA
-    radius: float = RADIUS
 
     @property
     def dim(self):
@@ -83,14 +80,13 @@ def ons_step(state, x, alpha, y):
         return replace(state, rounds_seen=state.rounds_seen + 1)
     g = (2.0 * alpha * (float(np.dot(state.theta, x)) - y)) * x
     inv_new = sherman_morrison_update(state.inv_curvature, g)
-    theta_new = state.theta - (inv_new @ g) / state.beta
-    if float(np.linalg.norm(theta_new)) > state.radius:
-        theta_new = project_ball_a_norm(theta_new, inv_new, state.radius)
+    theta_new = state.theta - (inv_new @ g) / BETA
+    if float(np.linalg.norm(theta_new)) > RADIUS:
+        theta_new = project_ball_a_norm(theta_new, inv_new, RADIUS)
     theta_new.flags.writeable = False
     inv_new.flags.writeable = False
     return OnsState(theta=theta_new, inv_curvature=inv_new,
-                    rounds_seen=state.rounds_seen + 1,
-                    beta=state.beta, omega=state.omega, radius=state.radius)
+                    rounds_seen=state.rounds_seen + 1)
 
 
 def alg_predict(state, x):

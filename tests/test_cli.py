@@ -132,6 +132,17 @@ def test_batch_csv_paths(tmp_path):
     assert json.loads(proc.stdout)["value"] is not None
 
 
+def test_batch_empty_training_csv(tmp_path):
+    data = tmp_path / "empty.csv"
+    data.write_text("")
+    proc = subprocess.run(CLI + ["batch", "--train", str(data), "--test",
+                                 "iid-logistic", "--T", "8", "--report",
+                                 "saerr"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "empty.csv" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_command():
     proc = run_cli("verify")
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("[")]

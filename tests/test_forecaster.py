@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from swapcal import (BmForecaster, bm_predict, bm_update, choose_n, make_grid,
-                     rround, run_online, seed_streams)
+from swapcal import (BmForecaster, choose_n, make_grid, rround, run_online,
+                     seed_streams)
 
 
 def _stream(rng, T, d):
@@ -35,6 +35,13 @@ def test_rround_hand_values():
     np.testing.assert_allclose(rround(0.0, g), [1.0, 0.0, 0.0])
     np.testing.assert_allclose(rround(1.0, g), [0.0, 0.0, 1.0])
     np.testing.assert_allclose(rround(0.9, g), [0.0, 0.2, 0.8])
+    # an array gives one column per entry, each the scalar rounding
+    np.testing.assert_allclose(rround(np.array([0.3, 0.5, 0.0, 1.0, 0.9]), g),
+                               [[0.4, 0.0, 1.0, 0.0, 0.0],
+                                [0.6, 1.0, 0.0, 0.0, 0.2],
+                                [0.0, 0.0, 0.0, 1.0, 0.8]])
+    assert rround(np.array([0.3]), g).shape == (3, 1)
+    assert rround(np.array([]), g).shape == (3, 0)
 
 
 def test_rround_mean_preserving_two_sparse():
@@ -67,6 +74,10 @@ def test_rround_excess_squared_loss_bound():
 def test_rround_rejects_out_of_range():
     with pytest.raises(ValueError):
         rround(1.2, make_grid(2))
+    with pytest.raises(ValueError):
+        rround(float("nan"), make_grid(2))
+    with pytest.raises(ValueError):
+        rround(np.array([0.2, -0.1]), make_grid(2))
 
 
 def test_fresh_forecaster_commits_point_mass_at_zero():
@@ -124,13 +135,6 @@ def test_update_advances_all_learners():
     # the cell holding all the stationary mass moves; zero-mass cells do not
     assert not np.array_equal(fc.learners[0].theta, before[0])
     np.testing.assert_array_equal(fc.learners[2].theta, before[2])
-
-
-def test_operation_aliases():
-    fc = BmForecaster(make_grid(2), 2, seed=0)
-    x = np.array([0.5, 0.0])
-    out = bm_predict(fc, x)
-    assert bm_update(fc, out, 0, x) is fc
 
 
 def test_sampler_matches_committed_distribution():

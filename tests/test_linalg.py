@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from swapcal import (NumericFailure, check_column_stochastic,
-                     project_ball_a_norm, project_box,
+from swapcal import (BmForecaster, NumericFailure, check_column_stochastic,
+                     make_grid, project_ball_a_norm, project_box, run_online,
                      sherman_morrison_update, stationary_distribution)
 
 
@@ -68,6 +68,55 @@ def test_stationary_point_mass_columns():
     Q[0] = 1.0
     p = stationary_distribution(Q)
     np.testing.assert_allclose(p, [1.0, 0.0, 0.0, 0.0], atol=1e-10)
+
+
+def _eig_stationary(Q):
+    """Eigenvalue-1 eigenvector of Q, normalized to sum 1 (the oracle)."""
+    vals, vecs = np.linalg.eig(Q)
+    v = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    return v / v.sum()
+
+
+def test_stationary_tie_break_on_reducible_chains():
+    """Several closed classes: the result is the minimum-norm stationary
+    distribution, sum_i v_i / ||v_i||^2 normalized, where v_i is closed class
+    i's own stationary distribution; transient states get no mass."""
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        sizes = list(rng.integers(1, 4, size=int(rng.integers(2, 4))))
+        n_closed = sum(sizes)
+        n = n_closed + int(rng.integers(1, 4))
+        Q = np.zeros((n, n))
+        want = np.zeros(n)
+        start = 0
+        for k in sizes:
+            block = _random_column_stochastic(rng, k)
+            Q[start:start + k, start:start + k] = block
+            v = _eig_stationary(block)
+            want[start:start + k] = v / (v @ v)
+            start += k
+        # transient columns leak mass everywhere, closed classes included
+        Q[:, n_closed:] = _random_column_stochastic(rng, n)[:, n_closed:]
+        want /= want.sum()
+        perm = rng.permutation(n)
+        p = stationary_distribution(Q[np.ix_(perm, perm)])
+        np.testing.assert_allclose(p, want[perm], atol=1e-10)
+
+
+def test_stationary_matches_eigenvector_on_forecaster_matrices():
+    rng = np.random.default_rng(23)
+    T, d = 300, 3
+    X = np.hstack([np.full((T, 1), 0.5), rng.uniform(-0.4, 0.4, (T, d - 1))])
+    y = rng.integers(0, 2, T)
+    tr = run_online(BmForecaster(make_grid(5), d, seed=23),
+                    list(zip(X, y)), keep_q=True)
+    checked = 0
+    for Q, P in zip(tr.q_stacks, tr.cond_dists):
+        if np.sum(np.abs(np.linalg.eigvals(Q) - 1.0) < 1e-6) != 1:
+            continue  # eigenvalue 1 repeated: the eigenvector is not unique
+        np.testing.assert_allclose(P, _eig_stationary(Q), atol=1e-10)
+        checked += 1
+    assert checked >= T // 2
 
 
 def test_stationary_rejects_bad_input():
