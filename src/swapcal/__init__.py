@@ -11,11 +11,11 @@ from .batch import (MixturePredictor, PredictorSnapshot, estimate_dsmcal,
                     mixture_predict, mixture_to_json, select_snapshot,
                     train_mixture)
 from .core import (Grid, HypothesisClass, LinearFn, LossSpec, Transcript,
-                   TranscriptStep, absolute_loss, affine_restricted,
-                   class_members, cover_class, cover_thetas, custom_loss,
-                   finite_class, linear_ball, loss_eval, make_grid,
-                   post_process, squared_loss, validate_context,
-                   validate_outcome, vshaped_loss)
+                   absolute_loss, affine_restricted, class_members,
+                   cover_class, cover_thetas, custom_loss, finite_class,
+                   linear_ball, loss_eval, make_grid, post_process,
+                   squared_loss, validate_context, validate_outcome,
+                   validate_stream, vshaped_loss)
 from .errors import (FormatError, NumericFailure, PreconditionError,
                      ResourceLimitError)
 from .forecaster import (BmForecaster, RoundOutput, choose_n, rround,
@@ -41,8 +41,8 @@ __all__ = [
     "MixturePredictor", "NumericFailure", "OMEGA", "OnsState",
     "PreconditionError", "PredictorSnapshot", "RADIUS", "RateFit",
     "ResourceLimitError", "RoundOutput", "SweepConfig", "Transcript",
-    "TranscriptStep", "WitnessFn", "absolute_loss", "affine_restricted",
-    "alg_predict", "bm_external_regrets", "cal", "cell_statistics",
+    "WitnessFn", "absolute_loss", "affine_restricted", "alg_predict",
+    "bm_external_regrets", "cal", "cell_statistics",
     "check_column_stochastic", "choose_n", "class_members",
     "constrained_lstsq", "cover_class", "cover_thetas", "custom_loss",
     "estimate_dsmcal", "estimate_dsomni", "estimate_saerr", "evaluate_metric",
@@ -54,6 +54,6 @@ __all__ = [
     "resolve_n", "rround", "run_online", "run_sweep", "select_snapshot",
     "seed_streams", "sherman_morrison_update", "simulate_run", "smcal",
     "somni", "squared_loss", "sreg", "stationary_distribution",
-    "train_mixture", "validate_context", "validate_outcome", "vshaped_loss",
-    "witness_f_prime",
+    "train_mixture", "validate_context", "validate_outcome",
+    "validate_stream", "vshaped_loss", "witness_f_prime",
 ]

@@ -9,6 +9,9 @@ query context, and samples a grid point from it.
 The distributional estimators bucket draws by sampled cell and apply the
 plug-in empirical supremum over each bucket; reports label the estimates as
 plug-in and carry per-cell masses in their extras.
+
+Training and test streams are one pair of arrays (X, y): contexts X float
+(T, d), outcomes y int (T,), as generate_stream returns them.
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, make_grid, validate_context, validate_outcome
+from .core import (Grid, affine_restricted, linear_ball, make_grid,
+                   validate_stream)
 from .errors import FormatError
 from .forecaster import BmForecaster, commit_round
 from .metrics import (DEFAULT_LOSSES, MetricReport, per_cell_min_squared,
                       per_cell_omni_gap, per_cell_sup_numerators)
 from .ons import OnsState
 from . import metrics as _metrics
-from .core import linear_ball, affine_restricted
 
 
 @dataclass(frozen=True)
@@ -61,25 +64,25 @@ class MixturePredictor:
 
 
 def train_mixture(stream, n, seed=0, stride=1):
-    """Run the online forecaster over the stream and keep every stride-th
-    start-of-round snapshot; the mixture is uniform over the kept snapshots."""
-    stream = list(stream)
-    if not stream:
+    """Run the online forecaster over the stream (X, y) and keep every
+    stride-th start-of-round snapshot; the mixture is uniform over the kept
+    snapshots. The context dimension is X.shape[1]."""
+    X, y = validate_stream(stream)
+    if not len(y):
         raise ValueError("cannot train a mixture on an empty stream")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    d = len(np.asarray(stream[0][0], dtype=float))
+    d = X.shape[1]
     grid = make_grid(n)
     fc = BmForecaster(grid, d, seed=seed)
     snaps = []
-    for t, (x, y) in enumerate(stream):
-        x = validate_context(x, d)
-        y = validate_outcome(y)
+    for t in range(len(y)):
+        x = X[t]
         if t % stride == 0:
             snaps.append(PredictorSnapshot(round_index=t + 1,
                                            learners=tuple(fc.learners)))
         out = fc.predict(x)
-        fc.update(out, y, x)
+        fc.update(out, int(y[t]), x)
     return MixturePredictor(grid, d, snaps, seed=seed, stride=stride)
 
 
@@ -161,13 +164,12 @@ def mixture_from_json(path):
 # distributional estimators
 
 
-def _as_test_arrays(test):
-    test = list(test)
-    if not test:
+def _test_arrays(mix, test):
+    """The test stream (X, y) checked against the mixture, y as float."""
+    X, y = validate_stream(test, mix.d)
+    if not len(y):
         raise ValueError("test sample must be non-empty")
-    X = np.stack([validate_context(x) for x, _ in test])
-    y = np.array([validate_outcome(yy) for _, yy in test], dtype=float)
-    return X, y
+    return X, y.astype(float)
 
 
 def _bucket_weights(mix, X, mc_draws, seed):
@@ -209,7 +211,7 @@ def estimate_saerr(mix, test, hc=None, mc_draws=None, seed=0):
     sampled cell, the squared loss of the cell value minus the best
     comparator fit on that bucket, averaged over draws."""
     hc = linear_ball(4.0) if hc is None else hc
-    X, y = _as_test_arrays(test)
+    X, y = _test_arrays(mix, test)
     V, how = _bucket_weights(mix, X, mc_draws, seed)
     z = mix.grid.points
     learner = np.sum(V * (z[:, None] - y[None, :]) ** 2, axis=1)
@@ -229,7 +231,7 @@ def estimate_dsmcal(mix, test, hc=None, q=2, mc_draws=None, seed=0):
     residual, and average cell-frequency-weighted."""
     _metrics._check_q(q)
     hc = linear_ball(1.0) if hc is None else hc
-    X, y = _as_test_arrays(test)
+    X, y = _test_arrays(mix, test)
     V, how = _bucket_weights(mix, X, mc_draws, seed)
     num, note = per_cell_sup_numerators(X, y, V, mix.grid.points, hc)
     masses = V.sum(axis=1)
@@ -247,7 +249,7 @@ def estimate_dsomni(mix, test, losses=None, hc=None, mc_draws=None, seed=0,
     sample, over a loss menu and comparator class."""
     losses = list(DEFAULT_LOSSES) if losses is None else list(losses)
     hc = affine_restricted() if hc is None else hc
-    X, y = _as_test_arrays(test)
+    X, y = _test_arrays(mix, test)
     V, how = _bucket_weights(mix, X, mc_draws, seed)
     rng = np.random.default_rng(seed + 1)
     gaps, _, note = per_cell_omni_gap(X, y, V, mix.grid.points, losses, hc,

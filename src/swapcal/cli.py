@@ -17,13 +17,14 @@ import sys
 
 from .batch import (estimate_dsmcal, estimate_dsomni, estimate_saerr,
                     train_mixture)
-from .core import Transcript
+from .core import Transcript, make_grid
 from .errors import FormatError, NumericFailure, PreconditionError, \
     ResourceLimitError
-from .harness import (METRICS, AdversarySpec, SweepConfig, fit_rate,
-                      generate_stream, evaluate_metric, ingest_csv,
+from .forecaster import BmForecaster, choose_n, run_online
+from .harness import (METRICS, AdversarySpec, SweepConfig, csv_rows,
+                      evaluate_metric, fit_rate, generate_stream, ingest_csv,
                       parse_class_spec, parse_losses, read_results, resolve_n,
-                      run_sweep, simulate_run)
+                      run_sweep)
 
 BATCH_REPORTS = ("saerr", "dsmcal2", "dsomni")
 
@@ -106,18 +107,29 @@ def _adversary_from_arg(kind, csv_path=None, bias=0.5, noise=0.0):
     return AdversarySpec(kind="csv", path=kind)
 
 
+def _stream(spec, T, d, seed, tables):
+    """generate_stream, except that each csv file is read once per command:
+    `tables` maps a path to its ingest_csv result."""
+    if spec.kind != "csv":
+        return generate_stream(spec, T, d, seed=seed)
+    if spec.path not in tables:
+        tables[spec.path] = ingest_csv(spec.path)
+    return csv_rows(tables[spec.path], T, d, spec.path)
+
+
 def _cmd_simulate(args):
     spec = _adversary_from_arg(args.adversary, csv_path=args.csv_path,
                                bias=args.bias, noise=args.noise)
     n = resolve_n(args.N, args.T, args.d)
-    tr = simulate_run(spec, args.T, args.d, n, seed=args.seed,
-                      keep_q=not args.slim)
+    tables = {}
+    tr = run_online(BmForecaster(make_grid(n), args.d, seed=args.seed),
+                    _stream(spec, args.T, args.d, args.seed, tables),
+                    keep_q=not args.slim)
     tr.write_jsonl(args.out)
     header = {"N": n, "d": args.d, "T": args.T, "seed": args.seed,
               "out": args.out}
     if spec.kind == "csv":
-        _, factor = ingest_csv(spec.path)
-        header["csv_scale"] = factor
+        header["csv_scale"] = tables[spec.path][2]
     print(json.dumps(header))
     return 0
 
@@ -150,18 +162,16 @@ def _cmd_fit_rate(args):
 def _cmd_batch(args):
     train_spec = _adversary_from_arg(args.train)
     test_spec = _adversary_from_arg(args.test)
+    tables = {}
     d = 2
     if train_spec.kind == "csv":
-        pairs, _ = ingest_csv(train_spec.path)
-        if not pairs:
-            raise FormatError(f"{train_spec.path}: no data rows to train on")
-        d = pairs[0][0].shape[0]
-    train = generate_stream(train_spec, args.T, d, seed=args.seed)
-    from .forecaster import choose_n
+        tables[train_spec.path] = ingest_csv(train_spec.path)
+        d = tables[train_spec.path][0].shape[1]
+    train = _stream(train_spec, args.T, d, args.seed, tables)
     n = choose_n(args.T, d, "smcal")
     mix = train_mixture(train, n, seed=args.seed, stride=args.stride)
     test_T = args.test_T if args.test_T is not None else args.T
-    test = generate_stream(test_spec, test_T, d, seed=args.seed + 1)
+    test = _stream(test_spec, test_T, d, args.seed + 1, tables)
     if args.report == "saerr":
         report = estimate_saerr(mix, test, mc_draws=args.draws,
                                 seed=args.seed)

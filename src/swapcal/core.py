@@ -12,7 +12,6 @@ and the observed outcome.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,23 +56,41 @@ def make_grid(n):
     return Grid(n)
 
 
-def validate_context(x, d=None):
-    """Check a context vector: first coordinate 1/2, Euclidean norm <= 1.
+def validate_stream(stream, d=None):
+    """Check a stream of rounds, one pair of arrays (X, y): contexts X float
+    (T, d), each finite with first coordinate exactly 1/2 and Euclidean norm
+    at most 1, and outcomes y, one 0/1 entry per row. d, if given, must match.
 
-    Returns the vector as a float array. Raises ValueError on violation.
+    Returns (X as float, y as int). Raises ValueError on anything else, a
+    list of (x, y) pairs included.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("context must be a 1-d vector")
-    if d is not None and x.size != d:
-        raise ValueError(f"context has dimension {x.size}, expected {d}")
-    if not np.all(np.isfinite(x)):
+    if not isinstance(stream, tuple) or len(stream) != 2:
+        raise ValueError("a stream is one pair of arrays (X, y)")
+    X, y = np.asarray(stream[0], dtype=float), np.asarray(stream[1])
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"contexts must be a (T, d) array, d >= 1, got "
+                         f"shape {X.shape}")
+    if d is not None and X.shape[1] != d:
+        raise ValueError(f"context has dimension {X.shape[1]}, expected {d}")
+    if not np.isfinite(X).all():
         raise ValueError("context has non-finite entries")
-    if x[0] != 0.5:
-        raise ValueError(f"context first coordinate must be exactly 0.5, got {x[0]!r}")
-    nrm = float(np.linalg.norm(x))
+    if (X[:, 0] != 0.5).any():
+        raise ValueError("context first coordinate must be exactly 0.5")
+    nrm = float(np.linalg.norm(X, axis=1).max(initial=0.0))
     if nrm > 1.0 + CONTEXT_NORM_TOL:
         raise ValueError(f"context norm {nrm} exceeds 1")
+    if y.shape != (len(X),) or not ((y == 0) | (y == 1)).all():
+        raise ValueError("outcomes must be one 0/1 entry per context row")
+    return X, y.astype(int)
+
+
+def validate_context(x, d=None):
+    """Check one context vector by the rule of validate_stream. Returns it as
+    a float array; raises ValueError on violation."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("context must be a 1-d vector")
+    validate_stream((x[None, :], np.zeros(1)), d)
     return x
 
 
@@ -405,20 +422,6 @@ def class_members(hc, d, cap=MEMBER_CAP):
 # transcripts
 
 
-@dataclass(frozen=True)
-class TranscriptStep:
-    """One round: context, committed conditional distribution over the grid,
-    the sampled grid index, and the observed outcome. q_matrix and per_cell_w
-    are present only when the run retained them."""
-
-    context: np.ndarray
-    cond_dist: np.ndarray
-    sampled_index: int
-    outcome: int
-    q_matrix: np.ndarray | None = None
-    per_cell_w: np.ndarray | None = None
-
-
 class Transcript:
     """A complete forecasting run, stored columnwise.
 
@@ -434,14 +437,8 @@ class Transcript:
     def __init__(self, grid, contexts, cond_dists, sampled_indices, outcomes,
                  seed=None, q_stacks=None, w_mat=None, validate=True):
         self.grid = grid
-        X = np.asarray(contexts, dtype=float)
-        if X.ndim != 2:
-            X = X.reshape(len(X), -1) if X.size else X.reshape(0, 0)
-        self.contexts = X
-        P = np.asarray(cond_dists, dtype=float)
-        if P.ndim != 2:
-            P = P.reshape(len(P), -1) if P.size else np.zeros((0, grid.size))
-        self.cond_dists = P
+        self.contexts = np.asarray(contexts, dtype=float)
+        self.cond_dists = np.asarray(cond_dists, dtype=float)
         self.sampled_indices = np.asarray(sampled_indices, dtype=int).reshape(-1)
         self.outcomes = np.asarray(outcomes, dtype=int).reshape(-1)
         self.seed = seed
@@ -459,8 +456,8 @@ class Transcript:
                 raise ValueError(f"{name} has length {len(arr)}, expected {T}")
         if T == 0:
             return
-        if self.cond_dists.shape[1] != self.grid.size:
-            raise ValueError("cond_dists width does not match the grid")
+        if self.cond_dists.shape != (T, self.grid.size):
+            raise ValueError("cond_dists shape does not match (T, grid size)")
         sums = self.cond_dists.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > COND_DIST_TOL:
             raise ValueError("some conditional distribution does not sum to 1")
@@ -468,13 +465,7 @@ class Transcript:
             raise ValueError("negative conditional probability")
         if self.sampled_indices.min() < 0 or self.sampled_indices.max() > self.grid.n:
             raise ValueError("sampled index outside the grid")
-        if not np.all((self.outcomes == 0) | (self.outcomes == 1)):
-            raise ValueError("outcomes must be bits")
-        if np.any(self.contexts[:, 0] != 0.5):
-            raise ValueError("context first coordinates must be exactly 0.5")
-        norms = np.linalg.norm(self.contexts, axis=1)
-        if norms.max() > 1.0 + CONTEXT_NORM_TOL:
-            raise ValueError("some context norm exceeds 1")
+        validate_stream((self.contexts, self.outcomes))
 
     @property
     def horizon(self):
@@ -488,16 +479,6 @@ class Transcript:
     def predictions(self):
         """Realized grid values z_{pi_t}, shape (T,)."""
         return self.grid.points[self.sampled_indices]
-
-    def step(self, t):
-        return TranscriptStep(
-            context=self.contexts[t],
-            cond_dist=self.cond_dists[t],
-            sampled_index=int(self.sampled_indices[t]),
-            outcome=int(self.outcomes[t]),
-            q_matrix=None if self.q_stacks is None else self.q_stacks[t],
-            per_cell_w=None if self.w_mat is None else self.w_mat[t],
-        )
 
     def __len__(self):
         return self.horizon

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, Transcript, validate_context, validate_outcome
+from .core import Grid, Transcript, validate_outcome, validate_stream
 from .linalg import stationary_distribution
 from .ons import ons_init, ons_step
 
@@ -134,36 +134,31 @@ class BmForecaster:
 
 
 def run_online(forecaster, stream, keep_q=True):
-    """Run the forecaster over a stream of (context, outcome) pairs and
-    record the full transcript.
+    """Run the forecaster over a stream (X, y), contexts X float (T, d) and
+    outcomes y int (T,), and record the full transcript. The stream is
+    validated once, before the first round.
 
     keep_q retains the per-round column-stochastic matrices and raw learner
     proposals in the transcript (memory O(T n^2)); the persisted JSONL format
     never includes them either way.
     """
-    stream = list(stream)
-    T = len(stream)
-    d = forecaster.d
+    X, y = validate_stream(stream, forecaster.d)
+    T = len(y)
     n = forecaster.grid.n
-    X = np.zeros((T, d))
     P = np.zeros((T, n + 1))
     pi = np.zeros(T, dtype=int)
-    ys = np.zeros(T, dtype=int)
     Qs = np.zeros((T, n + 1, n + 1)) if keep_q else None
     W = np.zeros((T, n + 1)) if keep_q else None
-    for t, (x, y) in enumerate(stream):
-        x = validate_context(x, d)
-        y = validate_outcome(y)
+    for t in range(T):
+        x = X[t]
         out = forecaster.predict(x)
-        X[t] = x
         P[t] = out.cond_dist
         pi[t] = out.sampled_index
-        ys[t] = y
         if keep_q:
             Qs[t] = out.q_matrix
             W[t] = out.per_cell_w
-        forecaster.update(out, y, x)
-    return Transcript(forecaster.grid, X, P, pi, ys, seed=forecaster.seed,
+        forecaster.update(out, int(y[t]), x)
+    return Transcript(forecaster.grid, X, P, pi, y, seed=forecaster.seed,
                       q_stacks=Qs, w_mat=W)
 
 

@@ -3,7 +3,9 @@
 Adversaries are oblivious stream generators. The logistic-linear family
 gives informative convergence-rate fits (a realizable-ish conditional mean);
 the Bernoulli and anti-calibration families are degenerate stress streams;
-the csv adversary replays external data.
+the csv adversary replays external data. A stream is one pair of arrays
+(X, y): contexts X float (T, d), outcomes y int (T,), the form that
+run_online, train_mixture and the batch estimators take.
 
 Randomness: the run seed is split by the forecaster's documented rule
 (SeedSequence child 0 for prediction sampling, child 1 for the adversary);
@@ -78,7 +80,8 @@ def _uniform_ball(rng, count, dim, radius):
 
 
 def generate_stream(spec, T, d, seed=0):
-    """Materialize T rounds of (context, outcome) pairs for an adversary.
+    """Materialize T rounds of an adversary as one stream (X, y): contexts
+    X float (T, d), outcomes y int (T,).
 
     Contexts always have first coordinate 1/2 and norm at most 1 (the random
     tail lives in the radius sqrt(3)/2 ball).
@@ -108,28 +111,18 @@ def generate_stream(spec, T, d, seed=0):
         if spec.noise > 0:
             flips = rng.random(T) < spec.noise
             y = np.where(flips, 1 - y, y)
-        return [(X[t], int(y[t])) for t in range(T)]
-
-    if spec.kind == "iid-bernoulli":
-        x0 = np.zeros(d)
-        x0[0] = 0.5
-        y = (rng.random(T) < spec.bias).astype(int)
-        return [(x0.copy(), int(y[t])) for t in range(T)]
+        return X, y
 
     if spec.kind == "csv":
-        pairs, _ = ingest_csv(spec.path)
-        if len(pairs) < T:
-            raise ValueError(f"csv stream {spec.path} has {len(pairs)} rows, "
-                             f"fewer than the requested horizon {T}")
-        if pairs and pairs[0][0].shape != (d,):
-            raise ValueError(f"csv contexts have dimension "
-                             f"{pairs[0][0].shape[0]}, expected {d}")
-        return pairs[:T]
+        return csv_rows(ingest_csv(spec.path), T, d, spec.path)
 
-    # anti-calibration, oblivious stand-in: alternating labels
-    x0 = np.zeros(d)
-    x0[0] = 0.5
-    return [(x0.copy(), t % 2) for t in range(T)]
+    # iid-bernoulli, and the oblivious stand-in for anti-calibration
+    # (alternating labels), share the constant context e_1 / 2
+    X = np.zeros((T, d))
+    X[:, 0] = 0.5
+    if spec.kind == "iid-bernoulli":
+        return X, (rng.random(T) < spec.bias).astype(int)
+    return X, np.arange(T) % 2
 
 
 def ingest_csv(path):
@@ -137,8 +130,9 @@ def ingest_csv(path):
 
     Feature vectors are rescaled by one shared factor
     min(1, (sqrt(3)/2) / max row norm) and prefixed with the pinned 1/2
-    coordinate. Returns (pairs, scale_factor). Malformed cells and labels
-    raise FormatError naming the row.
+    coordinate. Returns (X, y, scale_factor): contexts X float (T, d),
+    labels y int (T,). Malformed cells and labels raise FormatError naming
+    the row; a file without data rows raises FormatError too.
     """
     raw = []
     width = None
@@ -156,22 +150,31 @@ def ingest_csv(path):
             elif len(nums) != width:
                 raise FormatError(f"{path}: row {i} has {len(nums)} cells, "
                                   f"expected {width}")
-            label = nums[-1]
-            if label not in (0.0, 1.0):
+            if nums[-1] not in (0.0, 1.0):
                 raise FormatError(f"{path}: row {i} label must be 0 or 1, "
-                                  f"got {label!r}")
-            raw.append((nums[:-1], int(label)))
+                                  f"got {nums[-1]!r}")
+            raw.append(nums)
     if not raw:
-        return [], 1.0
-    feats = np.array([r[0] for r in raw], dtype=float)
-    labels = [r[1] for r in raw]
-    if feats.size:
-        max_norm = float(np.max(np.linalg.norm(feats, axis=1)))
-    else:
-        max_norm = 0.0
+        raise FormatError(f"{path}: no data rows")
+    table = np.array(raw, dtype=float)
+    feats = table[:, :-1]
+    max_norm = float(np.max(np.linalg.norm(feats, axis=1)))
     factor = 1.0 if max_norm <= 0 else min(1.0, _TAIL_RADIUS / max_norm)
     X = np.hstack([np.full((len(raw), 1), 0.5), feats * factor])
-    return [(X[t], labels[t]) for t in range(len(raw))], factor
+    return X, table[:, -1].astype(int), factor
+
+
+def csv_rows(table, T, d, path):
+    """The first T rounds (X, y) of an ingest_csv result (X, y, factor) read
+    from `path`, checked against the horizon T and the dimension d."""
+    X, y, _ = table
+    if len(y) < T:
+        raise ValueError(f"csv stream {path} has {len(y)} rows, "
+                         f"fewer than the requested horizon {T}")
+    if X.shape[1] != d:
+        raise ValueError(f"csv contexts have dimension {X.shape[1]}, "
+                         f"expected {d}")
+    return X[:T], y[:T]
 
 
 def resolve_n(n_rule, T, d):

@@ -13,8 +13,8 @@ import numpy as np
 from .errors import NumericFailure
 
 STATIONARY_TOL = 1e-8
-PROJECTION_TOL = 1e-9
-PROJECTION_MAX_ITER = 200
+RIDGE_TOL = 1e-9
+RIDGE_MAX_ITER = 200
 
 
 def check_column_stochastic(Q, tol=1e-9):
@@ -86,49 +86,25 @@ def sherman_morrison_update(M, g):
     return out
 
 
-def project_ball_a_norm(theta, inv_curvature, radius,
-                        tol=PROJECTION_TOL, max_iter=PROJECTION_MAX_ITER):
-    """Project theta onto the Euclidean ball of the given radius in the norm
-    induced by A, where inv_curvature = A^{-1}.
-
-    Minimizes (u - theta)^T A (u - theta) over ||u||_2 <= radius. If theta is
-    already inside the ball it is returned unchanged. Otherwise the KKT system
-    u(lam) = (A + lam I)^{-1} A theta is solved for the multiplier lam >= 0 by
-    safeguarded bisection until | ||u|| - radius | <= tol; A is reconstructed
-    from the stored inverse only on this (rare) path.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("cannot project a non-finite vector")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    nrm = float(np.linalg.norm(theta))
-    if nrm <= radius:
-        return theta
-    try:
-        A = np.linalg.inv(np.asarray(inv_curvature, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"curvature inverse is singular: {exc}") from exc
-    A = 0.5 * (A + A.T)
-    b = A @ theta
-    eye = np.eye(len(theta))
-
-    def u_of(lam):
-        return np.linalg.solve(A + lam * eye, b)
-
+def ridge_to_sphere(A, b, radius):
+    """The point u(lam) = (A + lam I)^{-1} b, lam >= 0, of the ridge path of
+    a symmetric PSD A with ||u|| = radius, by bisection on lam until
+    | ||u|| - radius | <= RIDGE_TOL. Raises NumericFailure, carrying the
+    gap, if no iterate comes within 1e-6 in RIDGE_MAX_ITER halvings."""
+    eye = np.eye(len(b))
     lo = 0.0
     hi = max(float(np.linalg.norm(b)) / radius, 1e-12)
     for _ in range(80):
-        if np.linalg.norm(u_of(hi)) <= radius:
+        if np.linalg.norm(np.linalg.solve(A + hi * eye, b)) <= radius:
             break
         hi *= 2.0
     best_gap, best_u = np.inf, None
-    for _ in range(max_iter):
+    for _ in range(RIDGE_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        u = u_of(mid)
+        u = np.linalg.solve(A + mid * eye, b)
         n_u = float(np.linalg.norm(u))
         gap = abs(n_u - radius)
-        if gap <= tol:
+        if gap <= RIDGE_TOL:
             return u
         if gap < best_gap:
             best_gap, best_u = gap, u
@@ -139,8 +115,33 @@ def project_ball_a_norm(theta, inv_curvature, radius,
     if best_gap <= 1e-6:
         return best_u
     raise NumericFailure(
-        f"A-norm projection bisection stalled at gap {best_gap:.3e}",
+        f"ridge-path bisection stalled at ||u|| gap {best_gap:.3e}",
         residual=best_gap)
+
+
+def project_ball_a_norm(theta, inv_curvature, radius):
+    """Project theta onto the Euclidean ball of the given radius in the norm
+    induced by A, where inv_curvature = A^{-1}.
+
+    Minimizes (u - theta)^T A (u - theta) over ||u||_2 <= radius. If theta is
+    already inside the ball it is returned unchanged. Otherwise the KKT system
+    u(lam) = (A + lam I)^{-1} A theta is solved for the multiplier lam >= 0 by
+    ridge_to_sphere; A is reconstructed from the stored inverse only on this
+    (rare) path.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("cannot project a non-finite vector")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if float(np.linalg.norm(theta)) <= radius:
+        return theta
+    try:
+        A = np.linalg.inv(np.asarray(inv_curvature, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"curvature inverse is singular: {exc}") from exc
+    A = 0.5 * (A + A.T)
+    return ridge_to_sphere(A, A @ theta, radius)
 
 
 def project_box(w, lo=0.0, hi=1.0):

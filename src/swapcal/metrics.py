@@ -22,10 +22,8 @@ import numpy as np
 
 from .core import (MEMBER_CAP, LossSpec, absolute_loss, affine_restricted,
                    cover_thetas, post_process, squared_loss, vshaped_loss)
-from .errors import NumericFailure, PreconditionError
-
-LSTSQ_TOL = 1e-9
-LSTSQ_MAX_ITER = 200
+from .errors import NumericFailure, PreconditionError, ResourceLimitError
+from .linalg import ridge_to_sphere
 
 #: default loss menu for omniprediction reports
 DEFAULT_LOSSES = (squared_loss(), absolute_loss(),
@@ -99,15 +97,20 @@ def cell_statistics(tr):
 # rounds (or test points) attributed to cell c.
 
 
+def _cover_members(hc, d, cap=MEMBER_CAP):
+    """Theta vectors (M, d) of a cover class, plus a note."""
+    thetas = cover_thetas(hc.epsilon, hc.radius, d, cap=cap)
+    return thetas, (f"enumerated over {len(thetas)} cover members "
+                    f"(eps={hc.epsilon:g}, r={hc.radius:g})")
+
+
 def _finite_values(hc, X, cap=MEMBER_CAP):
     """(M, T) member evaluations for finite and cover classes, plus a note."""
     if hc.kind == "finite":
         vals = np.stack([np.asarray(f(X), dtype=float) for f in hc.members])
         return vals, f"enumerated over {len(hc.members)} finite members"
-    thetas = cover_thetas(hc.epsilon, hc.radius, X.shape[1], cap=cap)
-    vals = thetas @ X.T
-    return vals, (f"enumerated over {len(thetas)} cover members "
-                  f"(eps={hc.epsilon:g}, r={hc.radius:g})")
+    thetas, note = _cover_members(hc, X.shape[1], cap)
+    return thetas @ X.T, note
 
 
 def per_cell_sup_numerators(X, y, CW, zvals, hc, cap=MEMBER_CAP):
@@ -128,28 +131,26 @@ def per_cell_sup_numerators(X, y, CW, zvals, hc, cap=MEMBER_CAP):
         return 0.5 * (np.abs(S) + np.linalg.norm(R, axis=1)), \
             "support function of (1 + <theta, x>)/2, exact over ||theta|| <= 1"
     if hc.kind == "cover":
-        thetas = cover_thetas(hc.epsilon, hc.radius, X.shape[1], cap=cap)
+        thetas, note = _cover_members(hc, X.shape[1], cap)
         R = E @ X
         num = np.max(np.abs(thetas @ R.T), axis=0) if len(thetas) else np.zeros(len(E))
-        return num, (f"enumerated over {len(thetas)} cover members "
-                     f"(eps={hc.epsilon:g}, r={hc.radius:g})")
+        return num, note
     vals, note = _finite_values(hc, X, cap)
     return np.max(np.abs(vals @ E.T), axis=0), note
 
 
-def constrained_lstsq(X, y, w, radius, tol=LSTSQ_TOL, max_iter=LSTSQ_MAX_ITER):
+def constrained_lstsq(X, y, w, radius):
     """Weighted least squares over the theta ball:
     min sum_t w_t (<theta, x_t> - y_t)^2 subject to ||theta|| <= radius.
 
     Solves the normal equations directly (pseudo-inverse minimum-norm path
     when singular); if the unconstrained minimizer leaves the ball, walks the
-    ridge path theta(lam) = (A + lam I)^{-1} b by bisection on lam until
-    ||theta(lam)|| = radius within tol.
+    ridge path theta(lam) = (A + lam I)^{-1} b to the sphere with
+    linalg.ridge_to_sphere.
     """
     Xw = X * w[:, None]
     A = X.T @ Xw
     b = X.T @ (w * y)
-    theta = None
     try:
         theta = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
@@ -159,32 +160,7 @@ def constrained_lstsq(X, y, w, radius, tol=LSTSQ_TOL, max_iter=LSTSQ_MAX_ITER):
         theta = np.linalg.lstsq(A, b, rcond=None)[0]
     if float(np.linalg.norm(theta)) <= radius:
         return theta
-    eye = np.eye(X.shape[1])
-    lo = 0.0
-    hi = max(float(np.linalg.norm(b)) / radius, 1e-12)
-    for _ in range(80):
-        if np.linalg.norm(np.linalg.solve(A + hi * eye, b)) <= radius:
-            break
-        hi *= 2.0
-    best_gap, best_theta = np.inf, theta
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        cand = np.linalg.solve(A + mid * eye, b)
-        nrm = float(np.linalg.norm(cand))
-        gap = abs(nrm - radius)
-        if gap <= tol:
-            return cand
-        if gap < best_gap:
-            best_gap, best_theta = gap, cand
-        if nrm > radius:
-            lo = mid
-        else:
-            hi = mid
-    if best_gap <= 1e-6:
-        return best_theta
-    raise NumericFailure(
-        f"ridge-path bisection stalled at ||theta|| gap {best_gap:.3e}",
-        residual=best_gap)
+    return ridge_to_sphere(A, b, radius)
 
 
 def per_cell_min_squared(X, y, CW, hc, cap=MEMBER_CAP):
@@ -346,27 +322,28 @@ def mcal(tr, hc, q=2, eval_eps=None, cap=MEMBER_CAP):
     nz = counts > 0
     if not np.any(nz):
         return MetricReport(f"mcal{q}", 0.0, hc.descriptor(), "empty transcript")
-    C = y[:, None] - z[None, :]
-    E = IND * C
-    if hc.kind in ("finite", "cover"):
+    E = IND * (y[:, None] - z[None, :])
+    if hc.kind == "finite":
         vals, note = _finite_values(hc, X, cap)
+        numer = vals @ E
     else:
-        radius = hc.radius
-        eps = eval_eps if eval_eps is not None else 1.0 / np.sqrt(max(tr.horizon, 1))
-        while True:
-            step = min(eps, 2.0 * eps / np.sqrt(tr.d))
-            m_axis = int(np.floor(2.0 * radius / step + 1e-9)) + 1
-            if m_axis ** tr.d <= cap:
-                break
-            eps *= 2.0
-        thetas = cover_thetas(eps, radius, tr.d, cap=cap)
-        if hc.kind == "affine-restricted":
-            vals = 0.5 * (1.0 + thetas @ X.T)
+        if hc.kind == "cover":
+            thetas, note = _cover_members(hc, tr.d, cap)
         else:
-            vals = thetas @ X.T
-        note = (f"maximized over a theta cover of {len(thetas)} members "
-                f"(realized eps={eps:g})")
-    numer = vals @ E
+            eps = eval_eps if eval_eps is not None else 1.0 / np.sqrt(max(tr.horizon, 1))
+            while True:
+                try:
+                    thetas = cover_thetas(eps, hc.radius, tr.d, cap=cap)
+                    break
+                except ResourceLimitError:
+                    eps *= 2.0
+            note = (f"maximized over a theta cover of {len(thetas)} members "
+                    f"(realized eps={eps:g})")
+        # theta members enter only through <theta, R_c> with the per-cell
+        # residuals R = E^T X (cells, d), never through a (members, T) matrix
+        numer = thetas @ (E.T @ X).T
+        if hc.kind == "affine-restricted":
+            numer = 0.5 * (E.sum(axis=0) + numer)
     rho = numer[:, nz] / counts[None, nz]
     per_member = np.sum(counts[None, nz] * np.abs(rho) ** q, axis=1)
     return MetricReport(f"mcal{q}", float(np.max(per_member)), hc.descriptor(),

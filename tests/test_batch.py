@@ -10,14 +10,19 @@ from swapcal.metrics import constrained_lstsq
 
 
 def _stream(rng, T, d=2):
-    out = []
-    for _ in range(T):
+    X, y = np.zeros((T, d)), np.zeros(T, dtype=int)
+    for t in range(T):
         tail = rng.normal(size=d - 1) * 0.3
         nt = np.linalg.norm(tail)
         if nt > 0.8:
             tail *= 0.8 / nt
-        out.append((np.concatenate([[0.5], tail]), int(rng.integers(0, 2))))
-    return out
+        X[t] = np.concatenate([[0.5], tail])
+        y[t] = rng.integers(0, 2)
+    return X, y
+
+
+def _empty(d=2):
+    return np.zeros((0, d)), np.zeros(0, dtype=int)
 
 
 def test_snapshots_freeze_start_of_round_states():
@@ -31,7 +36,7 @@ def test_snapshots_freeze_start_of_round_states():
     for k in range(5):
         for i, st in enumerate(mix.snapshots[k].learners):
             np.testing.assert_array_equal(st.theta, fc.learners[i].theta)
-        x, y = stream[k]
+        x, y = stream[0][k], int(stream[1][k])
         fc.update(fc.predict(x), y, x)
 
 
@@ -53,7 +58,7 @@ def test_stride_keeps_every_kth_snapshot():
     with pytest.raises(ValueError):
         train_mixture(stream, 2, stride=0)
     with pytest.raises(ValueError):
-        train_mixture([], 2)
+        train_mixture(_empty(), 2)
 
 
 def test_mixture_sampling_determinism_and_range():
@@ -111,8 +116,7 @@ def test_mixture_json_rejects_garbage(tmp_path):
 def test_bucket_weights_exhaustive_matches_naive():
     rng = np.random.default_rng(6)
     mix = train_mixture(_stream(rng, 10), 2, seed=2)
-    test = _stream(rng, 7)
-    X = np.stack([x for x, _ in test])
+    X, _ = _stream(rng, 7)
     V, how = _bucket_weights(mix, X, None, 0)
     assert "exhaustive" in how
     want = np.zeros_like(V)
@@ -127,8 +131,7 @@ def test_bucket_weights_exhaustive_matches_naive():
 def test_bucket_weights_monte_carlo_converges():
     rng = np.random.default_rng(7)
     mix = train_mixture(_stream(rng, 10), 2, seed=2)
-    test = _stream(rng, 5)
-    X = np.stack([x for x, _ in test])
+    X, _ = _stream(rng, 5)
     exact, _ = _bucket_weights(mix, X, None, 0)
     mc, how = _bucket_weights(mix, X, 200_000, seed=11)
     assert "Monte-Carlo" in how
@@ -142,8 +145,7 @@ def test_saerr_exhaustive_matches_naive_loops():
     mix = train_mixture(_stream(rng, 12), 2, seed=4)
     test = _stream(rng, 9)
     rep = estimate_saerr(mix, test)
-    X = np.stack([x for x, _ in test])
-    y = np.array([float(yy) for _, yy in test])
+    X, y = test[0], test[1].astype(float)
     V, _ = _bucket_weights(mix, X, None, 0)
     z = mix.grid.points
     want = 0.0
@@ -162,8 +164,8 @@ def test_saerr_exhaustive_matches_naive_loops():
 def test_dsmcal_zero_for_degenerate_perfect_predictor():
     # untrained learners always commit the point mass at cell 0 (value 0);
     # if every test label is 0 the buckets carry no residual at all
-    mix = train_mixture([(np.array([0.5, 0.0]), 0)], 2, seed=0)
-    test = [(np.array([0.5, 0.3]), 0), (np.array([0.5, -0.3]), 0)]
+    mix = train_mixture((np.array([[0.5, 0.0]]), np.array([0])), 2, seed=0)
+    test = (np.array([[0.5, 0.3], [0.5, -0.3]]), np.array([0, 0]))
     assert estimate_dsmcal(mix, test).value == pytest.approx(0.0, abs=1e-12)
     assert estimate_saerr(mix, test).value == pytest.approx(0.0, abs=1e-9)
 
@@ -191,7 +193,7 @@ def test_estimators_reject_empty_test():
     rng = np.random.default_rng(11)
     mix = train_mixture(_stream(rng, 5), 1, seed=0)
     with pytest.raises(ValueError):
-        estimate_saerr(mix, [])
+        estimate_saerr(mix, _empty())
 
 
 def test_saerr_improves_with_training_on_learnable_stream():
@@ -200,12 +202,12 @@ def test_saerr_improves_with_training_on_learnable_stream():
     rng = np.random.default_rng(12)
     theta_true = np.array([1.0, -0.8])
     def make(T):
-        out = []
-        for _ in range(T):
-            x = np.array([0.5, rng.uniform(-0.8, 0.8)])
-            p = float(np.clip(theta_true @ x, 0.0, 1.0))
-            out.append((x, int(rng.random() < p)))
-        return out
+        X, y = np.zeros((T, 2)), np.zeros(T, dtype=int)
+        for t in range(T):
+            X[t] = [0.5, rng.uniform(-0.8, 0.8)]
+            p = float(np.clip(theta_true @ X[t], 0.0, 1.0))
+            y[t] = rng.random() < p
+        return X, y
     test = make(300)
     small = estimate_saerr(train_mixture(make(30), 2, seed=1, stride=1), test)
     large = estimate_saerr(train_mixture(make(1000), 2, seed=1, stride=25),

@@ -132,6 +132,38 @@ def test_batch_csv_paths(tmp_path):
     assert json.loads(proc.stdout)["value"] is not None
 
 
+def test_csv_read_once_per_command(tmp_path, monkeypatch, capsys):
+    """simulate and batch parse a csv file once, even when batch trains and
+    tests on the same file."""
+    import swapcal.cli as cli
+
+    calls = []
+    real = cli.ingest_csv
+
+    def counting(path):
+        calls.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(cli, "ingest_csv", counting)
+    data = tmp_path / "d.csv"
+    rng = np.random.default_rng(1)
+    data.write_text("\n".join(f"{rng.uniform(-0.5, 0.5):.4f},"
+                              f"{int(rng.integers(0, 2))}"
+                              for _ in range(40)) + "\n")
+    out = tmp_path / "tr.jsonl"
+    assert cli.main(["simulate", "--adversary", "csv", "--csv-path",
+                     str(data), "--T", "30", "--d", "2", "--N", "2",
+                     "--out", str(out)]) == 0
+    assert "csv_scale" in json.loads(capsys.readouterr().out)
+    assert calls == [str(data)]
+    calls.clear()
+    assert cli.main(["batch", "--train", str(data), "--test", str(data),
+                     "--T", "20", "--test-T", "10", "--stride", "4",
+                     "--report", "saerr"]) == 0
+    assert np.isfinite(json.loads(capsys.readouterr().out)["value"])
+    assert calls == [str(data)]
+
+
 def test_batch_empty_training_csv(tmp_path):
     data = tmp_path / "empty.csv"
     data.write_text("")

@@ -7,7 +7,7 @@ from swapcal import (FormatError, LinearFn, ResourceLimitError, Transcript,
                      absolute_loss, class_members, cover_class, cover_thetas,
                      custom_loss, finite_class, linear_ball, loss_eval,
                      make_grid, post_process, squared_loss, validate_context,
-                     validate_outcome, vshaped_loss)
+                     validate_outcome, validate_stream, vshaped_loss)
 from swapcal.core import affine_restricted
 
 
@@ -53,6 +53,33 @@ def test_validate_context_rejections():
         validate_context([[0.5], [0.5]])      # not a vector
     with pytest.raises(ValueError):
         validate_context([0.5, np.nan])
+
+
+def test_validate_stream_accepts_arrays():
+    X = np.array([[0.5, 0.5], [0.5, -0.2]])
+    got_X, got_y = validate_stream((X, np.array([1.0, 0.0])), d=2)
+    assert got_X is X
+    assert got_y.dtype.kind == "i" and got_y.tolist() == [1, 0]
+    X0, y0 = validate_stream((np.zeros((0, 3)), np.zeros(0, dtype=int)))
+    assert X0.shape == (0, 3) and y0.shape == (0,)
+
+
+@pytest.mark.parametrize("stream, d, match", [
+    ([(np.array([0.5, 0.0]), 1)], None, "pair of arrays"),   # list of pairs
+    ([np.array([[0.5, 0.0]]), np.array([1])], None, "pair of arrays"),
+    ((np.array([[0.4, 0.0]]), np.array([1])), None, "0.5"),   # pin
+    ((np.array([[0.5, 0.9]]), np.array([1])), None, "norm"),  # norm > 1
+    ((np.array([[0.5, np.nan]]), np.array([1])), None, "non-finite"),
+    ((np.array([[0.5, 0.0]]), np.array([2])), None, "0/1"),   # not a bit
+    ((np.array([[0.5, 0.0]]), np.array([0.5])), None, "0/1"),
+    ((np.array([[0.5, 0.0]] * 2), np.array([1])), None, "0/1"),  # lengths
+    ((np.array([[0.5, 0.0]]), np.array([[1]])), None, "0/1"),
+    ((np.array([[0.5, 0.0]]), np.array([1])), 3, "dimension"),  # wrong d
+    ((np.array([0.5, 0.0]), np.array([1, 0])), None, r"\(T, d\)"),  # 1-d X
+])
+def test_validate_stream_rejections(stream, d, match):
+    with pytest.raises(ValueError, match=match):
+        validate_stream(stream, d)
 
 
 def test_validate_outcome():
@@ -276,11 +303,6 @@ def test_transcript_accessors():
     assert len(tr) == 3
     assert tr.d == 2
     np.testing.assert_allclose(tr.predictions, [0.0, 0.5, 1.0])
-    s = tr.step(1)
-    assert s.sampled_index == 1
-    assert s.outcome == 0
-    assert s.q_matrix is None
-    np.testing.assert_allclose(s.cond_dist, [0.25, 0.5, 0.25])
 
 
 def test_transcript_validation():

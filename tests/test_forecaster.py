@@ -6,15 +6,15 @@ from swapcal import (BmForecaster, choose_n, make_grid, rround, run_online,
 
 
 def _stream(rng, T, d):
-    out = []
+    X, y = np.zeros((T, d)), np.zeros(T, dtype=int)
     for t in range(T):
         tail = rng.normal(size=d - 1) * 0.3
         nt = np.linalg.norm(tail)
         if nt > 0.8:
             tail *= 0.8 / nt
-        x = np.concatenate([[0.5], tail])
-        out.append((x, int(rng.integers(0, 2))))
-    return out
+        X[t] = np.concatenate([[0.5], tail])
+        y[t] = rng.integers(0, 2)
+    return X, y
 
 
 def test_seed_streams_reproducible():
@@ -92,7 +92,8 @@ def test_fresh_forecaster_commits_point_mass_at_zero():
 def test_round_output_q_matrix_columns_are_rrounds():
     rng = np.random.default_rng(5)
     fc = BmForecaster(make_grid(3), 2, seed=1)
-    for x, y in _stream(rng, 30, 2):
+    X, y = _stream(rng, 30, 2)
+    for x, yt in zip(X, y):
         out = fc.predict(x)
         for i in range(4):
             np.testing.assert_allclose(out.q_matrix[:, i],
@@ -101,7 +102,7 @@ def test_round_output_q_matrix_columns_are_rrounds():
         # committed distribution is stationary for the committed matrix
         resid = np.max(np.abs(out.q_matrix @ out.cond_dist - out.cond_dist))
         assert resid <= 1e-8
-        fc.update(out, y, x)
+        fc.update(out, int(yt), x)
 
 
 def test_trajectory_deterministic_given_seed():
@@ -170,8 +171,7 @@ def test_run_online_records_everything():
     assert tr.seed == 3
     assert tr.q_stacks.shape == (25, 3, 3)
     assert tr.w_mat.shape == (25, 3)
-    np.testing.assert_array_equal(tr.outcomes,
-                                  [y for _, y in stream])
+    np.testing.assert_array_equal(tr.outcomes, stream[1])
     slim = run_online(BmForecaster(make_grid(2), 2, seed=3), stream,
                       keep_q=False)
     assert slim.q_stacks is None
@@ -179,9 +179,15 @@ def test_run_online_records_everything():
 
 
 def test_run_online_validates_stream():
-    bad = [(np.array([0.4, 0.0]), 1)]
+    bad = (np.array([[0.4, 0.0]]), np.array([1]))
     with pytest.raises(ValueError):
         run_online(BmForecaster(make_grid(2), 2, seed=0), bad)
+    pairs = [(np.array([0.5, 0.0]), 1)]
+    with pytest.raises(ValueError, match="pair of arrays"):
+        run_online(BmForecaster(make_grid(2), 2, seed=0), pairs)
+    wrong_d = (np.array([[0.5, 0.0, 0.0]]), np.array([1]))
+    with pytest.raises(ValueError, match="dimension"):
+        run_online(BmForecaster(make_grid(2), 2, seed=0), wrong_d)
 
 
 def test_choose_n_values():

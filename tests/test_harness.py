@@ -9,7 +9,7 @@ from swapcal import (AdversarySpec, FormatError, RateFit, SweepConfig,
                      evaluate_metric, fit_rate, generate_stream, ingest_csv,
                      linear_ball, parse_class_spec, parse_losses,
                      read_results, resolve_n, run_sweep, simulate_run,
-                     validate_context)
+                     validate_context, validate_stream)
 from swapcal.harness import _sweep_row
 
 
@@ -25,13 +25,14 @@ def test_adversary_spec_validation():
 
 def test_logistic_stream_contexts_are_valid():
     spec = AdversarySpec(kind="iid-logistic")
-    stream = generate_stream(spec, 200, 3, seed=0)
-    assert len(stream) == 200
-    for x, y in stream:
+    X, y = generate_stream(spec, 200, 3, seed=0)
+    assert X.shape == (200, 3) and y.shape == (200,)
+    assert y.dtype.kind == "i"
+    validate_stream((X, y), 3)
+    for x in X:
         validate_context(x, 3)
-        assert y in (0, 1)
     # tails live strictly inside the ball: norms bounded by sqrt(3)/2
-    tail_norms = [np.linalg.norm(x[1:]) for x, _ in stream]
+    tail_norms = np.linalg.norm(X[:, 1:], axis=1)
     assert max(tail_norms) <= math.sqrt(3.0) / 2.0 + 1e-12
 
 
@@ -40,10 +41,8 @@ def test_stream_reproducibility():
     a = generate_stream(spec, 50, 2, seed=3)
     b = generate_stream(spec, 50, 2, seed=3)
     c = generate_stream(spec, 50, 2, seed=4)
-    assert all(np.array_equal(x1, x2) and y1 == y2
-               for (x1, y1), (x2, y2) in zip(a, b))
-    assert any(not np.array_equal(x1, x2) or y1 != y2
-               for (x1, y1), (x2, y2) in zip(a, c))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert not (np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1]))
 
 
 def test_explicit_parameter_does_not_shift_stream_draws():
@@ -52,15 +51,14 @@ def test_explicit_parameter_does_not_shift_stream_draws():
     drawn = generate_stream(AdversarySpec(kind="iid-logistic"), 30, 2, seed=6)
     fixed = generate_stream(AdversarySpec(kind="iid-logistic",
                                           theta_star=(0.6, 0.8)), 30, 2, seed=6)
-    for (x1, _), (x2, _) in zip(drawn, fixed):
-        np.testing.assert_array_equal(x1, x2)
+    np.testing.assert_array_equal(drawn[0], fixed[0])
 
 
 def test_logistic_label_frequency_matches_mean_probability():
     # E[y] = 1/2 + theta1/4 for theta* = e1 (the tail integrates to zero)
     spec = AdversarySpec(kind="iid-logistic", theta_star=(1.0, 0.0))
-    stream = generate_stream(spec, 40_000, 2, seed=1)
-    freq = np.mean([y for _, y in stream])
+    _, y = generate_stream(spec, 40_000, 2, seed=1)
+    freq = np.mean(y)
     assert abs(freq - 0.75) < 4.0 * math.sqrt(0.25 / 40_000)
 
 
@@ -68,42 +66,41 @@ def test_noise_one_flips_every_label():
     base = generate_stream(AdversarySpec(kind="iid-logistic"), 40, 2, seed=2)
     flip = generate_stream(AdversarySpec(kind="iid-logistic", noise=1.0),
                            40, 2, seed=2)
-    assert all(y1 == 1 - y2 for (_, y1), (_, y2) in zip(base, flip))
+    np.testing.assert_array_equal(base[1], 1 - flip[1])
 
 
 def test_bernoulli_stream():
     spec = AdversarySpec(kind="iid-bernoulli", bias=0.9)
-    stream = generate_stream(spec, 5000, 3, seed=0)
-    x0 = stream[0][0]
-    np.testing.assert_array_equal(x0, [0.5, 0.0, 0.0])
-    assert all(np.array_equal(x, x0) for x, _ in stream)
-    assert abs(np.mean([y for _, y in stream]) - 0.9) < 0.02
+    X, y = generate_stream(spec, 5000, 3, seed=0)
+    np.testing.assert_array_equal(X[0], [0.5, 0.0, 0.0])
+    assert (X == X[0]).all()
+    assert abs(np.mean(y) - 0.9) < 0.02
 
 
 def test_anti_calibration_alternates():
-    stream = generate_stream(AdversarySpec(kind="anti-calibration"), 6, 2,
-                             seed=0)
-    assert [y for _, y in stream] == [0, 1, 0, 1, 0, 1]
+    X, y = generate_stream(AdversarySpec(kind="anti-calibration"), 6, 2,
+                           seed=0)
+    assert y.tolist() == [0, 1, 0, 1, 0, 1]
+    assert (X == [0.5, 0.0]).all()
 
 
 def test_ingest_csv_scaling(tmp_path):
     p = tmp_path / "data.csv"
     p.write_text("1.0,2.0,1\n0.5,0.5,0\n")
-    pairs, factor = ingest_csv(p)
+    X, y, factor = ingest_csv(p)
     assert factor == pytest.approx((math.sqrt(3) / 2) / math.sqrt(5))
-    assert len(pairs) == 2
-    np.testing.assert_allclose(pairs[0][0],
-                               [0.5, 1.0 * factor, 2.0 * factor])
-    assert pairs[0][1] == 1
-    validate_context(pairs[0][0])
+    assert len(X) == len(y) == 2
+    np.testing.assert_allclose(X[0], [0.5, 1.0 * factor, 2.0 * factor])
+    assert y.tolist() == [1, 0]
+    validate_stream((X, y))
 
 
 def test_ingest_csv_small_features_untouched(tmp_path):
     p = tmp_path / "small.csv"
     p.write_text("0.1,0.1,0\n-0.2,0.0,1\n")
-    pairs, factor = ingest_csv(p)
+    X, _, factor = ingest_csv(p)
     assert factor == 1.0
-    np.testing.assert_allclose(pairs[1][0], [0.5, -0.2, 0.0])
+    np.testing.assert_allclose(X[1], [0.5, -0.2, 0.0])
 
 
 def test_ingest_csv_errors(tmp_path):
@@ -117,6 +114,9 @@ def test_ingest_csv_errors(tmp_path):
     p.write_text("1.0,0.5,0.7\n")
     with pytest.raises(FormatError, match="label"):
         ingest_csv(p)
+    p.write_text("\n")
+    with pytest.raises(FormatError, match="no data rows"):
+        ingest_csv(p)
 
 
 def test_csv_adversary_replays_file(tmp_path):
@@ -124,8 +124,8 @@ def test_csv_adversary_replays_file(tmp_path):
     rows = "\n".join(f"{v:.3f},{v % 2:.0f}" for v in np.linspace(0, 0.8, 30))
     p.write_text(rows + "\n")
     spec = AdversarySpec(kind="csv", path=str(p))
-    stream = generate_stream(spec, 10, 2, seed=0)
-    assert len(stream) == 10
+    X, y = generate_stream(spec, 10, 2, seed=0)
+    assert X.shape == (10, 2) and y.shape == (10,)
     with pytest.raises(ValueError, match="fewer"):
         generate_stream(spec, 100, 2, seed=0)
     with pytest.raises(ValueError, match="dimension"):

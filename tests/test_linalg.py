@@ -109,7 +109,7 @@ def test_stationary_matches_eigenvector_on_forecaster_matrices():
     X = np.hstack([np.full((T, 1), 0.5), rng.uniform(-0.4, 0.4, (T, d - 1))])
     y = rng.integers(0, 2, T)
     tr = run_online(BmForecaster(make_grid(5), d, seed=23),
-                    list(zip(X, y)), keep_q=True)
+                    (X, y), keep_q=True)
     checked = 0
     for Q, P in zip(tr.q_stacks, tr.cond_dists):
         if np.sum(np.abs(np.linalg.eigvals(Q) - 1.0) < 1e-6) != 1:

@@ -4,9 +4,10 @@ import pytest
 from swapcal import (BmForecaster, LinearFn, NumericFailure,
                      PreconditionError, Transcript, absolute_loss,
                      bm_external_regrets, cal, cell_statistics, cover_class,
-                     custom_loss, finite_class, linear_ball, make_grid, mcal,
-                     psmcal, psreg, realized_weights, run_online, smcal,
-                     somni, sreg, squared_loss, vshaped_loss, witness_f_prime)
+                     cover_thetas, custom_loss, finite_class, linear_ball,
+                     make_grid, mcal, psmcal, psreg, realized_weights,
+                     run_online, smcal, somni, sreg, squared_loss,
+                     vshaped_loss, witness_f_prime)
 from swapcal.core import affine_restricted
 from swapcal.metrics import constrained_lstsq
 
@@ -30,14 +31,15 @@ def _random_transcript(rng, T, d, n):
 
 
 def _forecaster_transcript(rng, T, d, n, seed, keep_q=False):
-    stream = []
-    for _ in range(T):
+    X, y = np.zeros((T, d)), np.zeros(T, dtype=int)
+    for t in range(T):
         tail = rng.normal(size=d - 1) * 0.3
         nt = np.linalg.norm(tail)
         if nt > 0.8:
             tail *= 0.8 / nt
-        stream.append((np.concatenate([[0.5], tail]), int(rng.integers(0, 2))))
-    return run_online(BmForecaster(make_grid(n), d, seed=seed), stream,
+        X[t] = np.concatenate([[0.5], tail])
+        y[t] = rng.integers(0, 2)
+    return run_online(BmForecaster(make_grid(n), d, seed=seed), (X, y),
                       keep_q=keep_q)
 
 
@@ -287,6 +289,53 @@ def test_mcal_ball_uses_disclosed_cover():
     rep = mcal(tr, linear_ball(1.0), 2)
     assert "eps" in rep.notes
     assert rep.value <= smcal(tr, linear_ball(1.0), 2).value + 1e-9
+
+
+def _dense_mcal(tr, hc, q, cap):
+    """mcal by the (members x T) evaluation matrix: the slow oracle."""
+    if hc.kind == "cover":
+        thetas = cover_thetas(hc.epsilon, hc.radius, tr.d)
+    else:
+        eps = 1.0 / np.sqrt(tr.horizon)
+        while len(cover_thetas(eps, hc.radius, tr.d, cap=10 ** 9)) > cap:
+            eps *= 2.0
+        thetas = cover_thetas(eps, hc.radius, tr.d)
+    vals = thetas @ tr.contexts.T
+    if hc.kind == "affine-restricted":
+        vals = 0.5 * (1.0 + vals)
+    IND = realized_weights(tr)
+    numer = vals @ (IND * (tr.outcomes[:, None] - tr.grid.points[None, :]))
+    counts = IND.sum(axis=0)
+    nz = counts > 0
+    rho = numer[:, nz] / counts[nz]
+    return float(np.max(np.sum(counts[nz] * np.abs(rho) ** q, axis=1)))
+
+
+@pytest.mark.parametrize("hc", [linear_ball(1.0), linear_ball(4.0),
+                                affine_restricted(), cover_class(0.3, 1.0)])
+def test_mcal_theta_classes_match_dense_evaluation(hc):
+    rng = np.random.default_rng(12)
+    tr = _random_transcript(rng, 60, 2, 3)
+    for q in (1, 2):
+        for cap in (10 ** 6, 100):
+            want = _dense_mcal(tr, hc, q, cap)
+            got = mcal(tr, hc, q, cap=cap).value
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_mcal_ball_memory_bounded():
+    """mcal2 over the unit ball at T = 4096, d = 2 holds per-cell residuals,
+    not a (members x T) matrix (16641 x 4096 floats, 545 MB)."""
+    import tracemalloc
+
+    tr = _random_transcript(np.random.default_rng(13), 4096, 2, 9)
+    tracemalloc.start()
+    try:
+        mcal(tr, linear_ball(1.0), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_cal_below_mcal_when_constant_in_class():
