@@ -21,7 +21,7 @@ def main():
         mix = train_mixture(train, n, seed=1, stride=stride)
         saerr = estimate_saerr(mix, test).value
         dcal = estimate_dsmcal(mix, test).value
-        print(f"  T={T:<5} N={n}  snapshots={len(mix.snapshots):>3}  "
+        print(f"  T={T:<5} N={n}  snapshots={mix.size:>3}  "
               f"saerr={saerr:.4f}  dsmcal2={dcal:.4f}")
 
     rng = np.random.default_rng(7)

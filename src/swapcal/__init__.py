@@ -6,10 +6,9 @@ regret against linear comparator classes, an online-to-batch conversion, and
 an experiment harness for convergence-rate studies.
 """
 
-from .batch import (MixturePredictor, PredictorSnapshot, estimate_dsmcal,
-                    estimate_dsomni, estimate_saerr, mixture_from_json,
-                    mixture_predict, mixture_to_json, select_snapshot,
-                    train_mixture)
+from .batch import (MixturePredictor, estimate_dsmcal, estimate_dsomni,
+                    estimate_saerr, mixture_from_json, mixture_predict,
+                    mixture_to_json, select_snapshot, train_mixture)
 from .core import (Grid, HypothesisClass, LinearFn, LossSpec, Transcript,
                    absolute_loss, affine_restricted, class_members,
                    cover_class, cover_thetas, custom_loss, finite_class,
@@ -39,7 +38,7 @@ __all__ = [
     "AdversarySpec", "BETA", "BmForecaster", "CellStatistics", "FormatError",
     "Grid", "HypothesisClass", "LinearFn", "LossSpec", "MetricReport",
     "MixturePredictor", "NumericFailure", "OMEGA", "OnsState",
-    "PreconditionError", "PredictorSnapshot", "RADIUS", "RateFit",
+    "PreconditionError", "RADIUS", "RateFit",
     "ResourceLimitError", "RoundOutput", "SweepConfig", "Transcript",
     "WitnessFn", "absolute_loss", "affine_restricted", "alg_predict",
     "bm_external_regrets", "cal", "cell_statistics",

@@ -1,10 +1,10 @@
 """Online-to-batch conversion: uniform mixtures over per-round predictor
 snapshots, and Monte-Carlo estimators of their distributional guarantees.
 
-A trained mixture keeps the learner states frozen at the start of every round
-(states are immutable, so snapshots are plain references). Prediction draws a
-snapshot uniformly, rebuilds that round's conditional distribution for the
-query context, and samples a grid point from it.
+A trained mixture keeps the learners' parameter stack, thetas (S, K, d):
+snapshot k is taken at the start of round 1 + k * stride. Prediction draws a
+snapshot uniformly, commits its conditional distribution for the query
+context, and samples a grid point from it.
 
 The distributional estimators bucket draws by sampled cell and apply the
 plug-in empirical supremum over each bucket; reports label the estimates as
@@ -17,50 +17,47 @@ Training and test streams are one pair of arrays (X, y): contexts X float
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (Grid, affine_restricted, linear_ball, make_grid,
                    validate_stream)
 from .errors import FormatError
-from .forecaster import BmForecaster, commit_round
+from .forecaster import BmForecaster, commit_round, sample_cell
 from .metrics import (DEFAULT_LOSSES, MetricReport, per_cell_min_squared,
                       per_cell_omni_gap, per_cell_sup_numerators)
-from .ons import OnsState
 from . import metrics as _metrics
 
-
-@dataclass(frozen=True)
-class PredictorSnapshot:
-    """Learner states frozen at the start of a round (1-based)."""
-
-    round_index: int
-    learners: tuple
+COMMIT_CHUNK = 1024  # test points per batched commit: bounds solver memory
 
 
 class MixturePredictor:
-    """Uniform mixture over per-round snapshots of the online forecaster."""
+    """Uniform mixture over per-round snapshots of the online forecaster,
+    held as their parameter stacks thetas (S, K, d)."""
 
-    def __init__(self, grid, d, snapshots, seed=None, stride=1):
+    def __init__(self, grid, thetas, seed=None, stride=1):
         if not isinstance(grid, Grid):
             raise ValueError("grid must be a Grid")
-        if not snapshots:
-            raise ValueError("mixture needs at least one snapshot")
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 3 or not len(thetas) or thetas.shape[1] != grid.size:
+            raise ValueError(f"thetas must have shape (S >= 1, {grid.size}, d),"
+                             f" got {thetas.shape}")
         self.grid = grid
-        self.d = int(d)
-        self.snapshots = list(snapshots)
+        self.thetas = thetas
+        self.d = thetas.shape[2]
         self.seed = seed
         self.stride = int(stride)
 
     @property
     def size(self):
-        return len(self.snapshots)
+        return len(self.thetas)
 
-    def cond_dist(self, t, x):
+    def cond_dist(self, t, X):
         """Conditional distribution over grid points that snapshot t commits
-        to on context x (deterministic)."""
-        return commit_round(self.snapshots[t].learners, x, self.grid)[2]
+        to on context X, shape (d,), or on each row of X, shape (M, d)
+        (deterministic)."""
+        return commit_round(self.thetas[t], np.asarray(X, dtype=float),
+                            self.grid)[2]
 
 
 def train_mixture(stream, n, seed=0, stride=1):
@@ -72,18 +69,13 @@ def train_mixture(stream, n, seed=0, stride=1):
         raise ValueError("cannot train a mixture on an empty stream")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    d = X.shape[1]
-    grid = make_grid(n)
-    fc = BmForecaster(grid, d, seed=seed)
+    fc = BmForecaster(make_grid(n), X.shape[1], seed=seed)
     snaps = []
-    for t in range(len(y)):
-        x = X[t]
+    for t, (x, yt) in enumerate(zip(X, y)):
         if t % stride == 0:
-            snaps.append(PredictorSnapshot(round_index=t + 1,
-                                           learners=tuple(fc.learners)))
-        out = fc.predict(x)
-        fc.update(out, int(y[t]), x)
-    return MixturePredictor(grid, d, snaps, seed=seed, stride=stride)
+            snaps.append(fc.thetas)
+        fc.update(fc.predict(x), int(yt), x)
+    return MixturePredictor(fc.grid, snaps, seed=seed, stride=stride)
 
 
 def select_snapshot(mix, rng):
@@ -96,12 +88,8 @@ def mixture_predict(mix, x, rng):
     """Sample a grid index: uniform snapshot, then a draw from its
     conditional distribution on x. Returns the index; the grid value is
     mix.grid.points[index]."""
-    x = np.asarray(x, dtype=float)
-    t = select_snapshot(mix, rng)
-    P = mix.cond_dist(t, x)
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(P), u, side="right"))
-    return min(idx, mix.grid.n)
+    P = mix.cond_dist(select_snapshot(mix, rng), x)
+    return int(sample_cell(P, rng.random()))
 
 
 # ---------------------------------------------------------------------------
@@ -109,51 +97,39 @@ def mixture_predict(mix, x, rng):
 
 
 def mixture_to_json(mix, path):
-    doc = {
-        "version": 1,
-        "n": mix.grid.n,
-        "d": mix.d,
-        "T": mix.size,
-        "seed": mix.seed,
-        "stride": mix.stride,
-        "snapshots": [
-            {"round": s.round_index,
-             "learners": [
-                 {"theta": [float(v) for v in st.theta],
-                  "inv_curvature": [[float(v) for v in row]
-                                    for row in st.inv_curvature],
-                  "rounds_seen": st.rounds_seen}
-                 for st in s.learners]}
-            for s in mix.snapshots],
-    }
+    """Write the mixture as a version-2 document: n, d, seed, stride and the
+    (S, K, d) parameter stack."""
+    doc = {"version": 2, "n": mix.grid.n, "d": mix.d, "seed": mix.seed,
+           "stride": mix.stride, "thetas": mix.thetas.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
 def mixture_from_json(path):
+    """Read a version-2 document, or a version-1 one (per-snapshot learner
+    records, of which only theta is read)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        if doc["version"] != 1:
+        if doc["version"] == 1:
+            thetas = [[st["theta"] for st in s["learners"]]
+                      for s in doc["snapshots"]]
+        elif doc["version"] == 2:
+            thetas = doc["thetas"]
+        else:
             raise FormatError(f"{path}: unsupported mixture version "
                               f"{doc['version']}")
-        grid = make_grid(int(doc["n"]))
-        d = int(doc["d"])
-        snaps = []
-        for s in doc["snapshots"]:
-            learners = tuple(
-                OnsState(theta=np.asarray(st["theta"], dtype=float),
-                         inv_curvature=np.asarray(st["inv_curvature"],
-                                                  dtype=float),
-                         rounds_seen=int(st["rounds_seen"]))
-                for st in s["learners"])
-            snaps.append(PredictorSnapshot(round_index=int(s["round"]),
-                                           learners=learners))
-        return MixturePredictor(grid, d, snaps, seed=doc.get("seed"),
-                                stride=int(doc.get("stride", 1)))
+        mix = MixturePredictor(make_grid(int(doc["n"])),
+                               np.asarray(thetas, dtype=float),
+                               seed=doc.get("seed"),
+                               stride=int(doc.get("stride", 1)))
+        if mix.d != int(doc["d"]):
+            raise ValueError(f"thetas have dimension {mix.d}, header says "
+                             f"{doc['d']}")
+        return mix
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise
@@ -164,46 +140,52 @@ def mixture_from_json(path):
 # distributional estimators
 
 
-def _test_arrays(mix, test):
-    """The test stream (X, y) checked against the mixture, y as float."""
+def _buckets(mix, test, mc_draws, seed):
+    """The test stream (X, y) checked against the mixture, y as float, its
+    bucket weights V, their per-cell masses, and how V was made."""
     X, y = validate_stream(test, mix.d)
     if not len(y):
         raise ValueError("test sample must be non-empty")
-    return X, y.astype(float)
+    V, how = _bucket_weights(mix, X, mc_draws, seed)
+    return X, y.astype(float), V, V.sum(axis=1), how
+
+
+def _snapshot_dists(mix, t, X):
+    """Snapshot t's conditional distributions on the rows of X, (M, n+1),
+    committed COMMIT_CHUNK rows at a time."""
+    return np.concatenate([mix.cond_dist(t, X[i:i + COMMIT_CHUNK])
+                           for i in range(0, len(X), COMMIT_CHUNK)])
 
 
 def _bucket_weights(mix, X, mc_draws, seed):
     """Joint weight matrix V (n+1, M) over (cell, test point).
 
-    mc_draws=None enumerates all snapshot/test pairs with exact conditional
-    cell weights (total mass 1); an integer runs that many Monte-Carlo draws
-    of (test point, snapshot, sampled cell), caching conditional
-    distributions per (snapshot, test point) pair.
+    mc_draws=None averages every snapshot's conditional cell weights over
+    the test points exactly (total mass 1); an integer runs that many
+    Monte-Carlo draws of (test point, snapshot, uniform), made in that order
+    and then committed one snapshot at a time.
     """
     M = len(X)
-    n = mix.grid.n
-    V = np.zeros((n + 1, M))
+    V = np.zeros((mix.grid.size, M))
     if mc_draws is None:
         for t in range(mix.size):
-            for xi in range(M):
-                V[:, xi] += mix.cond_dist(t, X[xi])
+            V += _snapshot_dists(mix, t, X).T
         V /= mix.size * M
         return V, "exhaustive enumeration over snapshots x test points"
     if mc_draws < 1:
         raise ValueError("mc_draws must be positive (or None for exhaustive)")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    cache = {}
-    for _ in range(int(mc_draws)):
-        xi = int(rng.integers(M))
-        t = select_snapshot(mix, rng)
-        key = (t, xi)
-        if key not in cache:
-            cache[key] = np.cumsum(mix.cond_dist(t, X[xi]))
-        cum = cache[key]
-        cell = min(int(np.searchsorted(cum, rng.random(), side="right")), n)
-        V[cell, xi] += 1.0
-    V /= mc_draws
-    return V, f"plug-in Monte-Carlo, {int(mc_draws)} draws"
+    draws = int(mc_draws)
+    xi, snap, u = np.array([(rng.integers(M), select_snapshot(mix, rng),
+                             rng.random()) for _ in range(draws)]).T
+    xi, snap = xi.astype(int), snap.astype(int)
+    for t in np.unique(snap):
+        mine = snap == t
+        points, back = np.unique(xi[mine], return_inverse=True)
+        cells = sample_cell(_snapshot_dists(mix, t, X[points])[back], u[mine])
+        np.add.at(V, (cells, xi[mine]), 1.0)
+    V /= draws
+    return V, f"plug-in Monte-Carlo, {draws} draws"
 
 
 def estimate_saerr(mix, test, hc=None, mc_draws=None, seed=0):
@@ -211,12 +193,10 @@ def estimate_saerr(mix, test, hc=None, mc_draws=None, seed=0):
     sampled cell, the squared loss of the cell value minus the best
     comparator fit on that bucket, averaged over draws."""
     hc = linear_ball(4.0) if hc is None else hc
-    X, y = _test_arrays(mix, test)
-    V, how = _bucket_weights(mix, X, mc_draws, seed)
+    X, y, V, masses, how = _buckets(mix, test, mc_draws, seed)
     z = mix.grid.points
     learner = np.sum(V * (z[:, None] - y[None, :]) ** 2, axis=1)
     mins, note = per_cell_min_squared(X, y, V, hc)
-    masses = V.sum(axis=1)
     nz = masses > 0
     value = float(np.sum(learner[nz] - mins[nz]))
     return MetricReport(
@@ -231,10 +211,8 @@ def estimate_dsmcal(mix, test, hc=None, q=2, mc_draws=None, seed=0):
     residual, and average cell-frequency-weighted."""
     _metrics._check_q(q)
     hc = linear_ball(1.0) if hc is None else hc
-    X, y = _test_arrays(mix, test)
-    V, how = _bucket_weights(mix, X, mc_draws, seed)
+    X, y, V, masses, how = _buckets(mix, test, mc_draws, seed)
     num, note = per_cell_sup_numerators(X, y, V, mix.grid.points, hc)
-    masses = V.sum(axis=1)
     nz = masses > 0
     value = float(np.sum(masses[nz] * (num[nz] / masses[nz]) ** q))
     return MetricReport(
@@ -249,12 +227,10 @@ def estimate_dsomni(mix, test, losses=None, hc=None, mc_draws=None, seed=0,
     sample, over a loss menu and comparator class."""
     losses = list(DEFAULT_LOSSES) if losses is None else list(losses)
     hc = affine_restricted() if hc is None else hc
-    X, y = _test_arrays(mix, test)
-    V, how = _bucket_weights(mix, X, mc_draws, seed)
+    X, y, V, masses, how = _buckets(mix, test, mc_draws, seed)
     rng = np.random.default_rng(seed + 1)
     gaps, _, note = per_cell_omni_gap(X, y, V, mix.grid.points, losses, hc,
                                       iters=iters, restarts=restarts, rng=rng)
-    masses = V.sum(axis=1)
     value = float(np.sum(gaps[masses > 0]))
     menu = ",".join(l.name for l in losses)
     return MetricReport(

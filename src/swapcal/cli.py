@@ -164,23 +164,19 @@ def _cmd_batch(args):
     test_spec = _adversary_from_arg(args.test)
     tables = {}
     d = 2
-    if train_spec.kind == "csv":
-        tables[train_spec.path] = ingest_csv(train_spec.path)
-        d = tables[train_spec.path][0].shape[1]
+    csv = [s.path for s in (train_spec, test_spec) if s.kind == "csv"]
+    if csv:
+        tables[csv[0]] = ingest_csv(csv[0])
+        d = tables[csv[0]][0].shape[1]
     train = _stream(train_spec, args.T, d, args.seed, tables)
     n = choose_n(args.T, d, "smcal")
     mix = train_mixture(train, n, seed=args.seed, stride=args.stride)
     test_T = args.test_T if args.test_T is not None else args.T
     test = _stream(test_spec, test_T, d, args.seed + 1, tables)
-    if args.report == "saerr":
-        report = estimate_saerr(mix, test, mc_draws=args.draws,
-                                seed=args.seed)
-    elif args.report == "dsmcal2":
-        report = estimate_dsmcal(mix, test, mc_draws=args.draws,
-                                 seed=args.seed)
-    else:
-        report = estimate_dsomni(mix, test, mc_draws=args.draws,
-                                 seed=args.seed)
+    # looked up at call time, like harness.METRICS
+    estimate = {"saerr": estimate_saerr, "dsmcal2": estimate_dsmcal,
+                "dsomni": estimate_dsomni}[args.report]
+    report = estimate(mix, test, mc_draws=args.draws, seed=args.seed)
     print(report.to_json())
     return 0
 

@@ -422,6 +422,13 @@ def class_members(hc, d, cap=MEMBER_CAP):
 # transcripts
 
 
+def _first_non_index(values, hi):
+    """Position of the first entry of the float array values that is not an
+    integer in [0, hi], or -1."""
+    ok = (values >= 0) & (values <= hi) & (values == np.floor(values))
+    return -1 if ok.all() else int(ok.argmin())
+
+
 class Transcript:
     """A complete forecasting run, stored columnwise.
 
@@ -435,19 +442,23 @@ class Transcript:
                  "seed", "q_stacks", "w_mat")
 
     def __init__(self, grid, contexts, cond_dists, sampled_indices, outcomes,
-                 seed=None, q_stacks=None, w_mat=None, validate=True):
+                 seed=None, q_stacks=None, w_mat=None):
         self.grid = grid
         self.contexts = np.asarray(contexts, dtype=float)
         self.cond_dists = np.asarray(cond_dists, dtype=float)
-        self.sampled_indices = np.asarray(sampled_indices, dtype=int).reshape(-1)
-        self.outcomes = np.asarray(outcomes, dtype=int).reshape(-1)
+        # checked before the int cast, so a fractional entry is rejected
+        pi, y = (np.asarray(a, dtype=float).reshape(-1)
+                 for a in (sampled_indices, outcomes))
+        for values, hi, what in ((pi, grid.n, "sampled index"),
+                                 (y, 1, "outcome")):
+            k = _first_non_index(values, hi)
+            if k >= 0:
+                raise ValueError(f"{what} {values[k]} at position {k} is "
+                                 f"not an integer in [0, {hi}]")
+        self.sampled_indices, self.outcomes = pi.astype(int), y.astype(int)
         self.seed = seed
         self.q_stacks = None if q_stacks is None else np.asarray(q_stacks, dtype=float)
         self.w_mat = None if w_mat is None else np.asarray(w_mat, dtype=float)
-        if validate:
-            self._check()
-
-    def _check(self):
         T = self.horizon
         for arr, name in ((self.cond_dists, "cond_dists"),
                           (self.sampled_indices, "sampled_indices"),
@@ -463,8 +474,6 @@ class Transcript:
             raise ValueError("some conditional distribution does not sum to 1")
         if self.cond_dists.min() < -1e-12:
             raise ValueError("negative conditional probability")
-        if self.sampled_indices.min() < 0 or self.sampled_indices.max() > self.grid.n:
-            raise ValueError("sampled index outside the grid")
         validate_stream((self.contexts, self.outcomes))
 
     @property
@@ -519,8 +528,8 @@ class Transcript:
             raise FormatError(f"{path}: header N must be >= 1")
         X = np.zeros((T, d))
         P = np.zeros((T, n + 1))
-        pi = np.zeros(T, dtype=int)
-        y = np.zeros(T, dtype=int)
+        pi = np.zeros(T)
+        y = np.zeros(T)
         for k, ln in enumerate(lines[1:]):
             try:
                 rec = json.loads(ln)
@@ -528,7 +537,14 @@ class Transcript:
                 P[k] = rec["P"]
                 pi[k] = rec["pi"]
                 y[k] = rec["y"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError) as exc:
                 raise FormatError(f"{path}: bad step record on line {k + 2}: {exc}") \
                     from exc
+        for key, values, hi in (("pi", pi, n), ("y", y, 1)):
+            k = _first_non_index(values, hi)
+            if k >= 0:
+                raise FormatError(f"{path}: bad step record on line {k + 2}: "
+                                  f"{key} {values[k]} is not an integer in "
+                                  f"[0, {hi}]")
         return cls(grid, X, P, pi, y, seed=seed)

@@ -31,9 +31,7 @@ from .ons import ons_init, ons_step
 
 def seed_streams(seed):
     """Split a seed into (forecaster, adversary) SeedSequence children."""
-    root = np.random.SeedSequence(seed)
-    fc, adv = root.spawn(2)
-    return fc, adv
+    return tuple(np.random.SeedSequence(seed).spawn(2))
 
 
 @dataclass(frozen=True)
@@ -53,33 +51,43 @@ def rround(w, grid):
     neighboring grid points with mean exactly w. Grid points map to point
     masses; w = 1 maps to the point mass on the last grid point.
 
-    A scalar w gives one vector of length n+1; an array w gives the
-    (n+1, len(w)) matrix whose columns are the roundings of its entries.
+    A scalar w gives one vector of length n+1; an array w of shape (..., K)
+    gives the (..., n+1, K) stack whose columns are the roundings of its
+    entries.
     """
     w = np.asarray(w, dtype=float)
     ok = (w >= 0.0) & (w <= 1.0)
     if not ok.all():
         raise ValueError(f"value {w[~ok].flat[0]} outside [0, 1]")
     n = grid.n
-    scaled = np.atleast_1d(w) * n
+    scaled = w.ravel() * n
     idx = np.minimum(scaled.astype(int), n)
     frac = scaled - idx
-    cols = np.arange(len(scaled))
-    # spare row n+1 takes the zero upper weight of w = 1 and is dropped
-    q = np.zeros((n + 2, len(scaled)))
-    q[idx, cols] = 1.0 - frac
-    q[idx + 1, cols] = frac
-    return q[:n + 1, 0] if w.ndim == 0 else q[:n + 1]
+    rows = np.arange(len(scaled))
+    # row k of q is the rounding of entry k; the spare cell n+1 takes the
+    # zero upper weight of w = 1 and is dropped
+    q = np.zeros(w.shape + (n + 2,))
+    flat = q.reshape(-1, n + 2)
+    flat[rows, idx] = 1.0 - frac
+    flat[rows, idx + 1] = frac
+    return q[:n + 1] if w.ndim == 0 else np.swapaxes(q[..., :n + 1], -1, -2)
 
 
-def commit_round(learners, x, grid):
-    """The round's commitment for context x: the clamped learner proposals
-    w, the column-stochastic rounding matrix Q = rround(w), and its
-    stationary distribution P = QP. Returns (w, Q, P)."""
-    thetas = np.array([s.theta for s in learners])
-    w = np.minimum(np.maximum(thetas @ x, 0.0), 1.0)
+def commit_round(thetas, x, grid):
+    """The commitment of the learners with parameter stack thetas (K, d) on
+    context x, shape (d,) or (M, d): the clamped proposals w (..., K), the
+    column-stochastic rounding matrices Q = rround(w) (..., K, K) and their
+    stationary distributions P = QP (..., K). Returns (w, Q, P)."""
+    w = np.minimum(np.maximum((thetas @ x[..., None])[..., 0], 0.0), 1.0)
     Q = rround(w, grid)
     return w, Q, stationary_distribution(Q)
+
+
+def sample_cell(P, u):
+    """The grid cell each row of P (..., K) draws with the uniform u (...):
+    searchsorted(cumsum(P), u, "right"), clipped to the last cell."""
+    hits = np.cumsum(P, axis=-1) <= np.asarray(u)[..., None]
+    return np.minimum(hits.sum(axis=-1), P.shape[-1] - 1)
 
 
 class BmForecaster:
@@ -109,28 +117,29 @@ class BmForecaster:
     def rounds_seen(self):
         return self.learners[0].rounds_seen
 
+    @property
+    def thetas(self):
+        """The learners' parameters as one (K, d) stack."""
+        return np.array([s.theta for s in self.learners])
+
     def predict(self, x):
         """Commit this round's conditional distribution for context x and
         sample a grid index from it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"context dimension {x.shape} does not match {self.d}")
-        w, Q, P = commit_round(self.learners, x, self.grid)
+        w, Q, P = commit_round(self.thetas, x, self.grid)
         u = self.rng.random()
-        sampled = min(int(np.searchsorted(np.cumsum(P), u, side="right")),
-                      self.grid.n)
         return RoundOutput(cond_dist=P, q_matrix=Q, per_cell_w=w,
-                           sampled_index=sampled)
+                           sampled_index=int(sample_cell(P, u)))
 
     def update(self, out, y, x):
         """Advance every learner on (x, y), learner i scaled by its
         stationary weight out.cond_dist[i], in ascending cell order."""
         x = np.asarray(x, dtype=float)
         y = validate_outcome(y)
-        P = out.cond_dist
-        learners = self.learners
-        for i in range(len(learners)):
-            learners[i] = ons_step(learners[i], x, float(P[i]), y)
+        self.learners = [ons_step(s, x, float(p), y)
+                         for s, p in zip(self.learners, out.cond_dist)]
 
 
 def run_online(forecaster, stream, keep_q=True):
@@ -149,8 +158,7 @@ def run_online(forecaster, stream, keep_q=True):
     pi = np.zeros(T, dtype=int)
     Qs = np.zeros((T, n + 1, n + 1)) if keep_q else None
     W = np.zeros((T, n + 1)) if keep_q else None
-    for t in range(T):
-        x = X[t]
+    for t, x in enumerate(X):
         out = forecaster.predict(x)
         P[t] = out.cond_dist
         pi[t] = out.sampled_index

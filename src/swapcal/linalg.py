@@ -18,28 +18,31 @@ RIDGE_MAX_ITER = 200
 
 
 def check_column_stochastic(Q, tol=1e-9):
-    """Validate a square column-stochastic matrix and return it as float."""
+    """Validate a square column-stochastic matrix, or a stack (..., K, K) of
+    them, and return it as float."""
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] < 1:
+    if Q.ndim < 2 or Q.shape[-1] != Q.shape[-2] or Q.shape[-1] < 1:
         raise ValueError("matrix must be square and non-empty")
     if not np.isfinite(Q).all():
         raise ValueError("matrix has non-finite entries")
-    if Q.min() < -1e-12:
+    if Q.min(initial=0.0) < -1e-12:
         raise ValueError(f"matrix has negative entry {Q.min()}")
-    colsums = Q.sum(axis=0)
-    err = float(abs(colsums - 1.0).max())
+    err = float(abs(Q.sum(axis=-2) - 1.0).max(initial=0.0))
     if err > tol:
         raise ValueError(f"columns must sum to 1 within {tol}, worst error {err}")
     return Q
 
 
 def stationary_distribution(Q, tol=STATIONARY_TOL):
-    """Stationary distribution p of a column-stochastic matrix: Q p = p.
+    """Stationary distribution p of a column-stochastic matrix: Q p = p; a
+    stack Q (..., K, K) gives one per matrix, shape (..., K).
 
     One path: the minimum-norm least-squares solution of the stacked system
-    [(Q - I); 1^T] p = [0; 1], with roundoff negatives set to zero and the
-    result renormalized. The system is always consistent, so the solution
-    meets the residual check ||Q p - p||_inf <= tol up to roundoff.
+    [(Q - I); 1^T] p = e_{K+1}, from a batched SVD with the cutoff of
+    lstsq(rcond=None) (singular values at most (K+1) eps sigma_max are zero).
+    Entries at most K eps, negatives included, are roundoff and set to zero,
+    and the result is renormalized. The system is always consistent, so the
+    solution meets the residual check ||Q p - p||_inf <= tol up to roundoff.
 
     Tie-break: when the chain has several closed classes, with stationary
     distributions v_i, the solutions are the affine combinations of the v_i
@@ -48,17 +51,21 @@ def stationary_distribution(Q, tol=STATIONARY_TOL):
     class gets mass in proportion to 1 / ||v_i||^2 (Q = I gives the uniform
     distribution) and transient states get none.
 
-    Raises NumericFailure, carrying the residual, if the check fails.
+    Raises NumericFailure, carrying the worst residual over the stack, if the
+    check fails.
     """
     Q = check_column_stochastic(Q)
-    n = Q.shape[0]
-    A = np.ones((n + 1, n))
-    A[:n] = Q - np.eye(n)
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    p = np.maximum(np.linalg.lstsq(A, b, rcond=None)[0], 0.0)
-    p /= p.sum()
-    resid = float(abs(Q @ p - p).max())
+    K = Q.shape[-1]
+    eps = np.finfo(float).eps
+    A = np.ones(Q.shape[:-2] + (K + 1, K))
+    A[..., :K, :] = Q - np.eye(K)
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    # min-norm solution: sum_i (u_i[K] / s_i) v_i over the kept s_i
+    c = U[..., K, :] / np.where(s > (K + 1) * eps * s[..., :1], s, np.inf)
+    p = (c[..., None, :] @ Vh)[..., 0, :]
+    p[p <= K * eps] = 0.0
+    p /= p.sum(axis=-1, keepdims=True)
+    resid = float(abs((Q @ p[..., None])[..., 0] - p).max(initial=0.0))
     if not resid <= tol:
         raise NumericFailure(
             f"stationary distribution residual {resid:.3e} exceeds {tol}",
@@ -87,21 +94,28 @@ def sherman_morrison_update(M, g):
 
 
 def ridge_to_sphere(A, b, radius):
-    """The point u(lam) = (A + lam I)^{-1} b, lam >= 0, of the ridge path of
-    a symmetric PSD A with ||u|| = radius, by bisection on lam until
-    | ||u|| - radius | <= RIDGE_TOL. Raises NumericFailure, carrying the
-    gap, if no iterate comes within 1e-6 in RIDGE_MAX_ITER halvings."""
-    eye = np.eye(len(b))
-    lo = 0.0
-    hi = max(float(np.linalg.norm(b)) / radius, 1e-12)
-    for _ in range(80):
-        if np.linalg.norm(np.linalg.solve(A + hi * eye, b)) <= radius:
-            break
-        hi *= 2.0
+    """The point of the ridge path u(lam) = (A + lam I)^+ b, lam >= 0, of a
+    symmetric PSD A with the least lam such that ||u|| <= radius: the
+    minimum-norm solution of A u = b when it lies in the ball, else the
+    point with ||u|| = radius, by bisection on lam until
+    | ||u|| - radius | <= RIDGE_TOL. u is evaluated in A's eigenbasis, with
+    eigenvalues at most d eps of the largest read as 0, so ||u(lam)|| falls
+    continuously in lam even when A is singular to working precision, and
+    ||u(lam)|| <= ||b|| / lam brackets the root. Raises NumericFailure,
+    carrying the gap, if no iterate comes within 1e-6 in RIDGE_MAX_ITER
+    halvings."""
+    ev, V = np.linalg.eigh(A)
+    live = ev > len(b) * np.finfo(float).eps * ev[-1]
+    ev, V = ev[live], V[:, live]
+    Vb = V.T @ b
+    u = V @ (Vb / ev)
+    if float(np.linalg.norm(u)) <= radius:
+        return u
+    lo, hi = 0.0, max(float(np.linalg.norm(b)) / radius, 1e-12)
     best_gap, best_u = np.inf, None
     for _ in range(RIDGE_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        u = np.linalg.solve(A + mid * eye, b)
+        u = V @ (Vb / (ev + mid))
         n_u = float(np.linalg.norm(u))
         gap = abs(n_u - radius)
         if gap <= RIDGE_TOL:

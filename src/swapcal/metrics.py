@@ -143,24 +143,13 @@ def constrained_lstsq(X, y, w, radius):
     """Weighted least squares over the theta ball:
     min sum_t w_t (<theta, x_t> - y_t)^2 subject to ||theta|| <= radius.
 
-    Solves the normal equations directly (pseudo-inverse minimum-norm path
-    when singular); if the unconstrained minimizer leaves the ball, walks the
-    ridge path theta(lam) = (A + lam I)^{-1} b to the sphere with
-    linalg.ridge_to_sphere.
+    From the normal equations A = X^T W X, b = X^T W y by
+    linalg.ridge_to_sphere: the minimum-norm minimizer when it lies in the
+    ball, else the point where the ridge path (A + lam I)^{-1} b meets the
+    sphere.
     """
     Xw = X * w[:, None]
-    A = X.T @ Xw
-    b = X.T @ (w * y)
-    try:
-        theta = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        theta = None
-    if theta is None or not np.all(np.isfinite(theta)) or \
-            np.linalg.norm(A @ theta - b) > 1e-8 * max(1.0, np.linalg.norm(b)):
-        theta = np.linalg.lstsq(A, b, rcond=None)[0]
-    if float(np.linalg.norm(theta)) <= radius:
-        return theta
-    return ridge_to_sphere(A, b, radius)
+    return ridge_to_sphere(X.T @ Xw, X.T @ (w * y), radius)
 
 
 def per_cell_min_squared(X, y, CW, hc, cap=MEMBER_CAP):

@@ -6,8 +6,7 @@ norm at most 1 these losses are 1/50-exp-concave and 10-Lipschitz, which
 fixes the step parameter beta = 1/640 and the curvature floor
 omega = 1/(4 beta^2) = 102400.
 
-States are immutable; ons_step returns a fresh state, so snapshots of a
-learner are just references.
+States are immutable; ons_step returns a fresh state.
 """
 
 from __future__ import annotations

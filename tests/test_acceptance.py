@@ -15,6 +15,7 @@ from the library under test.
 import time
 
 import numpy as np
+import pytest
 
 from swapcal.batch import estimate_saerr, train_mixture
 from swapcal.core import (LinearFn, Transcript, finite_class, linear_ball,
@@ -383,6 +384,7 @@ def test_06_closed_forms_match_grid_search():
 # seed_base + rep mapping, and report the ten-rep subset fit alongside.
 # This stays well inside the runtime budget.
 
+@pytest.mark.slow
 def test_07_calibration_rate_sweep(tmp_path):
     """Second-order calibration against the unit ball grows clearly slower
     than sqrt(T) on the synthetic logistic stream."""
@@ -402,6 +404,7 @@ def test_07_calibration_rate_sweep(tmp_path):
                    f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_08_swap_regret_rate_sweep(tmp_path):
     """Swap regret against the radius-4 ball grows at roughly sqrt(T)."""
     t0 = time.perf_counter()
@@ -450,6 +453,7 @@ def test_09_norm_chain_on_collected_transcripts():
                    f"min margin {worst_margin:.1e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_10_batch_error_decays_with_training():
     """Median batch squared-error excess over 10 seeds falls as the
     training horizon grows 256 -> 1024 -> 4096."""

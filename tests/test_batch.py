@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from swapcal import (BmForecaster, FormatError, estimate_dsmcal,
                      estimate_dsomni, estimate_saerr, linear_ball, make_grid,
                      mixture_from_json, mixture_predict, mixture_to_json,
                      run_online, select_snapshot, squared_loss, train_mixture)
-from swapcal.batch import _bucket_weights
+from swapcal.batch import COMMIT_CHUNK, _bucket_weights
 from swapcal.metrics import constrained_lstsq
 
 
@@ -30,12 +32,11 @@ def test_snapshots_freeze_start_of_round_states():
     stream = _stream(rng, 20)
     mix = train_mixture(stream, 2, seed=5)
     assert mix.size == 20
-    assert mix.snapshots[0].round_index == 1
-    # replay the prefix: snapshot k+1 equals the forecaster after k updates
+    assert mix.thetas.shape == (20, 3, 2)
+    # replay the prefix: snapshot k equals the forecaster after k updates
     fc = BmForecaster(make_grid(2), 2, seed=5)
     for k in range(5):
-        for i, st in enumerate(mix.snapshots[k].learners):
-            np.testing.assert_array_equal(st.theta, fc.learners[i].theta)
+        np.testing.assert_array_equal(mix.thetas[k], fc.thetas)
         x, y = stream[0][k], int(stream[1][k])
         fc.update(fc.predict(x), y, x)
 
@@ -54,7 +55,10 @@ def test_stride_keeps_every_kth_snapshot():
     rng = np.random.default_rng(2)
     stream = _stream(rng, 21)
     mix = train_mixture(stream, 2, seed=0, stride=5)
-    assert [s.round_index for s in mix.snapshots] == [1, 6, 11, 16, 21]
+    # snapshot k is the start of round 1 + 5k: rounds 1, 6, 11, 16, 21
+    assert mix.size == 5
+    every = train_mixture(stream, 2, seed=0)
+    np.testing.assert_array_equal(mix.thetas, every.thetas[::5])
     with pytest.raises(ValueError):
         train_mixture(stream, 2, stride=0)
     with pytest.raises(ValueError):
@@ -90,14 +94,34 @@ def test_mixture_json_roundtrip(tmp_path):
     assert back.size == mix.size
     assert back.grid == mix.grid
     assert back.stride == 2
-    for sa, sb in zip(mix.snapshots, back.snapshots):
-        assert sa.round_index == sb.round_index
-        for la, lb in zip(sa.learners, sb.learners):
-            np.testing.assert_array_equal(la.theta, lb.theta)
-            np.testing.assert_array_equal(la.inv_curvature, lb.inv_curvature)
+    assert back.seed == 3
+    np.testing.assert_array_equal(back.thetas, mix.thetas)
     x = np.array([0.5, -0.2])
     np.testing.assert_allclose(back.cond_dist(4, x), mix.cond_dist(4, x),
                                atol=1e-15)
+
+
+def test_mixture_json_reads_version_1(tmp_path):
+    """A version-1 document (per-snapshot learner records) loads by its
+    thetas alone and predicts like the same mixture written as version 2."""
+    rng = np.random.default_rng(13)
+    mix = train_mixture(_stream(rng, 9), 2, seed=4, stride=3)
+    v1 = {"version": 1, "n": 2, "d": 2, "T": mix.size, "seed": 4,
+          "stride": 3,
+          "snapshots": [
+              {"round": 1 + 3 * k,
+               "learners": [{"theta": th.tolist(),
+                             "inv_curvature": [[1.0, 0.0], [0.0, 1.0]],
+                             "rounds_seen": 3 * k} for th in snap]}
+              for k, snap in enumerate(mix.thetas)]}
+    old, new = tmp_path / "v1.json", tmp_path / "v2.json"
+    old.write_text(json.dumps(v1))
+    mixture_to_json(mix, new)
+    a, b = mixture_from_json(old), mixture_from_json(new)
+    assert (a.size, a.d, a.stride, a.seed) == (3, 2, 3, 4)
+    X, _ = _stream(rng, 6)
+    for t in range(3):
+        np.testing.assert_array_equal(a.cond_dist(t, X), b.cond_dist(t, X))
 
 
 def test_mixture_json_rejects_garbage(tmp_path):
@@ -110,6 +134,13 @@ def test_mixture_json_rejects_garbage(tmp_path):
         mixture_from_json(bad)
     bad.write_text('{"version": 1, "n": 2}')
     with pytest.raises(FormatError):
+        mixture_from_json(bad)
+    bad.write_text('{"version": 3, "n": 2, "d": 2, "thetas": [[[0, 0]]]}')
+    with pytest.raises(FormatError, match="version 3"):
+        mixture_from_json(bad)
+    bad.write_text('{"version": 2, "n": 2, "d": 3, "thetas": '
+                   '[[[0, 0], [0, 0], [0, 0]]]}')
+    with pytest.raises(FormatError, match="dimension"):
         mixture_from_json(bad)
 
 
@@ -126,6 +157,64 @@ def test_bucket_weights_exhaustive_matches_naive():
     want /= mix.size * len(X)
     np.testing.assert_allclose(V, want, atol=1e-12)
     assert V.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cond_dist_on_many_contexts_matches_one_at_a_time():
+    rng = np.random.default_rng(14)
+    mix = train_mixture(_stream(rng, 12), 3, seed=2, stride=4)
+    X, _ = _stream(rng, 9)
+    for t in range(mix.size):
+        P = mix.cond_dist(t, X)
+        assert P.shape == (9, 4)
+        np.testing.assert_array_equal(
+            P, np.array([mix.cond_dist(t, x) for x in X]))
+
+
+def test_bucket_weights_exhaustive_in_chunks():
+    # more test points than one commit takes: the chunks must line up
+    rng = np.random.default_rng(15)
+    mix = train_mixture(_stream(rng, 6), 2, seed=1, stride=2)
+    X, _ = _stream(rng, COMMIT_CHUNK + 37)
+    V, _ = _bucket_weights(mix, X, None, 0)
+    want = sum(mix.cond_dist(t, X).T for t in range(mix.size))
+    np.testing.assert_allclose(V, want / (mix.size * len(X)), atol=1e-15)
+
+
+def test_bucket_weights_frozen_values():
+    """V of a fixed-seed mixture, pinned to the values of the one-pair-at-a-
+    time lstsq implementation this one replaced."""
+    rng = np.random.default_rng(32)
+    mix = train_mixture(_stream(rng, 60), 3, seed=32, stride=6)
+    X, _ = _stream(rng, 4)
+    V, _ = _bucket_weights(mix, X, None, 0)
+    want = [[0.22272010332115372, 0.22213118975269844, 0.2223653023606976,
+             0.22098471639484715],
+            [0.027279896678846293, 0.027868810247301517,
+             0.027634697639302368, 0.0290152836051528],
+            [1.1533558938223658e-17, 9.359628547923642e-18,
+             5.0343719397596074e-18, 1.5359517428931067e-17],
+            [1.2227448328614379e-17, 9.556321657218635e-18,
+             6.026992823243846e-18, 1.6053406819321794e-17]]
+    np.testing.assert_allclose(V, want, rtol=0, atol=1e-12)
+
+
+def test_bucket_weights_monte_carlo_matches_per_draw_loop():
+    """Draws grouped by snapshot give the same counts as committing each
+    draw on its own, in the same (test point, snapshot, uniform) rng order."""
+    rng = np.random.default_rng(16)
+    mix = train_mixture(_stream(rng, 14), 3, seed=3, stride=2)
+    X, _ = _stream(rng, 6)
+    V, _ = _bucket_weights(mix, X, 2000, seed=21)
+    draw = np.random.Generator(np.random.PCG64(np.random.SeedSequence(21)))
+    want = np.zeros_like(V)
+    for _ in range(2000):
+        xi = int(draw.integers(len(X)))
+        t = select_snapshot(mix, draw)
+        cum = np.cumsum(mix.cond_dist(t, X[xi]))
+        cell = min(int(np.searchsorted(cum, draw.random(), side="right")),
+                   mix.grid.n)
+        want[cell, xi] += 1.0
+    np.testing.assert_array_equal(V, want / 2000)
 
 
 def test_bucket_weights_monte_carlo_converges():

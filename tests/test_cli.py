@@ -132,6 +132,21 @@ def test_batch_csv_paths(tmp_path):
     assert json.loads(proc.stdout)["value"] is not None
 
 
+def test_batch_synthetic_training_takes_d_from_test_csv(tmp_path):
+    """A synthetic training stream takes its dimension from a csv test file
+    (two features: d = 3), so the mixture and the test stream agree."""
+    data = tmp_path / "two_features.csv"
+    rng = np.random.default_rng(2)
+    data.write_text("\n".join(f"{rng.uniform(-0.5, 0.5):.4f},"
+                              f"{rng.uniform(-0.5, 0.5):.4f},"
+                              f"{int(rng.integers(0, 2))}"
+                              for _ in range(40)) + "\n")
+    proc = run_cli("batch", "--train", "iid-logistic", "--test", str(data),
+                   "--T", "30", "--test-T", "20", "--stride", "5",
+                   "--report", "dsmcal2")
+    assert np.isfinite(json.loads(proc.stdout)["value"])
+
+
 def test_csv_read_once_per_command(tmp_path, monkeypatch, capsys):
     """simulate and batch parse a csv file once, even when batch trains and
     tests on the same file."""

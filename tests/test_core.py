@@ -321,6 +321,14 @@ def test_transcript_validation():
         Transcript(g, np.array([[0.5, 0.95]]), good_p, [0], [1])  # norm
     with pytest.raises(ValueError):
         Transcript(g, X, good_p, [0, 1], [1])                     # lengths
+    with pytest.raises(ValueError, match="outcome 0.7"):
+        Transcript(g, X, good_p, [0], [0.7])                      # fractional
+    with pytest.raises(ValueError, match="sampled index 1.5"):
+        Transcript(g, X, good_p, [1.5], [1])                      # fractional
+    with pytest.raises(ValueError, match="sampled index -1"):
+        Transcript(g, X, good_p, [-1], [1])                       # negative
+    tr = Transcript(g, X, good_p, [1.0], [True])                  # integral
+    assert tr.sampled_indices.tolist() == [1] and tr.outcomes.tolist() == [1]
 
 
 def test_transcript_jsonl_roundtrip(tmp_path):
@@ -372,3 +380,13 @@ def test_transcript_read_errors(tmp_path):
                         '{"t":1,"x":[0.5],"pi":0,"y":1}\n')
     with pytest.raises(FormatError, match="line 2"):
         Transcript.read_jsonl(bad_step)
+
+    header = '{"N":1,"d":1,"T":2,"seed":0}\n'
+    good = '{"t":1,"x":[0.5],"P":[1.0,0.0],"pi":0,"y":1}\n'
+    for field in ('"pi":1.5,"y":1', '"pi":0,"y":0.7', '"pi":2,"y":1',
+                  '"pi":0,"y":-1', '"pi":1' + "0" * 400 + ',"y":1'):
+        frac = tmp_path / "f.jsonl"
+        frac.write_text(header + good + '{"t":2,"x":[0.5],"P":[1.0,0.0],'
+                        + field + '}\n')
+        with pytest.raises(FormatError, match="line 3"):
+            Transcript.read_jsonl(frac)

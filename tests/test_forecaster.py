@@ -3,6 +3,7 @@ import pytest
 
 from swapcal import (BmForecaster, choose_n, make_grid, rround, run_online,
                      seed_streams)
+from swapcal.forecaster import commit_round, sample_cell
 
 
 def _stream(rng, T, d):
@@ -42,6 +43,47 @@ def test_rround_hand_values():
                                 [0.0, 0.0, 0.0, 1.0, 0.8]])
     assert rround(np.array([0.3]), g).shape == (3, 1)
     assert rround(np.array([]), g).shape == (3, 0)
+
+
+def test_rround_on_a_stack_of_proposal_vectors():
+    g = make_grid(4)
+    W = np.random.default_rng(3).random((6, 5))
+    W[0, 0], W[1, 2], W[2, 4] = 0.0, 1.0, 0.5
+    Q = rround(W, g)
+    assert Q.shape == (6, 5, 5)
+    for m in range(6):
+        np.testing.assert_array_equal(Q[m], rround(W[m], g))
+        for k in range(5):
+            np.testing.assert_array_equal(Q[m, :, k], rround(W[m, k], g))
+    assert rround(np.zeros((0, 5)), g).shape == (0, 5, 5)
+    with pytest.raises(ValueError):
+        rround(np.array([[0.2, 0.3], [0.4, 1.5]]), g)
+
+
+def test_commit_round_on_many_contexts_matches_one_at_a_time():
+    rng = np.random.default_rng(8)
+    thetas = rng.normal(size=(4, 3))
+    X, _ = _stream(rng, 12, 3)
+    g = make_grid(3)
+    w, Q, P = commit_round(thetas, X, g)
+    assert (w.shape, Q.shape, P.shape) == ((12, 4), (12, 4, 4), (12, 4))
+    for m in range(12):
+        one = commit_round(thetas, X[m], g)
+        for got, want in zip((w[m], Q[m], P[m]), one):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_sample_cell_is_searchsorted_per_row():
+    rng = np.random.default_rng(9)
+    P = rng.random((50, 4)) ** 3
+    P[::5, 1:] = 0.0
+    P /= P.sum(axis=1, keepdims=True)
+    u = rng.random(50)
+    u[:3] = [0.0, P[1, 0], np.nextafter(1.0, 0.0)]
+    want = [min(int(np.searchsorted(np.cumsum(p), v, side="right")), 3)
+            for p, v in zip(P, u)]
+    np.testing.assert_array_equal(sample_cell(P, u), want)
+    assert [int(sample_cell(p, v)) for p, v in zip(P, u)] == want
 
 
 def test_rround_mean_preserving_two_sparse():
@@ -124,6 +166,25 @@ def test_conditional_distributions_independent_of_sampling_seed():
     b = run_online(BmForecaster(make_grid(3), 2, seed=2), stream)
     np.testing.assert_array_equal(a.cond_dists, b.cond_dists)
     assert not np.array_equal(a.sampled_indices, b.sampled_indices)
+
+
+def test_trajectory_frozen_values():
+    """P rows and sampled cells of a fixed-seed run, pinned to the values of
+    the lstsq-based solve this one replaced."""
+    rng = np.random.default_rng(31)
+    tr = run_online(BmForecaster(make_grid(4), 3, seed=31),
+                    _stream(rng, 200, 3))
+    want = {60: [0.740053259537018, 0.2599467404629817, 8.068532004887863e-17,
+                 1.3619647128013645e-16, 1.0844089566450754e-16],
+            120: [0.5451368105790455, 0.45486318942095455,
+                  3.650654524040473e-17, 9.860042212889349e-17,
+                  9.860042212889349e-17],
+            199: [0.49652096009104113, 0.5034790399089584,
+                  1.8808228253715192e-16, 8.335517165409155e-17,
+                  1.3886632288534938e-16]}
+    for t, row in want.items():
+        np.testing.assert_allclose(tr.cond_dists[t], row, rtol=0, atol=1e-12)
+    assert tr.sampled_indices[190:].tolist() == [0, 1, 1, 1, 0, 1, 0, 0, 1, 0]
 
 
 def test_update_advances_all_learners():

@@ -219,3 +219,74 @@ def test_project_box():
     assert project_box(7.0, lo=2.0, hi=5.0) == 5.0
     with pytest.raises(ValueError):
         project_box(float("nan"))
+
+
+def _mixed_chain_stack(rng, count, n):
+    """Random, reducible (closed classes first, then transient states) and
+    point-mass chains of size n, with the transient cells of each."""
+    Qs, transient = [], []
+    for k in range(count):
+        kind = k % 3
+        if kind == 0:
+            Qs.append(_random_column_stochastic(rng, n))
+            transient.append(np.zeros(n, dtype=bool))
+        elif kind == 1:
+            n_closed = int(rng.integers(2, n))
+            Q = np.zeros((n, n))
+            cut = int(rng.integers(1, n_closed))
+            Q[:cut, :cut] = _random_column_stochastic(rng, cut)
+            Q[cut:n_closed, cut:n_closed] = _random_column_stochastic(
+                rng, n_closed - cut)
+            Q[:, n_closed:] = _random_column_stochastic(rng, n)[:, n_closed:]
+            Qs.append(Q)
+            transient.append(np.arange(n) >= n_closed)
+        else:
+            Q = np.zeros((n, n))
+            cell = int(rng.integers(n))
+            Q[cell] = 1.0
+            Qs.append(Q)
+            transient.append(np.arange(n) != cell)
+    return np.array(Qs), np.array(transient)
+
+
+def test_stationary_on_a_stack_matches_per_matrix_calls():
+    """Stacked and one-at-a-time solves agree bit for bit and match the
+    eigenvector oracle. Transient cells get no mass: exactly 0 on the
+    point-mass chains, and at most a few K eps of roundoff on random
+    reducible ones, where about 1 % of chains keep an entry above the
+    K eps cutoff."""
+    rng = np.random.default_rng(29)
+    for n in (3, 5, 8):
+        Qs, transient = _mixed_chain_stack(rng, 60, n)
+        P = stationary_distribution(Qs)
+        assert P.shape == (60, n)
+        np.testing.assert_array_equal(
+            P, np.array([stationary_distribution(Q) for Q in Qs]))
+        assert (P[2::3][transient[2::3]] == 0.0).all()
+        assert P[transient].max() <= 4 * n * np.finfo(float).eps
+        for Q, p in zip(Qs, P):
+            if np.sum(np.abs(np.linalg.eigvals(Q) - 1.0) < 1e-6) == 1:
+                np.testing.assert_allclose(p, _eig_stationary(Q), atol=1e-10)
+    stack = stationary_distribution(Qs.reshape(6, 10, 8, 8))
+    np.testing.assert_array_equal(stack.reshape(60, 8), P)
+
+
+def test_stationary_stack_failure_carries_the_worst_residual():
+    rng = np.random.default_rng(31)
+    Qs = np.array([_random_column_stochastic(rng, 6) for _ in range(20)])
+    P = stationary_distribution(Qs)
+    worst = float(np.max(np.abs(np.einsum("kij,kj->ki", Qs, P) - P)))
+    with pytest.raises(NumericFailure) as info:
+        stationary_distribution(Qs, tol=worst / 2)
+    assert info.value.residual == pytest.approx(worst, rel=1e-6)
+
+
+def test_check_column_stochastic_on_a_stack():
+    good = np.array([np.eye(2), [[0.3, 1.0], [0.7, 0.0]]])
+    np.testing.assert_array_equal(check_column_stochastic(good), good)
+    bad = good.copy()
+    bad[1, 0, 0] = 0.4
+    with pytest.raises(ValueError, match="sum to 1"):
+        check_column_stochastic(bad)
+    with pytest.raises(ValueError, match="square"):
+        check_column_stochastic(np.ones((2, 2, 3)))

@@ -410,6 +410,29 @@ def test_constrained_lstsq_matches_polar_oracle():
         assert got >= want - 1e-6
 
 
+def test_constrained_lstsq_on_rank_deficient_tiny_weights():
+    """All weight on one row (or on two nearly collinear rows, one of them
+    at roundoff scale): the normal equations are singular to working
+    precision at any weight scale, and a plain solve of them returns an
+    arbitrary minimizer, possibly outside the ball. The minimum-norm
+    minimizer fits the row exactly inside the ball."""
+    rng = np.random.default_rng(33)
+    X = np.hstack([np.full((40, 1), 0.5), rng.uniform(-0.85, 0.85, (40, 1))])
+    y = rng.integers(0, 2, 40).astype(float)
+    for j in range(40):
+        for scale in (1.0, 1e-3, 1e-8, 1e-13, 1e-16, 1e-19):
+            w = np.zeros(40)
+            w[j] = scale
+            th = constrained_lstsq(X, y, w, 4.0)
+            assert np.linalg.norm(th) <= 4.0 + 1e-9
+            assert abs(X[j] @ th - y[j]) <= 1e-9
+    X2 = np.array([[0.5, -0.86362652], [0.5, -0.84546018]])
+    th = constrained_lstsq(X2, np.array([0.0, 1.0]),
+                           np.array([1.3045e-15, 6.9305e-3]), 4.0)
+    assert np.linalg.norm(th) <= 4.0 + 1e-9
+    assert abs(X2[1] @ th - 1.0) <= 1e-6
+
+
 def test_sreg_finite_class_matches_naive():
     rng = np.random.default_rng(15)
     tr = _random_transcript(rng, 30, 2, 3)
