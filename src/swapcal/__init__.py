@@ -26,22 +26,21 @@ from .harness import (AdversarySpec, RateFit, SweepConfig, evaluate_metric,
 from .linalg import (check_column_stochastic, project_ball_a_norm,
                      project_box, sherman_morrison_update,
                      stationary_distribution)
-from .metrics import (CellStatistics, MetricReport, WitnessFn,
-                      bm_external_regrets, cal, cell_statistics,
-                      constrained_lstsq, mcal, psmcal, psreg, realized_weights,
-                      smcal, somni, sreg, witness_f_prime)
+from .metrics import (CellSums, MetricReport, WitnessFn, bm_external_regrets,
+                      cal, cell_sums, constrained_lstsq, mcal, psmcal, psreg,
+                      realized_weights, smcal, somni, sreg, witness_f_prime)
 from .ons import BETA, OMEGA, RADIUS, OnsState, alg_predict, ons_init, ons_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversarySpec", "BETA", "BmForecaster", "CellStatistics", "FormatError",
+    "AdversarySpec", "BETA", "BmForecaster", "CellSums", "FormatError",
     "Grid", "HypothesisClass", "LinearFn", "LossSpec", "MetricReport",
     "MixturePredictor", "NumericFailure", "OMEGA", "OnsState",
     "PreconditionError", "RADIUS", "RateFit",
     "ResourceLimitError", "RoundOutput", "SweepConfig", "Transcript",
     "WitnessFn", "absolute_loss", "affine_restricted", "alg_predict",
-    "bm_external_regrets", "cal", "cell_statistics",
+    "bm_external_regrets", "cal", "cell_sums",
     "check_column_stochastic", "choose_n", "class_members",
     "constrained_lstsq", "cover_class", "cover_thetas", "custom_loss",
     "estimate_dsmcal", "estimate_dsomni", "estimate_saerr", "evaluate_metric",

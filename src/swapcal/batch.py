@@ -24,9 +24,8 @@ from .core import (Grid, affine_restricted, linear_ball, make_grid,
                    validate_stream)
 from .errors import FormatError
 from .forecaster import BmForecaster, commit_round, sample_cell
-from .metrics import (DEFAULT_LOSSES, MetricReport, per_cell_min_squared,
-                      per_cell_omni_gap, per_cell_sup_numerators)
-from . import metrics as _metrics
+from .metrics import (DEFAULT_LOSSES, MetricReport, per_cell_omni_gap,
+                      sup_calibration, swap_regret)
 
 COMMIT_CHUNK = 1024  # test points per batched commit: bounds solver memory
 
@@ -142,12 +141,12 @@ def mixture_from_json(path):
 
 def _buckets(mix, test, mc_draws, seed):
     """The test stream (X, y) checked against the mixture, y as float, its
-    bucket weights V, their per-cell masses, and how V was made."""
+    bucket weights V and how V was made."""
     X, y = validate_stream(test, mix.d)
     if not len(y):
         raise ValueError("test sample must be non-empty")
     V, how = _bucket_weights(mix, X, mc_draws, seed)
-    return X, y.astype(float), V, V.sum(axis=1), how
+    return X, y.astype(float), V, how
 
 
 def _snapshot_dists(mix, t, X):
@@ -193,15 +192,11 @@ def estimate_saerr(mix, test, hc=None, mc_draws=None, seed=0):
     sampled cell, the squared loss of the cell value minus the best
     comparator fit on that bucket, averaged over draws."""
     hc = linear_ball(4.0) if hc is None else hc
-    X, y, V, masses, how = _buckets(mix, test, mc_draws, seed)
-    z = mix.grid.points
-    learner = np.sum(V * (z[:, None] - y[None, :]) ** 2, axis=1)
-    mins, note = per_cell_min_squared(X, y, V, hc)
-    nz = masses > 0
-    value = float(np.sum(learner[nz] - mins[nz]))
+    X, y, V, how = _buckets(mix, test, mc_draws, seed)
+    value, _, masses, note = swap_regret(X, y, V, mix.grid.points, hc)
     return MetricReport(
         "saerr", value, hc.descriptor(),
-        f"{how}; squared loss; {note}; per-cell masses in extras",
+        f"{how}; {note}; per-cell masses in extras",
         extras={"per_cell_mass": masses})
 
 
@@ -209,12 +204,9 @@ def estimate_dsmcal(mix, test, hc=None, q=2, mc_draws=None, seed=0):
     """Distributional swap multicalibration of the mixture: bucket draws by
     sampled cell, take the per-bucket supremum of the mean context-weighted
     residual, and average cell-frequency-weighted."""
-    _metrics._check_q(q)
     hc = linear_ball(1.0) if hc is None else hc
-    X, y, V, masses, how = _buckets(mix, test, mc_draws, seed)
-    num, note = per_cell_sup_numerators(X, y, V, mix.grid.points, hc)
-    nz = masses > 0
-    value = float(np.sum(masses[nz] * (num[nz] / masses[nz]) ** q))
+    X, y, V, how = _buckets(mix, test, mc_draws, seed)
+    value, _, masses, note = sup_calibration(X, y, V, mix.grid.points, hc, q)
     return MetricReport(
         f"dsmcal{q}", value, hc.descriptor(),
         f"{how}; {note}; per-cell masses in extras",
@@ -227,7 +219,8 @@ def estimate_dsomni(mix, test, losses=None, hc=None, mc_draws=None, seed=0,
     sample, over a loss menu and comparator class."""
     losses = list(DEFAULT_LOSSES) if losses is None else list(losses)
     hc = affine_restricted() if hc is None else hc
-    X, y, V, masses, how = _buckets(mix, test, mc_draws, seed)
+    X, y, V, how = _buckets(mix, test, mc_draws, seed)
+    masses = V.sum(axis=1)
     rng = np.random.default_rng(seed + 1)
     gaps, _, note = per_cell_omni_gap(X, y, V, mix.grid.points, losses, hc,
                                       iters=iters, restarts=restarts, rng=rng)

@@ -328,14 +328,14 @@ class HypothesisClass:
         if kind not in ("linear-ball", "affine-restricted", "finite", "cover"):
             raise ValueError(f"unknown hypothesis class kind {kind!r}")
         if kind in ("linear-ball", "cover"):
-            if radius is None or radius <= 0:
-                raise ValueError(f"{kind} class needs a positive radius")
+            if radius is None or not 0 < radius < np.inf:
+                raise ValueError(f"{kind} class needs a positive finite radius")
             radius = float(radius)
         if kind == "affine-restricted":
             radius = 1.0
         if kind == "cover":
-            if epsilon is None or epsilon <= 0:
-                raise ValueError("cover class needs a positive epsilon")
+            if epsilon is None or not 0 < epsilon < np.inf:
+                raise ValueError("cover class needs a positive finite epsilon")
             epsilon = float(epsilon)
         if kind == "finite":
             if not members:

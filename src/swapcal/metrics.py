@@ -3,10 +3,11 @@
 All metrics share the same skeleton: bucket rounds by grid cell, weight them
 either by the realized predictions (indicator weights) or by the committed
 conditional distributions (pseudo weights), and take per-cell suprema over a
-comparator class. Suprema over the linear-ball and affine-restricted classes
-are evaluated in closed form (support functions, constrained least squares);
-finite and cover classes are enumerated. Every report discloses in its notes
-which evaluation set was actually used.
+comparator class. Ball, affine and cover classes read a transcript only
+through per-cell sums (cell_sums), ball and affine suprema in closed form
+(support functions, constrained least squares); finite classes are evaluated
+on the contexts. Every report discloses in its notes which evaluation set was
+actually used.
 
 Conventions: ball suprema are exact over the stated theta radius, which for
 the bounded-function families is the certified inner ball of the sandwich
@@ -28,18 +29,6 @@ from .linalg import ridge_to_sphere
 #: default loss menu for omniprediction reports
 DEFAULT_LOSSES = (squared_loss(), absolute_loss(),
                   vshaped_loss(0.25), vshaped_loss(0.5), vshaped_loss(0.75))
-
-
-@dataclass(frozen=True)
-class CellStatistics:
-    """Per-grid-cell tallies of one transcript."""
-
-    index: int
-    value: float
-    realized_count: int
-    pseudo_mass: float
-    residual_vector_realized: np.ndarray
-    residual_vector_pseudo: np.ndarray
 
 
 @dataclass
@@ -72,29 +61,37 @@ def realized_weights(tr):
     return W
 
 
-def cell_statistics(tr):
-    """Counts, pseudo-masses, and context-weighted outcome residuals per cell."""
-    z = tr.grid.points
-    IND = realized_weights(tr)
-    W = tr.cond_dists
-    C = tr.outcomes[:, None] - z[None, :]
-    R_real = (IND * C).T @ tr.contexts
-    R_pseudo = (W * C).T @ tr.contexts
-    counts = IND.sum(axis=0)
-    masses = W.sum(axis=0)
-    return [CellStatistics(index=i, value=float(z[i]),
-                           realized_count=int(counts[i]),
-                           pseudo_mass=float(masses[i]),
-                           residual_vector_realized=R_real[i],
-                           residual_vector_pseudo=R_pseudo[i])
-            for i in range(tr.grid.size)]
-
-
 # ---------------------------------------------------------------------------
-# per-cell kernels shared with the batch estimators
+# per-cell sums and the kernels shared with the batch estimators
 #
 # CW is a (n_cells, T) matrix of nonnegative weights: row c weights the
 # rounds (or test points) attributed to cell c.
+
+
+@dataclass(frozen=True)
+class CellSums:
+    """Per-cell weighted moments of the residuals r_ct = y_t - z_c, with
+    weights w_ct = CW[c, t]: mass = sum_t w_ct, S = sum_t w_ct r_ct and
+    SS = sum_t w_ct r_ct^2, each (n_cells,); R = sum_t w_ct r_ct x_t,
+    (n_cells, d); A = sum_t w_ct x_t x_t^T, (n_cells, d, d)."""
+
+    mass: np.ndarray
+    S: np.ndarray
+    SS: np.ndarray
+    R: np.ndarray
+    A: np.ndarray
+
+
+def cell_sums(X, y, CW, z):
+    """The CellSums of the stream (X, y) under cell weights CW (n_cells, T)
+    and cell values z (n_cells,)."""
+    r = y[None, :] - z[:, None]
+    E = CW * r
+    # one (n_cells, d) row block of A per coordinate: temporaries the size of
+    # CW, never (T, d, d)
+    return CellSums(mass=CW.sum(axis=1), S=E.sum(axis=1),
+                    SS=np.sum(E * r, axis=1), R=E @ X,
+                    A=np.stack([(CW * x) @ X for x in X.T], axis=1))
 
 
 def _cover_members(hc, d, cap=MEMBER_CAP):
@@ -116,27 +113,24 @@ def _finite_values(hc, X, cap=MEMBER_CAP):
 def per_cell_sup_numerators(X, y, CW, zvals, hc, cap=MEMBER_CAP):
     """sup_f | sum_t CW[c,t] f(x_t) (y_t - z_c) | for every cell c.
 
-    Returns (numerators, note). Closed forms for the ball classes, member
-    enumeration otherwise.
+    Returns (numerators, note): r ||R_c|| for the radius-r ball,
+    (|S_c| + ||R_c||)/2 for the affine class, the largest |<theta, R_c>| over
+    a cover's members; finite classes are evaluated on X.
     """
-    Cmat = y[None, :] - zvals[:, None]
-    E = CW * Cmat
-    if hc.kind == "linear-ball":
-        R = E @ X
-        return hc.radius * np.linalg.norm(R, axis=1), \
-            f"support function, exact over ||theta|| <= {hc.radius:g}"
-    if hc.kind == "affine-restricted":
-        R = E @ X
-        S = E.sum(axis=1)
-        return 0.5 * (np.abs(S) + np.linalg.norm(R, axis=1)), \
-            "support function of (1 + <theta, x>)/2, exact over ||theta|| <= 1"
+    if hc.kind == "finite":
+        vals, note = _finite_values(hc, X, cap)
+        E = CW * (y[None, :] - zvals[:, None])
+        return np.max(np.abs(vals @ E.T), axis=0), note
+    s = cell_sums(X, y, CW, zvals)
     if hc.kind == "cover":
         thetas, note = _cover_members(hc, X.shape[1], cap)
-        R = E @ X
-        num = np.max(np.abs(thetas @ R.T), axis=0) if len(thetas) else np.zeros(len(E))
-        return num, note
-    vals, note = _finite_values(hc, X, cap)
-    return np.max(np.abs(vals @ E.T), axis=0), note
+        return np.max(np.abs(thetas @ s.R.T), axis=0), note
+    norms = np.linalg.norm(s.R, axis=1)
+    if hc.kind == "linear-ball":
+        return hc.radius * norms, \
+            f"support function, exact over ||theta|| <= {hc.radius:g}"
+    return 0.5 * (np.abs(s.S) + norms), \
+        "support function of (1 + <theta, x>)/2, exact over ||theta|| <= 1"
 
 
 def constrained_lstsq(X, y, w, radius):
@@ -146,36 +140,39 @@ def constrained_lstsq(X, y, w, radius):
     From the normal equations A = X^T W X, b = X^T W y by
     linalg.ridge_to_sphere: the minimum-norm minimizer when it lies in the
     ball, else the point where the ridge path (A + lam I)^{-1} b meets the
-    sphere.
+    sphere. The dense reference for per_cell_min_squared.
     """
     Xw = X * w[:, None]
     return ridge_to_sphere(X.T @ Xw, X.T @ (w * y), radius)
 
 
 def per_cell_min_squared(X, y, CW, hc, cap=MEMBER_CAP):
-    """min_f sum_t CW[c,t] (f(x_t) - y_t)^2 for every cell. Empty cells get 0."""
-    n_cells = CW.shape[0]
-    mins = np.zeros(n_cells)
-    nz = np.flatnonzero(CW.sum(axis=1) > 0)
-    if hc.kind == "linear-ball":
-        for c in nz:
-            th = constrained_lstsq(X, y, CW[c], hc.radius)
-            r = X @ th - y
-            mins[c] = float(np.sum(CW[c] * r * r))
-        return mins, f"constrained least squares over ||theta|| <= {hc.radius:g}"
+    """min_f sum_t CW[c,t] (f(x_t) - y_t)^2 for every cell. Empty cells get 0.
+
+    On cell c, theta's loss is theta^T A_c theta - 2 theta^T R_c + SS_c, from
+    the sums with z = 0: balls take its minimizer ridge_to_sphere(A_c, R_c, r),
+    covers its least value over their members. The affine class is the unit
+    ball problem on (x/2, y - 1/2): the sums of X/2 with z = 1/2.
+    """
+    if hc.kind == "finite":
+        vals, note = _finite_values(hc, X, cap)
+        return np.min(((vals - y[None, :]) ** 2) @ CW.T, axis=0), note
+    K = len(CW)
     if hc.kind == "affine-restricted":
-        Xh, yh = 0.5 * X, y - 0.5
-        for c in nz:
-            th = constrained_lstsq(Xh, yh, CW[c], 1.0)
-            r = Xh @ th - yh
-            mins[c] = float(np.sum(CW[c] * r * r))
-        return mins, ("constrained least squares over the affine class "
-                      "(1 + <theta, x>)/2, ||theta|| <= 1")
-    vals, note = _finite_values(hc, X, cap)
-    D2 = (vals - y[None, :]) ** 2
-    losses = D2 @ CW.T
-    mins_all = np.min(losses, axis=0)
-    mins[nz] = mins_all[nz]
+        s, radius = cell_sums(0.5 * X, y, CW, np.full(K, 0.5)), 1.0
+        note = ("constrained least squares over the affine class "
+                "(1 + <theta, x>)/2, ||theta|| <= 1")
+    else:
+        s, radius = cell_sums(X, y, CW, np.zeros(K)), hc.radius
+        note = f"constrained least squares over ||theta|| <= {radius:g}"
+    if hc.kind == "cover":
+        thetas, note = _cover_members(hc, X.shape[1], cap)
+    mins = np.zeros(K)
+    for c in np.flatnonzero(s.mass > 0):
+        th = thetas if hc.kind == "cover" else \
+            ridge_to_sphere(s.A[c], s.R[c], radius)[None, :]
+        loss = np.sum((th @ s.A[c]) * th, axis=1) - 2.0 * (th @ s.R[c])
+        mins[c] = np.min(loss) + s.SS[c]
     return mins, note
 
 
@@ -186,7 +183,9 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc, iters=500, restarts=0,
 
     The affine-restricted inner minimization runs projected subgradient
     descent (step 1/sqrt(k), best-iterate tracking, optional random
-    restarts); finite and cover classes are enumerated.
+    restarts) and stops at a zero subgradient, so a V-shaped loss, whose
+    derivative is 0, stays at its start points; finite and cover classes
+    are enumerated.
     """
     n_cells = CW.shape[0]
     gaps = np.zeros(n_cells)
@@ -197,7 +196,9 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc, iters=500, restarts=0,
         vals, note = _finite_values(hc, X, cap)
     elif hc.kind == "affine-restricted":
         note = (f"inner minimization by projected subgradient descent "
-                f"({iters} iterations, step 1/sqrt(k), {restarts} restarts)")
+                f"({iters} iterations, step 1/sqrt(k), {restarts} restarts; "
+                "stops at a zero subgradient, so V-shaped losses stay at "
+                "their start points)")
     else:
         raise ValueError(
             f"omniprediction comparator must be affine-restricted or an "
@@ -223,17 +224,13 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc, iters=500, restarts=0,
 def _min_affine_res(loss, X, w, y, iters=500, restarts=0, rng=None):
     """Projected subgradient minimization of the CW-weighted loss of
     f_theta(x) = (1 + <theta, x>)/2 over the unit theta ball. Returns the best
-    objective value seen over all iterates and restarts."""
+    objective value seen over all iterates and restarts; a start stops at an
+    exactly zero subgradient, whose later iterates would all repeat it."""
     nz = w > 0
     Xc, wc, yc = X[nz], w[nz], y[nz]
     d = X.shape[1]
     if len(wc) == 0:
         return 0.0
-
-    def objective(th):
-        p = 0.5 * (1.0 + Xc @ th)
-        return float(np.sum(wc * loss(p, yc)))
-
     starts = [np.zeros(d)]
     for _ in range(restarts):
         v = rng.normal(size=d)
@@ -242,21 +239,19 @@ def _min_affine_res(loss, X, w, y, iters=500, restarts=0, rng=None):
             v = v / nv * rng.random() ** (1.0 / d)
         starts.append(v)
     best = np.inf
-    for th0 in starts:
-        th = th0.copy()
-        for k in range(1, iters + 1):
+    for th in starts:
+        for k in range(1, iters + 2):
             p = 0.5 * (1.0 + Xc @ th)
-            val = float(np.sum(wc * loss(p, yc)))
-            if val < best:
-                best = val
+            best = min(best, float(np.sum(wc * loss(p, yc))))
+            if k > iters:
+                break
             g = 0.5 * (Xc.T @ (wc * loss.deriv(p, yc)))
+            if not g.any():
+                break
             th = th - g / np.sqrt(k)
             nrm = float(np.linalg.norm(th))
             if nrm > 1.0:
                 th = th / nrm
-        val = objective(th)
-        if val < best:
-            best = val
     return best
 
 
@@ -269,31 +264,37 @@ def _check_q(q):
         raise ValueError(f"moment q must be 1 or 2, got {q!r}")
 
 
-def _sup_calibration(tr, hc, q, CW, name):
-    counts = CW.sum(axis=1)
-    num, note = per_cell_sup_numerators(tr.contexts, tr.outcomes.astype(float),
-                                        CW, tr.grid.points, hc)
-    nz = counts > 0
-    sups = np.zeros_like(counts)
-    sups[nz] = num[nz] / counts[nz]
-    value = float(np.sum(counts[nz] * sups[nz] ** q))
+def sup_calibration(X, y, CW, z, hc, q):
+    """Sum over cells of mass_c * sup_f |rho_{c,f}|^q, rho_{c,f} the
+    CW-weighted mean of f(x)(y - z_c) on cell c; empty cells contribute 0.
+    Returns (value, per-cell sups, per-cell masses, note)."""
+    _check_q(q)
+    mass = CW.sum(axis=1)
+    num, note = per_cell_sup_numerators(X, y, CW, z, hc)
+    nz = mass > 0
+    sups = np.zeros_like(mass)
+    sups[nz] = num[nz] / mass[nz]
+    return float(np.sum(mass[nz] * sups[nz] ** q)), sups, mass, note
+
+
+def _sup_report(name, tr, CW, hc, q):
+    value, sups, mass, note = sup_calibration(
+        tr.contexts, tr.outcomes.astype(float), CW, tr.grid.points, hc, q)
     return MetricReport(name, value, hc.descriptor(),
                         f"{note}; empty cells contribute 0",
-                        extras={"per_cell_sup": sups, "per_cell_mass": counts})
+                        extras={"per_cell_sup": sups, "per_cell_mass": mass})
 
 
 def smcal(tr, hc, q=2):
     """Swap multicalibration error: sum over cells of
     count_p * sup_f |rho_{p,f}|^q with realized (indicator) weights."""
-    _check_q(q)
-    return _sup_calibration(tr, hc, q, realized_weights(tr).T, f"smcal{q}")
+    return _sup_report(f"smcal{q}", tr, realized_weights(tr).T, hc, q)
 
 
 def psmcal(tr, hc, q=2):
     """Pseudo swap multicalibration error: conditional-distribution weights
     in place of realized indicators."""
-    _check_q(q)
-    return _sup_calibration(tr, hc, q, tr.cond_dists.T.copy(), f"psmcal{q}")
+    return _sup_report(f"psmcal{q}", tr, tr.cond_dists.T.copy(), hc, q)
 
 
 def mcal(tr, hc, q=2, eval_eps=None, cap=MEMBER_CAP):
@@ -306,15 +307,14 @@ def mcal(tr, hc, q=2, eval_eps=None, cap=MEMBER_CAP):
     """
     _check_q(q)
     X, y, z = tr.contexts, tr.outcomes.astype(float), tr.grid.points
-    IND = realized_weights(tr)
-    counts = IND.sum(axis=0)
-    nz = counts > 0
+    CW = realized_weights(tr).T
+    s = cell_sums(X, y, CW, z)
+    nz = s.mass > 0
     if not np.any(nz):
         return MetricReport(f"mcal{q}", 0.0, hc.descriptor(), "empty transcript")
-    E = IND * (y[:, None] - z[None, :])
     if hc.kind == "finite":
         vals, note = _finite_values(hc, X, cap)
-        numer = vals @ E
+        numer = vals @ (CW * (y[None, :] - z[:, None])).T
     else:
         if hc.kind == "cover":
             thetas, note = _cover_members(hc, tr.d, cap)
@@ -328,13 +328,11 @@ def mcal(tr, hc, q=2, eval_eps=None, cap=MEMBER_CAP):
                     eps *= 2.0
             note = (f"maximized over a theta cover of {len(thetas)} members "
                     f"(realized eps={eps:g})")
-        # theta members enter only through <theta, R_c> with the per-cell
-        # residuals R = E^T X (cells, d), never through a (members, T) matrix
-        numer = thetas @ (E.T @ X).T
+        numer = thetas @ s.R.T
         if hc.kind == "affine-restricted":
-            numer = 0.5 * (E.sum(axis=0) + numer)
-    rho = numer[:, nz] / counts[None, nz]
-    per_member = np.sum(counts[None, nz] * np.abs(rho) ** q, axis=1)
+            numer = 0.5 * (s.S + numer)
+    m = s.mass[nz]
+    per_member = np.sum(m * np.abs(numer[:, nz] / m) ** q, axis=1)
     return MetricReport(f"mcal{q}", float(np.max(per_member)), hc.descriptor(),
                         f"{note}; empty cells contribute 0")
 
@@ -342,12 +340,10 @@ def mcal(tr, hc, q=2, eval_eps=None, cap=MEMBER_CAP):
 def cal(tr, q=2):
     """Plain calibration error: the constant test function f = 1."""
     _check_q(q)
-    z = tr.grid.points
-    IND = realized_weights(tr)
-    counts = IND.sum(axis=0)
-    S = (IND * (tr.outcomes[:, None] - z[None, :])).sum(axis=0)
-    nz = counts > 0
-    value = float(np.sum(counts[nz] * np.abs(S[nz] / counts[nz]) ** q))
+    s = cell_sums(tr.contexts, tr.outcomes.astype(float),
+                  realized_weights(tr).T, tr.grid.points)
+    nz = s.mass > 0
+    value = float(np.sum(s.mass[nz] * np.abs(s.S[nz] / s.mass[nz]) ** q))
     return MetricReport(f"cal{q}", value, "constant-1",
                         "single constant test function; empty cells contribute 0")
 
@@ -356,27 +352,35 @@ def cal(tr, q=2):
 # swap regret
 
 
-def _swap_regret(tr, hc, CW, name):
-    z = tr.grid.points
-    y = tr.outcomes.astype(float)
-    learner = np.sum(CW * (z[:, None] - y[None, :]) ** 2, axis=1)
-    mins, note = per_cell_min_squared(tr.contexts, y, CW, hc)
-    nz = CW.sum(axis=1) > 0
-    value = float(np.sum(learner[nz] - mins[nz]))
+def swap_regret(X, y, CW, z, hc):
+    """Contextual swap regret under squared loss: per cell, the CW-weighted
+    loss of the cell value z_c (the sum SS_c) minus the best comparator's;
+    empty cells contribute 0. Returns (value, per-cell gaps, per-cell
+    masses, note)."""
+    s = cell_sums(X, y, CW, z)
+    mins, note = per_cell_min_squared(X, y, CW, hc)
+    nz = s.mass > 0
+    return (float(np.sum(s.SS[nz] - mins[nz])), s.SS - mins, s.mass,
+            f"squared loss; {note}")
+
+
+def _regret_report(name, tr, CW, hc):
+    value, gaps, _, note = swap_regret(tr.contexts, tr.outcomes.astype(float),
+                                       CW, tr.grid.points, hc)
     return MetricReport(name, value, hc.descriptor(),
-                        f"squared loss; {note}; empty cells contribute 0",
-                        extras={"per_cell_gap": learner - mins})
+                        f"{note}; empty cells contribute 0",
+                        extras={"per_cell_gap": gaps})
 
 
 def sreg(tr, hc):
     """Contextual swap regret under squared loss, realized weights: per cell,
     the learner's loss minus the best fixed comparator on that cell."""
-    return _swap_regret(tr, hc, realized_weights(tr).T, "sreg")
+    return _regret_report("sreg", tr, realized_weights(tr).T, hc)
 
 
 def psreg(tr, hc):
     """Pseudo contextual swap regret: conditional-distribution weights."""
-    return _swap_regret(tr, hc, tr.cond_dists.T.copy(), "psreg")
+    return _regret_report("psreg", tr, tr.cond_dists.T.copy(), hc)
 
 
 def bm_external_regrets(tr, hc):
@@ -408,8 +412,10 @@ def somni(tr, losses=None, hc=None, iters=500, restarts=0, seed=0):
     between the post-processed learner and the best comparator in the class.
 
     Non-convex custom losses are rejected; the V-shaped menu members are
-    accepted as proper-loss basis elements (their inner minimization relies
-    on restarts since their subgradient vanishes almost everywhere).
+    accepted as proper-loss basis elements. Their subgradient vanishes
+    almost everywhere, so their inner minimization stays at its start
+    points: theta = 0 and the random restarts, of which there are none by
+    default.
     """
     losses = list(DEFAULT_LOSSES) if losses is None else list(losses)
     if not losses:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from swapcal import (BmForecaster, FormatError, estimate_dsmcal,
-                     estimate_dsomni, estimate_saerr, linear_ball, make_grid,
+from swapcal import (BmForecaster, FormatError, cover_class, cover_thetas,
+                     estimate_dsmcal, estimate_dsomni, estimate_saerr,
+                     linear_ball, make_grid,
                      mixture_from_json, mixture_predict, mixture_to_json,
                      run_online, select_snapshot, squared_loss, train_mixture)
 from swapcal.batch import COMMIT_CHUNK, _bucket_weights
@@ -248,6 +249,24 @@ def test_saerr_exhaustive_matches_naive_loops():
         want += learner - comp
     assert rep.value == pytest.approx(want, abs=1e-9)
     assert "per_cell_mass" in rep.extras
+
+
+def test_saerr_cover_matches_dense_enumeration():
+    rng = np.random.default_rng(9)
+    mix = train_mixture(_stream(rng, 40), 3, seed=6, stride=4)
+    test = _stream(rng, 30)
+    hc = cover_class(0.05, 4.0)
+    X, y = test[0], test[1].astype(float)
+    for draws in (None, 400):
+        V, _ = _bucket_weights(mix, X, draws, 0)
+        z = mix.grid.points
+        learner = np.sum(V * (z[:, None] - y[None, :]) ** 2, axis=1)
+        vals = cover_thetas(hc.epsilon, hc.radius, 2) @ X.T
+        comp = np.min(((vals - y[None, :]) ** 2) @ V.T, axis=0)
+        nz = V.sum(axis=1) > 0
+        want = float(np.sum(learner[nz] - comp[nz]))
+        got = estimate_saerr(mix, test, hc=hc, mc_draws=draws).value
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_dsmcal_zero_for_degenerate_perfect_predictor():

@@ -82,6 +82,13 @@ def test_metrics_error_paths(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+    for spec in ("cover:inf", "cover:nan"):
+        proc = subprocess.run(CLI + ["metrics", "--transcript", str(out),
+                                     "--report", "smcal2", "--class", spec],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, spec
+        assert "positive finite epsilon" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_sweep_and_fit_rate(tmp_path):

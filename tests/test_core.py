@@ -249,6 +249,13 @@ def test_class_constructor_rejections():
         cover_class(-1.0, 1.0)
     with pytest.raises(ValueError):
         finite_class([])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            linear_ball(bad)
+        with pytest.raises(ValueError, match="finite"):
+            cover_class(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            cover_class(0.5, bad)
 
 
 def test_cover_thetas_one_dimensional():

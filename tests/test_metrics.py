@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from swapcal import (BmForecaster, LinearFn, NumericFailure,
-                     PreconditionError, Transcript, absolute_loss,
-                     bm_external_regrets, cal, cell_statistics, cover_class,
-                     cover_thetas, custom_loss, finite_class, linear_ball,
-                     make_grid, mcal, psmcal, psreg, realized_weights,
-                     run_online, smcal, somni, sreg, squared_loss,
-                     vshaped_loss, witness_f_prime)
+from swapcal import (AdversarySpec, BmForecaster, LinearFn, LossSpec,
+                     NumericFailure, PreconditionError, Transcript,
+                     absolute_loss, bm_external_regrets, cal, cell_sums,
+                     cover_class, cover_thetas, custom_loss, estimate_dsmcal,
+                     estimate_dsomni, estimate_saerr, evaluate_metric,
+                     finite_class, generate_stream, linear_ball, make_grid,
+                     mcal, psmcal, psreg, realized_weights, run_online,
+                     simulate_run, smcal, somni, sreg, squared_loss,
+                     train_mixture, vshaped_loss, witness_f_prime)
 from swapcal.core import affine_restricted
+from swapcal.harness import METRICS
 from swapcal.metrics import constrained_lstsq
 
 
@@ -44,40 +47,67 @@ def _forecaster_transcript(rng, T, d, n, seed, keep_q=False):
 
 
 # ---------------------------------------------------------------------------
-# cell statistics
+# cell sums
 
 
-def test_cell_statistics_direct_sums():
+def _sums(tr, pseudo):
+    CW = (tr.cond_dists if pseudo else realized_weights(tr)).T
+    return cell_sums(tr.contexts, tr.outcomes.astype(float), CW,
+                     tr.grid.points)
+
+
+def test_cell_sums_direct_sums():
     g = make_grid(2)
     x = np.array([0.5, 0.25])
     X = np.tile(x, (2, 1))
     P = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     tr = Transcript(g, X, P, [1, 1], [1, 0])
-    stats = cell_statistics(tr)
-    assert stats[1].realized_count == 2
-    assert stats[1].pseudo_mass == pytest.approx(2.0)
-    want = x * (1 - 0.5) + x * (0 - 0.5)
-    np.testing.assert_allclose(stats[1].residual_vector_realized, want)
-    np.testing.assert_allclose(stats[0].residual_vector_realized, [0.0, 0.0])
+    s = _sums(tr, pseudo=False)
+    assert s.mass[1] == 2
+    assert _sums(tr, pseudo=True).mass[1] == pytest.approx(2.0)
+    np.testing.assert_allclose(s.R[1], x * (1 - 0.5) + x * (0 - 0.5))
+    np.testing.assert_allclose(s.R[0], [0.0, 0.0])
+    assert s.S[1] == 0.0 and s.SS[1] == pytest.approx(0.5)
+    np.testing.assert_allclose(s.A[1], 2.0 * np.outer(x, x))
+    np.testing.assert_allclose(s.A[0], 0.0)
 
 
-def test_cell_statistics_partition():
+def test_cell_sums_match_per_round_loop():
     rng = np.random.default_rng(0)
     tr = _random_transcript(rng, 60, 3, 4)
-    stats = cell_statistics(tr)
-    assert sum(s.realized_count for s in stats) == 60
-    assert sum(s.pseudo_mass for s in stats) == pytest.approx(60, abs=1e-6)
+    for pseudo in (False, True):
+        W = tr.cond_dists if pseudo else realized_weights(tr)
+        s = _sums(tr, pseudo)
+        for c, z in enumerate(tr.grid.points):
+            want = [0.0, 0.0, 0.0, np.zeros(3), np.zeros((3, 3))]
+            for t in range(tr.horizon):
+                w, x, r = W[t, c], tr.contexts[t], tr.outcomes[t] - z
+                want[0] += w
+                want[1] += w * r
+                want[2] += w * r * r
+                want[3] = want[3] + w * r * x
+                want[4] = want[4] + w * np.outer(x, x)
+            for got, exp in zip((s.mass[c], s.S[c], s.SS[c], s.R[c], s.A[c]),
+                                want):
+                np.testing.assert_allclose(got, exp, rtol=1e-12, atol=1e-12)
 
 
-def test_cell_statistics_point_mass_collapses():
+def test_cell_sums_partition():
+    rng = np.random.default_rng(0)
+    tr = _random_transcript(rng, 60, 3, 4)
+    assert np.sum(_sums(tr, pseudo=False).mass) == 60
+    assert np.sum(_sums(tr, pseudo=True).mass) == pytest.approx(60, abs=1e-6)
+
+
+def test_cell_sums_point_mass_collapses():
     rng = np.random.default_rng(1)
     tr = _random_transcript(rng, 30, 2, 3)
     point = Transcript(tr.grid, tr.contexts, realized_weights(tr),
                        tr.sampled_indices, tr.outcomes)
-    for s in cell_statistics(point):
-        assert s.pseudo_mass == pytest.approx(s.realized_count)
-        np.testing.assert_allclose(s.residual_vector_pseudo,
-                                   s.residual_vector_realized)
+    real, pseudo = _sums(point, pseudo=False), _sums(point, pseudo=True)
+    for got, want in zip((pseudo.mass, pseudo.S, pseudo.SS, pseudo.R, pseudo.A),
+                         (real.mass, real.S, real.SS, real.R, real.A)):
+        np.testing.assert_allclose(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +503,46 @@ def test_bm_external_regrets_needs_matrices():
         bm_external_regrets(tr, linear_ball(4.0))
 
 
+def _dense_min_squared(X, y, CW, thetas):
+    """Per-cell least weighted squared loss over explicit theta members, by
+    the (members x T) evaluation matrix: the slow oracle."""
+    return np.min(((thetas @ X.T - y[None, :]) ** 2) @ CW.T, axis=0)
+
+
+@pytest.mark.parametrize("d, hc", [(3, cover_class(0.3, 1.0)),
+                                   (2, cover_class(0.05, 4.0))])
+def test_swap_regret_cover_matches_dense_enumeration(d, hc):
+    rng = np.random.default_rng(26)
+    tr = _forecaster_transcript(rng, 120, d, 4, seed=5, keep_q=True)
+    thetas = cover_thetas(hc.epsilon, hc.radius, d)
+    X, y, z = tr.contexts, tr.outcomes.astype(float), tr.grid.points
+    for metric, CW in ((sreg, realized_weights(tr).T), (psreg, tr.cond_dists.T)):
+        learner = np.sum(CW * (z[:, None] - y[None, :]) ** 2, axis=1)
+        nz = CW.sum(axis=1) > 0
+        want = learner[nz] - _dense_min_squared(X, y, CW, thetas)[nz]
+        assert metric(tr, hc).value == pytest.approx(float(np.sum(want)),
+                                                     rel=1e-12)
+    P = tr.cond_dists
+    qdot = np.einsum("tj,tji->ti", (z[None, :] - y[:, None]) ** 2, tr.q_stacks)
+    want = np.sum(P * qdot, axis=0) - _dense_min_squared(X, y, P.T, thetas)
+    np.testing.assert_allclose(bm_external_regrets(tr, hc), want, rtol=1e-12)
+
+
+def test_min_squared_cover_memory_bounded():
+    """sreg over cover:0.02 (10201 members) at T = 4096, d = 2 reads per-cell
+    sums, not (members x T) matrices (two of 10201 x 4096 floats, 638 MB)."""
+    import tracemalloc
+
+    tr = _random_transcript(np.random.default_rng(13), 4096, 2, 9)
+    tracemalloc.start()
+    try:
+        sreg(tr, cover_class(0.02, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # omniprediction
 
@@ -510,6 +580,27 @@ def test_somni_notes_disclose_everything():
     assert "subgradient" in rep.notes
     assert rep.class_descriptor == "affine-restricted"
     assert "per_cell_gap" in rep.extras
+
+
+def test_somni_vshaped_stops_at_zero_subgradient(monkeypatch):
+    """A V-shaped loss has derivative 0, so each (cell, loss, start) takes
+    one subgradient and stays put: the value is the iters=1 value."""
+    rng = np.random.default_rng(27)
+    tr = _random_transcript(rng, 40, 2, 3)
+    menu = [vshaped_loss(0.25), vshaped_loss(0.5)]
+    want = somni(tr, losses=menu, iters=1, restarts=2, seed=1).value
+    calls = []
+    deriv = LossSpec.deriv
+
+    def counting(self, p, y):
+        calls.append(self.name)
+        return deriv(self, p, y)
+
+    monkeypatch.setattr(LossSpec, "deriv", counting)
+    got = somni(tr, losses=menu, restarts=2, seed=1).value
+    cells = np.count_nonzero(realized_weights(tr).sum(axis=0))
+    assert len(calls) == cells * len(menu) * 3
+    assert got == want
 
 
 def test_somni_rejects_uncertified_custom_loss():
@@ -638,3 +729,39 @@ def test_pseudo_calibration_below_pseudo_regret():
         a = psmcal(tr, linear_ball(1.0), 2).value
         b = psreg(tr, linear_ball(4.0)).value
         assert a <= b + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# frozen values
+
+
+def test_reports_frozen_values():
+    """Every metrics report with its default class, and the three batch
+    reports, on one fixed-seed transcript and mixture, pinned to the values
+    of the implementation that evaluated every class on the contexts."""
+    spec = AdversarySpec("iid-logistic", noise=0.1)
+    tr = simulate_run(spec, 400, 3, 4, seed=9)
+    got = {name: evaluate_metric(tr, name).value for name in METRICS}
+    mix = train_mixture(generate_stream(spec, 256, 3, seed=10), 4, seed=10,
+                        stride=8)
+    test = generate_stream(spec, 64, 3, seed=11)
+    got["saerr"] = estimate_saerr(mix, test).value
+    got["dsmcal2"] = estimate_dsmcal(mix, test).value
+    got["dsomni"] = estimate_dsomni(mix, test).value
+    want = {
+        "smcal1": 106.092324634062,
+        "smcal2": 29.33586349264465,
+        "psmcal1": 104.76746431647014,
+        "psmcal2": 28.435988081194346,
+        "mcal2": 29.11954800867957,
+        "cal2": 112.7748233014136,
+        "sreg": 116.4288068268714,
+        "psreg": 114.1956095698658,
+        "somni": 330.5,
+        "saerr": 0.2859533593277308,
+        "dsmcal2": 0.07429119842953376,
+        "dsomni": 0.6875,
+    }
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=1e-12), name
