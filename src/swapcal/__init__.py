@@ -10,11 +10,11 @@ from .batch import (MixturePredictor, estimate_dsmcal, estimate_dsomni,
                     estimate_saerr, mixture_from_json, mixture_predict,
                     mixture_to_json, select_snapshot, train_mixture)
 from .core import (Grid, HypothesisClass, LinearFn, LossSpec, Transcript,
-                   absolute_loss, affine_restricted, class_members,
-                   cover_class, cover_thetas, custom_loss, finite_class,
-                   linear_ball, loss_eval, make_grid, post_process,
-                   squared_loss, validate_context, validate_outcome,
-                   validate_stream, vshaped_loss)
+                   absolute_loss, affine_restricted, cover_class,
+                   cover_thetas, custom_loss, finite_class, linear_ball,
+                   loss_eval, make_grid, post_process, squared_loss,
+                   validate_context, validate_outcome, validate_stream,
+                   vshaped_loss)
 from .errors import (FormatError, NumericFailure, PreconditionError,
                      ResourceLimitError)
 from .forecaster import (BmForecaster, RoundOutput, choose_n, rround,
@@ -41,8 +41,8 @@ __all__ = [
     "ResourceLimitError", "RoundOutput", "SweepConfig", "Transcript",
     "WitnessFn", "absolute_loss", "affine_restricted", "alg_predict",
     "bm_external_regrets", "cal", "cell_sums",
-    "check_column_stochastic", "choose_n", "class_members",
-    "constrained_lstsq", "cover_class", "cover_thetas", "custom_loss",
+    "check_column_stochastic", "choose_n", "constrained_lstsq",
+    "cover_class", "cover_thetas", "custom_loss",
     "estimate_dsmcal", "estimate_dsomni", "estimate_saerr", "evaluate_metric",
     "finite_class", "fit_rate", "generate_stream", "ingest_csv",
     "linear_ball", "loss_eval", "make_grid", "mcal", "mixture_from_json",

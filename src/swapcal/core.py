@@ -20,7 +20,7 @@ from .errors import FormatError, ResourceLimitError
 CONTEXT_NORM_TOL = 1e-9
 COND_DIST_TOL = 1e-9
 
-#: enumeration cap for class_members and evaluation covers
+#: enumeration cap for cover classes and evaluation covers
 MEMBER_CAP = 10 ** 6
 
 
@@ -318,13 +318,17 @@ class HypothesisClass:
                        form via the support function
     affine-restricted  f(x) = (1 + <theta, x>)/2, ||theta|| <= 1; maps into
                        [0, 1]
-    finite             an explicit list of callables (batch contexts -> values)
+    finite             f(x) = <theta_m, x> for each row of an explicit theta
+                       stack thetas (M, d)
     cover(eps, r)      the eps-grid of theta over the radius-r ball, enumerated
+
+    Finite and cover classes are enumerated: the metrics read their theta
+    stacks member by member.
     """
 
-    __slots__ = ("kind", "radius", "epsilon", "members")
+    __slots__ = ("kind", "radius", "epsilon", "thetas")
 
-    def __init__(self, kind, radius=None, epsilon=None, members=None):
+    def __init__(self, kind, radius=None, epsilon=None, thetas=None):
         if kind not in ("linear-ball", "affine-restricted", "finite", "cover"):
             raise ValueError(f"unknown hypothesis class kind {kind!r}")
         if kind in ("linear-ball", "cover"):
@@ -338,13 +342,25 @@ class HypothesisClass:
                 raise ValueError("cover class needs a positive finite epsilon")
             epsilon = float(epsilon)
         if kind == "finite":
-            if not members:
-                raise ValueError("finite class needs at least one member")
-            members = list(members)
+            try:
+                thetas = np.array(thetas, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"finite class thetas must be an (M, d) "
+                                 f"array: {exc}") from exc
+            if thetas.ndim != 2 or not thetas.size:
+                raise ValueError(f"finite class thetas must be a non-empty "
+                                 f"(M, d) array, got shape {thetas.shape}")
+            if not np.isfinite(thetas).all():
+                raise ValueError("finite class thetas have non-finite entries")
+            thetas.flags.writeable = False
         self.kind = kind
         self.radius = radius
         self.epsilon = epsilon
-        self.members = members
+        self.thetas = thetas
+
+    @property
+    def enumerated(self):
+        return self.kind in ("finite", "cover")
 
     def descriptor(self):
         if self.kind == "linear-ball":
@@ -353,7 +369,7 @@ class HypothesisClass:
             return "affine-restricted"
         if self.kind == "cover":
             return f"cover(eps={self.epsilon:g}, r={self.radius:g})"
-        return f"finite(m={len(self.members)})"
+        return f"finite(m={len(self.thetas)})"
 
     def __repr__(self):
         return f"HypothesisClass({self.descriptor()})"
@@ -367,8 +383,8 @@ def affine_restricted():
     return HypothesisClass("affine-restricted")
 
 
-def finite_class(members):
-    return HypothesisClass("finite", members=members)
+def finite_class(thetas):
+    return HypothesisClass("finite", thetas=thetas)
 
 
 def cover_class(epsilon, radius):
@@ -400,22 +416,6 @@ def cover_thetas(epsilon, radius, d, cap=MEMBER_CAP):
     if np.any(outside):
         thetas[outside] *= (radius / norms[outside])[:, None]
     return thetas
-
-
-def class_members(hc, d, cap=MEMBER_CAP):
-    """Enumerate a finite or cover class in dimension d.
-
-    finite classes pass through; covers enumerate their theta grid (capped at
-    cap members). linear-ball and affine-restricted have no finite
-    enumeration; they return the class itself as a symbolic descriptor, and
-    the metrics handle their suprema in closed form.
-    """
-    if hc.kind == "finite":
-        return list(hc.members)
-    if hc.kind == "cover":
-        thetas = cover_thetas(hc.epsilon, hc.radius, d, cap=cap)
-        return [LinearFn(t) for t in thetas]
-    return hc
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,11 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LinearFn, cover_class, finite_class, linear_ball,
+from .core import (cover_class, finite_class, linear_ball,
                    affine_restricted, make_grid, absolute_loss, squared_loss,
                    vshaped_loss)
 from .errors import FormatError
@@ -222,12 +221,11 @@ def parse_class_spec(spec):
         path = spec.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
-                thetas = [np.asarray(t, dtype=float) for t in doc["thetas"]]
+                thetas = json.load(fh)["thetas"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise FormatError(
                     f'{path}: expected {{"thetas": [[...], ...]}}: {exc}') from exc
-        return finite_class([LinearFn(t) for t in thetas])
+        return finite_class(thetas)
     raise ValueError(f"unknown class spec {spec!r}")
 
 
@@ -357,10 +355,9 @@ def run_sweep(cfg, out_path=None):
     """Execute all (T, rep) rows of a sweep, appending to the results table
     as rows finish.
 
-    Resumable: rows already present in the table are skipped. Workers are
-    bounded by the SWAPCAL_THREADS environment variable (default 1; rows are
-    always written in configuration order regardless of worker count).
-    Returns all rows, previously completed first.
+    Resumable: rows already present in the table are skipped. Rows run one
+    after another in configuration order, and each is flushed to the table
+    as it finishes. Returns all rows, previously completed first.
     """
     out_path = out_path or cfg.out
     if not out_path:
@@ -371,7 +368,6 @@ def run_sweep(cfg, out_path=None):
     done = {(int(r["T"]), int(r["rep"])) for r in existing}
     tasks = [(int(T), rep) for T in cfg.T_list for rep in range(cfg.reps)
              if (int(T), rep) not in done]
-    workers = max(1, int(os.environ.get("SWAPCAL_THREADS", "1")))
     new_rows = []
     mode = "a" if existing else "w"
     with open(out_path, mode, encoding="utf-8", newline="") as fh:
@@ -379,21 +375,11 @@ def run_sweep(cfg, out_path=None):
         if mode == "w":
             writer.writeheader()
             fh.flush()
-        if workers == 1 or len(tasks) <= 1:
-            for T, rep in tasks:
-                row = _sweep_row(cfg, T, rep)
-                writer.writerow(row)
-                fh.flush()
-                new_rows.append(row)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_sweep_row, cfg, T, rep)
-                           for T, rep in tasks]
-                for fut in futures:
-                    row = fut.result()
-                    writer.writerow(row)
-                    fh.flush()
-                    new_rows.append(row)
+        for T, rep in tasks:
+            row = _sweep_row(cfg, T, rep)
+            writer.writerow(row)
+            fh.flush()
+            new_rows.append(row)
     return existing + new_rows
 
 

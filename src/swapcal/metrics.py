@@ -3,11 +3,12 @@
 All metrics share the same skeleton: bucket rounds by grid cell, weight them
 either by the realized predictions (indicator weights) or by the committed
 conditional distributions (pseudo weights), and take per-cell suprema over a
-comparator class. Ball, affine and cover classes read a transcript only
-through per-cell sums (cell_sums), ball and affine suprema in closed form
-(support functions, constrained least squares); finite classes are evaluated
-on the contexts. Every report discloses in its notes which evaluation set was
-actually used.
+comparator class. Every closed-form metric reads a transcript only through
+per-cell sums (cell_sums): ball and affine suprema in closed form (support
+functions, constrained least squares), finite and cover classes, which are
+theta stacks, member by member. The omniprediction gap evaluates enumerated
+members on the contexts, a fixed budget of member-point pairs at a time.
+Every report discloses in its notes which evaluation set was actually used.
 
 Conventions: ball suprema are exact over the stated theta radius, which for
 the bounded-function families is the certified inner ball of the sandwich
@@ -25,6 +26,10 @@ from .core import (MEMBER_CAP, LossSpec, absolute_loss, affine_restricted,
                    cover_thetas, post_process, squared_loss, vshaped_loss)
 from .errors import NumericFailure, PreconditionError, ResourceLimitError
 from .linalg import ridge_to_sphere
+
+#: member-point evaluations per chunk of the omniprediction table: bounds
+#: its temporaries at a few (OMNI_CHUNK,) float arrays, whatever M x T is
+OMNI_CHUNK = 2 ** 20
 
 #: default loss menu for omniprediction reports
 DEFAULT_LOSSES = (squared_loss(), absolute_loss(),
@@ -94,20 +99,17 @@ def cell_sums(X, y, CW, z):
                     A=np.stack([(CW * x) @ X for x in X.T], axis=1))
 
 
-def _cover_members(hc, d, cap=MEMBER_CAP):
-    """Theta vectors (M, d) of a cover class, plus a note."""
-    thetas = cover_thetas(hc.epsilon, hc.radius, d, cap=cap)
-    return thetas, (f"enumerated over {len(thetas)} cover members "
-                    f"(eps={hc.epsilon:g}, r={hc.radius:g})")
-
-
-def _finite_values(hc, X, cap=MEMBER_CAP):
-    """(M, T) member evaluations for finite and cover classes, plus a note."""
-    if hc.kind == "finite":
-        vals = np.stack([np.asarray(f(X), dtype=float) for f in hc.members])
-        return vals, f"enumerated over {len(hc.members)} finite members"
-    thetas, note = _cover_members(hc, X.shape[1], cap)
-    return thetas @ X.T, note
+def _members(hc, d, cap=MEMBER_CAP):
+    """Theta stack (M, d) of a finite or cover class in dimension d, plus a
+    note."""
+    if hc.kind == "cover":
+        thetas = cover_thetas(hc.epsilon, hc.radius, d, cap=cap)
+        return thetas, (f"enumerated over {len(thetas)} cover members "
+                        f"(eps={hc.epsilon:g}, r={hc.radius:g})")
+    if hc.thetas.shape[1] != d:
+        raise ValueError(f"finite class thetas have dimension "
+                         f"{hc.thetas.shape[1]}, the contexts have d = {d}")
+    return hc.thetas, f"enumerated over {len(hc.thetas)} finite members"
 
 
 def per_cell_sup_numerators(X, y, CW, zvals, hc, cap=MEMBER_CAP):
@@ -115,15 +117,11 @@ def per_cell_sup_numerators(X, y, CW, zvals, hc, cap=MEMBER_CAP):
 
     Returns (numerators, note): r ||R_c|| for the radius-r ball,
     (|S_c| + ||R_c||)/2 for the affine class, the largest |<theta, R_c>| over
-    a cover's members; finite classes are evaluated on X.
+    an enumerated class's members.
     """
-    if hc.kind == "finite":
-        vals, note = _finite_values(hc, X, cap)
-        E = CW * (y[None, :] - zvals[:, None])
-        return np.max(np.abs(vals @ E.T), axis=0), note
     s = cell_sums(X, y, CW, zvals)
-    if hc.kind == "cover":
-        thetas, note = _cover_members(hc, X.shape[1], cap)
+    if hc.enumerated:
+        thetas, note = _members(hc, X.shape[1], cap)
         return np.max(np.abs(thetas @ s.R.T), axis=0), note
     norms = np.linalg.norm(s.R, axis=1)
     if hc.kind == "linear-ball":
@@ -151,26 +149,24 @@ def per_cell_min_squared(X, y, CW, hc, cap=MEMBER_CAP):
 
     On cell c, theta's loss is theta^T A_c theta - 2 theta^T R_c + SS_c, from
     the sums with z = 0: balls take its minimizer ridge_to_sphere(A_c, R_c, r),
-    covers its least value over their members. The affine class is the unit
-    ball problem on (x/2, y - 1/2): the sums of X/2 with z = 1/2.
+    enumerated classes its least value over their members. The affine class
+    is the unit ball problem on (x/2, y - 1/2): the sums of X/2 with z = 1/2.
     """
-    if hc.kind == "finite":
-        vals, note = _finite_values(hc, X, cap)
-        return np.min(((vals - y[None, :]) ** 2) @ CW.T, axis=0), note
     K = len(CW)
     if hc.kind == "affine-restricted":
-        s, radius = cell_sums(0.5 * X, y, CW, np.full(K, 0.5)), 1.0
+        s = cell_sums(0.5 * X, y, CW, np.full(K, 0.5))
         note = ("constrained least squares over the affine class "
                 "(1 + <theta, x>)/2, ||theta|| <= 1")
     else:
-        s, radius = cell_sums(X, y, CW, np.zeros(K)), hc.radius
-        note = f"constrained least squares over ||theta|| <= {radius:g}"
-    if hc.kind == "cover":
-        thetas, note = _cover_members(hc, X.shape[1], cap)
+        s = cell_sums(X, y, CW, np.zeros(K))
+    if hc.enumerated:
+        thetas, note = _members(hc, X.shape[1], cap)
+    elif hc.kind == "linear-ball":
+        note = f"constrained least squares over ||theta|| <= {hc.radius:g}"
     mins = np.zeros(K)
     for c in np.flatnonzero(s.mass > 0):
-        th = thetas if hc.kind == "cover" else \
-            ridge_to_sphere(s.A[c], s.R[c], radius)[None, :]
+        th = thetas if hc.enumerated else \
+            ridge_to_sphere(s.A[c], s.R[c], hc.radius)[None, :]
         loss = np.sum((th @ s.A[c]) * th, axis=1) - 2.0 * (th @ s.R[c])
         mins[c] = np.min(loss) + s.SS[c]
     return mins, note
@@ -181,44 +177,53 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc, iters=500, restarts=0,
     """Per cell: max over the loss menu of
     (post-processed learner loss) - (best-in-class loss), both CW-weighted.
 
-    The affine-restricted inner minimization runs projected subgradient
-    descent (step 1/sqrt(k), best-iterate tracking, optional random
-    restarts) and stops at a zero subgradient, so a V-shaped loss, whose
-    derivative is 0, stays at its start points; finite and cover classes
-    are enumerated.
+    Returns (gaps (n_cells,), achieved comparator losses (n_cells, losses),
+    note); empty cells get 0. Enumerated classes fill the comparator table
+    by _least_member_losses. The affine-restricted inner minimization runs
+    projected subgradient descent per (cell, loss) (step 1/sqrt(k),
+    best-iterate tracking, optional random restarts) and stops at a zero
+    subgradient, so a V-shaped loss, whose derivative is 0, stays at its
+    start points.
     """
-    n_cells = CW.shape[0]
-    gaps = np.zeros(n_cells)
-    achieved = np.zeros((n_cells, len(losses)))
-    nz = np.flatnonzero(CW.sum(axis=1) > 0)
-    vals = None
-    if hc.kind in ("finite", "cover"):
-        vals, note = _finite_values(hc, X, cap)
+    nz = CW.sum(axis=1) > 0
+    if hc.enumerated:
+        thetas, note = _members(hc, X.shape[1], cap)
+        achieved = _least_member_losses(thetas, X, y, CW, losses)
     elif hc.kind == "affine-restricted":
         note = (f"inner minimization by projected subgradient descent "
                 f"({iters} iterations, step 1/sqrt(k), {restarts} restarts; "
                 "stops at a zero subgradient, so V-shaped losses stay at "
                 "their start points)")
+        achieved = np.zeros((len(CW), len(losses)))
+        for c in np.flatnonzero(nz):
+            for j, loss in enumerate(losses):
+                achieved[c, j] = _min_affine_res(loss, X, CW[c], y, iters=iters,
+                                                 restarts=restarts, rng=rng)
     else:
         raise ValueError(
             f"omniprediction comparator must be affine-restricted or an "
             f"enumerable class, got {hc.kind}")
-    for c in nz:
-        w = CW[c]
-        best = -np.inf
-        for j, loss in enumerate(losses):
-            k_resp = post_process(loss, float(zvals[c]))
-            learner = float(np.sum(w * loss(k_resp, y)))
-            if vals is not None:
-                comp = float(np.min(np.sum(w[None, :] * loss(vals, y[None, :]),
-                                           axis=1)))
-            else:
-                comp = _min_affine_res(loss, X, w, y, iters=iters,
-                                       restarts=restarts, rng=rng)
-            achieved[c, j] = comp
-            best = max(best, learner - comp)
-        gaps[c] = best
+    achieved[~nz] = 0.0
+    learner = np.empty_like(achieved)
+    for j, loss in enumerate(losses):
+        k = np.array([post_process(loss, float(z)) for z in zvals])
+        learner[:, j] = np.sum(CW * loss(k[:, None], y), axis=1)
+    gaps = np.where(nz, np.max(learner - achieved, axis=1), 0.0)
     return gaps, achieved, note
+
+
+def _least_member_losses(thetas, X, y, CW, losses):
+    """(n_cells, losses) table of min over members m of
+    sum_t CW[c, t] loss(<theta_m, x_t>, y_t), one chunk of OMNI_CHUNK
+    member-point evaluations at a time: never the (M, T) matrix."""
+    best = np.full((len(CW), len(losses)), np.inf)
+    step = max(1, OMNI_CHUNK // max(len(X), 1))
+    for i in range(0, len(thetas), step):
+        vals = thetas[i:i + step] @ X.T
+        for j, loss in enumerate(losses):
+            np.minimum(best[:, j], np.min(loss(vals, y[None, :]) @ CW.T, axis=0),
+                       out=best[:, j])
+    return best
 
 
 def _min_affine_res(loss, X, w, y, iters=500, restarts=0, rng=None):
@@ -312,25 +317,21 @@ def mcal(tr, hc, q=2, eval_eps=None, cap=MEMBER_CAP):
     nz = s.mass > 0
     if not np.any(nz):
         return MetricReport(f"mcal{q}", 0.0, hc.descriptor(), "empty transcript")
-    if hc.kind == "finite":
-        vals, note = _finite_values(hc, X, cap)
-        numer = vals @ (CW * (y[None, :] - z[:, None])).T
+    if hc.enumerated:
+        thetas, note = _members(hc, tr.d, cap)
     else:
-        if hc.kind == "cover":
-            thetas, note = _cover_members(hc, tr.d, cap)
-        else:
-            eps = eval_eps if eval_eps is not None else 1.0 / np.sqrt(max(tr.horizon, 1))
-            while True:
-                try:
-                    thetas = cover_thetas(eps, hc.radius, tr.d, cap=cap)
-                    break
-                except ResourceLimitError:
-                    eps *= 2.0
-            note = (f"maximized over a theta cover of {len(thetas)} members "
-                    f"(realized eps={eps:g})")
-        numer = thetas @ s.R.T
-        if hc.kind == "affine-restricted":
-            numer = 0.5 * (s.S + numer)
+        eps = eval_eps if eval_eps is not None else 1.0 / np.sqrt(max(tr.horizon, 1))
+        while True:
+            try:
+                thetas = cover_thetas(eps, hc.radius, tr.d, cap=cap)
+                break
+            except ResourceLimitError:
+                eps *= 2.0
+        note = (f"maximized over a theta cover of {len(thetas)} members "
+                f"(realized eps={eps:g})")
+    numer = thetas @ s.R.T
+    if hc.kind == "affine-restricted":
+        numer = 0.5 * (s.S + numer)
     m = s.mass[nz]
     per_member = np.sum(m * np.abs(numer[:, nz] / m) ** q, axis=1)
     return MetricReport(f"mcal{q}", float(np.max(per_member)), hc.descriptor(),

@@ -123,8 +123,7 @@ def test_02_swap_regret_decomposition():
         T = int(rng.integers(20, 201))
         d = int(rng.integers(1, 4))
         m = int(rng.integers(1, 21))
-        hc = finite_class([LinearFn(_ball_point(rng, d, 4.0))
-                           for _ in range(m)])
+        hc = finite_class([_ball_point(rng, d, 4.0) for _ in range(m)])
         spec = _rotating_spec(rng, k)
         tr = simulate_run(spec, T, d, N, seed=1000 + k, keep_q=True)
         total = float(np.sum(bm_external_regrets(tr, hc)))

@@ -68,7 +68,7 @@ def test_metrics_all_reports(tmp_path):
     assert "absolute" in rep["notes"]
 
 
-def test_metrics_error_paths(tmp_path):
+def test_metrics_error_paths(tmp_path, capsys):
     out = tmp_path / "tr.jsonl"
     run_cli("simulate", "--adversary", "iid-logistic", "--T", "10", "--d", "2",
             "--N", "2", "--seed", "0", "--out", str(out))
@@ -89,6 +89,24 @@ def test_metrics_error_paths(tmp_path):
         assert proc.returncode == 2, spec
         assert "positive finite epsilon" in proc.stderr
         assert proc.stdout == ""
+    import swapcal.cli as cli
+
+    bad = {"nan": ('{"thetas": [[NaN, 0]]}', "non-finite"),
+           "wide": ('{"thetas": [[1, 0, 0]]}', "dimension 3, the contexts "
+                                                "have d = 2"),
+           "ragged": ('{"thetas": [[1, 0], [1]]}', "(M, d) array"),
+           "flat": ('{"thetas": [1, 0]}', "(M, d) array"),
+           "empty": ('{"thetas": []}', "(M, d) array")}
+    for label, (doc, message) in bad.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(doc)
+        for report in ("smcal2", "sreg", "mcal2", "somni"):
+            code = cli.main(["metrics", "--transcript", str(out), "--report",
+                             report, "--class", f"finite:{path}"])
+            captured = capsys.readouterr()
+            assert code == 2, (label, report)
+            assert message in captured.err, (label, report, captured.err)
+            assert captured.out == ""
 
 
 def test_sweep_and_fit_rate(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swapcal import (FormatError, LinearFn, ResourceLimitError, Transcript,
-                     absolute_loss, class_members, cover_class, cover_thetas,
+                     absolute_loss, cover_class, cover_thetas,
                      custom_loss, finite_class, linear_ball, loss_eval,
                      make_grid, post_process, squared_loss, validate_context,
                      validate_outcome, validate_stream, vshaped_loss)
@@ -239,7 +239,7 @@ def test_class_descriptors():
     assert linear_ball(1.0).descriptor() == "linear-ball(r=1)"
     assert affine_restricted().descriptor() == "affine-restricted"
     assert cover_class(0.5, 2.0).descriptor() == "cover(eps=0.5, r=2)"
-    assert finite_class([LinearFn([1.0])]).descriptor() == "finite(m=1)"
+    assert finite_class([[1.0]]).descriptor() == "finite(m=1)"
 
 
 def test_class_constructor_rejections():
@@ -247,8 +247,17 @@ def test_class_constructor_rejections():
         linear_ball(0.0)
     with pytest.raises(ValueError):
         cover_class(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        finite_class([])
+    for bad in ([], np.zeros((0, 2)), [1.0, 0.0], [[1.0, 0.0], [1.0]],
+                [[0.5, "x"]], None):
+        with pytest.raises(ValueError, match="finite class"):
+            finite_class(bad)
+    for bad in ([[float("nan"), 0.0]], [[0.0, float("inf")]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            finite_class(bad)
+    thetas = np.array([[1.0, 0.0]])
+    hc = finite_class(thetas)
+    thetas[0, 0] = 5.0
+    assert hc.thetas[0, 0] == 1.0 and not hc.thetas.flags.writeable
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             linear_ball(bad)
@@ -280,15 +289,6 @@ def test_cover_thetas_stay_in_ball_and_cover():
 def test_cover_thetas_resource_cap():
     with pytest.raises(ResourceLimitError):
         cover_thetas(1e-3, 4.0, 3)
-
-
-def test_class_members_dispatch():
-    fs = [LinearFn([1.0, 0.0])]
-    assert class_members(finite_class(fs), 2) == fs
-    cov = class_members(cover_class(1.0, 1.0), 1)
-    assert len(cov) == 3
-    ball = linear_ball(2.0)
-    assert class_members(ball, 2) is ball
 
 
 # ---------------------------------------------------------------------------

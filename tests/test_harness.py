@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -150,7 +149,8 @@ def test_parse_class_spec(tmp_path):
     f = tmp_path / "fs.json"
     f.write_text(json.dumps({"thetas": [[1.0, 0.0], [0.0, 1.0]]}))
     fin = parse_class_spec(f"finite:{f}")
-    assert fin.kind == "finite" and len(fin.members) == 2
+    assert fin.kind == "finite"
+    np.testing.assert_array_equal(fin.thetas, [[1.0, 0.0], [0.0, 1.0]])
     f.write_text('{"wrong": 1}')
     with pytest.raises(FormatError):
         parse_class_spec(f"finite:{f}")
@@ -274,26 +274,6 @@ def test_sweep_records_errors_and_continues(tmp_path):
     assert len(bad) == 1 and int(bad[0]["T"]) == 64
     assert "fewer" in bad[0]["error"]
     assert bad[0]["value"] == ""
-
-
-def test_sweep_worker_pool_matches_serial(tmp_path):
-    cfg_a = _tiny_config(tmp_path, out=str(tmp_path / "serial.csv"))
-    cfg_b = _tiny_config(tmp_path, out=str(tmp_path / "pooled.csv"))
-    old = os.environ.get("SWAPCAL_THREADS")
-    try:
-        os.environ["SWAPCAL_THREADS"] = "1"
-        run_sweep(cfg_a)
-        os.environ["SWAPCAL_THREADS"] = "2"
-        run_sweep(cfg_b)
-    finally:
-        if old is None:
-            os.environ.pop("SWAPCAL_THREADS", None)
-        else:
-            os.environ["SWAPCAL_THREADS"] = old
-    a = read_results(cfg_a.out)
-    b = read_results(cfg_b.out)
-    strip = lambda r: {k: v for k, v in r.items() if k != "wall_ms"}
-    assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
 def test_sweep_row_isolated():

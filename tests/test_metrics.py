@@ -10,9 +10,11 @@ from swapcal import (AdversarySpec, BmForecaster, LinearFn, LossSpec,
                      mcal, psmcal, psreg, realized_weights, run_online,
                      simulate_run, smcal, somni, sreg, squared_loss,
                      train_mixture, vshaped_loss, witness_f_prime)
-from swapcal.core import affine_restricted
+from swapcal import metrics as metrics_mod
+from swapcal.batch import _bucket_weights
+from swapcal.core import affine_restricted, post_process
 from swapcal.harness import METRICS
-from swapcal.metrics import constrained_lstsq
+from swapcal.metrics import DEFAULT_LOSSES, constrained_lstsq
 
 
 def _random_transcript(rng, T, d, n):
@@ -136,7 +138,7 @@ def test_smcal_cancellation():
 def test_smcal_zero_function_class():
     rng = np.random.default_rng(2)
     tr = _random_transcript(rng, 40, 2, 3)
-    zero = finite_class([lambda X: np.zeros(np.atleast_2d(X).shape[0])])
+    zero = finite_class(np.zeros((1, 2)))
     assert smcal(tr, zero, 2).value == 0.0
 
 
@@ -186,7 +188,7 @@ def test_smcal_finite_matches_naive_loops():
     for _ in range(5):
         tr = _random_transcript(rng, 30, 2, 3)
         members = [LinearFn(rng.normal(size=2)) for _ in range(6)]
-        hc = finite_class(members)
+        hc = finite_class([f.theta for f in members])
         for q in (1, 2):
             got = smcal(tr, hc, q).value
             want = _naive_sup_metric(tr, members, q, pseudo=False)
@@ -294,7 +296,7 @@ def test_mcal_finite_matches_naive_and_sits_below_smcal():
     for _ in range(5):
         tr = _random_transcript(rng, 30, 2, 3)
         members = [LinearFn(rng.normal(size=2)) for _ in range(5)]
-        hc = finite_class(members)
+        hc = finite_class([f.theta for f in members])
         got = mcal(tr, hc, 2).value
         W = realized_weights(tr)
         z = tr.grid.points
@@ -467,7 +469,7 @@ def test_sreg_finite_class_matches_naive():
     rng = np.random.default_rng(15)
     tr = _random_transcript(rng, 30, 2, 3)
     members = [LinearFn(rng.normal(size=2) * 2) for _ in range(6)]
-    hc = finite_class(members)
+    hc = finite_class([f.theta for f in members])
     got = sreg(tr, hc).value
     W = realized_weights(tr)
     z = tr.grid.points
@@ -489,8 +491,7 @@ def test_bm_external_regrets_bound_pseudo_swap_regret():
     for trial in range(8):
         tr = _forecaster_transcript(rng, 80, 2, 3, seed=trial, keep_q=True)
         for hc in (linear_ball(4.0),
-                   finite_class([LinearFn(rng.normal(size=2))
-                                 for _ in range(5)])):
+                   finite_class([rng.normal(size=2) for _ in range(5)])):
             regs = bm_external_regrets(tr, hc)
             assert regs.shape == (4,)
             assert psreg(tr, hc).value <= float(np.sum(regs)) + 1e-8
@@ -544,7 +545,123 @@ def test_min_squared_cover_memory_bounded():
 
 
 # ---------------------------------------------------------------------------
+# enumerated classes: a finite class is its theta stack
+
+
+@pytest.mark.parametrize("d, eps, r", [(2, 0.1, 1.0), (3, 0.3, 2.0)])
+def test_finite_class_of_cover_thetas_matches_cover(d, eps, r):
+    """Finite and cover classes share one path: a finite class holding a
+    cover's thetas reports the cover's values on every report."""
+    rng = np.random.default_rng(40 + d)
+    cov = cover_class(eps, r)
+    fin = finite_class(cover_thetas(eps, r, d))
+    tr = _forecaster_transcript(rng, 150, d, 4, seed=d, keep_q=True)
+    for name in METRICS:
+        want = evaluate_metric(tr, name, hc=cov).value
+        assert evaluate_metric(tr, name, hc=fin).value == \
+            pytest.approx(want, rel=1e-12), name
+    np.testing.assert_allclose(bm_external_regrets(tr, fin),
+                               bm_external_regrets(tr, cov), rtol=1e-12)
+    spec = AdversarySpec("iid-logistic", noise=0.1)
+    mix = train_mixture(generate_stream(spec, 96, d, seed=d), 3, seed=d,
+                        stride=8)
+    test = generate_stream(spec, 40, d, seed=d + 1)
+    for draws in (None, 300):
+        for est in (estimate_saerr, estimate_dsmcal, estimate_dsomni):
+            want = est(mix, test, hc=cov, mc_draws=draws).value
+            assert est(mix, test, hc=fin, mc_draws=draws).value == \
+                pytest.approx(want, rel=1e-12), (est.__name__, draws)
+
+
+def test_finite_class_dimension_mismatch():
+    rng = np.random.default_rng(41)
+    tr = _forecaster_transcript(rng, 30, 2, 3, seed=0, keep_q=True)
+    wide = finite_class(np.ones((2, 3)))
+    for run in (lambda: smcal(tr, wide, 2), lambda: mcal(tr, wide, 2),
+                lambda: sreg(tr, wide), lambda: somni(tr, hc=wide),
+                lambda: bm_external_regrets(tr, wide)):
+        with pytest.raises(ValueError, match="dimension 3, the contexts "
+                                             "have d = 2"):
+            run()
+
+
+# ---------------------------------------------------------------------------
 # omniprediction
+
+
+def _dense_omni_gap(X, y, CW, z, losses, thetas):
+    """Per-cell omniprediction gaps and comparator table over explicit theta
+    members, one (members x T) evaluation per (cell, loss): the slow
+    oracle."""
+    vals = thetas @ X.T
+    gaps = np.zeros(len(CW))
+    achieved = np.zeros((len(CW), len(losses)))
+    for c in np.flatnonzero(CW.sum(axis=1) > 0):
+        w = CW[c]
+        best = -np.inf
+        for j, loss in enumerate(losses):
+            learner = float(np.sum(w * loss(post_process(loss, z[c]), y)))
+            comp = float(np.min(np.sum(w[None, :] * loss(vals, y[None, :]),
+                                       axis=1)))
+            achieved[c, j] = comp
+            best = max(best, learner - comp)
+        gaps[c] = best
+    return gaps, achieved
+
+
+_MENU = list(DEFAULT_LOSSES) + [custom_loss(lambda p, y: 0.5 * (p - y) ** 2,
+                                            lipschitz_bound=1.0)]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 1000])
+@pytest.mark.parametrize("kind", ["finite", "cover"])
+def test_omni_enumerated_matches_dense_evaluation(kind, chunk, monkeypatch):
+    """somni and dsomni over enumerated classes against the per-(cell,
+    loss) dense evaluation, with the member chunks of every size from one
+    member to all of them."""
+    if chunk is not None:
+        monkeypatch.setattr(metrics_mod, "OMNI_CHUNK", chunk)
+    rng = np.random.default_rng(42)
+    hc = finite_class(rng.normal(size=(13, 2)) * 0.6) if kind == "finite" \
+        else cover_class(0.2, 1.0)
+    thetas = hc.thetas if kind == "finite" else cover_thetas(0.2, 1.0, 2)
+    tr = _forecaster_transcript(rng, 200, 2, 4, seed=3)
+    rep = somni(tr, losses=_MENU, hc=hc)
+    gaps, achieved = _dense_omni_gap(
+        tr.contexts, tr.outcomes.astype(float), realized_weights(tr).T,
+        tr.grid.points, _MENU, thetas)
+    assert rep.value == pytest.approx(float(np.sum(gaps)), rel=1e-12)
+    np.testing.assert_allclose(rep.extras["per_cell_gap"], gaps, rtol=1e-12,
+                               atol=1e-12)
+    np.testing.assert_allclose(rep.extras["achieved_comparator_loss"],
+                               achieved, rtol=1e-12, atol=1e-12)
+    spec = AdversarySpec("iid-logistic", noise=0.1)
+    mix = train_mixture(generate_stream(spec, 96, 2, seed=4), 3, seed=4,
+                        stride=8)
+    X, y = generate_stream(spec, 40, 2, seed=5)
+    for draws in (None, 300):
+        V, _ = _bucket_weights(mix, X, draws, 0)
+        gaps, _ = _dense_omni_gap(X, y.astype(float), V, mix.grid.points,
+                                  _MENU, thetas)
+        got = estimate_dsomni(mix, (X, y), losses=_MENU, hc=hc,
+                              mc_draws=draws).value
+        assert got == pytest.approx(float(np.sum(gaps)), rel=1e-12)
+
+
+def test_somni_cover_memory_bounded():
+    """somni over cover:0.05 (1681 members) at T = 4096, d = 2 fills its
+    (cells x losses) comparator table in member chunks, never holding a
+    (members x T) matrix (1681 x 4096 floats, 55 MB, several at once)."""
+    import tracemalloc
+
+    tr = _random_transcript(np.random.default_rng(13), 4096, 2, 9)
+    tracemalloc.start()
+    try:
+        somni(tr, hc=cover_class(0.05, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_somni_squared_menu_matches_exact_minimum():
@@ -615,7 +732,8 @@ def test_somni_finite_class_enumeration():
     rng = np.random.default_rng(21)
     tr = _random_transcript(rng, 30, 2, 2)
     members = [LinearFn(rng.normal(size=2) * 0.4) for _ in range(4)]
-    rep = somni(tr, losses=[absolute_loss()], hc=finite_class(members))
+    rep = somni(tr, losses=[absolute_loss()],
+                hc=finite_class([f.theta for f in members]))
     W = realized_weights(tr)
     z = tr.grid.points
     ab = absolute_loss()
