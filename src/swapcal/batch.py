@@ -161,8 +161,8 @@ def _bucket_weights(mix, X, mc_draws, seed):
 
     mc_draws=None averages every snapshot's conditional cell weights over
     the test points exactly (total mass 1); an integer runs that many
-    Monte-Carlo draws of (test point, snapshot, uniform), made in that order
-    and then committed one snapshot at a time.
+    Monte-Carlo draws of (test point, snapshot, uniform), drawn as three
+    arrays in that order and then committed one snapshot at a time.
     """
     M = len(X)
     V = np.zeros((mix.grid.size, M))
@@ -175,9 +175,9 @@ def _bucket_weights(mix, X, mc_draws, seed):
         raise ValueError("mc_draws must be positive (or None for exhaustive)")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     draws = int(mc_draws)
-    xi, snap, u = np.array([(rng.integers(M), select_snapshot(mix, rng),
-                             rng.random()) for _ in range(draws)]).T
-    xi, snap = xi.astype(int), snap.astype(int)
+    xi = rng.integers(M, size=draws)
+    snap = rng.integers(mix.size, size=draws)
+    u = rng.random(draws)
     for t in np.unique(snap):
         mine = snap == t
         points, back = np.unique(xi[mine], return_inverse=True)

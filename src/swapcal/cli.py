@@ -38,7 +38,8 @@ def build_parser():
     sim = sub.add_parser("simulate", help="run the forecaster on a synthetic "
                                           "or csv stream")
     sim.add_argument("--adversary", required=True,
-                     choices=["iid-logistic", "iid-bernoulli", "csv"])
+                     choices=["iid-logistic", "iid-bernoulli",
+                              "anti-calibration", "csv"])
     sim.add_argument("--T", type=int, required=True, help="horizon")
     sim.add_argument("--d", type=int, required=True, help="context dimension")
     sim.add_argument("--N", default="auto-smcal",

@@ -273,9 +273,10 @@ def post_process(loss, q):
     """Best response to a Bernoulli(q) outcome under the given loss.
 
     Returns argmin_p q*ell(p,1) + (1-q)*ell(p,0). Squared loss gives q
-    itself; absolute loss thresholds at 1/2 (returning 1 on the boundary);
-    everything else is minimized over a grid of step 1e-4, ties broken toward
-    the lowest p.
+    itself; absolute loss thresholds at 1/2 (returning 1 on the boundary); a
+    V-shaped loss has expected loss (v - q) sign(p - v), so its lowest
+    minimizer is v when q > v and 0 otherwise; custom losses are minimized
+    over a grid of step 1e-4, ties broken toward the lowest p.
     """
     q = float(q)
     if not (0.0 <= q <= 1.0):
@@ -284,6 +285,8 @@ def post_process(loss, q):
         return q
     if loss.kind == "absolute":
         return 1.0 if q >= 0.5 else 0.0
+    if loss.kind == "vshaped":
+        return loss.v if q > loss.v else 0.0
     vals = q * loss(_POST_GRID, 1) + (1.0 - q) * loss(_POST_GRID, 0)
     return float(_POST_GRID[int(np.argmin(vals))])
 

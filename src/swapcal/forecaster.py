@@ -56,8 +56,8 @@ def rround(w, grid):
     entries.
     """
     w = np.asarray(w, dtype=float)
-    ok = (w >= 0.0) & (w <= 1.0)
-    if not ok.all():
+    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=1.0) <= 1.0):
+        ok = (w >= 0.0) & (w <= 1.0)  # NaN fails both
         raise ValueError(f"value {w[~ok].flat[0]} outside [0, 1]")
     n = grid.n
     scaled = w.ravel() * n
@@ -70,7 +70,7 @@ def rround(w, grid):
     flat = q.reshape(-1, n + 2)
     flat[rows, idx] = 1.0 - frac
     flat[rows, idx + 1] = frac
-    return q[:n + 1] if w.ndim == 0 else np.swapaxes(q[..., :n + 1], -1, -2)
+    return q[:n + 1] if w.ndim == 0 else q[..., :n + 1].swapaxes(-1, -2)
 
 
 def commit_round(thetas, x, grid):
@@ -86,7 +86,7 @@ def commit_round(thetas, x, grid):
 def sample_cell(P, u):
     """The grid cell each row of P (..., K) draws with the uniform u (...):
     searchsorted(cumsum(P), u, "right"), clipped to the last cell."""
-    hits = np.cumsum(P, axis=-1) <= np.asarray(u)[..., None]
+    hits = P.cumsum(axis=-1) <= np.asarray(u)[..., None]
     return np.minimum(hits.sum(axis=-1), P.shape[-1] - 1)
 
 
@@ -138,8 +138,8 @@ class BmForecaster:
         stationary weight out.cond_dist[i], in ascending cell order."""
         x = np.asarray(x, dtype=float)
         y = validate_outcome(y)
-        self.learners = [ons_step(s, x, float(p), y)
-                         for s, p in zip(self.learners, out.cond_dist)]
+        self.learners = [ons_step(s, x, p, y)
+                         for s, p in zip(self.learners, out.cond_dist.tolist())]
 
 
 def run_online(forecaster, stream, keep_q=True):

@@ -15,6 +15,7 @@ from .errors import NumericFailure
 STATIONARY_TOL = 1e-8
 RIDGE_TOL = 1e-9
 RIDGE_MAX_ITER = 200
+_EPS = np.finfo(float).eps
 
 
 def check_column_stochastic(Q, tol=1e-9):
@@ -23,12 +24,13 @@ def check_column_stochastic(Q, tol=1e-9):
     Q = np.asarray(Q, dtype=float)
     if Q.ndim < 2 or Q.shape[-1] != Q.shape[-2] or Q.shape[-1] < 1:
         raise ValueError("matrix must be square and non-empty")
-    if not np.isfinite(Q).all():
-        raise ValueError("matrix has non-finite entries")
-    if Q.min(initial=0.0) < -1e-12:
-        raise ValueError(f"matrix has negative entry {Q.min()}")
+    # a non-finite entry makes its column sum non-finite: diagnose on failure
     err = float(abs(Q.sum(axis=-2) - 1.0).max(initial=0.0))
-    if err > tol:
+    if not (err <= tol and Q.min(initial=0.0) >= -1e-12):
+        if not np.isfinite(Q).all():
+            raise ValueError("matrix has non-finite entries")
+        if Q.min() < -1e-12:
+            raise ValueError(f"matrix has negative entry {Q.min()}")
         raise ValueError(f"columns must sum to 1 within {tol}, worst error {err}")
     return Q
 
@@ -56,14 +58,16 @@ def stationary_distribution(Q, tol=STATIONARY_TOL):
     """
     Q = check_column_stochastic(Q)
     K = Q.shape[-1]
-    eps = np.finfo(float).eps
-    A = np.ones(Q.shape[:-2] + (K + 1, K))
-    A[..., :K, :] = Q - np.eye(K)
+    A = np.empty(Q.shape[:-2] + (K + 1, K))
+    A[..., :K, :] = Q
+    A[..., K, :] = 1.0
+    # the diagonal of the (K+1, K) block is every (K+1)-th flat entry
+    A.reshape(Q.shape[:-2] + ((K + 1) * K,))[..., :K * K:K + 1] -= 1.0
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     # min-norm solution: sum_i (u_i[K] / s_i) v_i over the kept s_i
-    c = U[..., K, :] / np.where(s > (K + 1) * eps * s[..., :1], s, np.inf)
+    c = U[..., K, :] / np.where(s > (K + 1) * _EPS * s[..., :1], s, np.inf)
     p = (c[..., None, :] @ Vh)[..., 0, :]
-    p[p <= K * eps] = 0.0
+    p[p <= K * _EPS] = 0.0
     p /= p.sum(axis=-1, keepdims=True)
     resid = float(abs((Q @ p[..., None])[..., 0] - p).max(initial=0.0))
     if not resid <= tol:
@@ -84,11 +88,11 @@ def sherman_morrison_update(M, g):
         raise ValueError("shape mismatch in rank-one update")
     Mg = M @ g
     denom = 1.0 + float(g @ Mg)
-    if not np.isfinite(denom) or denom <= 0.0:
+    if not 0.0 < denom < np.inf:  # also false for NaN
         raise NumericFailure(f"rank-one update denominator {denom} is not positive")
-    out = M - np.outer(Mg, Mg) / denom
+    out = M - Mg[:, None] * Mg / denom
     out = 0.5 * (out + out.T)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericFailure("rank-one update produced non-finite entries")
     return out
 
@@ -105,7 +109,7 @@ def ridge_to_sphere(A, b, radius):
     carrying the gap, if no iterate comes within 1e-6 in RIDGE_MAX_ITER
     halvings."""
     ev, V = np.linalg.eigh(A)
-    live = ev > len(b) * np.finfo(float).eps * ev[-1]
+    live = ev > len(b) * _EPS * ev[-1]
     ev, V = ev[live], V[:, live]
     Vb = V.T @ b
     u = V @ (Vb / ev)

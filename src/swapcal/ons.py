@@ -11,7 +11,8 @@ States are immutable; ons_step returns a fresh state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +69,8 @@ def ons_step(state, x, alpha, y):
     everything but the round counter untouched.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (state.dim,):
+    theta = state.theta
+    if x.shape != theta.shape:
         raise ValueError(f"context dimension {x.shape} does not match state "
                          f"dimension {state.dim}")
     if not (0.0 <= alpha <= 1.0):
@@ -76,16 +78,15 @@ def ons_step(state, x, alpha, y):
     if y not in (0, 0.0, 1, 1.0):
         raise ValueError(f"outcome must be 0 or 1, got {y!r}")
     if alpha == 0.0:
-        return replace(state, rounds_seen=state.rounds_seen + 1)
-    g = (2.0 * alpha * (float(np.dot(state.theta, x)) - y)) * x
+        return OnsState(theta, state.inv_curvature, state.rounds_seen + 1)
+    g = (2.0 * alpha * (float(theta @ x) - y)) * x
     inv_new = sherman_morrison_update(state.inv_curvature, g)
-    theta_new = state.theta - (inv_new @ g) / BETA
-    if float(np.linalg.norm(theta_new)) > RADIUS:
+    theta_new = theta - (inv_new @ g) / BETA
+    if math.sqrt(theta_new @ theta_new) > RADIUS:
         theta_new = project_ball_a_norm(theta_new, inv_new, RADIUS)
     theta_new.flags.writeable = False
     inv_new.flags.writeable = False
-    return OnsState(theta=theta_new, inv_curvature=inv_new,
-                    rounds_seen=state.rounds_seen + 1)
+    return OnsState(theta_new, inv_new, state.rounds_seen + 1)
 
 
 def alg_predict(state, x):

@@ -201,19 +201,20 @@ def test_bucket_weights_frozen_values():
 
 def test_bucket_weights_monte_carlo_matches_per_draw_loop():
     """Draws grouped by snapshot give the same counts as committing each
-    draw on its own, in the same (test point, snapshot, uniform) rng order."""
+    draw on its own, reading the same (test point, snapshot, uniform)
+    arrays from the seeded generator."""
     rng = np.random.default_rng(16)
     mix = train_mixture(_stream(rng, 14), 3, seed=3, stride=2)
     X, _ = _stream(rng, 6)
     V, _ = _bucket_weights(mix, X, 2000, seed=21)
     draw = np.random.Generator(np.random.PCG64(np.random.SeedSequence(21)))
+    xis = draw.integers(len(X), size=2000)
+    snaps = draw.integers(mix.size, size=2000)
+    us = draw.random(2000)
     want = np.zeros_like(V)
-    for _ in range(2000):
-        xi = int(draw.integers(len(X)))
-        t = select_snapshot(mix, draw)
-        cum = np.cumsum(mix.cond_dist(t, X[xi]))
-        cell = min(int(np.searchsorted(cum, draw.random(), side="right")),
-                   mix.grid.n)
+    for xi, t, u in zip(xis, snaps, us):
+        cum = np.cumsum(mix.cond_dist(int(t), X[xi]))
+        cell = min(int(np.searchsorted(cum, u, side="right")), mix.grid.n)
         want[cell, xi] += 1.0
     np.testing.assert_array_equal(V, want / 2000)
 

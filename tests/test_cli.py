@@ -43,6 +43,21 @@ def test_simulate_explicit_n_and_slim(tmp_path):
     assert len(lines) == 21
 
 
+def test_simulate_anti_calibration_reads_back(tmp_path):
+    from swapcal import AdversarySpec, Transcript, simulate_run
+    out = tmp_path / "tr.jsonl"
+    proc = run_cli("simulate", "--adversary", "anti-calibration", "--T", "30",
+                   "--d", "2", "--N", "3", "--seed", "5", "--out", str(out))
+    assert json.loads(proc.stdout)["N"] == 3
+    tr = Transcript.read_jsonl(out)
+    np.testing.assert_array_equal(tr.outcomes, np.arange(30) % 2)
+    want = simulate_run(AdversarySpec(kind="anti-calibration"), 30, 2, 3,
+                        seed=5)
+    np.testing.assert_array_equal(tr.contexts, want.contexts)
+    np.testing.assert_array_equal(tr.cond_dists, want.cond_dists)
+    np.testing.assert_array_equal(tr.sampled_indices, want.sampled_indices)
+
+
 def test_simulate_csv_records_scale(tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("\n".join("2.0,1" if i % 2 else "1.0,0"

@@ -213,6 +213,23 @@ def test_post_process_matches_grid_minimum():
             assert float(obj(np.array([k]))[0]) <= best + 1e-12
 
 
+def _grid_post_process(loss, q, grid=np.linspace(0.0, 1.0, 10001)):
+    """The lowest minimizer of the expected loss over a 1e-4 grid."""
+    return float(grid[int(np.argmin(q * loss(grid, 1) + (1 - q) * loss(grid, 0)))])
+
+
+def test_post_process_vshaped_closed_form_matches_grid():
+    qs = np.linspace(0.0, 1.0, 401)
+    for v in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 0.33333, 0.123456):
+        loss = vshaped_loss(v)
+        for q in qs:
+            k, want = post_process(loss, float(q)), _grid_post_process(loss, q)
+            assert k == (v if q > v else 0.0)
+            assert loss(k, 1) == loss(want, 1) and loss(k, 0) == loss(want, 0)
+            if v * 10000 == round(v * 10000):   # v is a grid point
+                assert k == want, (v, q)
+
+
 def test_post_process_breaks_ties_low():
     flat = custom_loss(lambda p, y: np.zeros_like(np.asarray(p, dtype=float)),
                        lipschitz_bound=1.0)

@@ -1,5 +1,7 @@
-"""Smoke test: the demo scripts run to completion against the package."""
+"""Smoke tests: the demo scripts and the round benchmark tool run to
+completion against the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +25,22 @@ def test_demo_runs(script, args):
                           env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_bench_round_runs(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_round.py"),
+                           "--src", str(ROOT / "src"), "--label", "a",
+                           "--src", str(ROOT / "src"), "--label", "b",
+                           "--reps", "1", "--out", str(out)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["machine"]["cpu_count"] >= 1 and doc["machine"]["numpy"]
+    kernels = {"stationary_distribution", "rround", "sample_cell",
+               "commit_round", "ons_step_alpha_pos", "ons_step_alpha_zero",
+               "sherman_morrison_update", "round_d2_n4", "round_d5_n7"}
+    for label in ("a", "b"):
+        assert set(doc["results"][label]) == kernels
+        assert all(v["min_us"] > 0 for v in doc["results"][label].values())
+    assert set(doc["median_ratio_to_a"]["b"]) == kernels

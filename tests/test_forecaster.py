@@ -120,6 +120,16 @@ def test_rround_rejects_out_of_range():
         rround(float("nan"), make_grid(2))
     with pytest.raises(ValueError):
         rround(np.array([0.2, -0.1]), make_grid(2))
+    # the message names the first bad value in C order
+    g = make_grid(3)
+    with pytest.raises(ValueError, match=r"value -0\.1 outside"):
+        rround(np.array([0.2, -0.1, 1.5]), g)
+    with pytest.raises(ValueError, match=r"value 1\.5 outside"):
+        rround(np.array([[0.2, 1.5], [-0.1, 0.3]]), g)
+    with pytest.raises(ValueError, match="value nan outside"):
+        rround(np.array([0.2, np.nan, -0.1]), g)
+    with pytest.raises(ValueError, match="value inf outside"):
+        rround(np.inf, g)
 
 
 def test_fresh_forecaster_commits_point_mass_at_zero():

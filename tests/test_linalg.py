@@ -21,6 +21,26 @@ def test_check_column_stochastic():
         check_column_stochastic(np.ones((2, 3)))
 
 
+def test_check_column_stochastic_names_each_fault():
+    good = np.array([[0.3, 1.0], [0.7, 0.0]])
+    for stack in (False, True):
+        for bad_value, message in ((np.nan, "non-finite"),
+                                   (np.inf, "non-finite"),
+                                   (-np.inf, "non-finite"),
+                                   (-0.1, "negative entry -0.1"),
+                                   (0.2, "columns must sum")):
+            Q = good.copy()
+            Q[0, 0] = bad_value
+            if bad_value == -0.1:
+                Q[1, 0] = 1.1   # columns still sum to 1
+            if stack:
+                Q = np.array([good, Q, good])
+            with pytest.raises(ValueError, match=message):
+                check_column_stochastic(Q)
+    # a tiny negative entry within -1e-12 is roundoff, not a fault
+    check_column_stochastic(np.array([[-1e-13, 0.0], [1.0 + 1e-13, 1.0]]))
+
+
 def test_stationary_known_chains():
     # constant columns: the column itself is stationary
     p = stationary_distribution(np.array([[0.4, 0.4], [0.6, 0.6]]))
@@ -147,9 +167,14 @@ def test_sherman_morrison_tracks_dense_inverse():
 
 def test_sherman_morrison_failure_modes():
     with pytest.raises(NumericFailure):
-        sherman_morrison_update(-np.eye(2), np.array([1.0, 0.0]))
-    with pytest.raises(NumericFailure):
         sherman_morrison_update(np.eye(2) * np.nan, np.array([1.0, 0.0]))
+    # denominator 1 + g^T M g: zero, negative, NaN, +inf
+    for M, g in ((-np.eye(2), np.array([1.0, 0.0])),
+                 (-2.0 * np.eye(2), np.array([1.0, 0.0])),
+                 (np.eye(2), np.array([np.nan, 0.0])),
+                 (np.diag([np.inf, 1.0]), np.array([1.0, 0.0]))):
+        with pytest.raises(NumericFailure, match="denominator"):
+            sherman_morrison_update(M, g)
 
 
 def _oracle_project(theta, A, radius, grid=4_000_000):

@@ -39,6 +39,13 @@ def test_zero_mass_round_is_identity_up_to_counter():
     np.testing.assert_array_equal(st1.theta, st0.theta)
     np.testing.assert_array_equal(st1.inv_curvature, st0.inv_curvature)
     assert st1.rounds_seen == 1
+    # after a real step too: the same read-only arrays, counter advanced
+    st2 = ons_step(st0, np.array([0.5, 0.3]), 1.0, 1)
+    st3 = ons_step(st2, np.array([0.5, -0.2]), 0.0, 0)
+    assert st3.theta is st2.theta and st3.inv_curvature is st2.inv_curvature
+    assert not st3.theta.flags.writeable
+    assert not st3.inv_curvature.flags.writeable
+    assert st3.rounds_seen == 2
 
 
 def test_step_is_functional():

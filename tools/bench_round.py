@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Time one forecaster round, layer by layer, for one or more source trees.
+
+    python tools/bench_round.py --src src --label change
+    python tools/bench_round.py --src OLD/src --label parent \
+        --src src --label change --reps 7 --out BENCH_round.json
+
+Each source tree is timed in its own worker process, which imports swapcal
+from that tree only. The workers of the trees alternate, rep by rep, so a
+machine whose speed drifts slows every tree alike. A worker replays a fixed
+iid-logistic stream (seed 0, noise 0.1, d = 5, N = 7): 256 warm-up rounds,
+then the inputs of the next 256 rounds are recorded and each kernel is timed
+on them, in microseconds per call, as the best of three passes:
+
+- stationary_distribution, rround, sample_cell and commit_round, once per
+  round;
+- ons_step with alpha > 0 and with alpha = 0, once per (round, cell);
+- sherman_morrison_update on the alpha > 0 pairs.
+
+It then times whole rounds (predict + update) of a fresh forecaster over
+1024 rounds at (d = 2, N = 4) and (d = 5, N = 7), in microseconds per round.
+The result holds, per label, the median and the minimum over the reps, and
+the ratio of each later label's median to the first one's, with the core
+count and the Python and numpy versions. Only numpy and the source trees are
+needed.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+WARMUP, RECORD, ROUND_T, PASSES = 256, 256, 1024, 3
+ROUND_SHAPES = ((2, 4), (5, 7))
+
+
+def _best_us(fn, args_list):
+    """Best over PASSES of the mean time per call of fn over args_list."""
+    best = float("inf")
+    for _ in range(PASSES):
+        t0 = time.perf_counter_ns()
+        for args in args_list:
+            fn(*args)
+        best = min(best, (time.perf_counter_ns() - t0) / len(args_list))
+    return best / 1e3
+
+
+def worker(src):
+    """Time every kernel once from the source tree src; return {name: us}."""
+    sys.path.insert(0, os.path.abspath(src))
+    from swapcal import (AdversarySpec, BmForecaster, generate_stream,
+                         make_grid, ons_step, rround, sherman_morrison_update,
+                         stationary_distribution)
+    from swapcal.forecaster import commit_round, sample_cell
+
+    spec = AdversarySpec(kind="iid-logistic", noise=0.1)
+    X, y = generate_stream(spec, WARMUP + RECORD, 5, seed=0)
+    fc = BmForecaster(make_grid(7), 5, seed=0)
+    grid = fc.grid
+    rows = {k: [] for k in ("stat", "rround", "sample", "commit", "step",
+                            "step0", "sm")}
+    for t in range(WARMUP + RECORD):
+        x, yt = X[t], int(y[t])
+        if t >= WARMUP:
+            thetas = fc.thetas
+            w, Q, P = commit_round(thetas, x, grid)
+            rows["stat"].append((Q,))
+            rows["rround"].append((w, grid))
+            rows["sample"].append((P, float(t % 97) / 97.0))
+            rows["commit"].append((thetas, x, grid))
+            for s, p in zip(fc.learners, P.tolist()):
+                rows["step" if p > 0.0 else "step0"].append((s, x, p, yt))
+                if p > 0.0:
+                    g = (2.0 * p * (float(s.theta @ x) - yt)) * x
+                    rows["sm"].append((s.inv_curvature, g))
+        fc.update(fc.predict(x), yt, x)
+
+    out = {
+        "stationary_distribution": _best_us(stationary_distribution,
+                                            rows["stat"]),
+        "rround": _best_us(rround, rows["rround"]),
+        "sample_cell": _best_us(sample_cell, rows["sample"]),
+        "commit_round": _best_us(commit_round, rows["commit"]),
+        "ons_step_alpha_pos": _best_us(ons_step, rows["step"]),
+        "ons_step_alpha_zero": _best_us(ons_step, rows["step0"]),
+        "sherman_morrison_update": _best_us(sherman_morrison_update,
+                                            rows["sm"]),
+    }
+    for d, n in ROUND_SHAPES:
+        Xr, yr = generate_stream(spec, ROUND_T, d, seed=1)
+        best = float("inf")
+        for _ in range(PASSES):
+            fc = BmForecaster(make_grid(n), d, seed=1)
+            t0 = time.perf_counter_ns()
+            for x, yt in zip(Xr, yr.tolist()):
+                fc.update(fc.predict(x), yt, x)
+            best = min(best, (time.perf_counter_ns() - t0) / ROUND_T)
+        out[f"round_d{d}_n{n}"] = best / 1e3
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", action="append", required=True,
+                    help="source tree holding the swapcal package; repeat "
+                         "to compare trees")
+    ap.add_argument("--label", action="append", default=None,
+                    help="name of each --src in the output (default: the "
+                         "path)")
+    ap.add_argument("--reps", type=int, default=5,
+                    help="worker runs per tree")
+    ap.add_argument("--out", default=None, help="JSON output path")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(args.src[0])))
+        return 0
+    labels = args.label or args.src
+    if len(labels) != len(args.src) or args.reps < 1:
+        ap.error("give one --label per --src and --reps >= 1")
+
+    runs = {label: [] for label in labels}
+    for rep in range(args.reps):
+        for src, label in zip(args.src, labels):
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--worker",
+                 "--src", src], capture_output=True, text=True, check=True)
+            runs[label].append(json.loads(proc.stdout))
+            print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr)
+
+    kernels = list(runs[labels[0]][0])
+    results = {label: {k: {"median_us": statistics.median(r[k] for r in rs),
+                           "min_us": min(r[k] for r in rs)}
+                       for k in kernels}
+               for label, rs in runs.items()}
+    doc = {
+        "machine": {"cpu_count": os.cpu_count(),
+                    "usable_cpus": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "method": {"reps": args.reps, "passes": PASSES, "warmup": WARMUP,
+                   "recorded_rounds": RECORD, "round_T": ROUND_T,
+                   "stream": "iid-logistic noise 0.1, d 5, N 7, seed 0",
+                   "unit": "us per call (round_*: us per round), best of "
+                           "passes within a worker, median and min over "
+                           "reps"},
+        "results": results,
+    }
+    if len(labels) > 1:
+        base = results[labels[0]]
+        doc["median_ratio_to_" + labels[0]] = {
+            label: {k: round(results[label][k]["median_us"]
+                             / base[k]["median_us"], 4) for k in kernels}
+            for label in labels[1:]}
+    text = json.dumps(doc, indent=2)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
