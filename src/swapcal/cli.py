@@ -86,8 +86,8 @@ def build_parser():
     bat.add_argument("--seed", type=int, default=0)
     bat.add_argument("--report", required=True, choices=list(BATCH_REPORTS))
     bat.add_argument("--draws", type=int, default=None,
-                     help="Monte Carlo draws per test point (default: "
-                          "average over snapshots exactly)")
+                     help="Monte Carlo draws in total, over all test "
+                          "points (default: average over snapshots exactly)")
     bat.add_argument("--stride", type=int, default=1,
                      help="keep every stride-th snapshot")
     bat.add_argument("--test-T", type=int, default=None,

@@ -179,12 +179,15 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc, iters=500, restarts=0,
 
     Returns (gaps (n_cells,), achieved comparator losses (n_cells, losses),
     note); empty cells get 0. Enumerated classes fill the comparator table
-    by _least_member_losses. The affine-restricted inner minimization runs
-    projected subgradient descent per (cell, loss) (step 1/sqrt(k),
-    best-iterate tracking, optional random restarts) and stops at a zero
+    by _least_member_losses. The affine-restricted inner minimization is
+    _min_affine_res: projected subgradient descent (step 1/sqrt(k),
+    best-iterate tracking, `restarts` random restarts) that stops at a zero
     subgradient, so a V-shaped loss, whose derivative is 0, stays at its
-    start points.
+    start points. iters and restarts must be non-negative integers.
     """
+    for name, n in (("iters", iters), ("restarts", restarts)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
     nz = CW.sum(axis=1) > 0
     if hc.enumerated:
         thetas, note = _members(hc, X.shape[1], cap)
@@ -195,10 +198,8 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc, iters=500, restarts=0,
                 "stops at a zero subgradient, so V-shaped losses stay at "
                 "their start points)")
         achieved = np.zeros((len(CW), len(losses)))
-        for c in np.flatnonzero(nz):
-            for j, loss in enumerate(losses):
-                achieved[c, j] = _min_affine_res(loss, X, CW[c], y, iters=iters,
-                                                 restarts=restarts, rng=rng)
+        achieved[nz] = _min_affine_res(losses, X, CW[nz], y, iters, restarts,
+                                       rng)
     else:
         raise ValueError(
             f"omniprediction comparator must be affine-restricted or an "
@@ -226,38 +227,52 @@ def _least_member_losses(thetas, X, y, CW, losses):
     return best
 
 
-def _min_affine_res(loss, X, w, y, iters=500, restarts=0, rng=None):
-    """Projected subgradient minimization of the CW-weighted loss of
-    f_theta(x) = (1 + <theta, x>)/2 over the unit theta ball. Returns the best
-    objective value seen over all iterates and restarts; a start stops at an
-    exactly zero subgradient, whose later iterates would all repeat it."""
-    nz = w > 0
-    Xc, wc, yc = X[nz], w[nz], y[nz]
-    d = X.shape[1]
-    if len(wc) == 0:
-        return 0.0
-    starts = [np.zeros(d)]
-    for _ in range(restarts):
+def _min_affine_res(losses, X, W, y, iters, restarts, rng):
+    """Projected subgradient minimization of the W-weighted loss of
+    f_theta(x) = (1 + <theta, x>)/2 over the unit theta ball, for every row of
+    W (each of positive mass) and every loss: the (rows, losses) table of the
+    best objective seen over all iterates and starts: theta = 0 and `restarts`
+    random points of the ball, drawn from rng in (row, loss, restart) order.
+    Each loss runs one descent that steps all (row, start) pairs together on
+    a flat, pair-major array of each row's positive-weight points. A pair
+    stops at an exactly zero subgradient, whose later iterates would all
+    repeat it; only the pairs still moving are projected."""
+    C, d, S = len(W), X.shape[1], restarts + 1
+    starts = np.zeros((S, C, len(losses), d))
+    for c, j, s in np.ndindex(C, len(losses), restarts):
         v = rng.normal(size=d)
         nv = np.linalg.norm(v)
         if nv > 0:
             v = v / nv * rng.random() ** (1.0 / d)
-        starts.append(v)
-    best = np.inf
-    for th in starts:
+        starts[s + 1, c, j] = v
+    rows, cols = np.nonzero(W)
+    lens = np.tile(np.bincount(rows, minlength=C), S)
+    offsets = np.cumsum(lens) - lens
+    # f_theta(x) = 1/2 + <theta, x/2>: one row of XT per coordinate of x/2
+    XT, yf, wf = np.tile(0.5 * X[cols].T, S), np.tile(y[cols], S), \
+        np.tile(W[rows, cols], S)
+    wXT = wf * XT
+    out = np.empty((C, len(losses)))
+    for j, loss in enumerate(losses):
+        th = starts[:, :, j].reshape(S * C, d)
+        best = np.full(S * C, np.inf)
+        live = np.ones(S * C, dtype=bool)
         for k in range(1, iters + 2):
-            p = 0.5 * (1.0 + Xc @ th)
-            best = min(best, float(np.sum(wc * loss(p, yc))))
+            p = sum((x * np.repeat(t, lens) for x, t in zip(XT, th.T)), 0.5)
+            np.minimum(best, np.add.reduceat(wf * loss(p, yf), offsets),
+                       out=best)
             if k > iters:
                 break
-            g = 0.5 * (Xc.T @ (wc * loss.deriv(p, yc)))
-            if not g.any():
+            dv = loss.deriv(p, yf)
+            g = np.column_stack([np.add.reduceat(dv * x, offsets) for x in wXT])
+            live &= g.any(axis=1)
+            if not live.any():
                 break
-            th = th - g / np.sqrt(k)
-            nrm = float(np.linalg.norm(th))
-            if nrm > 1.0:
-                th = th / nrm
-    return best
+            th -= g / np.sqrt(k)    # a stopped pair's g is 0: it stays put
+            nrm = np.linalg.norm(th, axis=1)
+            th /= np.where(live & (nrm > 1.0), nrm, 1.0)[:, None]
+        out[:, j] = best.reshape(S, C).min(axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------

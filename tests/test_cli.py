@@ -160,6 +160,17 @@ def test_batch_reports(tmp_path):
         assert np.isfinite(rep["value"])
 
 
+def test_batch_draws_are_a_total():
+    """--draws counts Monte-Carlo draws over all test points, as its help
+    says: 40 draws on 8 test points report 40, not 320."""
+    proc = run_cli("batch", "--train", "iid-logistic", "--test",
+                   "iid-logistic", "--T", "60", "--seed", "3", "--report",
+                   "dsmcal2", "--test-T", "8", "--draws", "40")
+    assert "plug-in Monte-Carlo, 40 draws" in json.loads(proc.stdout)["notes"]
+    usage = run_cli("batch", "--help").stdout
+    assert "draws in total" in " ".join(usage.split())
+
+
 def test_batch_csv_paths(tmp_path):
     data = tmp_path / "d.csv"
     rng = np.random.default_rng(0)

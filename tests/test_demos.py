@@ -39,7 +39,8 @@ def test_bench_round_runs(tmp_path):
     assert doc["machine"]["cpu_count"] >= 1 and doc["machine"]["numpy"]
     kernels = {"stationary_distribution", "rround", "sample_cell",
                "commit_round", "ons_step_alpha_pos", "ons_step_alpha_zero",
-               "sherman_morrison_update", "round_d2_n4", "round_d5_n7"}
+               "sherman_morrison_update", "round_d2_n4", "round_d5_n7",
+               "omni_somni_T4096", "omni_dsomni_M32"}
     for label in ("a", "b"):
         assert set(doc["results"][label]) == kernels
         assert all(v["min_us"] > 0 for v in doc["results"][label].values())

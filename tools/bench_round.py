@@ -18,7 +18,15 @@ on them, in microseconds per call, as the best of three passes:
 - sherman_morrison_update on the alpha > 0 pairs.
 
 It then times whole rounds (predict + update) of a fresh forecaster over
-1024 rounds at (d = 2, N = 4) and (d = 5, N = 7), in microseconds per round.
+1024 rounds at (d = 2, N = 4) and (d = 5, N = 7), in microseconds per round,
+and metrics.per_cell_omni_gap (affine class, default loss menu, 500
+iterations, no restarts), in microseconds per call, on two fixed inputs:
+
+- somni-shaped: realized weights of a T = 4096, d = 2 iid-logistic
+  transcript (seed 3, N = choose_n(4096, 2, "smcal"));
+- dsomni-shaped: exhaustive bucket weights of a mixture trained on
+  T = 512 rounds (stride 8, seed 10) over M = 32 test points (seed 11).
+
 The result holds, per label, the median and the minimum over the reps, and
 the ratio of each later label's median to the first one's, with the core
 count and the Python and numpy versions. Only numpy and the source trees are
@@ -56,8 +64,12 @@ def worker(src):
     sys.path.insert(0, os.path.abspath(src))
     from swapcal import (AdversarySpec, BmForecaster, generate_stream,
                          make_grid, ons_step, rround, sherman_morrison_update,
-                         stationary_distribution)
-    from swapcal.forecaster import commit_round, sample_cell
+                         simulate_run, stationary_distribution, train_mixture)
+    from swapcal.batch import _bucket_weights
+    from swapcal.core import affine_restricted
+    from swapcal.forecaster import choose_n, commit_round, sample_cell
+    from swapcal.metrics import (DEFAULT_LOSSES, per_cell_omni_gap,
+                                 realized_weights)
 
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     X, y = generate_stream(spec, WARMUP + RECORD, 5, seed=0)
@@ -102,6 +114,22 @@ def worker(src):
                 fc.update(fc.predict(x), yt, x)
             best = min(best, (time.perf_counter_ns() - t0) / ROUND_T)
         out[f"round_d{d}_n{n}"] = best / 1e3
+
+    tr = simulate_run(spec, 4096, 2, choose_n(4096, 2, "smcal"), seed=3)
+    mix = train_mixture(generate_stream(spec, 512, 2, seed=10),
+                        choose_n(512, 2, "smcal"), seed=10, stride=8)
+    Xm, ym = generate_stream(spec, 32, 2, seed=11)
+    omni_inputs = {
+        "omni_somni_T4096": (tr.contexts, tr.outcomes.astype(float),
+                             realized_weights(tr).T, tr.grid.points),
+        "omni_dsomni_M32": (Xm, ym.astype(float),
+                            _bucket_weights(mix, Xm, None, 0)[0],
+                            mix.grid.points),
+    }
+    for name, (Xo, yo, CW, z) in omni_inputs.items():
+        out[name] = _best_us(
+            lambda: per_cell_omni_gap(Xo, yo, CW, z, DEFAULT_LOSSES,
+                                      affine_restricted()), [()])
     return out
 
 
@@ -147,6 +175,10 @@ def main(argv=None):
         "method": {"reps": args.reps, "passes": PASSES, "warmup": WARMUP,
                    "recorded_rounds": RECORD, "round_T": ROUND_T,
                    "stream": "iid-logistic noise 0.1, d 5, N 7, seed 0",
+                   "omni": "per_cell_omni_gap, affine class, default menu: "
+                           "omni_somni_T4096 on a T 4096, d 2 transcript, "
+                           "omni_dsomni_M32 on exhaustive bucket weights, "
+                           "M 32",
                    "unit": "us per call (round_*: us per round), best of "
                            "passes within a worker, median and min over "
                            "reps"},
