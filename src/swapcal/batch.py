@@ -213,17 +213,14 @@ def estimate_dsmcal(mix, test, hc=None, q=2, mc_draws=None, seed=0):
         extras={"per_cell_mass": masses})
 
 
-def estimate_dsomni(mix, test, losses=None, hc=None, mc_draws=None, seed=0,
-                    iters=500, restarts=0):
+def estimate_dsomni(mix, test, losses=None, hc=None, mc_draws=None, seed=0):
     """Distributional swap omniprediction gap of the mixture on a test
     sample, over a loss menu and comparator class."""
     losses = list(DEFAULT_LOSSES) if losses is None else list(losses)
     hc = affine_restricted() if hc is None else hc
     X, y, V, how = _buckets(mix, test, mc_draws, seed)
     masses = V.sum(axis=1)
-    rng = np.random.default_rng(seed + 1)
-    gaps, _, note = per_cell_omni_gap(X, y, V, mix.grid.points, losses, hc,
-                                      iters=iters, restarts=restarts, rng=rng)
+    gaps, _, note = per_cell_omni_gap(X, y, V, mix.grid.points, losses, hc)
     value = float(np.sum(gaps[masses > 0]))
     menu = ",".join(l.name for l in losses)
     return MetricReport(

@@ -48,8 +48,8 @@ def build_parser():
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="transcript path (JSONL)")
     sim.add_argument("--slim", action="store_true",
-                     help="omit per-round proposal matrices from memory "
-                          "(transcript files never carry them)")
+                     help="do not record the per-round learner proposals "
+                          "in memory (transcript files never carry them)")
     sim.add_argument("--csv-path", default=None, help="data file for the csv "
                                                       "adversary")
     sim.add_argument("--bias", type=float, default=0.5,

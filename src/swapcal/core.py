@@ -84,16 +84,6 @@ def validate_stream(stream, d=None):
     return X, y.astype(int)
 
 
-def validate_context(x, d=None):
-    """Check one context vector by the rule of validate_stream. Returns it as
-    a float array; raises ValueError on violation."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("context must be a 1-d vector")
-    validate_stream((x[None, :], np.zeros(1)), d)
-    return x
-
-
 def validate_outcome(y):
     """Check a binary outcome, returning it as int 0 or 1."""
     if isinstance(y, bool):
@@ -110,7 +100,7 @@ def validate_outcome(y):
 
 
 def _sign_pos(s):
-    # sign with sign(0) := +1, the convention used throughout
+    # sign with sign(0) := +1, the V-shaped losses' convention
     return np.where(np.asarray(s) >= 0, 1.0, -1.0)
 
 
@@ -171,7 +161,8 @@ class LossSpec:
         return out
 
     def deriv(self, p, y):
-        """A subgradient of the loss in p (0 where the loss is locally flat).
+        """A subgradient of the loss in p (0 where the loss is locally flat,
+        and 0 at the kink p = y of the absolute loss).
 
         Custom losses fall back to a central finite difference, one-sided at
         the boundary of [0, 1].
@@ -181,7 +172,7 @@ class LossSpec:
         if self.kind == "squared":
             out = 2.0 * (p - y)
         elif self.kind == "absolute":
-            out = np.where(p == y, 0.0, _sign_pos(p - y))
+            out = np.sign(p - y)
         elif self.kind == "vshaped":
             out = np.zeros(np.broadcast(p, y).shape)
         else:
@@ -255,15 +246,6 @@ def vshaped_loss(v):
 def custom_loss(fn, lipschitz_bound, name="custom"):
     """Wrap a caller-supplied convex loss. fn must vectorize over p and y."""
     return LossSpec("custom-convex", fn=fn, lipschitz_bound=lipschitz_bound, name=name)
-
-
-def loss_eval(loss, p, y):
-    """Evaluate a loss at a single (p, y) with domain checks."""
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"prediction {p} outside [0, 1]")
-    y = validate_outcome(y)
-    return float(loss(p, y))
 
 
 _POST_GRID = np.linspace(0.0, 1.0, 10001)
@@ -436,16 +418,16 @@ class Transcript:
     """A complete forecasting run, stored columnwise.
 
     contexts is (T, d), cond_dists is (T, n+1) with rows on the simplex,
-    sampled_indices and outcomes are (T,). q_stacks (T, n+1, n+1) and w_mat
-    (T, n+1) hold the per-round column-stochastic matrices and the raw
-    per-cell predictions when the run kept them.
+    sampled_indices and outcomes are (T,). w_mat (T, n+1) holds the raw
+    per-cell proposals when the run kept them; rround(w_mat, grid) rebuilds
+    the per-round column-stochastic matrices.
     """
 
     __slots__ = ("grid", "contexts", "cond_dists", "sampled_indices", "outcomes",
-                 "seed", "q_stacks", "w_mat")
+                 "seed", "w_mat")
 
     def __init__(self, grid, contexts, cond_dists, sampled_indices, outcomes,
-                 seed=None, q_stacks=None, w_mat=None):
+                 seed=None, w_mat=None):
         self.grid = grid
         self.contexts = np.asarray(contexts, dtype=float)
         self.cond_dists = np.asarray(cond_dists, dtype=float)
@@ -460,7 +442,6 @@ class Transcript:
                                  f"not an integer in [0, {hi}]")
         self.sampled_indices, self.outcomes = pi.astype(int), y.astype(int)
         self.seed = seed
-        self.q_stacks = None if q_stacks is None else np.asarray(q_stacks, dtype=float)
         self.w_mat = None if w_mat is None else np.asarray(w_mat, dtype=float)
         T = self.horizon
         for arr, name in ((self.cond_dists, "cond_dists"),
@@ -497,8 +478,8 @@ class Transcript:
 
     def write_jsonl(self, path):
         """Persist as JSON lines: a header {"N","d","T","seed"} followed by one
-        record {"t","x","P","pi","y"} per round (t is 1-based). Q matrices are
-        not part of the format."""
+        record {"t","x","P","pi","y"} per round (t is 1-based). The proposals
+        w_mat are not part of the format."""
         with open(path, "w", encoding="utf-8") as fh:
             header = {"N": self.grid.n, "d": self.d, "T": self.horizon,
                       "seed": self.seed}

@@ -147,27 +147,26 @@ def run_online(forecaster, stream, keep_q=True):
     outcomes y int (T,), and record the full transcript. The stream is
     validated once, before the first round.
 
-    keep_q retains the per-round column-stochastic matrices and raw learner
-    proposals in the transcript (memory O(T n^2)); the persisted JSONL format
-    never includes them either way.
+    keep_q records the raw learner proposals in the transcript as w_mat
+    (memory O(T n)), from which rround rebuilds the per-round
+    column-stochastic matrices; the persisted JSONL format never includes
+    them either way.
     """
     X, y = validate_stream(stream, forecaster.d)
     T = len(y)
     n = forecaster.grid.n
     P = np.zeros((T, n + 1))
     pi = np.zeros(T, dtype=int)
-    Qs = np.zeros((T, n + 1, n + 1)) if keep_q else None
     W = np.zeros((T, n + 1)) if keep_q else None
     for t, x in enumerate(X):
         out = forecaster.predict(x)
         P[t] = out.cond_dist
         pi[t] = out.sampled_index
         if keep_q:
-            Qs[t] = out.q_matrix
             W[t] = out.per_cell_w
         forecaster.update(out, int(y[t]), x)
     return Transcript(forecaster.grid, X, P, pi, y, seed=forecaster.seed,
-                      q_stacks=Qs, w_mat=W)
+                      w_mat=W)
 
 
 def choose_n(T, d, objective):

@@ -161,15 +161,3 @@ def project_ball_a_norm(theta, inv_curvature, radius):
     A = 0.5 * (A + A.T)
     return ridge_to_sphere(A, A @ theta, radius)
 
-
-def project_box(w, lo=0.0, hi=1.0):
-    """Clamp to [lo, hi]. Scalars stay scalar; NaN raises ValueError."""
-    if np.isscalar(w) or np.ndim(w) == 0:
-        w = float(w)
-        if w != w:
-            raise ValueError("cannot clamp NaN")
-        return lo if w < lo else hi if w > hi else w
-    w = np.asarray(w, dtype=float)
-    if np.any(np.isnan(w)):
-        raise ValueError("cannot clamp NaN")
-    return np.clip(w, lo, hi)

@@ -25,11 +25,15 @@ import numpy as np
 from .core import (MEMBER_CAP, LossSpec, absolute_loss, affine_restricted,
                    cover_thetas, post_process, squared_loss, vshaped_loss)
 from .errors import NumericFailure, PreconditionError, ResourceLimitError
+from .forecaster import rround
 from .linalg import ridge_to_sphere
 
 #: member-point evaluations per chunk of the omniprediction table: bounds
 #: its temporaries at a few (OMNI_CHUNK,) float arrays, whatever M x T is
 OMNI_CHUNK = 2 ** 20
+
+#: projected subgradient steps of the affine omniprediction comparator
+OMNI_ITERS = 500
 
 #: default loss menu for omniprediction reports
 DEFAULT_LOSSES = (squared_loss(), absolute_loss(),
@@ -172,34 +176,28 @@ def per_cell_min_squared(X, y, CW, hc, cap=MEMBER_CAP):
     return mins, note
 
 
-def per_cell_omni_gap(X, y, CW, zvals, losses, hc, iters=500, restarts=0,
-                      rng=None, cap=MEMBER_CAP):
+def per_cell_omni_gap(X, y, CW, zvals, losses, hc, cap=MEMBER_CAP):
     """Per cell: max over the loss menu of
     (post-processed learner loss) - (best-in-class loss), both CW-weighted.
 
     Returns (gaps (n_cells,), achieved comparator losses (n_cells, losses),
     note); empty cells get 0. Enumerated classes fill the comparator table
     by _least_member_losses. The affine-restricted inner minimization is
-    _min_affine_res: projected subgradient descent (step 1/sqrt(k),
-    best-iterate tracking, `restarts` random restarts) that stops at a zero
-    subgradient, so a V-shaped loss, whose derivative is 0, stays at its
-    start points. iters and restarts must be non-negative integers.
+    _min_affine_res: projected subgradient descent from theta = 0 (step
+    1/sqrt(k), best-iterate tracking) that stops at a zero subgradient, so a
+    V-shaped loss, whose derivative is 0, stays at theta = 0.
     """
-    for name, n in (("iters", iters), ("restarts", restarts)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
     nz = CW.sum(axis=1) > 0
     if hc.enumerated:
         thetas, note = _members(hc, X.shape[1], cap)
         achieved = _least_member_losses(thetas, X, y, CW, losses)
     elif hc.kind == "affine-restricted":
         note = (f"inner minimization by projected subgradient descent "
-                f"({iters} iterations, step 1/sqrt(k), {restarts} restarts; "
+                f"({OMNI_ITERS} iterations from theta = 0, step 1/sqrt(k); "
                 "stops at a zero subgradient, so V-shaped losses stay at "
-                "their start points)")
+                "theta = 0)")
         achieved = np.zeros((len(CW), len(losses)))
-        achieved[nz] = _min_affine_res(losses, X, CW[nz], y, iters, restarts,
-                                       rng)
+        achieved[nz] = _min_affine_res(losses, X, CW[nz], y)
     else:
         raise ValueError(
             f"omniprediction comparator must be affine-restricted or an "
@@ -227,51 +225,42 @@ def _least_member_losses(thetas, X, y, CW, losses):
     return best
 
 
-def _min_affine_res(losses, X, W, y, iters, restarts, rng):
+def _min_affine_res(losses, X, W, y):
     """Projected subgradient minimization of the W-weighted loss of
-    f_theta(x) = (1 + <theta, x>)/2 over the unit theta ball, for every row of
-    W (each of positive mass) and every loss: the (rows, losses) table of the
-    best objective seen over all iterates and starts: theta = 0 and `restarts`
-    random points of the ball, drawn from rng in (row, loss, restart) order.
-    Each loss runs one descent that steps all (row, start) pairs together on
-    a flat, pair-major array of each row's positive-weight points. A pair
-    stops at an exactly zero subgradient, whose later iterates would all
-    repeat it; only the pairs still moving are projected."""
-    C, d, S = len(W), X.shape[1], restarts + 1
-    starts = np.zeros((S, C, len(losses), d))
-    for c, j, s in np.ndindex(C, len(losses), restarts):
-        v = rng.normal(size=d)
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            v = v / nv * rng.random() ** (1.0 / d)
-        starts[s + 1, c, j] = v
+    f_theta(x) = (1 + <theta, x>)/2 over the unit theta ball from theta = 0,
+    for every row of W (each of positive mass) and every loss: the
+    (rows, losses) table of the best objective over OMNI_ITERS steps of size
+    1/sqrt(k). Each loss runs one descent that steps all rows together on a
+    flat, row-major array of each row's positive-weight points. A row stops
+    at an exactly zero subgradient, whose later iterates would all repeat
+    it; only the rows still moving are projected."""
+    C, d = len(W), X.shape[1]
     rows, cols = np.nonzero(W)
-    lens = np.tile(np.bincount(rows, minlength=C), S)
+    lens = np.bincount(rows, minlength=C)
     offsets = np.cumsum(lens) - lens
     # f_theta(x) = 1/2 + <theta, x/2>: one row of XT per coordinate of x/2
-    XT, yf, wf = np.tile(0.5 * X[cols].T, S), np.tile(y[cols], S), \
-        np.tile(W[rows, cols], S)
+    XT, yf, wf = 0.5 * X.T[:, cols], y[cols], W[rows, cols]
     wXT = wf * XT
     out = np.empty((C, len(losses)))
     for j, loss in enumerate(losses):
-        th = starts[:, :, j].reshape(S * C, d)
-        best = np.full(S * C, np.inf)
-        live = np.ones(S * C, dtype=bool)
-        for k in range(1, iters + 2):
+        th = np.zeros((C, d))
+        best = np.full(C, np.inf)
+        live = np.ones(C, dtype=bool)
+        for k in range(1, OMNI_ITERS + 2):
             p = sum((x * np.repeat(t, lens) for x, t in zip(XT, th.T)), 0.5)
             np.minimum(best, np.add.reduceat(wf * loss(p, yf), offsets),
                        out=best)
-            if k > iters:
+            if k > OMNI_ITERS:
                 break
             dv = loss.deriv(p, yf)
             g = np.column_stack([np.add.reduceat(dv * x, offsets) for x in wXT])
             live &= g.any(axis=1)
             if not live.any():
                 break
-            th -= g / np.sqrt(k)    # a stopped pair's g is 0: it stays put
+            th -= g / np.sqrt(k)    # a stopped row's g is 0: it stays put
             nrm = np.linalg.norm(th, axis=1)
             th /= np.where(live & (nrm > 1.0), nrm, 1.0)[:, None]
-        out[:, j] = best.reshape(S, C).min(axis=0)
+        out[:, j] = best
     return out
 
 
@@ -401,18 +390,19 @@ def psreg(tr, hc):
 
 def bm_external_regrets(tr, hc):
     """Per-learner external regret of the reduction, from the recorded
-    column matrices: learner i pays P_t(i) <q_{t,i}, squared-loss vector> and
-    competes with the best fixed f on its own stationary weights.
+    proposals: learner i pays P_t(i) <q_{t,i}, squared-loss vector>, q_{t,i}
+    the rounding of its proposal, and competes with the best fixed f on its
+    own stationary weights.
 
     The sum over i upper-bounds the pseudo contextual swap regret.
     """
-    if tr.q_stacks is None:
-        raise ValueError("transcript was recorded without Q matrices; "
-                         "rerun with keep_q=True")
+    if tr.w_mat is None:
+        raise ValueError("transcript was recorded without the learners' "
+                         "proposals; rerun with keep_q=True")
     z = tr.grid.points
     y = tr.outcomes.astype(float)
     L = (z[None, :] - y[:, None]) ** 2
-    qdot = np.einsum("tj,tji->ti", L, tr.q_stacks)
+    qdot = np.einsum("tj,tji->ti", L, rround(tr.w_mat, tr.grid))
     P = tr.cond_dists
     learner = np.sum(P * qdot, axis=0)
     mins, _ = per_cell_min_squared(tr.contexts, y, P.T.copy(), hc)
@@ -423,15 +413,14 @@ def bm_external_regrets(tr, hc):
 # omniprediction
 
 
-def somni(tr, losses=None, hc=None, iters=500, restarts=0, seed=0):
+def somni(tr, losses=None, hc=None):
     """Swap omniprediction gap: per cell, the worst loss-menu entry's gap
     between the post-processed learner and the best comparator in the class.
 
     Non-convex custom losses are rejected; the V-shaped menu members are
     accepted as proper-loss basis elements. Their subgradient vanishes
-    almost everywhere, so their inner minimization stays at its start
-    points: theta = 0 and the random restarts, of which there are none by
-    default.
+    almost everywhere, so their affine inner minimization stays at
+    theta = 0.
     """
     losses = list(DEFAULT_LOSSES) if losses is None else list(losses)
     if not losses:
@@ -442,11 +431,9 @@ def somni(tr, losses=None, hc=None, iters=500, restarts=0, seed=0):
         if loss.kind == "custom-convex":
             loss.certify()
     hc = affine_restricted() if hc is None else hc
-    rng = np.random.default_rng(seed)
     CW = realized_weights(tr).T
     gaps, achieved, note = per_cell_omni_gap(
-        tr.contexts, tr.outcomes.astype(float), CW, tr.grid.points, losses, hc,
-        iters=iters, restarts=restarts, rng=rng)
+        tr.contexts, tr.outcomes.astype(float), CW, tr.grid.points, losses, hc)
     value = float(np.sum(gaps))
     menu = ",".join(l.name for l in losses)
     return MetricReport(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import project_ball_a_norm, project_box, sherman_morrison_update
+from .linalg import project_ball_a_norm, sherman_morrison_update
 
 BETA = 1.0 / 640.0
 OMEGA = 102400.0  # 1 / (4 beta^2), written out exactly
@@ -32,10 +32,6 @@ class OnsState:
     inv_curvature: np.ndarray
     rounds_seen: int = 0
 
-    @property
-    def dim(self):
-        return len(self.theta)
-
 
 def ons_init(d):
     """Fresh learner in dimension d: theta = 0, curvature floor omega I."""
@@ -48,23 +44,12 @@ def ons_init(d):
     return OnsState(theta=theta, inv_curvature=inv0)
 
 
-def scaled_loss_value(theta, x, alpha, y):
-    """phi(theta) = alpha * (<theta, x> - y)^2."""
-    r = float(np.dot(theta, x)) - y
-    return alpha * r * r
-
-
-def scaled_loss_grad(theta, x, alpha, y):
-    """Gradient of the scaled squared loss: 2 alpha (<theta, x> - y) x."""
-    x = np.asarray(x, dtype=float)
-    return (2.0 * alpha * (float(np.dot(theta, x)) - y)) * x
-
-
 def ons_step(state, x, alpha, y):
     """Advance one round on (x, y) with scale weight alpha.
 
     Folds the gradient into the curvature (rank-one inverse update), takes
-    the Newton step theta - (1/beta) A^{-1} grad, and projects back onto the
+    the Newton step theta - (1/beta) A^{-1} g, g = 2 alpha (<theta, x> - y) x
+    the gradient of phi, and projects back onto the
     radius-4 ball in the A-norm when the step leaves it. alpha = 0 leaves
     everything but the round counter untouched.
     """
@@ -72,7 +57,7 @@ def ons_step(state, x, alpha, y):
     theta = state.theta
     if x.shape != theta.shape:
         raise ValueError(f"context dimension {x.shape} does not match state "
-                         f"dimension {state.dim}")
+                         f"dimension {theta.shape}")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"scale weight alpha={alpha} outside [0, 1]")
     if y not in (0, 0.0, 1, 1.0):
@@ -88,11 +73,3 @@ def ons_step(state, x, alpha, y):
     inv_new.flags.writeable = False
     return OnsState(theta_new, inv_new, state.rounds_seen + 1)
 
-
-def alg_predict(state, x):
-    """Predict <theta, x> clamped to [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (state.dim,):
-        raise ValueError(f"context dimension {x.shape} does not match state "
-                         f"dimension {state.dim}")
-    return project_box(float(np.dot(state.theta, x)))

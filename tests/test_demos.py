@@ -43,5 +43,23 @@ def test_bench_round_runs(tmp_path):
                "omni_somni_T4096", "omni_dsomni_M32"}
     for label in ("a", "b"):
         assert set(doc["results"][label]) == kernels
-        assert all(v["min_us"] > 0 for v in doc["results"][label].values())
+        for v in doc["results"][label].values():
+            assert 0 < v["min_us"] <= v["q1_us"] <= v["median_us"] \
+                <= v["q3_us"]
     assert set(doc["median_ratio_to_a"]["b"]) == kernels
+    assert set(doc["unresolved_vs_a"]["b"]) <= kernels
+
+
+def test_bench_round_marks_ratios_inside_the_base_spread():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import bench_round
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    base = {"k": bench_round.summary([10.0, 11.0, 12.0, 13.0, 30.0])}
+    assert base["k"] == {"median_us": 12.0, "q1_us": 11.0, "q3_us": 13.0,
+                         "min_us": 10.0}
+    for times, noise in (([11.5, 12.5, 12.9], True), ([11.0] * 3, True),
+                         ([9.0, 10.0, 10.5], False), ([14, 15, 16], False)):
+        other = {"k": bench_round.summary(times)}
+        assert bench_round.unresolved(base, other) == (["k"] if noise else [])

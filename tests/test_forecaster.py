@@ -164,7 +164,7 @@ def test_trajectory_deterministic_given_seed():
     b = run_online(BmForecaster(make_grid(2), 3, seed=9), stream)
     np.testing.assert_array_equal(a.cond_dists, b.cond_dists)
     np.testing.assert_array_equal(a.sampled_indices, b.sampled_indices)
-    np.testing.assert_array_equal(a.q_stacks, b.q_stacks)
+    np.testing.assert_array_equal(a.w_mat, b.w_mat)
 
 
 def test_conditional_distributions_independent_of_sampling_seed():
@@ -240,12 +240,19 @@ def test_run_online_records_everything():
     tr = run_online(BmForecaster(make_grid(2), 2, seed=3), stream, keep_q=True)
     assert tr.horizon == 25
     assert tr.seed == 3
-    assert tr.q_stacks.shape == (25, 3, 3)
     assert tr.w_mat.shape == (25, 3)
     np.testing.assert_array_equal(tr.outcomes, stream[1])
+    # the recorded proposals rebuild every round's matrix exactly
+    fc = BmForecaster(make_grid(2), 2, seed=3)
+    Qs = []
+    for x, yt in zip(*stream):
+        out = fc.predict(x)
+        Qs.append(out.q_matrix)
+        fc.update(out, int(yt), x)
+    assert np.array_equal(rround(tr.w_mat, tr.grid), Qs)
     slim = run_online(BmForecaster(make_grid(2), 2, seed=3), stream,
                       keep_q=False)
-    assert slim.q_stacks is None
+    assert slim.w_mat is None
     np.testing.assert_array_equal(slim.cond_dists, tr.cond_dists)
 
 

@@ -8,7 +8,7 @@ from swapcal import (AdversarySpec, FormatError, RateFit, SweepConfig,
                      evaluate_metric, fit_rate, generate_stream, ingest_csv,
                      linear_ball, parse_class_spec, parse_losses,
                      read_results, resolve_n, run_sweep, simulate_run,
-                     validate_context, validate_stream)
+                     validate_stream)
 from swapcal.harness import _sweep_row
 
 
@@ -28,8 +28,6 @@ def test_logistic_stream_contexts_are_valid():
     assert X.shape == (200, 3) and y.shape == (200,)
     assert y.dtype.kind == "i"
     validate_stream((X, y), 3)
-    for x in X:
-        validate_context(x, 3)
     # tails live strictly inside the ball: norms bounded by sqrt(3)/2
     tail_norms = np.linalg.norm(X[:, 1:], axis=1)
     assert max(tail_norms) <= math.sqrt(3.0) / 2.0 + 1e-12

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from swapcal import BETA, OMEGA, RADIUS, alg_predict, ons_init, ons_step
-from swapcal.ons import scaled_loss_grad, scaled_loss_value
+from swapcal import BETA, OMEGA, RADIUS, ons_init, ons_step
 
 
 def test_constants():
@@ -17,7 +16,7 @@ def test_init_state():
     np.testing.assert_array_equal(st.theta, np.zeros(3))
     np.testing.assert_allclose(st.inv_curvature, np.eye(3) / OMEGA)
     assert st.rounds_seen == 0
-    assert st.dim == 3
+    assert st.theta.shape == (3,)
     with pytest.raises(ValueError):
         st.theta[0] = 1.0   # frozen state, arrays locked
 
@@ -55,15 +54,6 @@ def test_step_is_functional():
     assert st0.rounds_seen == 0
 
 
-def test_scaled_loss_helpers():
-    theta = np.array([1.0, 2.0])
-    x = np.array([0.5, 0.25])
-    assert scaled_loss_value(theta, x, 0.5, 1) == pytest.approx(0.0)
-    assert scaled_loss_value(theta, x, 0.25, 0) == pytest.approx(0.25)
-    np.testing.assert_allclose(scaled_loss_grad(theta, x, 0.25, 0),
-                               2 * 0.25 * 1.0 * x)
-
-
 def test_validation():
     st = ons_init(2)
     with pytest.raises(ValueError):
@@ -72,8 +62,6 @@ def test_validation():
         ons_step(st, np.array([0.5, 0.0]), 1.5, 1)
     with pytest.raises(ValueError):
         ons_step(st, np.array([0.5, 0.0]), 1.0, 2)
-    with pytest.raises(ValueError):
-        alg_predict(st, np.array([0.5, 0.0, 0.0]))
 
 
 def _oracle_replay(steps, d):
@@ -128,16 +116,6 @@ def test_iterates_stay_in_radius():
         assert np.linalg.norm(st.theta) <= RADIUS + 1e-9
 
 
-def test_predict_clips_to_unit_interval():
-    st = ons_init(1)
-    for _ in range(2000):
-        st = ons_step(st, np.array([1.0]), 1.0, 1)
-    assert alg_predict(st, np.array([1.0])) >= 0.999
-    assert alg_predict(st, np.array([3.0])) == 1.0       # raw value past 1
-    assert alg_predict(st, np.array([-3.0])) == 0.0      # raw value below 0
-    assert alg_predict(ons_init(1), np.array([0.3])) == 0.0
-
-
 def test_learner_converges_on_realizable_stream():
     # y ~ Bernoulli(<theta_true, x>) with theta_true in the radius ball:
     # squared-loss regret stays logarithmic, so the average excess vanishes
@@ -150,7 +128,7 @@ def test_learner_converges_on_realizable_stream():
         x = np.array([0.5, rng.uniform(-0.8, 0.8)])
         p_true = float(np.clip(theta_true @ x, 0.0, 1.0))
         y = int(rng.random() < p_true)
-        pred = alg_predict(st, x)
+        pred = min(max(float(st.theta @ x), 0.0), 1.0)
         excess += (pred - y) ** 2 - (p_true - y) ** 2
         st = ons_step(st, x, 1.0, y)
     assert excess / T < 0.02

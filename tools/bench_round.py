@@ -19,25 +19,26 @@ on them, in microseconds per call, as the best of three passes:
 
 It then times whole rounds (predict + update) of a fresh forecaster over
 1024 rounds at (d = 2, N = 4) and (d = 5, N = 7), in microseconds per round,
-and metrics.per_cell_omni_gap (affine class, default loss menu, 500
-iterations, no restarts), in microseconds per call, on two fixed inputs:
+and metrics.per_cell_omni_gap (affine class, default loss menu), in
+microseconds per call, on two fixed inputs:
 
 - somni-shaped: realized weights of a T = 4096, d = 2 iid-logistic
   transcript (seed 3, N = choose_n(4096, 2, "smcal"));
 - dsomni-shaped: exhaustive bucket weights of a mixture trained on
   T = 512 rounds (stride 8, seed 10) over M = 32 test points (seed 11).
 
-The result holds, per label, the median and the minimum over the reps, and
-the ratio of each later label's median to the first one's, with the core
-count and the Python and numpy versions. Only numpy and the source trees are
-needed.
+The result holds, per label, the median, quartiles and minimum over the
+reps, and the ratio of each later label's median to the first one's, with
+the core count and the Python and numpy versions. A ratio is listed as
+unresolved when the later median lies inside the first label's
+interquartile range: the reps cannot tell the two apart. Only numpy and the
+source trees are needed.
 """
 
 import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
@@ -57,6 +58,20 @@ def _best_us(fn, args_list):
             fn(*args)
         best = min(best, (time.perf_counter_ns() - t0) / len(args_list))
     return best / 1e3
+
+
+def summary(values):
+    """Median, quartiles and minimum of one kernel's times over the reps."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median_us": float(median), "q1_us": float(q1),
+            "q3_us": float(q3), "min_us": min(values)}
+
+
+def unresolved(base, other):
+    """Kernels whose median in other lies inside base's interquartile range,
+    so their ratio is within the noise of the base reps."""
+    return [k for k, s in other.items()
+            if base[k]["q1_us"] <= s["median_us"] <= base[k]["q3_us"]]
 
 
 def worker(src):
@@ -163,9 +178,7 @@ def main(argv=None):
             print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr)
 
     kernels = list(runs[labels[0]][0])
-    results = {label: {k: {"median_us": statistics.median(r[k] for r in rs),
-                           "min_us": min(r[k] for r in rs)}
-                       for k in kernels}
+    results = {label: {k: summary([r[k] for r in rs]) for k in kernels}
                for label, rs in runs.items()}
     doc = {
         "machine": {"cpu_count": os.cpu_count(),
@@ -180,8 +193,8 @@ def main(argv=None):
                            "omni_dsomni_M32 on exhaustive bucket weights, "
                            "M 32",
                    "unit": "us per call (round_*: us per round), best of "
-                           "passes within a worker, median and min over "
-                           "reps"},
+                           "passes within a worker, median, quartiles and "
+                           "min over reps"},
         "results": results,
     }
     if len(labels) > 1:
@@ -190,6 +203,8 @@ def main(argv=None):
             label: {k: round(results[label][k]["median_us"]
                              / base[k]["median_us"], 4) for k in kernels}
             for label in labels[1:]}
+        doc["unresolved_vs_" + labels[0]] = {
+            label: unresolved(base, results[label]) for label in labels[1:]}
     text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
