@@ -17,7 +17,7 @@ from .core import (Grid, HypothesisClass, LinearFn, LossSpec, Transcript,
 from .errors import (FormatError, NumericFailure, PreconditionError,
                      ResourceLimitError)
 from .forecaster import (BmForecaster, RoundOutput, choose_n, rround,
-                         run_online, seed_streams)
+                         run_lockstep, run_online, seed_streams)
 from .harness import (AdversarySpec, RateFit, SweepConfig, evaluate_metric,
                       fit_rate, generate_stream, ingest_csv, parse_class_spec,
                       parse_losses, read_results, resolve_n, run_sweep,
@@ -45,8 +45,8 @@ __all__ = [
     "mixture_from_json", "mixture_predict", "mixture_to_json", "ons_init",
     "ons_step", "parse_class_spec", "parse_losses", "post_process",
     "project_ball_a_norm", "psmcal", "psreg", "read_results",
-    "realized_weights", "resolve_n", "rround", "run_online", "run_sweep",
-    "select_snapshot", "seed_streams", "sherman_morrison_update",
+    "realized_weights", "resolve_n", "rround", "run_lockstep", "run_online",
+    "run_sweep", "select_snapshot", "seed_streams", "sherman_morrison_update",
     "simulate_run", "smcal", "somni", "squared_loss", "sreg",
     "stationary_distribution", "train_mixture", "validate_outcome",
     "validate_stream", "vshaped_loss", "witness_f_prime",

@@ -517,8 +517,13 @@ class Transcript:
         for k, ln in enumerate(lines[1:]):
             try:
                 rec = json.loads(ln)
-                X[k] = rec["x"]
-                P[k] = rec["P"]
+                x, p = rec["x"], rec["P"]
+                # numpy would broadcast a length-1 list (len rejects a
+                # scalar with a TypeError)
+                if len(x) != d or len(p) != n + 1:
+                    raise ValueError(f"x needs {d} entries and P {n + 1}")
+                X[k] = x
+                P[k] = p
                 pi[k] = rec["pi"]
                 y[k] = rec["y"]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,

@@ -144,29 +144,62 @@ class BmForecaster:
 
 def run_online(forecaster, stream, keep_q=True):
     """Run the forecaster over a stream (X, y), contexts X float (T, d) and
-    outcomes y int (T,), and record the full transcript. The stream is
-    validated once, before the first round.
+    outcomes y int (T,), and record the full transcript: run_lockstep with
+    one forecaster.
 
     keep_q records the raw learner proposals in the transcript as w_mat
     (memory O(T n)), from which rround rebuilds the per-round
     column-stochastic matrices; the persisted JSONL format never includes
     them either way.
     """
-    X, y = validate_stream(stream, forecaster.d)
-    T = len(y)
-    n = forecaster.grid.n
-    P = np.zeros((T, n + 1))
-    pi = np.zeros(T, dtype=int)
-    W = np.zeros((T, n + 1)) if keep_q else None
-    for t, x in enumerate(X):
-        out = forecaster.predict(x)
-        P[t] = out.cond_dist
-        pi[t] = out.sampled_index
+    return run_lockstep([forecaster], [stream], keep_q=keep_q)[0]
+
+
+def run_lockstep(forecasters, streams, keep_q=False):
+    """Run R forecasters that share a grid and d over R streams (X, y) of
+    one length, round by round together, and return one transcript per
+    forecaster. Every stream is validated once, before the first round.
+
+    A round commits all R at once: one commit_round on the (R, K, d)
+    parameter stack and the (R, d) contexts, then one uniform from each
+    forecaster's own rng in order and one sample_cell over the R rows; then
+    each forecaster's update runs on its own row. The forecasters share no
+    state, so each transcript is bit for bit the one the forecaster would
+    record alone.
+    """
+    grid, d = forecasters[0].grid, forecasters[0].d
+    if any(fc.grid != grid or fc.d != d for fc in forecasters):
+        raise ValueError("lockstep forecasters must share a grid and d")
+    if len(streams) != len(forecasters):
+        raise ValueError(f"{len(forecasters)} forecasters but "
+                         f"{len(streams)} streams")
+    streams = [validate_stream(s, d) for s in streams]
+    T = len(streams[0][1])
+    if any(len(y) != T for _, y in streams):
+        raise ValueError("lockstep streams must have one length")
+    R = len(forecasters)
+    # round-major (T, R, ...) inputs; rep-major (R, T, ...) records
+    X = np.stack([s[0] for s in streams], axis=1)
+    Y = np.stack([s[1] for s in streams], axis=1).tolist()
+    P = np.zeros((R, T, grid.size))
+    pi = np.zeros((R, T), dtype=int)
+    W = np.zeros((R, T, grid.size)) if keep_q else None
+    rngs = [fc.rng for fc in forecasters]
+    for t in range(T):
+        x = X[t]
+        w, Q, Pt = commit_round(np.array([fc.thetas for fc in forecasters]),
+                                x, grid)
+        idx = sample_cell(Pt, [rng.random() for rng in rngs])
+        P[:, t] = Pt
+        pi[:, t] = idx
         if keep_q:
-            W[t] = out.per_cell_w
-        forecaster.update(out, int(y[t]), x)
-    return Transcript(forecaster.grid, X, P, pi, y, seed=forecaster.seed,
-                      w_mat=W)
+            W[:, t] = w
+        for r, fc in enumerate(forecasters):
+            fc.update(RoundOutput(Pt[r], Q[r], w[r], int(idx[r])), Y[t][r],
+                      x[r])
+    return [Transcript(fc.grid, Xr, P[r], pi[r], yr, seed=fc.seed,
+                       w_mat=None if W is None else W[r])
+            for r, (fc, (Xr, yr)) in enumerate(zip(forecasters, streams))]
 
 
 def choose_n(T, d, objective):

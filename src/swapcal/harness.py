@@ -16,6 +16,7 @@ stream draws.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -29,13 +30,18 @@ from .core import (cover_class, finite_class, linear_ball,
                    affine_restricted, make_grid, absolute_loss, squared_loss,
                    vshaped_loss)
 from .errors import FormatError
-from .forecaster import BmForecaster, choose_n, run_online, seed_streams
+from .forecaster import (BmForecaster, choose_n, run_lockstep, run_online,
+                         seed_streams)
 from . import metrics as metrics_mod
 
 RESULT_COLUMNS = ("T", "N", "d", "rep", "seed", "metric", "value", "wall_ms",
                   "error")
 
 _TAIL_RADIUS = math.sqrt(3.0) / 2.0
+
+#: most rounds (reps x T) that one lockstep group of a sweep runs: bounds
+#: the group's stream and transcript memory, whatever reps x T is
+LOCKSTEP_ROUNDS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -326,23 +332,61 @@ class SweepConfig:
                              bias=self.bias, path=self.csv_path)
 
 
-def _sweep_row(cfg, T, rep):
-    seed = cfg.seed_base + rep
+@contextlib.contextmanager
+def _recorded(row):
+    """Add the block's time to row["wall_ms"] (seconds until the row is
+    written) and record an exception in row["error"]: recorded, not fatal,
+    so the sweep goes on."""
     t0 = time.perf_counter()
-    n = ""
     try:
-        n = resolve_n(cfg.n_rule, T, cfg.d)
-        tr = simulate_run(cfg.adversary_spec(), T, cfg.d, n, seed=seed,
-                          keep_q=False)
-        report = evaluate_metric(tr, cfg.metric,
-                                 losses=parse_losses(cfg.losses))
-        value, error = repr(report.value), ""
-    except Exception as exc:  # recorded, not fatal: the sweep must go on
-        value, error = "", f"{type(exc).__name__}: {exc}"
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return {"T": T, "N": n, "d": cfg.d, "rep": rep, "seed": seed,
-            "metric": cfg.metric, "value": value,
-            "wall_ms": f"{wall_ms:.3f}", "error": error}
+        yield
+    except Exception as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    row["wall_ms"] += time.perf_counter() - t0
+
+
+def _simulate_reps(rows, streams):
+    """Transcripts {rep: transcript} of the reps of streams {rep: (X, y)},
+    run in lockstep with the grid, d and seed of their rows."""
+    fcs = [BmForecaster(make_grid(rows[rep]["N"]), rows[rep]["d"],
+                        seed=rows[rep]["seed"]) for rep in streams]
+    return dict(zip(streams, run_lockstep(fcs, list(streams.values()))))
+
+
+def _sweep_rows(cfg, T, reps):
+    """The rows of the distinct repetitions `reps` at horizon T, in order.
+
+    Each rep's stream is generated in its own try; the reps whose stream is
+    ready then run as one lockstep group. If the group raises, each of its
+    reps reruns alone, so only a faulty rep's row carries the error. Each
+    rep's metric is evaluated on its own. wall_ms is a rep's share of the
+    group's simulation time plus its own stream, rerun and metric time.
+    """
+    rows = {rep: {"T": T, "N": "", "d": cfg.d, "rep": rep,
+                  "seed": cfg.seed_base + rep, "metric": cfg.metric,
+                  "value": "", "wall_ms": 0.0, "error": ""} for rep in reps}
+    streams, runs = {}, {}
+    for rep, row in rows.items():
+        with _recorded(row):
+            row["N"] = resolve_n(cfg.n_rule, T, cfg.d)
+            streams[rep] = generate_stream(cfg.adversary_spec(), T, cfg.d,
+                                           seed=row["seed"])
+    t0 = time.perf_counter()
+    try:
+        runs = _simulate_reps(rows, streams) if streams else {}
+    except Exception:
+        pass  # each rep reruns alone below
+    share = (time.perf_counter() - t0) / max(1, len(streams))
+    for rep, stream in streams.items():
+        rows[rep]["wall_ms"] += share
+        with _recorded(rows[rep]):
+            tr = runs.pop(rep) if rep in runs else \
+                _simulate_reps(rows, {rep: stream})[rep]
+            rows[rep]["value"] = repr(evaluate_metric(
+                tr, cfg.metric, losses=parse_losses(cfg.losses)).value)
+    for row in rows.values():
+        row["wall_ms"] = f"{row['wall_ms'] * 1e3:.3f}"
+    return list(rows.values())
 
 
 def read_results(path):
@@ -355,9 +399,13 @@ def run_sweep(cfg, out_path=None):
     """Execute all (T, rep) rows of a sweep, appending to the results table
     as rows finish.
 
-    Resumable: rows already present in the table are skipped. Rows run one
-    after another in configuration order, and each is flushed to the table
-    as it finishes. Returns all rows, previously completed first.
+    Resumable: rows already present in the table are skipped. The pending
+    reps of one horizon run together in lockstep, in groups of at most
+    max(1, LOCKSTEP_ROUNDS // T) reps, which bounds a group's memory; a
+    group's rows are written, in configuration order, when the group
+    finishes. A row's wall_ms is its share of the group's simulation time
+    plus its own stream and metric time. Returns all rows, previously
+    completed first.
     """
     out_path = out_path or cfg.out
     if not out_path:
@@ -366,8 +414,7 @@ def run_sweep(cfg, out_path=None):
     if os.path.exists(out_path):
         existing = read_results(out_path)
     done = {(int(r["T"]), int(r["rep"])) for r in existing}
-    tasks = [(int(T), rep) for T in cfg.T_list for rep in range(cfg.reps)
-             if (int(T), rep) not in done]
+    T_list = [int(T) for T in cfg.T_list]
     new_rows = []
     mode = "a" if existing else "w"
     with open(out_path, mode, encoding="utf-8", newline="") as fh:
@@ -375,11 +422,14 @@ def run_sweep(cfg, out_path=None):
         if mode == "w":
             writer.writeheader()
             fh.flush()
-        for T, rep in tasks:
-            row = _sweep_row(cfg, T, rep)
-            writer.writerow(row)
-            fh.flush()
-            new_rows.append(row)
+        for T in T_list:
+            reps = [rep for rep in range(cfg.reps) if (T, rep) not in done]
+            size = max(1, LOCKSTEP_ROUNDS // max(T, 1))
+            for i in range(0, len(reps), size):
+                rows = _sweep_rows(cfg, T, reps[i:i + size])
+                writer.writerows(rows)
+                fh.flush()
+                new_rows += rows
     return existing + new_rows
 
 

@@ -397,3 +397,16 @@ def test_transcript_read_errors(tmp_path):
                         + field + '}\n')
         with pytest.raises(FormatError, match="line 3"):
             Transcript.read_jsonl(frac)
+
+    # a short x or P, or a scalar one, would broadcast to the full width
+    for head, rec in (('{"N":1,"d":2,"T":1}', '"x":[0.5],"P":[1.0,0.0]'),
+                      ('{"N":1,"d":2,"T":1}', '"x":0.5,"P":[1.0,0.0]'),
+                      ('{"N":1,"d":2,"T":1}', '"x":[0.5,0.1,0.0],'
+                                              '"P":[1.0,0.0]'),
+                      ('{"N":1,"d":1,"T":1}', '"x":[0.5],"P":[0.5]'),
+                      ('{"N":1,"d":1,"T":1}', '"x":[0.5],"P":0.5'),
+                      ('{"N":2,"d":1,"T":1}', '"x":[0.5],"P":[0.5,0.5]')):
+        short = tmp_path / "w.jsonl"
+        short.write_text(head + '\n{"t":1,' + rec + ',"pi":0,"y":1}\n')
+        with pytest.raises(FormatError, match="line 2"):
+            Transcript.read_jsonl(short)

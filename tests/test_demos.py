@@ -40,14 +40,16 @@ def test_bench_round_runs(tmp_path):
     kernels = {"stationary_distribution", "rround", "sample_cell",
                "commit_round", "ons_step_alpha_pos", "ons_step_alpha_zero",
                "sherman_morrison_update", "round_d2_n4", "round_d5_n7",
-               "omni_somni_T4096", "omni_dsomni_M32"}
+               "omni_somni_T4096", "omni_dsomni_M32", "sweep_T1024_r2",
+               "sweep_T1024_r30"}
     for label in ("a", "b"):
         assert set(doc["results"][label]) == kernels
         for v in doc["results"][label].values():
             assert 0 < v["min_us"] <= v["q1_us"] <= v["median_us"] \
                 <= v["q3_us"]
     assert set(doc["median_ratio_to_a"]["b"]) == kernels
-    assert set(doc["unresolved_vs_a"]["b"]) <= kernels
+    # one rep has no spread to judge a ratio against
+    assert doc["unresolved_vs_a"] is None
 
 
 def test_bench_round_marks_ratios_inside_the_base_spread():
@@ -63,3 +65,19 @@ def test_bench_round_marks_ratios_inside_the_base_spread():
                          ([9.0, 10.0, 10.5], False), ([14, 15, 16], False)):
         other = {"k": bench_round.summary(times)}
         assert bench_round.unresolved(base, other) == (["k"] if noise else [])
+
+
+def test_bench_round_leaves_unresolved_null_below_four_reps():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import bench_round
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    runs = {"a": [10.0, 11.0, 12.0, 13.0, 30.0], "b": [11.5, 12.5, 12.9]}
+    results = {label: {"k": bench_round.summary(times)}
+               for label, times in runs.items()}
+    for reps, want in ((1, None), (3, None), (4, {"b": ["k"]})):
+        doc = bench_round.compare(results, ["a", "b"], reps)
+        assert doc["unresolved_vs_a"] == want
+        assert doc["median_ratio_to_a"] == {
+            "b": {"k": round(12.5 / 12.0, 4)}}

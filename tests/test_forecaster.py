@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from swapcal import (BmForecaster, choose_n, make_grid, rround, run_online,
-                     seed_streams)
+from swapcal import (AdversarySpec, BmForecaster, Transcript, choose_n,
+                     generate_stream, make_grid, rround, run_lockstep,
+                     run_online, seed_streams)
 from swapcal.forecaster import commit_round, sample_cell
 
 
@@ -266,6 +267,80 @@ def test_run_online_validates_stream():
     wrong_d = (np.array([[0.5, 0.0, 0.0]]), np.array([1]))
     with pytest.raises(ValueError, match="dimension"):
         run_online(BmForecaster(make_grid(2), 2, seed=0), wrong_d)
+
+
+def _learner_state(fc):
+    return (np.array([s.theta for s in fc.learners]),
+            np.array([s.inv_curvature for s in fc.learners]), fc.rounds_seen)
+
+
+def _assert_same_run(a, fa, b, fb):
+    """Two transcripts and their forecasters' final states agree bit for
+    bit."""
+    for got, want in ((a.cond_dists, b.cond_dists),
+                      (a.sampled_indices, b.sampled_indices),
+                      (a.w_mat, b.w_mat)):
+        assert np.array_equal(got, want)
+    got, want = _learner_state(fa), _learner_state(fb)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_run_online_matches_predict_update_loop():
+    """run_online is the closed loop of predict then update, nothing else."""
+    stream = generate_stream(AdversarySpec(kind="iid-logistic", noise=0.1),
+                             300, 5, seed=4)
+    fc = BmForecaster(make_grid(7), 5, seed=4)
+    tr = run_online(fc, stream)
+    ref = BmForecaster(make_grid(7), 5, seed=4)
+    P, pi, W = [], [], []
+    for x, yt in zip(*stream):
+        out = ref.predict(x)
+        P.append(out.cond_dist)
+        pi.append(out.sampled_index)
+        W.append(out.per_cell_w)
+        ref.update(out, int(yt), x)
+    want = Transcript(ref.grid, stream[0], P, pi, stream[1], seed=4, w_mat=W)
+    _assert_same_run(tr, fc, want, ref)
+    assert fc.rounds_seen == 300
+    assert fc.rng.random() == ref.rng.random()
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5])
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("kind", ["iid-logistic", "iid-bernoulli",
+                                  "anti-calibration", "csv"])
+def test_lockstep_matches_run_online_per_rep(tmp_path, kind, d, reps):
+    """R forecasters run together equal each run alone, bit for bit: P, the
+    sampled cells, the proposals and the final learner states."""
+    path = tmp_path / "stream.csv"
+    feats = np.random.default_rng(d).normal(size=(200, d - 1))
+    path.write_text("".join(",".join(f"{v:.4f}" for v in row)
+                            + f",{t % 3 % 2}\n" for t, row in enumerate(feats)))
+    spec = AdversarySpec(kind=kind, noise=0.1, bias=0.3, path=str(path))
+    n = {2: 4, 5: 7}[d]
+    seeds = [11 * r + d for r in range(reps)]
+    streams = [generate_stream(spec, 150, d, seed=s) for s in seeds]
+    fcs = [BmForecaster(make_grid(n), d, seed=s) for s in seeds]
+    trs = run_lockstep(fcs, streams, keep_q=True)
+    for s, stream, tr, fc in zip(seeds, streams, trs, fcs):
+        alone = BmForecaster(make_grid(n), d, seed=s)
+        _assert_same_run(tr, fc, run_online(alone, stream), alone)
+        assert tr.seed == s and np.array_equal(tr.contexts, stream[0])
+
+
+def test_lockstep_rejects_mismatched_runs():
+    X, y = generate_stream(AdversarySpec(kind="iid-logistic"), 20, 2, seed=0)
+    fc = BmForecaster(make_grid(2), 2, seed=0)
+    with pytest.raises(ValueError, match="share"):
+        run_lockstep([fc, BmForecaster(make_grid(3), 2)], [(X, y)] * 2)
+    with pytest.raises(ValueError, match="share"):
+        run_lockstep([fc, BmForecaster(make_grid(2), 3)], [(X, y)] * 2)
+    with pytest.raises(ValueError, match="streams"):
+        run_lockstep([fc, BmForecaster(make_grid(2), 2)], [(X, y)])
+    with pytest.raises(ValueError, match="one length"):
+        run_lockstep([fc, BmForecaster(make_grid(2), 2)],
+                     [(X, y), (X[:10], y[:10])])
+    assert fc.rounds_seen == 0
 
 
 def test_choose_n_values():

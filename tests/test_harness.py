@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from swapcal import (AdversarySpec, FormatError, RateFit, SweepConfig,
-                     evaluate_metric, fit_rate, generate_stream, ingest_csv,
-                     linear_ball, parse_class_spec, parse_losses,
-                     read_results, resolve_n, run_sweep, simulate_run,
-                     validate_stream)
-from swapcal.harness import _sweep_row
+from swapcal import (AdversarySpec, BmForecaster, FormatError,
+                     NumericFailure, RateFit, SweepConfig, evaluate_metric,
+                     fit_rate, generate_stream, ingest_csv, linear_ball,
+                     parse_class_spec, parse_losses, read_results, resolve_n,
+                     run_sweep, simulate_run, validate_stream)
+from swapcal import harness
+from swapcal.harness import _sweep_rows
 
 
 def test_adversary_spec_validation():
@@ -277,10 +278,77 @@ def test_sweep_records_errors_and_continues(tmp_path):
 def test_sweep_row_isolated():
     cfg = SweepConfig(T_list=[16], d=2, reps=1, metric="cal2", n_rule="2",
                       out="unused.csv")
-    row = _sweep_row(cfg, 16, 0)
+    [row] = _sweep_rows(cfg, 16, [0])
     assert row["error"] == ""
     assert float(row["value"]) >= 0.0
     assert float(row["wall_ms"]) > 0.0
+
+
+def _strip(rows):
+    return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+
+
+def test_sweep_rows_do_not_depend_on_lockstep_groups(tmp_path, monkeypatch):
+    """Every grouping of a horizon's reps writes the same rows, in
+    configuration order, and each row's value is that of its rep run and
+    evaluated alone."""
+    cfg = _tiny_config(tmp_path, T_list=[40, 64], reps=5,
+                       metric="smcal2:ball1", n_rule="auto-smcal")
+    lockstep = harness.run_lockstep
+    groups = []
+
+    def spy(forecasters, streams, keep_q=False):
+        groups.append(len(forecasters))
+        return lockstep(forecasters, streams, keep_q)
+
+    monkeypatch.setattr(harness, "run_lockstep", spy)
+    tables = []
+    for rounds, sizes in ((harness.LOCKSTEP_ROUNDS, [5, 5]),
+                          (130, [3, 2, 2, 2, 1]), (1, [1] * 10)):
+        monkeypatch.setattr(harness, "LOCKSTEP_ROUNDS", rounds)
+        groups.clear()
+        run_sweep(cfg, out_path=str(tmp_path / f"rows{rounds}.csv"))
+        assert groups == sizes
+        tables.append(_strip(read_results(tmp_path / f"rows{rounds}.csv")))
+    assert tables[0] == tables[1] == tables[2]
+    assert [(int(r["T"]), int(r["rep"])) for r in tables[0]] == \
+        [(T, rep) for T in (40, 64) for rep in range(5)]
+    spec = cfg.adversary_spec()
+    for r in tables[0]:
+        tr = simulate_run(spec, int(r["T"]), 2, int(r["N"]),
+                          seed=int(r["seed"]))
+        assert r["value"] == repr(evaluate_metric(tr, cfg.metric).value)
+        assert r["error"] == ""
+
+
+def test_sweep_failure_in_one_rep_errors_only_its_row(tmp_path,
+                                                      monkeypatch):
+    """A stream that fails, or a run that fails mid-way inside a lockstep
+    group, errors only its own row; the other reps keep their values."""
+    cfg = _tiny_config(tmp_path, T_list=[32], reps=4)
+    run_sweep(cfg, out_path=str(tmp_path / "clean.csv"))
+    clean = read_results(tmp_path / "clean.csv")
+    stream, update = harness.generate_stream, BmForecaster.update
+
+    def failing_stream(spec, T, d, seed=0):
+        if seed == 0:
+            raise ValueError("forced stream failure")
+        return stream(spec, T, d, seed=seed)
+
+    def failing_update(self, out, y, x):
+        if self.seed == 2 and self.rounds_seen == 16:
+            raise NumericFailure("forced", residual=1.0)
+        update(self, out, y, x)
+
+    monkeypatch.setattr(harness, "generate_stream", failing_stream)
+    monkeypatch.setattr(BmForecaster, "update", failing_update)
+    run_sweep(cfg)
+    rows = read_results(cfg.out)
+    assert [r["error"] for r in rows] == [
+        "ValueError: forced stream failure", "", "NumericFailure: forced", ""]
+    assert rows[0]["value"] == rows[2]["value"] == ""
+    assert _strip([rows[1], rows[3]]) == _strip([clean[1], clean[3]])
+    assert all(float(r["wall_ms"]) > 0.0 for r in rows)
 
 
 # ---------------------------------------------------------------------------

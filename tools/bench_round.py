@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time one forecaster round, layer by layer, for one or more source trees.
+"""Time one forecaster round layer by layer, and sweep rows, for one or
+more source trees.
 
     python tools/bench_round.py --src src --label change
     python tools/bench_round.py --src OLD/src --label parent \
@@ -27,12 +28,19 @@ microseconds per call, on two fixed inputs:
 - dsomni-shaped: exhaustive bucket weights of a mixture trained on
   T = 512 rounds (stride 8, seed 10) over M = 32 test points (seed 11).
 
+Last, it times harness.run_sweep on a fresh table for one horizon,
+T = 1024, d = 2, smcal2:ball1 with auto-smcal N, seeds 0..reps-1, at 2 and
+at 30 reps, in microseconds per sweep row, in one pass (each call runs for
+seconds).
+
 The result holds, per label, the median, quartiles and minimum over the
 reps, and the ratio of each later label's median to the first one's, with
 the core count and the Python and numpy versions. A ratio is listed as
 unresolved when the later median lies inside the first label's
-interquartile range: the reps cannot tell the two apart. Only numpy and the
-source trees are needed.
+interquartile range: the reps cannot tell the two apart. Below
+MIN_SPREAD_REPS reps that range rests on one to three values and says
+nothing, so the unresolved entry is null. Only numpy and the source trees
+are needed.
 """
 
 import argparse
@@ -41,12 +49,15 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 WARMUP, RECORD, ROUND_T, PASSES = 256, 256, 1024, 3
 ROUND_SHAPES = ((2, 4), (5, 7))
+SWEEP_T, SWEEP_REPS = 1024, (2, 30)
+MIN_SPREAD_REPS = 4
 
 
 def _best_us(fn, args_list):
@@ -72,6 +83,32 @@ def unresolved(base, other):
     so their ratio is within the noise of the base reps."""
     return [k for k, s in other.items()
             if base[k]["q1_us"] <= s["median_us"] <= base[k]["q3_us"]]
+
+
+def compare(results, labels, reps):
+    """The ratio of each later label's medians to the first label's, and
+    the kernels whose ratio is unresolved (None below MIN_SPREAD_REPS
+    reps), keyed by the first label as the output document holds them."""
+    base = results[labels[0]]
+    return {
+        "median_ratio_to_" + labels[0]: {
+            label: {k: round(results[label][k]["median_us"]
+                             / base[k]["median_us"], 4) for k in base}
+            for label in labels[1:]},
+        "unresolved_vs_" + labels[0]: None if reps < MIN_SPREAD_REPS else {
+            label: unresolved(base, results[label]) for label in labels[1:]},
+    }
+
+
+def sweep_us(reps):
+    """Microseconds per row of one run_sweep call on a fresh table."""
+    from swapcal import SweepConfig, run_sweep
+    cfg = SweepConfig(T_list=[SWEEP_T], d=2, reps=reps, metric="smcal2:ball1",
+                      n_rule="auto-smcal")
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter_ns()
+        run_sweep(cfg, out_path=os.path.join(tmp, "rows.csv"))
+        return (time.perf_counter_ns() - t0) / reps / 1e3
 
 
 def worker(src):
@@ -145,6 +182,8 @@ def worker(src):
         out[name] = _best_us(
             lambda: per_cell_omni_gap(Xo, yo, CW, z, DEFAULT_LOSSES,
                                       affine_restricted()), [()])
+    for reps in SWEEP_REPS:
+        out[f"sweep_T{SWEEP_T}_r{reps}"] = sweep_us(reps)
     return out
 
 
@@ -192,19 +231,20 @@ def main(argv=None):
                            "omni_somni_T4096 on a T 4096, d 2 transcript, "
                            "omni_dsomni_M32 on exhaustive bucket weights, "
                            "M 32",
-                   "unit": "us per call (round_*: us per round), best of "
-                           "passes within a worker, median, quartiles and "
-                           "min over reps"},
+                   "sweep": f"run_sweep on a fresh table, T {SWEEP_T}, "
+                            "d 2, smcal2:ball1, auto-smcal N, seeds from 0, "
+                            "one pass",
+                   "unit": "us per call (round_*: us per round, sweep_*: "
+                           "us per sweep row), best of passes within a "
+                           "worker, median, quartiles and min over reps",
+                   "unresolved": "kernels whose later median lies inside "
+                                 "the first label's interquartile range; "
+                                 f"null below {MIN_SPREAD_REPS} reps, where "
+                                 "that range rests on one to three values"},
         "results": results,
     }
     if len(labels) > 1:
-        base = results[labels[0]]
-        doc["median_ratio_to_" + labels[0]] = {
-            label: {k: round(results[label][k]["median_us"]
-                             / base[k]["median_us"], 4) for k in kernels}
-            for label in labels[1:]}
-        doc["unresolved_vs_" + labels[0]] = {
-            label: unresolved(base, results[label]) for label in labels[1:]}
+        doc.update(compare(results, labels, args.reps))
     text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
