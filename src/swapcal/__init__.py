@@ -27,27 +27,26 @@ from .linalg import (check_column_stochastic, project_ball_a_norm,
 from .metrics import (CellSums, MetricReport, WitnessFn, bm_external_regrets,
                       cal, cell_sums, constrained_lstsq, mcal, psmcal, psreg,
                       realized_weights, smcal, somni, sreg, witness_f_prime)
-from .ons import BETA, OMEGA, RADIUS, OnsState, ons_init, ons_step
+from .ons import BETA, OMEGA, RADIUS, ons_step
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdversarySpec", "BETA", "BmForecaster", "CellSums", "FormatError", "Grid",
     "HypothesisClass", "LinearFn", "LossSpec", "MetricReport",
-    "MixturePredictor", "NumericFailure", "OMEGA", "OnsState",
-    "PreconditionError", "RADIUS", "RateFit", "ResourceLimitError",
-    "RoundOutput", "SweepConfig", "Transcript", "WitnessFn", "absolute_loss",
-    "affine_restricted", "bm_external_regrets", "cal", "cell_sums",
-    "check_column_stochastic", "choose_n", "constrained_lstsq", "cover_class",
-    "cover_thetas", "custom_loss", "estimate_dsmcal", "estimate_dsomni",
-    "estimate_saerr", "evaluate_metric", "finite_class", "fit_rate",
-    "generate_stream", "ingest_csv", "linear_ball", "make_grid", "mcal",
-    "mixture_from_json", "mixture_predict", "mixture_to_json", "ons_init",
-    "ons_step", "parse_class_spec", "parse_losses", "post_process",
-    "project_ball_a_norm", "psmcal", "psreg", "read_results",
-    "realized_weights", "resolve_n", "rround", "run_lockstep", "run_online",
-    "run_sweep", "select_snapshot", "seed_streams", "sherman_morrison_update",
-    "simulate_run", "smcal", "somni", "squared_loss", "sreg",
-    "stationary_distribution", "train_mixture", "validate_outcome",
-    "validate_stream", "vshaped_loss", "witness_f_prime",
+    "MixturePredictor", "NumericFailure", "OMEGA", "PreconditionError",
+    "RADIUS", "RateFit", "ResourceLimitError", "RoundOutput", "SweepConfig",
+    "Transcript", "WitnessFn", "absolute_loss", "affine_restricted",
+    "bm_external_regrets", "cal", "cell_sums", "check_column_stochastic",
+    "choose_n", "constrained_lstsq", "cover_class", "cover_thetas",
+    "custom_loss", "estimate_dsmcal", "estimate_dsomni", "estimate_saerr",
+    "evaluate_metric", "finite_class", "fit_rate", "generate_stream",
+    "ingest_csv", "linear_ball", "make_grid", "mcal", "mixture_from_json",
+    "mixture_predict", "mixture_to_json", "ons_step", "parse_class_spec",
+    "parse_losses", "post_process", "project_ball_a_norm", "psmcal", "psreg",
+    "read_results", "realized_weights", "resolve_n", "rround", "run_lockstep",
+    "run_online", "run_sweep", "select_snapshot", "seed_streams",
+    "sherman_morrison_update", "simulate_run", "smcal", "somni",
+    "squared_loss", "sreg", "stationary_distribution", "train_mixture",
+    "validate_outcome", "validate_stream", "vshaped_loss", "witness_f_prime",
 ]

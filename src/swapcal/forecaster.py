@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Grid, Transcript, validate_outcome, validate_stream
 from .linalg import stationary_distribution
-from .ons import ons_init, ons_step
+from .ons import OMEGA, ons_step
 
 
 def seed_streams(seed):
@@ -93,34 +93,25 @@ def sample_cell(P, u):
 class BmForecaster:
     """Grid of per-cell learners reduced to a single forecaster.
 
-    Owns n+1 online Newton learners (one per grid point), the sampling
-    generator, and nothing else. predict() commits a conditional
+    Owns n+1 online Newton learners (one per grid point) as the stacks
+    thetas (K, d) and inv_curvatures (K, d, d), the update count
+    rounds_seen, and the sampling generator. predict() commits a conditional
     distribution and samples from it; update() advances every learner with
-    its stationary scale weight.
+    its stationary scale weight into fresh stacks.
     """
 
-    def __init__(self, grid, d, seed=0, rng=None):
+    def __init__(self, grid, d, seed=0):
         if not isinstance(grid, Grid):
             raise ValueError("grid must be a Grid")
         if not isinstance(d, (int, np.integer)) or d < 1:
             raise ValueError(f"dimension must be a positive integer, got {d!r}")
         self.grid = grid
         self.d = int(d)
-        self.learners = [ons_init(self.d) for _ in range(grid.size)]
+        self.thetas = np.zeros((grid.size, d))
+        self.inv_curvatures = np.tile(np.eye(d) / OMEGA, (grid.size, 1, 1))
+        self.rounds_seen = 0
         self.seed = seed
-        if rng is None:
-            fc_ss, _ = seed_streams(seed)
-            rng = np.random.Generator(np.random.PCG64(fc_ss))
-        self.rng = rng
-
-    @property
-    def rounds_seen(self):
-        return self.learners[0].rounds_seen
-
-    @property
-    def thetas(self):
-        """The learners' parameters as one (K, d) stack."""
-        return np.array([s.theta for s in self.learners])
+        self.rng = np.random.Generator(np.random.PCG64(seed_streams(seed)[0]))
 
     def predict(self, x):
         """Commit this round's conditional distribution for context x and
@@ -135,11 +126,17 @@ class BmForecaster:
 
     def update(self, out, y, x):
         """Advance every learner on (x, y), learner i scaled by its
-        stationary weight out.cond_dist[i], in ascending cell order."""
+        stationary weight out.cond_dist[i], in ascending cell order, into
+        fresh stacks that replace the old ones once every cell is done."""
         x = np.asarray(x, dtype=float)
         y = validate_outcome(y)
-        self.learners = [ons_step(s, x, p, y)
-                         for s, p in zip(self.learners, out.cond_dist.tolist())]
+        thetas = np.empty_like(self.thetas)
+        invs = np.empty_like(self.inv_curvatures)
+        for i, (theta, inv, p) in enumerate(zip(
+                self.thetas, self.inv_curvatures, out.cond_dist.tolist())):
+            thetas[i], invs[i] = ons_step(theta, inv, x, p, y)
+        self.thetas, self.inv_curvatures = thetas, invs
+        self.rounds_seen += 1
 
 
 def run_online(forecaster, stream, keep_q=True):
@@ -184,12 +181,10 @@ def run_lockstep(forecasters, streams, keep_q=False):
     P = np.zeros((R, T, grid.size))
     pi = np.zeros((R, T), dtype=int)
     W = np.zeros((R, T, grid.size)) if keep_q else None
-    rngs = [fc.rng for fc in forecasters]
-    for t in range(T):
-        x = X[t]
-        w, Q, Pt = commit_round(np.array([fc.thetas for fc in forecasters]),
+    for t, x in enumerate(X):
+        w, Q, Pt = commit_round(np.stack([fc.thetas for fc in forecasters]),
                                 x, grid)
-        idx = sample_cell(Pt, [rng.random() for rng in rngs])
+        idx = sample_cell(Pt, [fc.rng.random() for fc in forecasters])
         P[:, t] = Pt
         pi[:, t] = idx
         if keep_q:

@@ -399,7 +399,8 @@ def run_sweep(cfg, out_path=None):
     """Execute all (T, rep) rows of a sweep, appending to the results table
     as rows finish.
 
-    Resumable: rows already present in the table are skipped. The pending
+    Each distinct horizon runs once, in first-seen order. Resumable: rows
+    of this metric already present in the table are skipped. The pending
     reps of one horizon run together in lockstep, in groups of at most
     max(1, LOCKSTEP_ROUNDS // T) reps, which bounds a group's memory; a
     group's rows are written, in configuration order, when the group
@@ -413,8 +414,9 @@ def run_sweep(cfg, out_path=None):
     existing = []
     if os.path.exists(out_path):
         existing = read_results(out_path)
-    done = {(int(r["T"]), int(r["rep"])) for r in existing}
-    T_list = [int(T) for T in cfg.T_list]
+    done = {(int(r["T"]), int(r["rep"])) for r in existing
+            if r["metric"] == cfg.metric}
+    T_list = list(dict.fromkeys(int(T) for T in cfg.T_list))
     new_rows = []
     mode = "a" if existing else "w"
     with open(out_path, mode, encoding="utf-8", newline="") as fh:

@@ -6,13 +6,13 @@ norm at most 1 these losses are 1/50-exp-concave and 10-Lipschitz, which
 fixes the step parameter beta = 1/640 and the curvature floor
 omega = 1/(4 beta^2) = 102400.
 
-States are immutable; ons_step returns a fresh state.
+A learner is its parameter theta and inverse curvature matrix
+(omega I + sum of gradient outer products)^{-1}, fresh at 0 and I / omega.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,38 +23,16 @@ OMEGA = 102400.0  # 1 / (4 beta^2), written out exactly
 RADIUS = 4.0
 
 
-@dataclass(frozen=True)
-class OnsState:
-    """Learner state: parameter vector and the inverse curvature matrix
-    (omega I + sum of gradient outer products)^{-1}."""
-
-    theta: np.ndarray
-    inv_curvature: np.ndarray
-    rounds_seen: int = 0
-
-
-def ons_init(d):
-    """Fresh learner in dimension d: theta = 0, curvature floor omega I."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
-    theta = np.zeros(d)
-    inv0 = np.eye(d) / OMEGA
-    theta.flags.writeable = False
-    inv0.flags.writeable = False
-    return OnsState(theta=theta, inv_curvature=inv0)
-
-
-def ons_step(state, x, alpha, y):
-    """Advance one round on (x, y) with scale weight alpha.
+def ons_step(theta, inv_curvature, x, alpha, y):
+    """Advance one learner one round on (x, y) with scale weight alpha and
+    return the new (theta, inv_curvature); the inputs are never modified.
 
     Folds the gradient into the curvature (rank-one inverse update), takes
     the Newton step theta - (1/beta) A^{-1} g, g = 2 alpha (<theta, x> - y) x
-    the gradient of phi, and projects back onto the
-    radius-4 ball in the A-norm when the step leaves it. alpha = 0 leaves
-    everything but the round counter untouched.
+    the gradient of phi, and projects back onto the radius-4 ball in the
+    A-norm when the step leaves it. alpha = 0 returns the inputs unchanged.
     """
     x = np.asarray(x, dtype=float)
-    theta = state.theta
     if x.shape != theta.shape:
         raise ValueError(f"context dimension {x.shape} does not match state "
                          f"dimension {theta.shape}")
@@ -63,13 +41,10 @@ def ons_step(state, x, alpha, y):
     if y not in (0, 0.0, 1, 1.0):
         raise ValueError(f"outcome must be 0 or 1, got {y!r}")
     if alpha == 0.0:
-        return OnsState(theta, state.inv_curvature, state.rounds_seen + 1)
+        return theta, inv_curvature
     g = (2.0 * alpha * (float(theta @ x) - y)) * x
-    inv_new = sherman_morrison_update(state.inv_curvature, g)
+    inv_new = sherman_morrison_update(inv_curvature, g)
     theta_new = theta - (inv_new @ g) / BETA
     if math.sqrt(theta_new @ theta_new) > RADIUS:
         theta_new = project_ball_a_norm(theta_new, inv_new, RADIUS)
-    theta_new.flags.writeable = False
-    inv_new.flags.writeable = False
-    return OnsState(theta_new, inv_new, state.rounds_seen + 1)
-
+    return theta_new, inv_new

@@ -16,7 +16,7 @@ from .linalg import (RIDGE_TOL, project_ball_a_norm, sherman_morrison_update,
                      stationary_distribution)
 from .metrics import (bm_external_regrets, psmcal, psreg, smcal,
                       witness_f_prime)
-from .ons import OMEGA, RADIUS, OnsState, ons_init, ons_step
+from .ons import OMEGA, RADIUS, ons_step
 
 
 def _check_rounding(rng):
@@ -99,11 +99,10 @@ def _check_projection(rng):
 
 def _check_ons(rng):
     # one hand-checked step
-    st = ons_init(1)
-    st = ons_step(st, np.array([0.5]), 1.0, 1)
+    theta, _ = ons_step(np.zeros(1), np.eye(1) / OMEGA, [0.5], 1.0, 1)
     want = 640.0 / 102401.0
-    if abs(st.theta[0] - want) > 1e-15:
-        return False, f"first step gave {st.theta[0]!r}, wanted {want!r}"
+    if abs(theta[0] - want) > 1e-15:
+        return False, f"first step gave {theta[0]!r}, wanted {want!r}"
     # short contexts along theta with y = 1 pull theta outward from near the
     # sphere, so the A-norm projection runs: the stored inverse curvature
     # must stay the inverse of omega I + sum g g^T, and theta in the ball
@@ -112,20 +111,20 @@ def _check_ons(rng):
         d = int(rng.integers(1, 5))
         u = rng.normal(size=d)
         u /= np.linalg.norm(u)
-        st, A = OnsState(3.95 * u, np.eye(d) / OMEGA), OMEGA * np.eye(d)
+        theta, inv, A = 3.95 * u, np.eye(d) / OMEGA, OMEGA * np.eye(d)
         for _ in range(300):
             x = 0.2 * u + 0.05 * rng.normal(size=d)
             alpha = float(rng.random())
-            g = 2.0 * alpha * (st.theta @ x - 1.0) * x
+            g = 2.0 * alpha * (theta @ x - 1.0) * x
             A += np.outer(g, g)
-            st = ons_step(st, x, alpha, 1)
-            nrm = float(np.linalg.norm(st.theta))
+            theta, inv = ons_step(theta, inv, x, alpha, 1)
+            nrm = float(np.linalg.norm(theta))
             if nrm > RADIUS + RIDGE_TOL:
                 return False, f"theta left the ball: norm {nrm!r}"
             on_sphere += nrm > RADIUS - 1e-6
         dense = np.linalg.inv(A)
         # relative to what the updates changed, which omega I would swamp
-        err = (np.linalg.norm(st.inv_curvature - dense)
+        err = (np.linalg.norm(inv - dense)
                / np.linalg.norm(dense - np.eye(d) / OMEGA))
         if err > 1e-8:
             return False, f"inverse curvature off the dense one by {err:.2e}"

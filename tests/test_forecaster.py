@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from swapcal import (AdversarySpec, BmForecaster, Transcript, choose_n,
-                     generate_stream, make_grid, rround, run_lockstep,
-                     run_online, seed_streams)
+import swapcal
+from swapcal import (AdversarySpec, BmForecaster, NumericFailure, Transcript,
+                     choose_n, generate_stream, make_grid, ons_step, rround,
+                     run_lockstep, run_online, seed_streams)
 from swapcal.forecaster import commit_round, sample_cell
 
 
@@ -202,12 +203,75 @@ def test_update_advances_all_learners():
     fc = BmForecaster(make_grid(2), 2, seed=0)
     x = np.array([0.5, 0.1])
     out = fc.predict(x)
-    before = [l.theta.copy() for l in fc.learners]
+    before = fc.thetas.copy()
     fc.update(out, 1, x)
-    assert all(l.rounds_seen == 1 for l in fc.learners)
+    assert fc.rounds_seen == 1
     # the cell holding all the stationary mass moves; zero-mass cells do not
-    assert not np.array_equal(fc.learners[0].theta, before[0])
-    np.testing.assert_array_equal(fc.learners[2].theta, before[2])
+    assert not np.array_equal(fc.thetas[0], before[0])
+    np.testing.assert_array_equal(fc.thetas[2], before[2])
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_update_is_a_chain_of_per_cell_steps(d, monkeypatch):
+    """The stacks equal, bit for bit, a hand-written chain of ons_step calls
+    per cell, over a stream with zero-weight cells and A-norm projections
+    (learners started near the radius-4 sphere, pulled outward)."""
+    projections = []
+    project = swapcal.ons.project_ball_a_norm
+
+    def counted(*args):
+        projections.append(1)
+        return project(*args)
+
+    monkeypatch.setattr(swapcal.ons, "project_ball_a_norm", counted)
+    rng = np.random.default_rng(d)
+    u = rng.normal(size=(5, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    fc = BmForecaster(make_grid(4), d, seed=d)
+    fc.thetas = 3.999 * u
+    cells = list(zip(fc.thetas, fc.inv_curvatures))
+    zero_cells = 0
+    for t in range(200):
+        x = 0.2 * u[t % 5] + 0.02 * rng.normal(size=d)
+        out = fc.predict(x)
+        cells = [ons_step(theta, inv, x, p, 1)
+                 for (theta, inv), p in zip(cells, out.cond_dist.tolist())]
+        zero_cells += int((out.cond_dist == 0.0).sum())
+        fc.update(out, 1, x)
+    assert zero_cells and projections and fc.rounds_seen == 200
+    assert np.array_equal(fc.thetas, [theta for theta, _ in cells])
+    assert np.array_equal(fc.inv_curvatures, [inv for _, inv in cells])
+
+
+def test_update_is_all_or_nothing(monkeypatch):
+    """An update that raises on any cell leaves the forecaster as it was,
+    and a stack read from thetas never changes afterwards."""
+    fc = BmForecaster(make_grid(4), 2, seed=1)
+    x = np.array([0.5, 0.2])
+    fc.update(fc.predict(x), 1, x)
+    snap = fc.thetas
+    frozen = snap.copy()
+    state = fc.thetas.copy(), fc.inv_curvatures.copy(), fc.rounds_seen
+    step, calls = swapcal.forecaster.ons_step, []
+
+    def failing_step(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NumericFailure("forced", residual=1.0)
+        return step(*args)
+
+    monkeypatch.setattr(swapcal.forecaster, "ons_step", failing_step)
+    with pytest.raises(NumericFailure):
+        fc.update(fc.predict(x), 0, x)
+    assert np.array_equal(fc.thetas, state[0])
+    assert np.array_equal(fc.inv_curvatures, state[1])
+    assert fc.rounds_seen == state[2]
+    monkeypatch.undo()
+    for _ in range(5):
+        fc.update(fc.predict(x), 0, x)
+    assert fc.rounds_seen == state[2] + 5
+    assert not np.array_equal(fc.thetas, frozen)
+    assert np.array_equal(snap, frozen)
 
 
 def test_sampler_matches_committed_distribution():
@@ -270,8 +334,7 @@ def test_run_online_validates_stream():
 
 
 def _learner_state(fc):
-    return (np.array([s.theta for s in fc.learners]),
-            np.array([s.inv_curvature for s in fc.learners]), fc.rounds_seen)
+    return fc.thetas, fc.inv_curvatures, fc.rounds_seen
 
 
 def _assert_same_run(a, fa, b, fb):

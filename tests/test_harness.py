@@ -260,6 +260,28 @@ def test_sweep_resumes_partial_table(tmp_path):
     assert all(by_key[(r["T"], r["rep"])] == r["value"] for r in resumed)
 
 
+def test_sweep_runs_a_repeated_horizon_once(tmp_path):
+    cfg = _tiny_config(tmp_path, T_list=[32, 8, 32], reps=1)
+    rows = run_sweep(cfg)
+    assert [int(r["T"]) for r in read_results(cfg.out)] == [32, 8]
+    once = run_sweep(_tiny_config(tmp_path, T_list=[32, 8], reps=1),
+                     out_path=str(tmp_path / "once.csv"))
+    assert _strip(rows) == _strip(once)
+
+
+def test_sweep_resumes_by_metric(tmp_path):
+    """A table of one metric resumed with another keeps the first metric's
+    rows and adds every row of the second, as a fresh sweep writes them."""
+    run_sweep(_tiny_config(tmp_path))
+    cfg = _tiny_config(tmp_path, metric="sreg:ball4")
+    rows = run_sweep(cfg)
+    assert len(read_results(cfg.out)) == len(rows) == 12
+    fresh = run_sweep(cfg, out_path=str(tmp_path / "fresh.csv"))
+    assert _strip(rows[6:]) == _strip(fresh)
+    assert [r["metric"] for r in rows] == ["cal2"] * 6 + ["sreg:ball4"] * 6
+    assert fit_rate(rows, "sreg:ball4").n_points == 3
+
+
 def test_sweep_records_errors_and_continues(tmp_path):
     data = tmp_path / "short.csv"
     data.write_text("\n".join("0.1,1" for _ in range(10)) + "\n")

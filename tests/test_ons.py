@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swapcal import BETA, OMEGA, RADIUS, ons_init, ons_step
+from swapcal import BETA, OMEGA, RADIUS, BmForecaster, make_grid, ons_step
 
 
 def test_constants():
@@ -11,14 +11,20 @@ def test_constants():
     assert RADIUS == 4.0
 
 
+def _fresh(d):
+    """A fresh learner: theta = 0, inverse curvature I / omega."""
+    return np.zeros(d), np.eye(d) / OMEGA
+
+
 def test_init_state():
-    st = ons_init(3)
-    np.testing.assert_array_equal(st.theta, np.zeros(3))
-    np.testing.assert_allclose(st.inv_curvature, np.eye(3) / OMEGA)
-    assert st.rounds_seen == 0
-    assert st.theta.shape == (3,)
+    fc = BmForecaster(make_grid(2), 3)
+    np.testing.assert_array_equal(fc.thetas, np.zeros((3, 3)))
+    np.testing.assert_array_equal(fc.inv_curvatures,
+                                  [np.eye(3) / OMEGA] * 3)
+    assert fc.rounds_seen == 0
+    assert fc.thetas.shape == (3, 3) and fc.inv_curvatures.shape == (3, 3, 3)
     with pytest.raises(ValueError):
-        st.theta[0] = 1.0   # frozen state, arrays locked
+        BmForecaster(make_grid(2), 0)
 
 
 def test_first_step_hand_value():
@@ -27,41 +33,56 @@ def test_first_step_hand_value():
     grad = 2*(0-1)*0.5 = -1; curvature becomes omega+1 = 102401;
     theta = 0 + (1/beta)/102401 = 640/102401.
     """
-    st = ons_step(ons_init(1), np.array([0.5]), 1.0, 1)
-    assert st.theta[0] == pytest.approx(640.0 / 102401.0, abs=1e-15)
-    assert st.rounds_seen == 1
+    theta, inv = ons_step(*_fresh(1), np.array([0.5]), 1.0, 1)
+    assert theta[0] == pytest.approx(640.0 / 102401.0, abs=1e-15)
+    assert inv[0, 0] == pytest.approx(1.0 / 102401.0, rel=1e-15)
 
 
 def test_zero_mass_round_is_identity_up_to_counter():
-    st0 = ons_init(2)
-    st1 = ons_step(st0, np.array([0.5, 0.3]), 0.0, 1)
-    np.testing.assert_array_equal(st1.theta, st0.theta)
-    np.testing.assert_array_equal(st1.inv_curvature, st0.inv_curvature)
-    assert st1.rounds_seen == 1
-    # after a real step too: the same read-only arrays, counter advanced
-    st2 = ons_step(st0, np.array([0.5, 0.3]), 1.0, 1)
-    st3 = ons_step(st2, np.array([0.5, -0.2]), 0.0, 0)
-    assert st3.theta is st2.theta and st3.inv_curvature is st2.inv_curvature
-    assert not st3.theta.flags.writeable
-    assert not st3.inv_curvature.flags.writeable
-    assert st3.rounds_seen == 2
+    theta0, inv0 = _fresh(2)
+    theta1, inv1 = ons_step(theta0, inv0, np.array([0.5, 0.3]), 0.0, 1)
+    assert theta1 is theta0 and inv1 is inv0
+    # after a real step too: the same arrays back
+    theta2, inv2 = ons_step(theta0, inv0, np.array([0.5, 0.3]), 1.0, 1)
+    theta3, inv3 = ons_step(theta2, inv2, np.array([0.5, -0.2]), 0.0, 0)
+    assert theta3 is theta2 and inv3 is inv2
+    # the forecaster counts the round all the same: a zero-mass cell keeps
+    # its row while rounds_seen advances
+    fc = BmForecaster(make_grid(2), 2)
+    x = np.array([0.5, 0.1])
+    out = fc.predict(x)
+    assert out.cond_dist[2] == 0.0
+    before = fc.thetas[2].copy(), fc.inv_curvatures[2].copy()
+    fc.update(out, 1, x)
+    np.testing.assert_array_equal(fc.thetas[2], before[0])
+    np.testing.assert_array_equal(fc.inv_curvatures[2], before[1])
+    assert fc.rounds_seen == 1
 
 
 def test_step_is_functional():
-    st0 = ons_init(2)
-    ons_step(st0, np.array([0.5, 0.1]), 1.0, 0)
-    np.testing.assert_array_equal(st0.theta, np.zeros(2))
-    assert st0.rounds_seen == 0
+    # both paths, the A-norm projection included, leave their inputs as
+    # they were and return fresh arrays
+    u = np.array([0.6, 0.8])
+    for theta0, x in ((np.zeros(2), np.array([0.5, 0.1])),
+                      (3.9999 * u, 0.2 * u)):
+        inv0 = np.eye(2) / OMEGA
+        theta_in, inv_in = theta0.copy(), inv0.copy()
+        theta1, inv1 = ons_step(theta0, inv0, x, 1.0, 1)
+        np.testing.assert_array_equal(theta0, theta_in)
+        np.testing.assert_array_equal(inv0, inv_in)
+        assert theta1 is not theta0 and inv1 is not inv0
+    # the second step left the ball and was projected onto its sphere
+    assert np.linalg.norm(theta1) == pytest.approx(RADIUS, abs=1e-6)
 
 
 def test_validation():
-    st = ons_init(2)
+    theta, inv = _fresh(2)
     with pytest.raises(ValueError):
-        ons_step(st, np.array([0.5]), 1.0, 1)
+        ons_step(theta, inv, np.array([0.5]), 1.0, 1)
     with pytest.raises(ValueError):
-        ons_step(st, np.array([0.5, 0.0]), 1.5, 1)
+        ons_step(theta, inv, np.array([0.5, 0.0]), 1.5, 1)
     with pytest.raises(ValueError):
-        ons_step(st, np.array([0.5, 0.0]), 1.0, 2)
+        ons_step(theta, inv, np.array([0.5, 0.0]), 1.0, 2)
 
 
 def _oracle_replay(steps, d):
@@ -99,21 +120,22 @@ def test_replay_matches_dense_oracle():
             x = rng.normal(size=d)
             x *= min(1.0, 1.0 / max(np.linalg.norm(x), 1e-12)) * rng.random()
             steps.append((x, float(rng.random()), int(rng.integers(0, 2))))
-        st = ons_init(d)
+        theta, inv = _fresh(d)
         for x, a, y in steps:
-            st = ons_step(st, x, a, y)
+            theta, inv = ons_step(theta, inv, x, a, y)
         want = _oracle_replay(steps, d)
-        np.testing.assert_allclose(st.theta, want, atol=1e-7)
+        np.testing.assert_allclose(theta, want, atol=1e-7)
 
 
 def test_iterates_stay_in_radius():
     rng = np.random.default_rng(9)
-    st = ons_init(3)
+    theta, inv = _fresh(3)
     for _ in range(300):
         x = rng.normal(size=3) * 0.4
         x *= min(1.0, 1.0 / max(np.linalg.norm(x), 1e-12))
-        st = ons_step(st, x, float(rng.random()), int(rng.integers(0, 2)))
-        assert np.linalg.norm(st.theta) <= RADIUS + 1e-9
+        theta, inv = ons_step(theta, inv, x, float(rng.random()),
+                              int(rng.integers(0, 2)))
+        assert np.linalg.norm(theta) <= RADIUS + 1e-9
 
 
 def test_learner_converges_on_realizable_stream():
@@ -122,14 +144,14 @@ def test_learner_converges_on_realizable_stream():
     rng = np.random.default_rng(21)
     theta_true = np.array([1.0, -0.6])
     T = 4000
-    st = ons_init(2)
+    theta, inv = _fresh(2)
     excess = 0.0
     for t in range(T):
         x = np.array([0.5, rng.uniform(-0.8, 0.8)])
         p_true = float(np.clip(theta_true @ x, 0.0, 1.0))
         y = int(rng.random() < p_true)
-        pred = min(max(float(st.theta @ x), 0.0), 1.0)
+        pred = min(max(float(theta @ x), 0.0), 1.0)
         excess += (pred - y) ** 2 - (p_true - y) ** 2
-        st = ons_step(st, x, 1.0, y)
+        theta, inv = ons_step(theta, inv, x, 1.0, y)
     assert excess / T < 0.02
-    assert np.linalg.norm(st.theta - theta_true) < 0.25
+    assert np.linalg.norm(theta - theta_true) < 0.25

@@ -138,11 +138,12 @@ def worker(src):
             rows["rround"].append((w, grid))
             rows["sample"].append((P, float(t % 97) / 97.0))
             rows["commit"].append((thetas, x, grid))
-            for s, p in zip(fc.learners, P.tolist()):
-                rows["step" if p > 0.0 else "step0"].append((s, x, p, yt))
+            for theta, inv, p in zip(thetas, fc.inv_curvatures, P.tolist()):
+                rows["step" if p > 0.0 else "step0"].append(
+                    (theta, inv, x, p, yt))
                 if p > 0.0:
-                    g = (2.0 * p * (float(s.theta @ x) - yt)) * x
-                    rows["sm"].append((s.inv_curvature, g))
+                    g = (2.0 * p * (float(theta @ x) - yt)) * x
+                    rows["sm"].append((inv, g))
         fc.update(fc.predict(x), yt, x)
 
     out = {
