@@ -16,7 +16,6 @@ stream draws.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
@@ -332,61 +331,39 @@ class SweepConfig:
                              bias=self.bias, path=self.csv_path)
 
 
-@contextlib.contextmanager
-def _recorded(row):
-    """Add the block's time to row["wall_ms"] (seconds until the row is
-    written) and record an exception in row["error"]: recorded, not fatal,
-    so the sweep goes on."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    except Exception as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    row["wall_ms"] += time.perf_counter() - t0
-
-
-def _simulate_reps(rows, streams):
-    """Transcripts {rep: transcript} of the reps of streams {rep: (X, y)},
-    run in lockstep with the grid, d and seed of their rows."""
-    fcs = [BmForecaster(make_grid(rows[rep]["N"]), rows[rep]["d"],
-                        seed=rows[rep]["seed"]) for rep in streams]
-    return dict(zip(streams, run_lockstep(fcs, list(streams.values()))))
-
-
 def _sweep_rows(cfg, T, reps):
     """The rows of the distinct repetitions `reps` at horizon T, in order.
 
-    Each rep's stream is generated in its own try; the reps whose stream is
-    ready then run as one lockstep group. If the group raises, each of its
-    reps reruns alone, so only a faulty rep's row carries the error. Each
-    rep's metric is evaluated on its own. wall_ms is a rep's share of the
-    group's simulation time plus its own stream, rerun and metric time.
+    One try builds and runs the whole group in lockstep; if it raises, each
+    rep reruns alone by simulate_run in its own try. Each rep's metric is
+    evaluated on its own. wall_ms is as run_sweep describes it.
     """
-    rows = {rep: {"T": T, "N": "", "d": cfg.d, "rep": rep,
-                  "seed": cfg.seed_base + rep, "metric": cfg.metric,
-                  "value": "", "wall_ms": 0.0, "error": ""} for rep in reps}
-    streams, runs = {}, {}
-    for rep, row in rows.items():
-        with _recorded(row):
-            row["N"] = resolve_n(cfg.n_rule, T, cfg.d)
-            streams[rep] = generate_stream(cfg.adversary_spec(), T, cfg.d,
-                                           seed=row["seed"])
+    seeds = [cfg.seed_base + rep for rep in reps]
+    rows = [{"T": T, "N": "", "d": cfg.d, "rep": rep, "seed": seed,
+             "metric": cfg.metric, "value": "", "wall_ms": "", "error": ""}
+            for rep, seed in zip(reps, seeds)]
     t0 = time.perf_counter()
     try:
-        runs = _simulate_reps(rows, streams) if streams else {}
+        n, spec = resolve_n(cfg.n_rule, T, cfg.d), cfg.adversary_spec()
+        streams = [generate_stream(spec, T, cfg.d, seed=s) for s in seeds]
+        runs = run_lockstep([BmForecaster(make_grid(n), cfg.d, seed=s)
+                             for s in seeds], streams)
     except Exception:
-        pass  # each rep reruns alone below
-    share = (time.perf_counter() - t0) / max(1, len(streams))
-    for rep, stream in streams.items():
-        rows[rep]["wall_ms"] += share
-        with _recorded(rows[rep]):
-            tr = runs.pop(rep) if rep in runs else \
-                _simulate_reps(rows, {rep: stream})[rep]
-            rows[rep]["value"] = repr(evaluate_metric(
+        runs = [None] * len(rows)  # each rep reruns alone below
+    share = (time.perf_counter() - t0) / len(rows)
+    for row, tr in zip(rows, runs):
+        t0 = time.perf_counter()
+        try:
+            row["N"] = resolve_n(cfg.n_rule, T, cfg.d)
+            if tr is None:
+                tr = simulate_run(cfg.adversary_spec(), T, cfg.d, row["N"],
+                                  seed=row["seed"])
+            row["value"] = repr(evaluate_metric(
                 tr, cfg.metric, losses=parse_losses(cfg.losses)).value)
-    for row in rows.values():
-        row["wall_ms"] = f"{row['wall_ms'] * 1e3:.3f}"
-    return list(rows.values())
+        except Exception as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        row["wall_ms"] = f"{(share + time.perf_counter() - t0) * 1e3:.3f}"
+    return rows
 
 
 def read_results(path):
@@ -404,9 +381,10 @@ def run_sweep(cfg, out_path=None):
     reps of one horizon run together in lockstep, in groups of at most
     max(1, LOCKSTEP_ROUNDS // T) reps, which bounds a group's memory; a
     group's rows are written, in configuration order, when the group
-    finishes. A row's wall_ms is its share of the group's simulation time
-    plus its own stream and metric time. Returns all rows, previously
-    completed first.
+    finishes. A failed group reruns each rep alone by simulate_run, so only
+    a faulty rep's row carries the error. A row's wall_ms is its share of
+    the group's time (streams, forecasters, lockstep run) plus its own N,
+    rerun and metric time. Returns all rows, previously completed first.
     """
     out_path = out_path or cfg.out
     if not out_path:

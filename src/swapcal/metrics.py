@@ -116,7 +116,7 @@ def _members(hc, d, cap=MEMBER_CAP):
     return hc.thetas, f"enumerated over {len(hc.thetas)} finite members"
 
 
-def per_cell_sup_numerators(X, y, CW, zvals, hc, cap=MEMBER_CAP):
+def per_cell_sup_numerators(X, y, CW, zvals, hc):
     """sup_f | sum_t CW[c,t] f(x_t) (y_t - z_c) | for every cell c.
 
     Returns (numerators, note): r ||R_c|| for the radius-r ball,
@@ -125,7 +125,7 @@ def per_cell_sup_numerators(X, y, CW, zvals, hc, cap=MEMBER_CAP):
     """
     s = cell_sums(X, y, CW, zvals)
     if hc.enumerated:
-        thetas, note = _members(hc, X.shape[1], cap)
+        thetas, note = _members(hc, X.shape[1])
         return np.max(np.abs(thetas @ s.R.T), axis=0), note
     norms = np.linalg.norm(s.R, axis=1)
     if hc.kind == "linear-ball":
@@ -148,7 +148,7 @@ def constrained_lstsq(X, y, w, radius):
     return ridge_to_sphere(X.T @ Xw, X.T @ (w * y), radius)
 
 
-def per_cell_min_squared(X, y, CW, hc, cap=MEMBER_CAP):
+def per_cell_min_squared(X, y, CW, hc):
     """min_f sum_t CW[c,t] (f(x_t) - y_t)^2 for every cell. Empty cells get 0.
 
     On cell c, theta's loss is theta^T A_c theta - 2 theta^T R_c + SS_c, from
@@ -164,7 +164,7 @@ def per_cell_min_squared(X, y, CW, hc, cap=MEMBER_CAP):
     else:
         s = cell_sums(X, y, CW, np.zeros(K))
     if hc.enumerated:
-        thetas, note = _members(hc, X.shape[1], cap)
+        thetas, note = _members(hc, X.shape[1])
     elif hc.kind == "linear-ball":
         note = f"constrained least squares over ||theta|| <= {hc.radius:g}"
     mins = np.zeros(K)
@@ -176,7 +176,7 @@ def per_cell_min_squared(X, y, CW, hc, cap=MEMBER_CAP):
     return mins, note
 
 
-def per_cell_omni_gap(X, y, CW, zvals, losses, hc, cap=MEMBER_CAP):
+def per_cell_omni_gap(X, y, CW, zvals, losses, hc):
     """Per cell: max over the loss menu of
     (post-processed learner loss) - (best-in-class loss), both CW-weighted.
 
@@ -189,7 +189,7 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc, cap=MEMBER_CAP):
     """
     nz = CW.sum(axis=1) > 0
     if hc.enumerated:
-        thetas, note = _members(hc, X.shape[1], cap)
+        thetas, note = _members(hc, X.shape[1])
         achieved = _least_member_losses(thetas, X, y, CW, losses)
     elif hc.kind == "affine-restricted":
         note = (f"inner minimization by projected subgradient descent "

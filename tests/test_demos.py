@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("online_to_batch.py", []),
     ("run_forecaster.py", ["300"]),
     ("rounding_tradeoff.py", []),
+    ("rate_study.py", ["1"]),
 ])
 def test_demo_runs(script, args):
     path = os.pathsep.join(p for p in (str(ROOT / "src"),

@@ -297,6 +297,31 @@ def test_sweep_records_errors_and_continues(tmp_path):
     assert bad[0]["value"] == ""
 
 
+@pytest.mark.parametrize("over, error", [
+    (dict(losses="squared,bad"), "ValueError: unknown loss token 'bad'"),
+    (dict(adversary="weird"), "ValueError: unknown adversary kind 'weird'"),
+    (dict(n_rule="bogus"), "ValueError: grid rule must be auto-smcal, "
+                           "auto-sreg, or an integer, got 'bogus'"),
+    (dict(n_rule=0), "ValueError: grid resolution must be a positive "
+                     "integer, got 0"),
+    (dict(metric="nope"), "ValueError: unknown metric 'nope'; known: "
+                          + ", ".join(harness.METRICS)),
+    (dict(adversary="csv"), "ValueError: csv stream {path} has 4 rows, "
+                            "fewer than the requested horizon {T}"),
+], ids=["losses", "adversary", "n-rule", "n-zero", "metric", "short-csv"])
+def test_sweep_bad_configuration_errors_every_row(tmp_path, over, error):
+    """A configuration fault, whichever step meets it first, lands in every
+    row's error column and does not stop the sweep."""
+    data = tmp_path / "short.csv"
+    data.write_text("0.1,1\n" * 4)
+    cfg = _tiny_config(tmp_path, csv_path=str(data), **over)
+    rows = run_sweep(cfg)
+    assert len(rows) == len(read_results(cfg.out)) == 6
+    for r in rows:
+        assert r["value"] == ""
+        assert r["error"] == error.format(path=data, T=r["T"])
+
+
 def test_sweep_row_isolated():
     cfg = SweepConfig(T_list=[16], d=2, reps=1, metric="cal2", n_rule="2",
                       out="unused.csv")

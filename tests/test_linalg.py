@@ -4,6 +4,7 @@ import pytest
 from swapcal import (BmForecaster, NumericFailure, check_column_stochastic,
                      make_grid, project_ball_a_norm, rround, run_online,
                      sherman_morrison_update, stationary_distribution)
+from swapcal import linalg
 
 
 def _random_column_stochastic(rng, n):
@@ -304,3 +305,18 @@ def test_check_column_stochastic_on_a_stack():
         check_column_stochastic(bad)
     with pytest.raises(ValueError, match="square"):
         check_column_stochastic(np.ones((2, 2, 3)))
+
+
+def test_ridge_to_sphere_stall_paths(monkeypatch):
+    """A badly conditioned A (eigenvalues 1 and 1e-3) cut off after a few
+    halvings: the best iterate is returned when it is within 1e-6 of the
+    sphere, and a gap above that raises NumericFailure carrying it."""
+    A, b = np.diag([1.0, 1e-3]), np.array([3.0, 1.0])
+    monkeypatch.setattr(linalg, "RIDGE_MAX_ITER", 2)
+    with pytest.raises(NumericFailure, match="stalled") as info:
+        linalg.ridge_to_sphere(A, b, 1.0)
+    assert info.value.residual == pytest.approx(0.0155, abs=1e-4)
+    monkeypatch.setattr(linalg, "RIDGE_MAX_ITER", 20)
+    gap = abs(np.linalg.norm(linalg.ridge_to_sphere(A, b, 1.0)) - 1.0)
+    assert linalg.RIDGE_TOL < gap <= 1e-6
+    assert gap == pytest.approx(4.8e-7, rel=0.01)

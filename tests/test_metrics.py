@@ -466,6 +466,29 @@ def test_constrained_lstsq_on_rank_deficient_tiny_weights():
     assert abs(X2[1] @ th - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_min_squared_over_the_affine_class_matches_lstsq(d):
+    """The affine class (1 + <theta, x>)/2, ||theta|| <= 1, is least squares
+    of y - 1/2 on x/2 over the unit ball: per cell, with realized weights
+    (the sreg path, empty cells included) and pseudo weights (psreg)."""
+    rng = np.random.default_rng(70 + d)
+    tr = _random_transcript(rng, 80, d, 6)
+    tr = Transcript(tr.grid, tr.contexts, tr.cond_dists,
+                    tr.sampled_indices // 2 * 2, tr.outcomes)
+    X, y = tr.contexts, tr.outcomes.astype(float)
+    assert not realized_weights(tr)[:, 1::2].any()
+    for CW in (realized_weights(tr).T, tr.cond_dists.T):
+        mins, note = metrics_mod.per_cell_min_squared(X, y, CW,
+                                                      affine_restricted())
+        assert "affine class" in note
+        for c, w in enumerate(CW):
+            want = 0.0
+            if w.sum() > 0:
+                th = constrained_lstsq(0.5 * X, y - 0.5, w, 1.0)
+                want = float(np.sum(w * ((1.0 + X @ th) / 2.0 - y) ** 2))
+            assert mins[c] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_sreg_finite_class_matches_naive():
     rng = np.random.default_rng(15)
     tr = _random_transcript(rng, 30, 2, 3)
