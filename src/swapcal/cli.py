@@ -48,8 +48,8 @@ def build_parser():
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="transcript path (JSONL)")
     sim.add_argument("--slim", action="store_true",
-                     help="do not record the per-round learner proposals "
-                          "in memory (transcript files never carry them)")
+                     help="accepted and ignored: runs never record the "
+                          "learners' proposals")
     sim.add_argument("--csv-path", default=None, help="data file for the csv "
                                                       "adversary")
     sim.add_argument("--bias", type=float, default=0.5,
@@ -124,8 +124,7 @@ def _cmd_simulate(args):
     n = resolve_n(args.N, args.T, args.d)
     tables = {}
     tr = run_online(BmForecaster(make_grid(n), args.d, seed=args.seed),
-                    _stream(spec, args.T, args.d, args.seed, tables),
-                    keep_q=not args.slim)
+                    _stream(spec, args.T, args.d, args.seed, tables))
     tr.write_jsonl(args.out)
     header = {"N": n, "d": args.d, "T": args.T, "seed": args.seed,
               "out": args.out}

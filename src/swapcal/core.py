@@ -20,7 +20,8 @@ from .errors import FormatError, ResourceLimitError
 CONTEXT_NORM_TOL = 1e-9
 COND_DIST_TOL = 1e-9
 
-#: enumeration cap for cover classes and evaluation covers
+#: enumeration cap for cover classes and evaluation covers, and for the
+#: entries of the forecaster's per-round K x K rounding matrix
 MEMBER_CAP = 10 ** 6
 
 
@@ -418,16 +419,15 @@ class Transcript:
     """A complete forecasting run, stored columnwise.
 
     contexts is (T, d), cond_dists is (T, n+1) with rows on the simplex,
-    sampled_indices and outcomes are (T,). w_mat (T, n+1) holds the raw
-    per-cell proposals when the run kept them; rround(w_mat, grid) rebuilds
-    the per-round column-stochastic matrices.
+    sampled_indices and outcomes are (T,): exactly the fields of the JSONL
+    file, plus the grid its header's N names.
     """
 
     __slots__ = ("grid", "contexts", "cond_dists", "sampled_indices", "outcomes",
-                 "seed", "w_mat")
+                 "seed")
 
     def __init__(self, grid, contexts, cond_dists, sampled_indices, outcomes,
-                 seed=None, w_mat=None):
+                 seed=None):
         self.grid = grid
         self.contexts = np.asarray(contexts, dtype=float)
         self.cond_dists = np.asarray(cond_dists, dtype=float)
@@ -442,7 +442,6 @@ class Transcript:
                                  f"not an integer in [0, {hi}]")
         self.sampled_indices, self.outcomes = pi.astype(int), y.astype(int)
         self.seed = seed
-        self.w_mat = None if w_mat is None else np.asarray(w_mat, dtype=float)
         T = self.horizon
         for arr, name in ((self.cond_dists, "cond_dists"),
                           (self.sampled_indices, "sampled_indices"),
@@ -478,8 +477,7 @@ class Transcript:
 
     def write_jsonl(self, path):
         """Persist as JSON lines: a header {"N","d","T","seed"} followed by one
-        record {"t","x","P","pi","y"} per round (t is 1-based). The proposals
-        w_mat are not part of the format."""
+        record {"t","x","P","pi","y"} per round (t is 1-based)."""
         with open(path, "w", encoding="utf-8") as fh:
             header = {"N": self.grid.n, "d": self.d, "T": self.horizon,
                       "seed": self.seed}
@@ -507,8 +505,7 @@ class Transcript:
         if len(lines) - 1 != T:
             raise FormatError(f"{path}: header says T={T} but file has "
                               f"{len(lines) - 1} step records")
-        grid = Grid(n) if n >= 1 else None
-        if grid is None:
+        if n < 1:
             raise FormatError(f"{path}: header N must be >= 1")
         X = np.zeros((T, d))
         P = np.zeros((T, n + 1))
@@ -536,4 +533,4 @@ class Transcript:
                 raise FormatError(f"{path}: bad step record on line {k + 2}: "
                                   f"{key} {values[k]} is not an integer in "
                                   f"[0, {hi}]")
-        return cls(grid, X, P, pi, y, seed=seed)
+        return cls(Grid(n), X, P, pi, y, seed=seed)

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, Transcript, validate_outcome, validate_stream
+from .core import (MEMBER_CAP, Grid, Transcript, validate_outcome,
+                   validate_stream)
+from .errors import ResourceLimitError
 from .linalg import stationary_distribution
 from .ons import OMEGA, ons_step
 
@@ -105,6 +107,9 @@ class BmForecaster:
             raise ValueError("grid must be a Grid")
         if not isinstance(d, (int, np.integer)) or d < 1:
             raise ValueError(f"dimension must be a positive integer, got {d!r}")
+        if grid.size ** 2 > MEMBER_CAP:
+            raise ResourceLimitError(f"N = {grid.n} needs over {MEMBER_CAP} "
+                                     "rounding-matrix entries a round")
         self.grid = grid
         self.d = int(d)
         self.thetas = np.zeros((grid.size, d))
@@ -139,20 +144,14 @@ class BmForecaster:
         self.rounds_seen += 1
 
 
-def run_online(forecaster, stream, keep_q=True):
+def run_online(forecaster, stream):
     """Run the forecaster over a stream (X, y), contexts X float (T, d) and
-    outcomes y int (T,), and record the full transcript: run_lockstep with
-    one forecaster.
-
-    keep_q records the raw learner proposals in the transcript as w_mat
-    (memory O(T n)), from which rround rebuilds the per-round
-    column-stochastic matrices; the persisted JSONL format never includes
-    them either way.
-    """
-    return run_lockstep([forecaster], [stream], keep_q=keep_q)[0]
+    outcomes y int (T,), and record the transcript its JSONL file holds:
+    run_lockstep with one forecaster."""
+    return run_lockstep([forecaster], [stream])[0]
 
 
-def run_lockstep(forecasters, streams, keep_q=False):
+def run_lockstep(forecasters, streams):
     """Run R forecasters that share a grid and d over R streams (X, y) of
     one length, round by round together, and return one transcript per
     forecaster. Every stream is validated once, before the first round.
@@ -180,20 +179,16 @@ def run_lockstep(forecasters, streams, keep_q=False):
     Y = np.stack([s[1] for s in streams], axis=1).tolist()
     P = np.zeros((R, T, grid.size))
     pi = np.zeros((R, T), dtype=int)
-    W = np.zeros((R, T, grid.size)) if keep_q else None
     for t, x in enumerate(X):
         w, Q, Pt = commit_round(np.stack([fc.thetas for fc in forecasters]),
                                 x, grid)
         idx = sample_cell(Pt, [fc.rng.random() for fc in forecasters])
         P[:, t] = Pt
         pi[:, t] = idx
-        if keep_q:
-            W[:, t] = w
         for r, fc in enumerate(forecasters):
             fc.update(RoundOutput(Pt[r], Q[r], w[r], int(idx[r])), Y[t][r],
                       x[r])
-    return [Transcript(fc.grid, Xr, P[r], pi[r], yr, seed=fc.seed,
-                       w_mat=None if W is None else W[r])
+    return [Transcript(fc.grid, Xr, P[r], pi[r], yr, seed=fc.seed)
             for r, (fc, (Xr, yr)) in enumerate(zip(forecasters, streams))]
 
 

@@ -184,8 +184,6 @@ def csv_rows(table, T, d, path):
 def resolve_n(n_rule, T, d):
     """Map an --N style rule (auto-smcal, auto-sreg, or an integer) to a
     concrete grid resolution."""
-    if isinstance(n_rule, (int, np.integer)):
-        return int(n_rule)
     if n_rule == "auto-smcal":
         return choose_n(T, d, "smcal")
     if n_rule == "auto-sreg":
@@ -197,12 +195,12 @@ def resolve_n(n_rule, T, d):
                          f"integer, got {n_rule!r}") from None
 
 
-def simulate_run(spec, T, d, n, seed=0, keep_q=False):
+def simulate_run(spec, T, d, n, seed=0):
     """Generate a stream from the adversary and run the forecaster on it,
     both derived from the same run seed."""
     stream = generate_stream(spec, T, d, seed=seed)
     fc = BmForecaster(make_grid(n), d, seed=seed)
-    return run_online(fc, stream, keep_q=keep_q)
+    return run_online(fc, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +267,21 @@ METRICS = {
 }
 
 
-def evaluate_metric(tr, name, hc=None, losses=None):
-    """Dispatch a metric name (optionally suffixed :CLASS) on a transcript.
-
-    Defaults: calibration metrics evaluate the unit ball, swap regret the
-    radius-4 ball, omniprediction the affine-restricted class.
-    """
+def resolve_metric(name, hc):
+    """The metric on (transcript, class, losses) that a name, optionally
+    suffixed :CLASS, names, and its class: hc if not None, else the suffix's,
+    else the metric's default in METRICS."""
     base, _, cls = name.partition(":")
     if base not in METRICS:
         raise ValueError(f"unknown metric {base!r}; known: "
                          f"{', '.join(METRICS)}")
     fn, default = METRICS[base]
-    if hc is None:
-        hc = parse_class_spec(cls or default)
+    return fn, parse_class_spec(cls or default) if hc is None else hc
+
+
+def evaluate_metric(tr, name, hc=None, losses=None):
+    """Evaluate the metric resolve_metric(name, hc) names on a transcript."""
+    fn, hc = resolve_metric(name, hc)
     return fn(tr, hc, losses)
 
 
@@ -334,9 +334,9 @@ class SweepConfig:
 def _sweep_rows(cfg, T, reps):
     """The rows of the distinct repetitions `reps` at horizon T, in order.
 
-    One try builds and runs the whole group in lockstep; if it raises, each
-    rep reruns alone by simulate_run in its own try. Each rep's metric is
-    evaluated on its own. wall_ms is as run_sweep describes it.
+    One try parses the loss menu, resolves the metric and runs the group in
+    lockstep; if it raises, each rep does the same alone in its own try, so
+    a bad menu or metric simulates nothing. wall_ms is as run_sweep says.
     """
     seeds = [cfg.seed_base + rep for rep in reps]
     rows = [{"T": T, "N": "", "d": cfg.d, "rep": rep, "seed": seed,
@@ -344,6 +344,7 @@ def _sweep_rows(cfg, T, reps):
             for rep, seed in zip(reps, seeds)]
     t0 = time.perf_counter()
     try:
+        parse_losses(cfg.losses), resolve_metric(cfg.metric, None)
         n, spec = resolve_n(cfg.n_rule, T, cfg.d), cfg.adversary_spec()
         streams = [generate_stream(spec, T, cfg.d, seed=s) for s in seeds]
         runs = run_lockstep([BmForecaster(make_grid(n), cfg.d, seed=s)
@@ -355,11 +356,13 @@ def _sweep_rows(cfg, T, reps):
         t0 = time.perf_counter()
         try:
             row["N"] = resolve_n(cfg.n_rule, T, cfg.d)
+            losses = parse_losses(cfg.losses)
+            hc = resolve_metric(cfg.metric, None)[1]
             if tr is None:
                 tr = simulate_run(cfg.adversary_spec(), T, cfg.d, row["N"],
                                   seed=row["seed"])
-            row["value"] = repr(evaluate_metric(
-                tr, cfg.metric, losses=parse_losses(cfg.losses)).value)
+            row["value"] = repr(evaluate_metric(tr, cfg.metric, hc,
+                                                losses).value)
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         row["wall_ms"] = f"{(share + time.perf_counter() - t0) * 1e3:.3f}"

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MEMBER_CAP, LossSpec, absolute_loss, affine_restricted,
-                   cover_thetas, post_process, squared_loss, vshaped_loss)
+from .core import (COND_DIST_TOL, MEMBER_CAP, LossSpec, absolute_loss,
+                   affine_restricted, cover_thetas, post_process,
+                   squared_loss, vshaped_loss)
 from .errors import NumericFailure, PreconditionError, ResourceLimitError
-from .forecaster import rround
+from .forecaster import BmForecaster, rround
 from .linalg import ridge_to_sphere
 
 #: member-point evaluations per chunk of the omniprediction table: bounds
@@ -65,8 +66,7 @@ class MetricReport:
 def realized_weights(tr):
     """Indicator weight matrix (T, n+1): one-hot rows at the sampled cells."""
     W = np.zeros((tr.horizon, tr.grid.size))
-    if tr.horizon:
-        W[np.arange(tr.horizon), tr.sampled_indices] = 1.0
+    W[np.arange(tr.horizon), tr.sampled_indices] = 1.0
     return W
 
 
@@ -389,24 +389,29 @@ def psreg(tr, hc):
 
 
 def bm_external_regrets(tr, hc):
-    """Per-learner external regret of the reduction, from the recorded
-    proposals: learner i pays P_t(i) <q_{t,i}, squared-loss vector>, q_{t,i}
-    the rounding of its proposal, and competes with the best fixed f on its
-    own stationary weights.
+    """Per-learner external regret of the reduction: learner i pays
+    P_t(i) <q_{t,i}, squared-loss vector>, q_{t,i} the rounding of its
+    proposal, and competes with the best fixed f on its own stationary
+    weights. The sum over i upper-bounds the pseudo contextual swap regret.
 
-    The sum over i upper-bounds the pseudo contextual swap regret.
+    P depends on the stream alone, so a fresh BmForecaster replays the
+    proposals; a round whose P it does not reproduce to COND_DIST_TOL
+    raises ValueError.
     """
-    if tr.w_mat is None:
-        raise ValueError("transcript was recorded without the learners' "
-                         "proposals; rerun with keep_q=True")
-    z = tr.grid.points
     y = tr.outcomes.astype(float)
-    L = (z[None, :] - y[:, None]) ** 2
-    qdot = np.einsum("tj,tji->ti", L, rround(tr.w_mat, tr.grid))
     P = tr.cond_dists
-    learner = np.sum(P * qdot, axis=0)
     mins, _ = per_cell_min_squared(tr.contexts, y, P.T.copy(), hc)
-    return learner - mins
+    fc, W = BmForecaster(tr.grid, tr.d), np.empty_like(P)
+    for t, (x, yt) in enumerate(zip(tr.contexts, tr.outcomes.tolist())):
+        out = fc.predict(x)
+        if np.max(np.abs(out.cond_dist - P[t])) > COND_DIST_TOL:
+            raise ValueError(f"round {t + 1} of {len(P)} is not the "
+                             "forecaster's")
+        W[t] = out.per_cell_w
+        fc.update(out, yt, x)
+    L = (tr.grid.points[None, :] - y[:, None]) ** 2
+    qdot = np.einsum("tj,tji->ti", L, rround(W, tr.grid))
+    return np.sum(P * qdot, axis=0) - mins
 
 
 # ---------------------------------------------------------------------------

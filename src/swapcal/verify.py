@@ -143,7 +143,7 @@ def _check_decomposition(rng):
         d = int(rng.integers(1, 4))
         n = int(rng.integers(1, 4))
         spec = AdversarySpec(kind="iid-logistic", noise=0.2)
-        tr = simulate_run(spec, T, d, n, seed=1000 + trial, keep_q=True)
+        tr = simulate_run(spec, T, d, n, seed=1000 + trial)
         total = psreg(tr, hc).value
         regs = bm_external_regrets(tr, hc)
         if total > sum(regs) + 1e-8:

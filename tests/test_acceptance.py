@@ -124,7 +124,7 @@ def test_02_swap_regret_decomposition():
         m = int(rng.integers(1, 21))
         hc = finite_class([_ball_point(rng, d, 4.0) for _ in range(m)])
         spec = _rotating_spec(rng, k)
-        tr = simulate_run(spec, T, d, N, seed=1000 + k, keep_q=True)
+        tr = simulate_run(spec, T, d, N, seed=1000 + k)
         total = float(np.sum(bm_external_regrets(tr, hc)))
         worst_violation = max(worst_violation,
                               psreg(tr, hc).value - total)

@@ -43,6 +43,29 @@ def test_simulate_explicit_n_and_slim(tmp_path):
     assert len(lines) == 21
 
 
+def test_simulate_slim_writes_the_same_bytes(tmp_path):
+    """--slim is accepted and changes nothing: with or without it the file
+    is byte for byte the one simulate_run's transcript writes."""
+    from swapcal import AdversarySpec, choose_n, simulate_run
+    argv = ["simulate", "--adversary", "iid-logistic", "--T", "120", "--d",
+            "3", "--seed", "7", "--noise", "0.1"]
+    run_cli(*argv, "--out", str(tmp_path / "full.jsonl"))
+    run_cli(*argv, "--out", str(tmp_path / "slim.jsonl"), "--slim")
+    want = tmp_path / "want.jsonl"
+    simulate_run(AdversarySpec("iid-logistic", noise=0.1), 120, 3,
+                 choose_n(120, 3, "smcal"), seed=7).write_jsonl(want)
+    assert (tmp_path / "full.jsonl").read_bytes() == want.read_bytes()
+    assert (tmp_path / "slim.jsonl").read_bytes() == want.read_bytes()
+
+
+def test_simulate_grid_too_large_fails_fast(tmp_path):
+    out = tmp_path / "tr.jsonl"
+    proc = run_cli("simulate", "--adversary", "iid-logistic", "--T", "10",
+                   "--d", "2", "--N", "10000000", "--out", str(out), expect=3)
+    assert proc.stderr.startswith("error: ResourceLimitError: ")
+    assert not out.exists()
+
+
 def test_simulate_anti_calibration_reads_back(tmp_path):
     from swapcal import AdversarySpec, Transcript, simulate_run
     out = tmp_path / "tr.jsonl"

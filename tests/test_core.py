@@ -338,6 +338,26 @@ def test_transcript_validation():
     assert tr.sampled_indices.tolist() == [1] and tr.outcomes.tolist() == [1]
 
 
+def _read_n0(tmp_path):
+    path = tmp_path / "n0.jsonl"
+    path.write_text('{"N":0,"d":1,"T":1}\n'
+                    '{"t":1,"x":[0.5],"P":[1.0],"pi":0,"y":1}\n')
+    return Transcript.read_jsonl(path)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda _: Transcript(make_grid(2), [[0.5, 0.0]], [[0.5, 0.5]], [0], [1]),
+     ValueError, "cond_dists shape"),
+    (lambda _: Transcript(make_grid(2), [[0.5, 0.0]], [[1.1, -0.1, 0.0]],
+                          [0], [1]),
+     ValueError, "negative conditional probability"),
+    (_read_n0, FormatError, "header N must be >= 1"),
+], ids=["cond-dists-shape", "negative-probability", "header-n-zero"])
+def test_transcript_rejection_branches(tmp_path, build, error, match):
+    with pytest.raises(error, match=match):
+        build(tmp_path)
+
+
 def test_transcript_jsonl_roundtrip(tmp_path):
     tr = _tiny_transcript()
     path = tmp_path / "run.jsonl"

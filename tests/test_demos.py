@@ -53,6 +53,20 @@ def test_bench_round_runs(tmp_path):
     assert doc["unresolved_vs_a"] is None
 
 
+def test_bench_round_names_a_failing_tree(tmp_path):
+    """A worker that cannot import swapcal from its tree stops the run with
+    the tree's label and the worker's own error, not a bare
+    CalledProcessError."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_round.py"),
+                           "--src", str(tmp_path), "--label", "empty-tree",
+                           "--reps", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "error: the worker for empty-tree" in proc.stderr
+    assert "ImportError" in proc.stderr or "ModuleNotFoundError" in proc.stderr
+    assert "CalledProcessError" not in proc.stderr
+
+
 def test_bench_round_marks_ratios_inside_the_base_spread():
     sys.path.insert(0, str(ROOT / "tools"))
     try:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import swapcal
-from swapcal import (AdversarySpec, BmForecaster, NumericFailure, Transcript,
-                     choose_n, generate_stream, make_grid, ons_step, rround,
+from swapcal import (AdversarySpec, BmForecaster, NumericFailure,
+                     ResourceLimitError, Transcript, choose_n,
+                     generate_stream, make_grid, ons_step, rround,
                      run_lockstep, run_online, seed_streams)
 from swapcal.forecaster import commit_round, sample_cell
 
@@ -143,6 +144,36 @@ def test_fresh_forecaster_commits_point_mass_at_zero():
     np.testing.assert_array_equal(out.per_cell_w, np.zeros(4))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: BmForecaster(2, 2), "grid must be a Grid"),
+    (lambda: BmForecaster(make_grid(2), 2).predict([0.5, 0.0, 0.0]),
+     "context dimension"),
+], ids=["not-a-grid", "context-length"])
+def test_forecaster_rejections(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_forecaster_rejects_a_grid_too_large_for_memory():
+    """N = 10^7 would take 0.5 GB of learner stacks and a 10^14-entry
+    rounding matrix a round: the constructor raises before it allocates.
+    The cap falls between N = 999 and N = 1000."""
+    import tracemalloc
+
+    grid = make_grid(10 ** 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="rounding-matrix"):
+            BmForecaster(grid, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    with pytest.raises(ResourceLimitError):
+        BmForecaster(make_grid(1000), 1)
+    assert BmForecaster(make_grid(999), 1).thetas.shape == (1000, 1)
+
+
 def test_round_output_q_matrix_columns_are_rrounds():
     rng = np.random.default_rng(5)
     fc = BmForecaster(make_grid(3), 2, seed=1)
@@ -166,7 +197,6 @@ def test_trajectory_deterministic_given_seed():
     b = run_online(BmForecaster(make_grid(2), 3, seed=9), stream)
     np.testing.assert_array_equal(a.cond_dists, b.cond_dists)
     np.testing.assert_array_equal(a.sampled_indices, b.sampled_indices)
-    np.testing.assert_array_equal(a.w_mat, b.w_mat)
 
 
 def test_conditional_distributions_independent_of_sampling_seed():
@@ -302,23 +332,17 @@ def test_sampler_matches_committed_distribution():
 def test_run_online_records_everything():
     rng = np.random.default_rng(13)
     stream = _stream(rng, 25, 2)
-    tr = run_online(BmForecaster(make_grid(2), 2, seed=3), stream, keep_q=True)
+    tr = run_online(BmForecaster(make_grid(2), 2, seed=3), stream)
     assert tr.horizon == 25
     assert tr.seed == 3
-    assert tr.w_mat.shape == (25, 3)
     np.testing.assert_array_equal(tr.outcomes, stream[1])
-    # the recorded proposals rebuild every round's matrix exactly
+    # every round's proposals rebuild its matrix exactly
     fc = BmForecaster(make_grid(2), 2, seed=3)
-    Qs = []
-    for x, yt in zip(*stream):
+    for x, yt, P in zip(*stream, tr.cond_dists):
         out = fc.predict(x)
-        Qs.append(out.q_matrix)
+        assert np.array_equal(rround(out.per_cell_w, fc.grid), out.q_matrix)
+        assert np.array_equal(out.cond_dist, P)
         fc.update(out, int(yt), x)
-    assert np.array_equal(rround(tr.w_mat, tr.grid), Qs)
-    slim = run_online(BmForecaster(make_grid(2), 2, seed=3), stream,
-                      keep_q=False)
-    assert slim.w_mat is None
-    np.testing.assert_array_equal(slim.cond_dists, tr.cond_dists)
 
 
 def test_run_online_validates_stream():
@@ -341,8 +365,7 @@ def _assert_same_run(a, fa, b, fb):
     """Two transcripts and their forecasters' final states agree bit for
     bit."""
     for got, want in ((a.cond_dists, b.cond_dists),
-                      (a.sampled_indices, b.sampled_indices),
-                      (a.w_mat, b.w_mat)):
+                      (a.sampled_indices, b.sampled_indices)):
         assert np.array_equal(got, want)
     got, want = _learner_state(fa), _learner_state(fb)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -355,14 +378,13 @@ def test_run_online_matches_predict_update_loop():
     fc = BmForecaster(make_grid(7), 5, seed=4)
     tr = run_online(fc, stream)
     ref = BmForecaster(make_grid(7), 5, seed=4)
-    P, pi, W = [], [], []
+    P, pi = [], []
     for x, yt in zip(*stream):
         out = ref.predict(x)
         P.append(out.cond_dist)
         pi.append(out.sampled_index)
-        W.append(out.per_cell_w)
         ref.update(out, int(yt), x)
-    want = Transcript(ref.grid, stream[0], P, pi, stream[1], seed=4, w_mat=W)
+    want = Transcript(ref.grid, stream[0], P, pi, stream[1], seed=4)
     _assert_same_run(tr, fc, want, ref)
     assert fc.rounds_seen == 300
     assert fc.rng.random() == ref.rng.random()
@@ -374,7 +396,7 @@ def test_run_online_matches_predict_update_loop():
                                   "anti-calibration", "csv"])
 def test_lockstep_matches_run_online_per_rep(tmp_path, kind, d, reps):
     """R forecasters run together equal each run alone, bit for bit: P, the
-    sampled cells, the proposals and the final learner states."""
+    sampled cells and the final learner states."""
     path = tmp_path / "stream.csv"
     feats = np.random.default_rng(d).normal(size=(200, d - 1))
     path.write_text("".join(",".join(f"{v:.4f}" for v in row)
@@ -384,7 +406,7 @@ def test_lockstep_matches_run_online_per_rep(tmp_path, kind, d, reps):
     seeds = [11 * r + d for r in range(reps)]
     streams = [generate_stream(spec, 150, d, seed=s) for s in seeds]
     fcs = [BmForecaster(make_grid(n), d, seed=s) for s in seeds]
-    trs = run_lockstep(fcs, streams, keep_q=True)
+    trs = run_lockstep(fcs, streams)
     for s, stream, tr, fc in zip(seeds, streams, trs, fcs):
         alone = BmForecaster(make_grid(n), d, seed=s)
         _assert_same_run(tr, fc, run_online(alone, stream), alone)

@@ -215,6 +215,24 @@ def test_sweep_config_from_json(tmp_path):
         SweepConfig.from_json(cfgfile)
 
 
+def _config_missing_metric(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"T_list": [4], "d": 2, "reps": 1}))
+    return SweepConfig.from_json(path)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda _: run_sweep(SweepConfig(T_list=[4], d=2, reps=1,
+                                     metric="cal2")),
+     ValueError, "sweep needs an output path"),
+    (_config_missing_metric, FormatError,
+     "missing 1 required positional argument: 'metric'"),
+], ids=["no-output-path", "missing-field"])
+def test_sweep_rejection_branches(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+
+
 def test_sweep_writes_expected_rows(tmp_path):
     cfg = _tiny_config(tmp_path)
     rows = run_sweep(cfg)
@@ -322,6 +340,35 @@ def test_sweep_bad_configuration_errors_every_row(tmp_path, over, error):
         assert r["error"] == error.format(path=data, T=r["T"])
 
 
+@pytest.mark.parametrize("over, error", [
+    (dict(metric="nope"), "ValueError: unknown metric 'nope'; known: "
+                          + ", ".join(harness.METRICS)),
+    (dict(metric="smcal2:ball9"), "ValueError: unknown class spec 'ball9'"),
+    (dict(losses="squared,bad"), "ValueError: unknown loss token 'bad'"),
+    (dict(metric="nope", adversary="csv"),
+     "ValueError: unknown metric 'nope'; known: "
+     + ", ".join(harness.METRICS)),
+], ids=["metric", "class", "losses", "metric-and-short-csv"])
+def test_sweep_bad_metric_or_losses_simulate_nothing(tmp_path, monkeypatch,
+                                                     over, error):
+    """A bad metric, class or loss menu errors every row before any stream
+    is generated, in the group or in a rerun; it outranks a short csv."""
+    calls = []
+
+    def spy(name):
+        real = getattr(harness, name)
+        return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+    for name in ("generate_stream", "simulate_run"):
+        monkeypatch.setattr(harness, name, spy(name))
+    data = tmp_path / "short.csv"
+    data.write_text("0.1,1\n" * 4)
+    rows = run_sweep(_tiny_config(tmp_path, csv_path=str(data), **over))
+    assert calls == []
+    assert [r["error"] for r in rows] == [error] * 6
+    assert all(r["value"] == "" for r in rows)
+
+
 def test_sweep_row_isolated():
     cfg = SweepConfig(T_list=[16], d=2, reps=1, metric="cal2", n_rule="2",
                       out="unused.csv")
@@ -344,9 +391,9 @@ def test_sweep_rows_do_not_depend_on_lockstep_groups(tmp_path, monkeypatch):
     lockstep = harness.run_lockstep
     groups = []
 
-    def spy(forecasters, streams, keep_q=False):
+    def spy(forecasters, streams):
         groups.append(len(forecasters))
-        return lockstep(forecasters, streams, keep_q)
+        return lockstep(forecasters, streams)
 
     monkeypatch.setattr(harness, "run_lockstep", spy)
     tables = []

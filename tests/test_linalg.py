@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from swapcal import (BmForecaster, NumericFailure, check_column_stochastic,
-                     make_grid, project_ball_a_norm, rround, run_online,
-                     sherman_morrison_update, stationary_distribution)
+                     make_grid, project_ball_a_norm, sherman_morrison_update,
+                     stationary_distribution)
 from swapcal import linalg
 
 
@@ -129,10 +129,12 @@ def test_stationary_matches_eigenvector_on_forecaster_matrices():
     T, d = 300, 3
     X = np.hstack([np.full((T, 1), 0.5), rng.uniform(-0.4, 0.4, (T, d - 1))])
     y = rng.integers(0, 2, T)
-    tr = run_online(BmForecaster(make_grid(5), d, seed=23),
-                    (X, y), keep_q=True)
+    fc = BmForecaster(make_grid(5), d, seed=23)
     checked = 0
-    for Q, P in zip(rround(tr.w_mat, tr.grid), tr.cond_dists):
+    for x, yt in zip(X, y):
+        out = fc.predict(x)
+        fc.update(out, int(yt), x)
+        Q, P = out.q_matrix, out.cond_dist
         if np.sum(np.abs(np.linalg.eigvals(Q) - 1.0) < 1e-6) != 1:
             continue  # eigenvalue 1 repeated: the eigenvector is not unique
         np.testing.assert_allclose(P, _eig_stationary(Q), atol=1e-10)

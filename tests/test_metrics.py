@@ -7,10 +7,9 @@ from swapcal import (AdversarySpec, BmForecaster, LinearFn, LossSpec,
                      cover_class, cover_thetas, custom_loss, estimate_dsmcal,
                      estimate_dsomni, estimate_saerr, evaluate_metric,
                      finite_class, generate_stream, linear_ball, make_grid,
-                     mcal, psmcal, psreg, realized_weights, rround,
-                     run_online, simulate_run, smcal, somni, sreg,
-                     squared_loss, train_mixture, vshaped_loss,
-                     witness_f_prime)
+                     mcal, psmcal, psreg, realized_weights, run_online,
+                     simulate_run, smcal, somni, sreg, squared_loss,
+                     train_mixture, vshaped_loss, witness_f_prime)
 from swapcal import metrics as metrics_mod
 from swapcal.batch import _bucket_weights
 from swapcal.core import affine_restricted, post_process
@@ -36,7 +35,7 @@ def _random_transcript(rng, T, d, n):
     return Transcript(make_grid(n), X, P, pi, y)
 
 
-def _forecaster_transcript(rng, T, d, n, seed, keep_q=False):
+def _forecaster_transcript(rng, T, d, n, seed):
     X, y = np.zeros((T, d)), np.zeros(T, dtype=int)
     for t in range(T):
         tail = rng.normal(size=d - 1) * 0.3
@@ -45,8 +44,7 @@ def _forecaster_transcript(rng, T, d, n, seed, keep_q=False):
             tail *= 0.8 / nt
         X[t] = np.concatenate([[0.5], tail])
         y[t] = rng.integers(0, 2)
-    return run_online(BmForecaster(make_grid(n), d, seed=seed), (X, y),
-                      keep_q=keep_q)
+    return run_online(BmForecaster(make_grid(n), d, seed=seed), (X, y))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +511,7 @@ def test_sreg_finite_class_matches_naive():
 def test_bm_external_regrets_bound_pseudo_swap_regret():
     rng = np.random.default_rng(16)
     for trial in range(8):
-        tr = _forecaster_transcript(rng, 80, 2, 3, seed=trial, keep_q=True)
+        tr = _forecaster_transcript(rng, 80, 2, 3, seed=trial)
         for hc in (linear_ball(4.0),
                    finite_class([rng.normal(size=2) for _ in range(5)])):
             regs = bm_external_regrets(tr, hc)
@@ -521,10 +519,38 @@ def test_bm_external_regrets_bound_pseudo_swap_regret():
             assert psreg(tr, hc).value <= float(np.sum(regs)) + 1e-8
 
 
-def test_bm_external_regrets_needs_matrices():
-    rng = np.random.default_rng(17)
-    tr = _forecaster_transcript(rng, 20, 2, 2, seed=0, keep_q=False)
-    with pytest.raises(ValueError):
+def _committed_matrices(tr):
+    """The rounding matrices (T, K, K) that a fresh forecaster's own
+    predict/update loop commits on tr's stream."""
+    fc, Qs = BmForecaster(tr.grid, tr.d), []
+    for x, yt in zip(tr.contexts, tr.outcomes):
+        out = fc.predict(x)
+        Qs.append(out.q_matrix)
+        fc.update(out, int(yt), x)
+    return np.array(Qs)
+
+
+def test_bm_external_regrets_replays_the_proposals(tmp_path):
+    """A run records no proposals: a run and its JSONL round trip give the
+    same regrets, those of the matrices its predict calls committed."""
+    tr = _forecaster_transcript(np.random.default_rng(17), 60, 2, 3, seed=0)
+    tr.write_jsonl(tmp_path / "tr.jsonl")
+    back = Transcript.read_jsonl(tmp_path / "tr.jsonl")
+    hc = linear_ball(4.0)
+    got = bm_external_regrets(tr, hc)
+    assert np.array_equal(bm_external_regrets(back, hc), got)
+    z, y, P = tr.grid.points, tr.outcomes.astype(float), tr.cond_dists
+    qdot = np.einsum("tj,tji->ti", (z[None, :] - y[:, None]) ** 2,
+                     _committed_matrices(tr))
+    mins, _ = metrics_mod.per_cell_min_squared(tr.contexts, y, P.T.copy(), hc)
+    np.testing.assert_allclose(got, np.sum(P * qdot, axis=0) - mins,
+                               rtol=1e-12)
+
+
+def test_bm_external_regrets_rejects_a_transcript_not_the_forecasters():
+    tr = _random_transcript(np.random.default_rng(17), 20, 2, 2)
+    with pytest.raises(ValueError, match="round 1 of 20 is not the "
+                                         "forecaster's"):
         bm_external_regrets(tr, linear_ball(4.0))
 
 
@@ -538,7 +564,7 @@ def _dense_min_squared(X, y, CW, thetas):
                                    (2, cover_class(0.05, 4.0))])
 def test_swap_regret_cover_matches_dense_enumeration(d, hc):
     rng = np.random.default_rng(26)
-    tr = _forecaster_transcript(rng, 120, d, 4, seed=5, keep_q=True)
+    tr = _forecaster_transcript(rng, 120, d, 4, seed=5)
     thetas = cover_thetas(hc.epsilon, hc.radius, d)
     X, y, z = tr.contexts, tr.outcomes.astype(float), tr.grid.points
     for metric, CW in ((sreg, realized_weights(tr).T), (psreg, tr.cond_dists.T)):
@@ -549,7 +575,7 @@ def test_swap_regret_cover_matches_dense_enumeration(d, hc):
                                                      rel=1e-12)
     P = tr.cond_dists
     qdot = np.einsum("tj,tji->ti", (z[None, :] - y[:, None]) ** 2,
-                     rround(tr.w_mat, tr.grid))
+                     _committed_matrices(tr))
     want = np.sum(P * qdot, axis=0) - _dense_min_squared(X, y, P.T, thetas)
     np.testing.assert_allclose(bm_external_regrets(tr, hc), want, rtol=1e-12)
 
@@ -580,7 +606,7 @@ def test_finite_class_of_cover_thetas_matches_cover(d, eps, r):
     rng = np.random.default_rng(40 + d)
     cov = cover_class(eps, r)
     fin = finite_class(cover_thetas(eps, r, d))
-    tr = _forecaster_transcript(rng, 150, d, 4, seed=d, keep_q=True)
+    tr = _forecaster_transcript(rng, 150, d, 4, seed=d)
     for name in METRICS:
         want = evaluate_metric(tr, name, hc=cov).value
         assert evaluate_metric(tr, name, hc=fin).value == \
@@ -600,7 +626,7 @@ def test_finite_class_of_cover_thetas_matches_cover(d, eps, r):
 
 def test_finite_class_dimension_mismatch():
     rng = np.random.default_rng(41)
-    tr = _forecaster_transcript(rng, 30, 2, 3, seed=0, keep_q=True)
+    tr = _forecaster_transcript(rng, 30, 2, 3, seed=0)
     wide = finite_class(np.ones((2, 3)))
     for run in (lambda: smcal(tr, wide, 2), lambda: mcal(tr, wide, 2),
                 lambda: sreg(tr, wide), lambda: somni(tr, hc=wide),
@@ -671,6 +697,14 @@ def test_omni_enumerated_matches_dense_evaluation(kind, chunk, monkeypatch):
         got = estimate_dsomni(mix, (X, y), losses=_MENU, hc=hc,
                               mc_draws=draws).value
         assert got == pytest.approx(float(np.sum(gaps)), rel=1e-12)
+
+
+@pytest.mark.parametrize("radius", [1.0, 4.0])
+def test_somni_rejects_a_ball_class(radius):
+    tr = _random_transcript(np.random.default_rng(42), 30, 2, 3)
+    with pytest.raises(ValueError, match="affine-restricted or an "
+                                         "enumerable class, got linear-ball"):
+        somni(tr, hc=linear_ball(radius))
 
 
 def test_somni_cover_memory_bounded():

@@ -8,10 +8,17 @@ more source trees.
 
 Each source tree is timed in its own worker process, which imports swapcal
 from that tree only. The workers of the trees alternate, rep by rep, so a
-machine whose speed drifts slows every tree alike. A worker replays a fixed
-iid-logistic stream (seed 0, noise 0.1, d = 5, N = 7): 256 warm-up rounds,
-then the inputs of the next 256 rounds are recorded and each kernel is timed
-on them, in microseconds per call, as the best of three passes:
+machine whose speed drifts slows every tree alike. The oldest tree a worker
+can time is one whose BmForecaster keeps its learners as the arrays thetas
+(K, d) and inv_curvatures (K, d, d) and whose ons_step takes (theta,
+inv_curvature, x, alpha, y). A worker that fails stops the run: the tool
+prints the tree's label and the last lines of the worker's stderr and
+exits 1.
+
+A worker replays a fixed iid-logistic stream (seed 0, noise 0.1, d = 5,
+N = 7): 256 warm-up rounds, then the inputs of the next 256 rounds are
+recorded and each kernel is timed on them, in microseconds per call, as the
+best of three passes:
 
 - stationary_distribution, rround, sample_cell and commit_round, once per
   round;
@@ -58,6 +65,7 @@ WARMUP, RECORD, ROUND_T, PASSES = 256, 256, 1024, 3
 ROUND_SHAPES = ((2, 4), (5, 7))
 SWEEP_T, SWEEP_REPS = 1024, (2, 30)
 MIN_SPREAD_REPS = 4
+STDERR_TAIL = 12  # lines of a failed worker's stderr to show
 
 
 def _best_us(fn, args_list):
@@ -111,9 +119,27 @@ def sweep_us(reps):
         return (time.perf_counter_ns() - t0) / reps / 1e3
 
 
+def run_worker(src, label):
+    """{kernel: us} from one worker process on the source tree src. If the
+    worker fails, print label and its stderr's last lines and exit 1."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+                           "--worker", "--src", src],
+                          capture_output=True, text=True)
+    if proc.returncode:
+        tail = proc.stderr.strip().splitlines()[-STDERR_TAIL:]
+        sys.exit(f"error: the worker for {label} ({src}) exited "
+                 f"{proc.returncode}:\n" + "\n".join(tail))
+    return json.loads(proc.stdout)
+
+
 def worker(src):
     """Time every kernel once from the source tree src; return {name: us}."""
     sys.path.insert(0, os.path.abspath(src))
+    import swapcal
+    if os.path.dirname(os.path.dirname(swapcal.__file__)) != \
+            os.path.abspath(src):
+        raise ImportError(f"swapcal was imported from {swapcal.__file__}, "
+                          f"not from {src}")
     from swapcal import (AdversarySpec, BmForecaster, generate_stream,
                          make_grid, ons_step, rround, sherman_morrison_update,
                          simulate_run, stationary_distribution, train_mixture)
@@ -211,10 +237,7 @@ def main(argv=None):
     runs = {label: [] for label in labels}
     for rep in range(args.reps):
         for src, label in zip(args.src, labels):
-            proc = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--worker",
-                 "--src", src], capture_output=True, text=True, check=True)
-            runs[label].append(json.loads(proc.stdout))
+            runs[label].append(run_worker(src, label))
             print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr)
 
     kernels = list(runs[labels[0]][0])
