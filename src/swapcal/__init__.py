@@ -16,8 +16,8 @@ from .core import (Grid, HypothesisClass, LinearFn, LossSpec, Transcript,
                    validate_stream, vshaped_loss)
 from .errors import (FormatError, NumericFailure, PreconditionError,
                      ResourceLimitError)
-from .forecaster import (BmForecaster, RoundOutput, choose_n, rround,
-                         run_lockstep, run_online, seed_streams)
+from .forecaster import (BmForecaster, RoundOutput, choose_n, lockstep_rounds,
+                         rround, run_lockstep, run_online, seed_streams)
 from .harness import (AdversarySpec, RateFit, SweepConfig, evaluate_metric,
                       fit_rate, generate_stream, ingest_csv, parse_class_spec,
                       parse_losses, read_results, resolve_n, run_sweep,
@@ -41,12 +41,13 @@ __all__ = [
     "choose_n", "constrained_lstsq", "cover_class", "cover_thetas",
     "custom_loss", "estimate_dsmcal", "estimate_dsomni", "estimate_saerr",
     "evaluate_metric", "finite_class", "fit_rate", "generate_stream",
-    "ingest_csv", "linear_ball", "make_grid", "mcal", "mixture_from_json",
-    "mixture_predict", "mixture_to_json", "ons_step", "parse_class_spec",
-    "parse_losses", "post_process", "project_ball_a_norm", "psmcal", "psreg",
-    "read_results", "realized_weights", "resolve_n", "rround", "run_lockstep",
-    "run_online", "run_sweep", "select_snapshot", "seed_streams",
-    "sherman_morrison_update", "simulate_run", "smcal", "somni",
-    "squared_loss", "sreg", "stationary_distribution", "train_mixture",
-    "validate_outcome", "validate_stream", "vshaped_loss", "witness_f_prime",
+    "ingest_csv", "linear_ball", "lockstep_rounds", "make_grid", "mcal",
+    "mixture_from_json", "mixture_predict", "mixture_to_json", "ons_step",
+    "parse_class_spec", "parse_losses", "post_process", "project_ball_a_norm",
+    "psmcal", "psreg", "read_results", "realized_weights", "resolve_n",
+    "rround", "run_lockstep", "run_online", "run_sweep", "select_snapshot",
+    "seed_streams", "sherman_morrison_update", "simulate_run", "smcal",
+    "somni", "squared_loss", "sreg", "stationary_distribution",
+    "train_mixture", "validate_outcome", "validate_stream", "vshaped_loss",
+    "witness_f_prime",
 ]

@@ -23,7 +23,8 @@ import numpy as np
 from .core import (Grid, affine_restricted, linear_ball, make_grid,
                    validate_stream)
 from .errors import FormatError
-from .forecaster import BmForecaster, commit_round, sample_cell
+from .forecaster import (BmForecaster, commit_round, lockstep_rounds,
+                         sample_cell)
 from .metrics import (DEFAULT_LOSSES, MetricReport, per_cell_omni_gap,
                       sup_calibration, swap_regret)
 
@@ -60,20 +61,17 @@ class MixturePredictor:
 
 
 def train_mixture(stream, n, seed=0, stride=1):
-    """Run the online forecaster over the stream (X, y) and keep every
-    stride-th start-of-round snapshot; the mixture is uniform over the kept
-    snapshots. The context dimension is X.shape[1]."""
+    """Run the online forecaster over the stream (X, y) by lockstep_rounds
+    and keep the stack that every stride-th round commits from; the mixture
+    is uniform over the kept snapshots. The context dimension is X.shape[1]."""
     X, y = validate_stream(stream)
     if not len(y):
         raise ValueError("cannot train a mixture on an empty stream")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     fc = BmForecaster(make_grid(n), X.shape[1], seed=seed)
-    snaps = []
-    for t, (x, yt) in enumerate(zip(X, y)):
-        if t % stride == 0:
-            snaps.append(fc.thetas)
-        fc.update(fc.predict(x), int(yt), x)
+    snaps = np.concatenate([thetas for t, (thetas, *_) in enumerate(
+        lockstep_rounds([fc], [(X, y)])) if t % stride == 0])
     return MixturePredictor(fc.grid, snaps, seed=seed, stride=stride)
 
 

@@ -20,8 +20,9 @@ from .errors import FormatError, ResourceLimitError
 CONTEXT_NORM_TOL = 1e-9
 COND_DIST_TOL = 1e-9
 
-#: enumeration cap for cover classes and evaluation covers, and for the
-#: entries of the forecaster's per-round K x K rounding matrix
+#: enumeration cap for cover classes and evaluation covers, for the entries
+#: of the forecaster's per-round K x K rounding matrix, and for the points of
+#: a Grid, which raises before it allocates them
 MEMBER_CAP = 10 ** 6
 
 
@@ -33,6 +34,9 @@ class Grid:
     def __init__(self, n):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ValueError(f"grid resolution must be a positive integer, got {n!r}")
+        if n + 1 > MEMBER_CAP:
+            raise ResourceLimitError(f"N = {n} needs over {MEMBER_CAP} grid "
+                                     "points")
         self.n = int(n)
         pts = np.arange(self.n + 1, dtype=float) / self.n
         pts.flags.writeable = False
@@ -507,6 +511,7 @@ class Transcript:
                               f"{len(lines) - 1} step records")
         if n < 1:
             raise FormatError(f"{path}: header N must be >= 1")
+        grid = Grid(n)
         X = np.zeros((T, d))
         P = np.zeros((T, n + 1))
         pi = np.zeros(T)
@@ -533,4 +538,4 @@ class Transcript:
                 raise FormatError(f"{path}: bad step record on line {k + 2}: "
                                   f"{key} {values[k]} is not an integer in "
                                   f"[0, {hi}]")
-        return cls(Grid(n), X, P, pi, y, seed=seed)
+        return cls(grid, X, P, pi, y, seed=seed)

@@ -39,12 +39,11 @@ def seed_streams(seed):
 @dataclass(frozen=True)
 class RoundOutput:
     """One committed round before the outcome arrives: the conditional
-    distribution over grid points, the full column-stochastic matrix, the raw
-    per-cell learner proposals, and the sampled grid index."""
+    distribution over grid points, the full column-stochastic matrix, and
+    the sampled grid index."""
 
     cond_dist: np.ndarray
     q_matrix: np.ndarray
-    per_cell_w: np.ndarray
     sampled_index: int
 
 
@@ -124,10 +123,8 @@ class BmForecaster:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"context dimension {x.shape} does not match {self.d}")
-        w, Q, P = commit_round(self.thetas, x, self.grid)
-        u = self.rng.random()
-        return RoundOutput(cond_dist=P, q_matrix=Q, per_cell_w=w,
-                           sampled_index=int(sample_cell(P, u)))
+        _, Q, P = commit_round(self.thetas, x, self.grid)
+        return RoundOutput(P, Q, int(sample_cell(P, self.rng.random())))
 
     def update(self, out, y, x):
         """Advance every learner on (x, y), learner i scaled by its
@@ -153,15 +150,27 @@ def run_online(forecaster, stream):
 
 def run_lockstep(forecasters, streams):
     """Run R forecasters that share a grid and d over R streams (X, y) of
-    one length, round by round together, and return one transcript per
-    forecaster. Every stream is validated once, before the first round.
+    one length by lockstep_rounds, and return one transcript per forecaster,
+    bit for bit the one it would record alone."""
+    R, K = len(forecasters), forecasters[0].grid.size
+    P, pi = np.zeros((R, 0, K)), np.zeros((R, 0), dtype=int)
+    for t, (_, _, Pt, idx) in enumerate(lockstep_rounds(forecasters, streams)):
+        if t == 0:  # the streams are checked by now: size the records
+            T = len(streams[0][1])
+            P, pi = np.zeros((R, T, K)), np.zeros((R, T), dtype=int)
+        P[:, t], pi[:, t] = Pt, idx
+    return [Transcript(fc.grid, X, P[r], pi[r], y, seed=fc.seed)
+            for r, (fc, (X, y)) in enumerate(zip(forecasters, streams))]
 
-    A round commits all R at once: one commit_round on the (R, K, d)
-    parameter stack and the (R, d) contexts, then one uniform from each
-    forecaster's own rng in order and one sample_cell over the R rows; then
-    each forecaster's update runs on its own row. The forecasters share no
-    state, so each transcript is bit for bit the one the forecaster would
-    record alone.
+
+def lockstep_rounds(forecasters, streams):
+    """The round loop: advance R forecasters that share a grid and d over R
+    streams (X, y) of one length together, each stream validated once.
+
+    A round runs one commit_round on the (R, K, d) parameter stack, draws
+    one uniform from each forecaster's rng in order and runs one
+    sample_cell. It yields (thetas (R, K, d), w (R, K), P (R, K), idx (R,)),
+    arrays no later round writes to; then each forecaster updates on its row.
     """
     grid, d = forecasters[0].grid, forecasters[0].d
     if any(fc.grid != grid or fc.d != d for fc in forecasters):
@@ -170,26 +179,18 @@ def run_lockstep(forecasters, streams):
         raise ValueError(f"{len(forecasters)} forecasters but "
                          f"{len(streams)} streams")
     streams = [validate_stream(s, d) for s in streams]
-    T = len(streams[0][1])
-    if any(len(y) != T for _, y in streams):
+    if len({len(y) for _, y in streams}) > 1:
         raise ValueError("lockstep streams must have one length")
-    R = len(forecasters)
-    # round-major (T, R, ...) inputs; rep-major (R, T, ...) records
+    # round-major (T, R, ...) inputs
     X = np.stack([s[0] for s in streams], axis=1)
     Y = np.stack([s[1] for s in streams], axis=1).tolist()
-    P = np.zeros((R, T, grid.size))
-    pi = np.zeros((R, T), dtype=int)
-    for t, x in enumerate(X):
-        w, Q, Pt = commit_round(np.stack([fc.thetas for fc in forecasters]),
-                                x, grid)
-        idx = sample_cell(Pt, [fc.rng.random() for fc in forecasters])
-        P[:, t] = Pt
-        pi[:, t] = idx
+    for x, yt in zip(X, Y):
+        thetas = np.array([fc.thetas for fc in forecasters])
+        w, Q, P = commit_round(thetas, x, grid)
+        idx = sample_cell(P, [fc.rng.random() for fc in forecasters])
+        yield thetas, w, P, idx
         for r, fc in enumerate(forecasters):
-            fc.update(RoundOutput(Pt[r], Q[r], w[r], int(idx[r])), Y[t][r],
-                      x[r])
-    return [Transcript(fc.grid, Xr, P[r], pi[r], yr, seed=fc.seed)
-            for r, (fc, (Xr, yr)) in enumerate(zip(forecasters, streams))]
+            fc.update(RoundOutput(P[r], Q[r], int(idx[r])), yt[r], x[r])
 
 
 def choose_n(T, d, objective):

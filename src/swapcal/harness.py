@@ -295,6 +295,8 @@ class SweepConfig:
 
     metric may carry an inline class suffix (e.g. smcal2:ball1). n_rule is
     auto-smcal, auto-sreg, or an integer. Row seeds are seed_base + rep.
+    T_list must be a list or tuple of integers, reps a non-negative integer
+    and seed_base an integer; the other fields are checked row by row.
     """
 
     T_list: list
@@ -310,6 +312,21 @@ class SweepConfig:
     seed_base: int = 0
     losses: str | None = None
 
+    def __post_init__(self):
+        def is_int(v):
+            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+        if not (isinstance(self.T_list, (list, tuple))
+                and all(map(is_int, self.T_list))):
+            raise ValueError(f"T_list must be a list of integers, got "
+                             f"{self.T_list!r}")
+        if not is_int(self.reps) or self.reps < 0:
+            raise ValueError(f"reps must be a non-negative integer, got "
+                             f"{self.reps!r}")
+        if not is_int(self.seed_base):
+            raise ValueError(f"seed_base must be an integer, got "
+                             f"{self.seed_base!r}")
+
     @classmethod
     def from_json(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -317,13 +334,15 @@ class SweepConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise FormatError(f"{path}: a sweep config is one JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
             raise FormatError(f"{path}: unknown sweep fields {sorted(unknown)}")
         try:
             return cls(**doc)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
 
     def adversary_spec(self):
@@ -394,7 +413,14 @@ def run_sweep(cfg, out_path=None):
         raise ValueError("sweep needs an output path")
     existing = []
     if os.path.exists(out_path):
-        existing = read_results(out_path)
+        with open(out_path, "r", encoding="utf-8", newline="") as fh:
+            table = csv.DictReader(fh)
+            existing = list(table)
+        missing = [c for c in RESULT_COLUMNS
+                   if c not in (table.fieldnames or RESULT_COLUMNS)]
+        if missing:
+            raise FormatError(f"{out_path}: not a results table, its header "
+                              f"lacks {missing}")
     done = {(int(r["T"]), int(r["rep"])) for r in existing
             if r["metric"] == cfg.metric}
     T_list = list(dict.fromkeys(int(T) for T in cfg.T_list))

@@ -26,7 +26,7 @@ from .core import (COND_DIST_TOL, MEMBER_CAP, LossSpec, absolute_loss,
                    affine_restricted, cover_thetas, post_process,
                    squared_loss, vshaped_loss)
 from .errors import NumericFailure, PreconditionError, ResourceLimitError
-from .forecaster import BmForecaster, rround
+from .forecaster import BmForecaster, lockstep_rounds, rround
 from .linalg import ridge_to_sphere
 
 #: member-point evaluations per chunk of the omniprediction table: bounds
@@ -181,12 +181,21 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc):
     (post-processed learner loss) - (best-in-class loss), both CW-weighted.
 
     Returns (gaps (n_cells,), achieved comparator losses (n_cells, losses),
-    note); empty cells get 0. Enumerated classes fill the comparator table
-    by _least_member_losses. The affine-restricted inner minimization is
-    _min_affine_res: projected subgradient descent from theta = 0 (step
-    1/sqrt(k), best-iterate tracking) that stops at a zero subgradient, so a
-    V-shaped loss, whose derivative is 0, stays at theta = 0.
+    note); empty cells get 0. The loss menu must be non-empty and hold
+    LossSpec entries, and its custom-convex losses must pass certify().
+    Enumerated classes fill the comparator table by _least_member_losses.
+    The affine-restricted inner minimization is _min_affine_res: projected
+    subgradient descent from theta = 0 (step 1/sqrt(k), best-iterate
+    tracking) that stops at a zero subgradient, so a V-shaped loss, whose
+    derivative is 0, stays at theta = 0.
     """
+    if not losses:
+        raise ValueError("loss menu must be non-empty")
+    for loss in losses:
+        if not isinstance(loss, LossSpec):
+            raise ValueError(f"loss menu entries must be LossSpec, got {loss!r}")
+        if loss.kind == "custom-convex":
+            loss.certify()
     nz = CW.sum(axis=1) > 0
     if hc.enumerated:
         thetas, note = _members(hc, X.shape[1])
@@ -395,20 +404,19 @@ def bm_external_regrets(tr, hc):
     weights. The sum over i upper-bounds the pseudo contextual swap regret.
 
     P depends on the stream alone, so a fresh BmForecaster replays the
-    proposals; a round whose P it does not reproduce to COND_DIST_TOL
-    raises ValueError.
+    proposals by lockstep_rounds; a round whose P it does not reproduce to
+    COND_DIST_TOL raises ValueError.
     """
     y = tr.outcomes.astype(float)
     P = tr.cond_dists
     mins, _ = per_cell_min_squared(tr.contexts, y, P.T.copy(), hc)
-    fc, W = BmForecaster(tr.grid, tr.d), np.empty_like(P)
-    for t, (x, yt) in enumerate(zip(tr.contexts, tr.outcomes.tolist())):
-        out = fc.predict(x)
-        if np.max(np.abs(out.cond_dist - P[t])) > COND_DIST_TOL:
+    W, fc = np.empty_like(P), BmForecaster(tr.grid, tr.d)
+    rounds = lockstep_rounds([fc], [(tr.contexts, tr.outcomes)])
+    for t, (_, w, Pt, _) in enumerate(rounds):
+        if np.max(np.abs(Pt[0] - P[t])) > COND_DIST_TOL:
             raise ValueError(f"round {t + 1} of {len(P)} is not the "
                              "forecaster's")
-        W[t] = out.per_cell_w
-        fc.update(out, yt, x)
+        W[t] = w[0]
     L = (tr.grid.points[None, :] - y[:, None]) ** 2
     qdot = np.einsum("tj,tji->ti", L, rround(W, tr.grid))
     return np.sum(P * qdot, axis=0) - mins
@@ -428,13 +436,6 @@ def somni(tr, losses=None, hc=None):
     theta = 0.
     """
     losses = list(DEFAULT_LOSSES) if losses is None else list(losses)
-    if not losses:
-        raise ValueError("loss menu must be non-empty")
-    for loss in losses:
-        if not isinstance(loss, LossSpec):
-            raise ValueError(f"loss menu entries must be LossSpec, got {loss!r}")
-        if loss.kind == "custom-convex":
-            loss.certify()
     hc = affine_restricted() if hc is None else hc
     CW = realized_weights(tr).T
     gaps, achieved, note = per_cell_omni_gap(

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from swapcal import (BmForecaster, FormatError, cover_class, cover_thetas,
-                     estimate_dsmcal, estimate_dsomni, estimate_saerr,
-                     linear_ball, make_grid,
+from swapcal import (AdversarySpec, BmForecaster, FormatError, cover_class,
+                     cover_thetas, estimate_dsmcal, estimate_dsomni,
+                     estimate_saerr, generate_stream, linear_ball, make_grid,
                      mixture_from_json, mixture_predict, mixture_to_json,
                      run_online, select_snapshot, squared_loss, train_mixture)
 from swapcal.batch import COMMIT_CHUNK, _bucket_weights
@@ -64,6 +64,34 @@ def test_stride_keeps_every_kth_snapshot():
         train_mixture(stream, 2, stride=0)
     with pytest.raises(ValueError):
         train_mixture(_empty(), 2)
+
+
+def _snapshots_by_hand(stream, n, seed, stride):
+    """The mixture stack of the closed predict/update loop: the learners'
+    thetas at the start of every stride-th round, the reference oracle for
+    train_mixture."""
+    X, y = stream
+    fc, snaps = BmForecaster(make_grid(n), X.shape[1], seed=seed), []
+    for t, (x, yt) in enumerate(zip(X, y)):
+        if t % stride == 0:
+            snaps.append(fc.thetas)
+        fc.update(fc.predict(x), int(yt), x)
+    return np.array(snaps)
+
+
+@pytest.mark.parametrize("kind", ["iid-logistic", "iid-bernoulli",
+                                  "anti-calibration"])
+@pytest.mark.parametrize("d", [2, 5])
+def test_train_mixture_matches_a_predict_update_loop(kind, d):
+    """train_mixture runs the forecaster through lockstep_rounds; its
+    snapshots equal the hand loop's bit for bit."""
+    spec = AdversarySpec(kind=kind, noise=0.1, bias=0.3)
+    for n in (1, 4, 9):
+        stream = generate_stream(spec, 100, d, seed=n)
+        for stride in (1, 3, 8):
+            got = train_mixture(stream, n, seed=n, stride=stride).thetas
+            assert np.array_equal(got,
+                                  _snapshots_by_hand(stream, n, n, stride))
 
 
 def test_mixture_sampling_determinism_and_range():

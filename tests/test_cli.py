@@ -163,6 +163,46 @@ def test_sweep_and_fit_rate(tmp_path):
     assert np.isfinite(fit["slope"])
 
 
+_GOOD_SWEEP = {"T_list": [8], "d": 2, "reps": 1, "metric": "cal2",
+               "n_rule": "2"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**_GOOD_SWEEP, "reps": "2"},
+     "reps must be a non-negative integer, got '2'"),
+    ({**_GOOD_SWEEP, "reps": 1.5},
+     "reps must be a non-negative integer, got 1.5"),
+    ({**_GOOD_SWEEP, "reps": -1},
+     "reps must be a non-negative integer, got -1"),
+    ({**_GOOD_SWEEP, "T_list": 32},
+     "T_list must be a list of integers, got 32"),
+    ({**_GOOD_SWEEP, "T_list": [8, True]},
+     "T_list must be a list of integers, got [8, True]"),
+    ({**_GOOD_SWEEP, "seed_base": "x"},
+     "seed_base must be an integer, got 'x'"),
+    ([1, 2], "a sweep config is one JSON object"),
+    (_GOOD_SWEEP, "not a results table, its header lacks ['T', 'N'"),
+], ids=["reps-str", "reps-float", "reps-negative", "T_list-int",
+        "T_list-bool", "seed_base-str", "not-an-object", "foreign-table"])
+def test_sweep_rejects_malformed_input(tmp_path, doc, message):
+    """A malformed config, or a --out that is not a results table (the good
+    config's case), exits 2 with one error line: no traceback, no table
+    written, and the foreign CSV left as it was."""
+    out = tmp_path / "rows.csv"
+    if doc is _GOOD_SWEEP:
+        out.write_bytes(b"name,score\r\nalice,3\n")
+    before = out.read_bytes() if out.exists() else None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_cli("sweep", "--config", str(cfg), "--out", str(out), expect=2)
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == before
+
+
 def test_fit_rate_too_few_points(tmp_path):
     rows = tmp_path / "rows.csv"
     rows.write_text("T,N,d,rep,seed,metric,value,wall_ms,error\n"

@@ -8,7 +8,7 @@ from swapcal import (FormatError, LinearFn, ResourceLimitError, Transcript,
                      custom_loss, finite_class, linear_ball, make_grid,
                      post_process, squared_loss, validate_outcome,
                      validate_stream, vshaped_loss)
-from swapcal.core import affine_restricted
+from swapcal.core import MEMBER_CAP, affine_restricted
 
 
 def test_grid_points():
@@ -28,6 +28,14 @@ def test_grid_rejects_bad_resolution():
     for bad in (0, -1, 2.5, True, "3", None):
         with pytest.raises(ValueError):
             make_grid(bad)
+
+
+def test_grid_caps_its_points():
+    """Grid holds at most MEMBER_CAP points and raises before it allocates
+    them."""
+    assert make_grid(MEMBER_CAP - 1).size == MEMBER_CAP
+    with pytest.raises(ResourceLimitError, match="grid points"):
+        make_grid(MEMBER_CAP)
 
 
 def test_grid_equality_and_hash():
@@ -383,6 +391,23 @@ def test_transcript_jsonl_layout(tmp_path):
     first = json.loads(lines[1])
     assert first["t"] == 1
     assert set(first) == {"t", "x", "P", "pi", "y"}
+
+
+def test_transcript_read_caps_the_grid_before_it_allocates(tmp_path):
+    """A header naming N = 10^7 raises ResourceLimitError from the grid
+    before any array is built."""
+    import tracemalloc
+
+    path = tmp_path / "huge.jsonl"
+    path.write_text('{"N":10000000,"d":2,"T":0}\n')
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="grid points"):
+            Transcript.read_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_transcript_read_errors(tmp_path):

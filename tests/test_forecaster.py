@@ -5,7 +5,8 @@ import swapcal
 from swapcal import (AdversarySpec, BmForecaster, NumericFailure,
                      ResourceLimitError, Transcript, choose_n,
                      generate_stream, make_grid, ons_step, rround,
-                     run_lockstep, run_online, seed_streams)
+                     lockstep_rounds, run_lockstep, run_online,
+                     seed_streams)
 from swapcal.forecaster import commit_round, sample_cell
 
 
@@ -138,10 +139,12 @@ def test_rround_rejects_out_of_range():
 def test_fresh_forecaster_commits_point_mass_at_zero():
     # all learners start at theta = 0, so every proposal rounds to cell 0
     fc = BmForecaster(make_grid(3), 2, seed=0)
-    out = fc.predict(np.array([0.5, 0.2]))
+    x = np.array([0.5, 0.2])
+    w = commit_round(fc.thetas, x, fc.grid)[0]
+    out = fc.predict(x)
     np.testing.assert_allclose(out.cond_dist, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert out.sampled_index == 0
-    np.testing.assert_array_equal(out.per_cell_w, np.zeros(4))
+    np.testing.assert_array_equal(w, np.zeros(4))
 
 
 @pytest.mark.parametrize("call, match", [
@@ -155,22 +158,31 @@ def test_forecaster_rejections(call, match):
 
 
 def test_forecaster_rejects_a_grid_too_large_for_memory():
-    """N = 10^7 would take 0.5 GB of learner stacks and a 10^14-entry
-    rounding matrix a round: the constructor raises before it allocates.
-    The cap falls between N = 999 and N = 1000."""
+    """N = 10^7 would take 80 MB of grid points, 0.5 GB of learner stacks
+    and a 10^14-entry rounding matrix a round: the grid raises before it
+    allocates its points. The forecaster's own cap, K^2 rounding-matrix
+    entries, falls between N = 999 and N = 1000 and also raises before any
+    learner stack exists."""
     import tracemalloc
 
-    grid = make_grid(10 ** 7)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="rounding-matrix"):
-            BmForecaster(grid, 2)
+        with pytest.raises(ResourceLimitError, match="grid points"):
+            make_grid(10 ** 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    with pytest.raises(ResourceLimitError):
-        BmForecaster(make_grid(1000), 1)
+    for n in (1000, 10 ** 5):
+        grid = make_grid(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="rounding-matrix"):
+                BmForecaster(grid, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
     assert BmForecaster(make_grid(999), 1).thetas.shape == (1000, 1)
 
 
@@ -179,10 +191,11 @@ def test_round_output_q_matrix_columns_are_rrounds():
     fc = BmForecaster(make_grid(3), 2, seed=1)
     X, y = _stream(rng, 30, 2)
     for x, yt in zip(X, y):
+        w = commit_round(fc.thetas, x, fc.grid)[0]
         out = fc.predict(x)
         for i in range(4):
             np.testing.assert_allclose(out.q_matrix[:, i],
-                                       rround(float(out.per_cell_w[i]), fc.grid),
+                                       rround(float(w[i]), fc.grid),
                                        atol=1e-12)
         # committed distribution is stationary for the committed matrix
         resid = np.max(np.abs(out.q_matrix @ out.cond_dist - out.cond_dist))
@@ -339,8 +352,9 @@ def test_run_online_records_everything():
     # every round's proposals rebuild its matrix exactly
     fc = BmForecaster(make_grid(2), 2, seed=3)
     for x, yt, P in zip(*stream, tr.cond_dists):
+        w = commit_round(fc.thetas, x, fc.grid)[0]
         out = fc.predict(x)
-        assert np.array_equal(rround(out.per_cell_w, fc.grid), out.q_matrix)
+        assert np.array_equal(rround(w, fc.grid), out.q_matrix)
         assert np.array_equal(out.cond_dist, P)
         fc.update(out, int(yt), x)
 
@@ -426,6 +440,37 @@ def test_lockstep_rejects_mismatched_runs():
         run_lockstep([fc, BmForecaster(make_grid(2), 2)],
                      [(X, y), (X[:10], y[:10])])
     assert fc.rounds_seen == 0
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+def test_lockstep_rounds_contract(reps):
+    """Each round yields the stack the forecasters held when it was yielded,
+    which later rounds never touch; the yielded P and cells are
+    run_lockstep's transcripts, and a run to the end leaves the forecasters
+    as run_lockstep leaves them."""
+    spec = AdversarySpec(kind="iid-logistic", noise=0.1)
+    seeds = [3 * r + 1 for r in range(reps)]
+    streams = [generate_stream(spec, 80, 3, seed=s) for s in seeds]
+    fcs = [BmForecaster(make_grid(5), 3, seed=s) for s in seeds]
+    held, rounds = [], []
+    for thetas, w, P, idx in lockstep_rounds(fcs, streams):
+        assert thetas.shape == (reps, 6, 3) and w.shape == P.shape == (reps, 6)
+        assert idx.shape == (reps,)
+        for r, fc in enumerate(fcs):
+            assert np.array_equal(thetas[r], fc.thetas)
+        held.append(np.stack([fc.thetas for fc in fcs]))
+        rounds.append((thetas, w, P, idx))
+    assert len(rounds) == 80 and fcs[0].rounds_seen == 80
+    assert all(np.array_equal(th, want)
+               for (th, *_), want in zip(rounds, held))
+    refs = [BmForecaster(make_grid(5), 3, seed=s) for s in seeds]
+    trs = run_lockstep(refs, streams)
+    for r, (stream, tr, fc, ref) in enumerate(zip(streams, trs, fcs, refs)):
+        mine = Transcript(fc.grid, stream[0], [P[r] for _, _, P, _ in rounds],
+                          [idx[r] for *_, idx in rounds], stream[1])
+        _assert_same_run(mine, fc, tr, ref)
+        assert fc.rng.random() == ref.rng.random()
+    assert "lockstep_rounds" in swapcal.__all__
 
 
 def test_choose_n_values():

@@ -12,7 +12,8 @@ from swapcal import (AdversarySpec, BmForecaster, LinearFn, LossSpec,
                      train_mixture, vshaped_loss, witness_f_prime)
 from swapcal import metrics as metrics_mod
 from swapcal.batch import _bucket_weights
-from swapcal.core import affine_restricted, post_process
+from swapcal.core import COND_DIST_TOL, affine_restricted, post_process
+from swapcal.forecaster import commit_round, rround
 from swapcal.harness import METRICS
 from swapcal.metrics import DEFAULT_LOSSES, constrained_lstsq
 
@@ -547,6 +548,36 @@ def test_bm_external_regrets_replays_the_proposals(tmp_path):
                                rtol=1e-12)
 
 
+def _bm_external_regrets_by_hand(tr, hc):
+    """The replay of bm_external_regrets as its own predict/update loop,
+    with each round's proposals taken from commit_round before predict: the
+    reference oracle."""
+    y, P = tr.outcomes.astype(float), tr.cond_dists
+    mins, _ = metrics_mod.per_cell_min_squared(tr.contexts, y, P.T.copy(), hc)
+    fc, W = BmForecaster(tr.grid, tr.d), np.empty_like(P)
+    for t, (x, yt) in enumerate(zip(tr.contexts, tr.outcomes.tolist())):
+        W[t] = commit_round(fc.thetas, x, fc.grid)[0]
+        out = fc.predict(x)
+        assert np.max(np.abs(out.cond_dist - P[t])) <= COND_DIST_TOL
+        fc.update(out, yt, x)
+    L = (tr.grid.points[None, :] - y[:, None]) ** 2
+    qdot = np.einsum("tj,tji->ti", L, rround(W, tr.grid))
+    return np.sum(P * qdot, axis=0) - mins
+
+
+def test_bm_external_regrets_matches_a_predict_update_replay():
+    """bm_external_regrets replays through lockstep_rounds; over 24 runs it
+    equals the hand replay bit for bit, on the ball and on a finite class."""
+    rng = np.random.default_rng(23)
+    for run in range(24):
+        d, n = 2 + run % 3, 1 + run % 5
+        tr = _forecaster_transcript(rng, 50, d, n, seed=run)
+        for hc in (linear_ball(4.0),
+                   finite_class([rng.normal(size=d) for _ in range(4)])):
+            assert np.array_equal(bm_external_regrets(tr, hc),
+                                  _bm_external_regrets_by_hand(tr, hc))
+
+
 def test_bm_external_regrets_rejects_a_transcript_not_the_forecasters():
     tr = _random_transcript(np.random.default_rng(17), 20, 2, 2)
     with pytest.raises(ValueError, match="round 1 of 20 is not the "
@@ -861,6 +892,32 @@ def test_somni_rejects_uncertified_custom_loss():
     wavy = custom_loss(lambda p, y: 0.5 * np.sin(9 * p), lipschitz_bound=5.0)
     with pytest.raises(ValueError):
         somni(tr, losses=[wavy])
+
+
+_BAD_MENUS = {
+    "non-convex": ([custom_loss(lambda p, y: np.sin(6 * np.pi * p) * 0.5,
+                                lipschitz_bound=10.0)],
+                   "fails midpoint convexity"),
+    "empty": ([], "loss menu must be non-empty"),
+    "not-a-LossSpec": (["squared"], "loss menu entries must be LossSpec"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_MENUS))
+def test_both_omni_reports_check_the_loss_menu(bad):
+    """somni, estimate_dsomni and the kernel under both reject the same bad
+    menus with the same message."""
+    losses, match = _BAD_MENUS[bad]
+    tr = _forecaster_transcript(np.random.default_rng(21), 30, 2, 2, seed=0)
+    mix = train_mixture((tr.contexts, tr.outcomes), 2, seed=0)
+    X, y = tr.contexts, tr.outcomes.astype(float)
+    for call in (lambda: somni(tr, losses=losses),
+                 lambda: estimate_dsomni(mix, (X, tr.outcomes), losses=losses),
+                 lambda: metrics_mod.per_cell_omni_gap(
+                     X, y, realized_weights(tr).T, tr.grid.points, losses,
+                     affine_restricted())):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_somni_finite_class_enumeration():
