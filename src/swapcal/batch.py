@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from .core import (Grid, affine_restricted, linear_ball, make_grid,
+from .core import (Grid, affine_restricted, as_int, linear_ball, make_grid,
                    validate_stream)
 from .errors import FormatError
 from .forecaster import (BmForecaster, commit_round, lockstep_rounds,
@@ -33,7 +33,8 @@ COMMIT_CHUNK = 1024  # test points per batched commit: bounds solver memory
 
 class MixturePredictor:
     """Uniform mixture over per-round snapshots of the online forecaster,
-    held as their parameter stacks thetas (S, K, d)."""
+    held as their parameter stacks thetas (S, K, d); seed and stride follow
+    as_int."""
 
     def __init__(self, grid, thetas, seed=None, stride=1):
         if not isinstance(grid, Grid):
@@ -45,8 +46,8 @@ class MixturePredictor:
         self.grid = grid
         self.thetas = thetas
         self.d = thetas.shape[2]
-        self.seed = seed
-        self.stride = int(stride)
+        self.seed = None if seed is None else as_int(seed, "seed", 0)
+        self.stride = as_int(stride, "stride", 1)
 
     @property
     def size(self):
@@ -63,12 +64,12 @@ class MixturePredictor:
 def train_mixture(stream, n, seed=0, stride=1):
     """Run the online forecaster over the stream (X, y) by lockstep_rounds
     and keep the stack that every stride-th round commits from; the mixture
-    is uniform over the kept snapshots. The context dimension is X.shape[1]."""
+    is uniform over the kept snapshots. The context dimension is X.shape[1]
+    and stride >= 1 follows as_int."""
     X, y = validate_stream(stream)
     if not len(y):
         raise ValueError("cannot train a mixture on an empty stream")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    stride = as_int(stride, "stride", 1)
     fc = BmForecaster(make_grid(n), X.shape[1], seed=seed)
     snaps = np.concatenate([thetas for t, (thetas, *_) in enumerate(
         lockstep_rounds([fc], [(X, y)])) if t % stride == 0])
@@ -95,16 +96,17 @@ def mixture_predict(mix, x, rng):
 
 def mixture_to_json(mix, path):
     """Write the mixture as a version-2 document: n, d, seed, stride and the
-    (S, K, d) parameter stack."""
-    doc = {"version": 2, "n": mix.grid.n, "d": mix.d, "seed": mix.seed,
-           "stride": mix.stride, "thetas": mix.thetas.tolist()}
+    (S, K, d) parameter stack; one that cannot be written leaves no file."""
+    text = json.dumps({"version": 2, "n": mix.grid.n, "d": mix.d,
+                       "seed": mix.seed, "stride": mix.stride,
+                       "thetas": mix.thetas.tolist()})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def mixture_from_json(path):
     """Read a version-2 document, or a version-1 one (per-snapshot learner
-    records, of which only theta is read)."""
+    records, of which only theta is read); its integers follow as_int."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -119,11 +121,11 @@ def mixture_from_json(path):
         else:
             raise FormatError(f"{path}: unsupported mixture version "
                               f"{doc['version']}")
-        mix = MixturePredictor(make_grid(int(doc["n"])),
+        mix = MixturePredictor(make_grid(doc["n"]),
                                np.asarray(thetas, dtype=float),
                                seed=doc.get("seed"),
-                               stride=int(doc.get("stride", 1)))
-        if mix.d != int(doc["d"]):
+                               stride=doc.get("stride", 1))
+        if mix.d != as_int(doc.get("d"), "d", 1):
             raise ValueError(f"thetas have dimension {mix.d}, header says "
                              f"{doc['d']}")
         return mix
@@ -158,7 +160,7 @@ def _bucket_weights(mix, X, mc_draws, seed):
     """Joint weight matrix V (n+1, M) over (cell, test point).
 
     mc_draws=None averages every snapshot's conditional cell weights over
-    the test points exactly (total mass 1); an integer runs that many
+    the test points exactly (total mass 1); an as_int >= 1 runs that many
     Monte-Carlo draws of (test point, snapshot, uniform), drawn as three
     arrays in that order and then committed one snapshot at a time.
     """
@@ -169,10 +171,8 @@ def _bucket_weights(mix, X, mc_draws, seed):
             V += _snapshot_dists(mix, t, X).T
         V /= mix.size * M
         return V, "exhaustive enumeration over snapshots x test points"
-    if mc_draws < 1:
-        raise ValueError("mc_draws must be positive (or None for exhaustive)")
+    draws = as_int(mc_draws, "mc_draws", 1)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    draws = int(mc_draws)
     xi = rng.integers(M, size=draws)
     snap = rng.integers(mix.size, size=draws)
     u = rng.random(draws)

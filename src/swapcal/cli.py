@@ -21,10 +21,10 @@ from .core import Transcript, make_grid
 from .errors import FormatError, NumericFailure, PreconditionError, \
     ResourceLimitError
 from .forecaster import BmForecaster, choose_n, run_online
-from .harness import (METRICS, AdversarySpec, SweepConfig, csv_rows,
-                      evaluate_metric, fit_rate, generate_stream, ingest_csv,
-                      parse_class_spec, parse_losses, read_results, resolve_n,
-                      run_sweep)
+from .harness import (ADVERSARIES, METRICS, AdversarySpec, SweepConfig,
+                      csv_rows, evaluate_metric, fit_rate, generate_stream,
+                      ingest_csv, parse_class_spec, parse_losses,
+                      read_results, resolve_n, run_sweep)
 
 BATCH_REPORTS = ("saerr", "dsmcal2", "dsomni")
 
@@ -37,9 +37,7 @@ def build_parser():
 
     sim = sub.add_parser("simulate", help="run the forecaster on a synthetic "
                                           "or csv stream")
-    sim.add_argument("--adversary", required=True,
-                     choices=["iid-logistic", "iid-bernoulli",
-                              "anti-calibration", "csv"])
+    sim.add_argument("--adversary", required=True, choices=ADVERSARIES)
     sim.add_argument("--T", type=int, required=True, help="horizon")
     sim.add_argument("--d", type=int, required=True, help="context dimension")
     sim.add_argument("--N", default="auto-smcal",
@@ -98,12 +96,12 @@ def build_parser():
 
 
 def _adversary_from_arg(kind, csv_path=None, bias=0.5, noise=0.0):
-    if kind in ("iid-logistic", "iid-bernoulli", "anti-calibration"):
-        return AdversarySpec(kind=kind, bias=bias, noise=noise)
     if kind == "csv":
         if not csv_path:
             raise ValueError("csv adversary needs --csv-path")
         return AdversarySpec(kind="csv", path=csv_path)
+    if kind in ADVERSARIES:
+        return AdversarySpec(kind=kind, bias=bias, noise=noise)
     # treat anything path-like as a csv file
     return AdversarySpec(kind="csv", path=kind)
 

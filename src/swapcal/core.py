@@ -26,18 +26,26 @@ COND_DIST_TOL = 1e-9
 MEMBER_CAP = 10 ** 6
 
 
+def as_int(value, what, low):
+    """A count, size, seed or index as an int: a Python or numpy integer,
+    not a bool, at least low (None, 0 or 1); else ValueError naming what."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and (low is None or value >= low)):
+        return int(value)
+    kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
+    raise ValueError(f"{what} must be {kind} integer, got {value!r}")
+
+
 class Grid:
     """Uniform prediction grid with n+1 points i/n, i = 0..n."""
 
     __slots__ = ("n", "points")
 
     def __init__(self, n):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"grid resolution must be a positive integer, got {n!r}")
-        if n + 1 > MEMBER_CAP:
+        self.n = as_int(n, "grid resolution", 1)
+        if self.n + 1 > MEMBER_CAP:
             raise ResourceLimitError(f"N = {n} needs over {MEMBER_CAP} grid "
                                      "points")
-        self.n = int(n)
         pts = np.arange(self.n + 1, dtype=float) / self.n
         pts.flags.writeable = False
         self.points = pts
@@ -386,11 +394,10 @@ def cover_thetas(epsilon, radius, d, cap=MEMBER_CAP):
 
     Axis grid of step min(eps, 2*eps/sqrt(d)) over [-r, r]^d; grid points
     outside the ball are projected onto the sphere (non-expansive, so every
-    theta in the ball stays within eps of some member). Raises
-    ResourceLimitError if the enumeration would exceed cap points.
+    theta in the ball stays within eps of some member); d follows as_int.
+    Raises ResourceLimitError if the enumeration would exceed cap points.
     """
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    d = as_int(d, "dimension", 1)
     step = min(epsilon, 2.0 * epsilon / np.sqrt(d))
     m = int(np.floor(2.0 * radius / step + 1e-9)) + 1
     if m ** d > cap:
@@ -424,7 +431,7 @@ class Transcript:
 
     contexts is (T, d), cond_dists is (T, n+1) with rows on the simplex,
     sampled_indices and outcomes are (T,): exactly the fields of the JSONL
-    file, plus the grid its header's N names.
+    file, plus the grid its header's N names; seed is None or an int >= 0.
     """
 
     __slots__ = ("grid", "contexts", "cond_dists", "sampled_indices", "outcomes",
@@ -445,7 +452,7 @@ class Transcript:
                 raise ValueError(f"{what} {values[k]} at position {k} is "
                                  f"not an integer in [0, {hi}]")
         self.sampled_indices, self.outcomes = pi.astype(int), y.astype(int)
-        self.seed = seed
+        self.seed = None if seed is None else as_int(seed, "seed", 0)
         T = self.horizon
         for arr, name in ((self.cond_dists, "cond_dists"),
                           (self.sampled_indices, "sampled_indices"),
@@ -481,11 +488,13 @@ class Transcript:
 
     def write_jsonl(self, path):
         """Persist as JSON lines: a header {"N","d","T","seed"} followed by one
-        record {"t","x","P","pi","y"} per round (t is 1-based)."""
+        record {"t","x","P","pi","y"} per round (t is 1-based). A header
+        that cannot be written leaves no file behind."""
+        header = json.dumps({"N": self.grid.n, "d": self.d,
+                             "T": self.horizon, "seed": self.seed},
+                            separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as fh:
-            header = {"N": self.grid.n, "d": self.d, "T": self.horizon,
-                      "seed": self.seed}
-            fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+            fh.write(header + "\n")
             for t in range(self.horizon):
                 rec = {"t": t + 1,
                        "x": [float(v) for v in self.contexts[t]],
@@ -496,15 +505,18 @@ class Transcript:
 
     @classmethod
     def read_jsonl(cls, path):
+        """Read a write_jsonl file; header N, d, T and seed follow as_int."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in (s.strip() for s in fh) if ln]
         if not lines:
             raise FormatError(f"{path}: empty transcript file")
         try:
-            header = json.loads(lines[0])
-            n, d, T = int(header["N"]), int(header["d"]), int(header["T"])
-            seed = header.get("seed")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            head = json.loads(lines[0])
+            n, d, T = (as_int(head[key], f"header {key}", low)
+                       for key, low in (("N", None), ("d", 1), ("T", 0)))
+            seed = head.get("seed")
+            seed = seed if seed is None else as_int(seed, "header seed", 0)
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad header line: {exc}") from exc
         if len(lines) - 1 != T:
             raise FormatError(f"{path}: header says T={T} but file has "
@@ -512,6 +524,13 @@ class Transcript:
         if n < 1:
             raise FormatError(f"{path}: header N must be >= 1")
         grid = Grid(n)
+        bad = (KeyError, TypeError, ValueError, OverflowError)
+        try:  # X is sized from d only once the first record's x has d entries
+            if T and len(json.loads(lines[1])["x"]) != d:
+                raise ValueError(f"x needs {d} entries")
+        except bad as exc:
+            raise FormatError(f"{path}: bad step record on line 2: {exc}") \
+                from exc
         X = np.zeros((T, d))
         P = np.zeros((T, n + 1))
         pi = np.zeros(T)
@@ -528,8 +547,7 @@ class Transcript:
                 P[k] = p
                 pi[k] = rec["pi"]
                 y[k] = rec["y"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    OverflowError) as exc:
+            except bad as exc:
                 raise FormatError(f"{path}: bad step record on line {k + 2}: {exc}") \
                     from exc
         for key, values, hi in (("pi", pi, n), ("y", y, 1)):

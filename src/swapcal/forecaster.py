@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MEMBER_CAP, Grid, Transcript, validate_outcome,
+from .core import (MEMBER_CAP, Grid, Transcript, as_int, validate_outcome,
                    validate_stream)
 from .errors import ResourceLimitError
 from .linalg import stationary_distribution
@@ -98,23 +98,21 @@ class BmForecaster:
     thetas (K, d) and inv_curvatures (K, d, d), the update count
     rounds_seen, and the sampling generator. predict() commits a conditional
     distribution and samples from it; update() advances every learner with
-    its stationary scale weight into fresh stacks.
+    its stationary scale weight into fresh stacks; d and seed follow as_int.
     """
 
     def __init__(self, grid, d, seed=0):
         if not isinstance(grid, Grid):
             raise ValueError("grid must be a Grid")
-        if not isinstance(d, (int, np.integer)) or d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {d!r}")
+        self.d = d = as_int(d, "dimension", 1)
+        self.seed = seed = as_int(seed, "seed", 0)
         if grid.size ** 2 > MEMBER_CAP:
             raise ResourceLimitError(f"N = {grid.n} needs over {MEMBER_CAP} "
                                      "rounding-matrix entries a round")
         self.grid = grid
-        self.d = int(d)
         self.thetas = np.zeros((grid.size, d))
         self.inv_curvatures = np.tile(np.eye(d) / OMEGA, (grid.size, 1, 1))
         self.rounds_seen = 0
-        self.seed = seed
         self.rng = np.random.Generator(np.random.PCG64(seed_streams(seed)[0]))
 
     def predict(self, x):
@@ -198,11 +196,9 @@ def choose_n(T, d, objective):
 
     Calibration and omniprediction objectives use round((T / (d ln T))^{1/3});
     the contextual swap regret objective uses exponent 1/5. Clamped to >= 1.
+    T >= 1 and d >= 1 follow as_int.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"horizon must be a positive integer, got {T!r}")
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    T, d = as_int(T, "horizon", 1), as_int(d, "dimension", 1)
     if objective in ("smcal", "somni"):
         expo = 1.0 / 3.0
     elif objective == "sreg":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (cover_class, finite_class, linear_ball,
+from .core import (as_int, cover_class, finite_class, linear_ball,
                    affine_restricted, make_grid, absolute_loss, squared_loss,
                    vshaped_loss)
 from .errors import FormatError
@@ -41,6 +41,9 @@ _TAIL_RADIUS = math.sqrt(3.0) / 2.0
 #: most rounds (reps x T) that one lockstep group of a sweep runs: bounds
 #: the group's stream and transcript memory, whatever reps x T is
 LOCKSTEP_ROUNDS = 2 ** 20
+
+#: the adversary kinds, in the order the command line lists them
+ADVERSARIES = ("iid-logistic", "iid-bernoulli", "anti-calibration", "csv")
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,7 @@ class AdversarySpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("iid-logistic", "iid-bernoulli", "csv",
-                             "anti-calibration"):
+        if self.kind not in ADVERSARIES:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if not (0.0 <= self.noise <= 1.0):
             raise ValueError("noise must be in [0, 1]")
@@ -88,13 +90,10 @@ def generate_stream(spec, T, d, seed=0):
     X float (T, d), outcomes y int (T,).
 
     Contexts always have first coordinate 1/2 and norm at most 1 (the random
-    tail lives in the radius sqrt(3)/2 ball).
+    tail lives in the radius sqrt(3)/2 ball); T, d and seed follow as_int.
     """
-    if T < 0:
-        raise ValueError("horizon must be nonnegative")
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    _, adv_ss = seed_streams(seed)
+    T, d = as_int(T, "horizon", 0), as_int(d, "dimension", 1)
+    _, adv_ss = seed_streams(as_int(seed, "seed", 0))
     param_ss, stream_ss = adv_ss.spawn(2)
     rng_param = np.random.Generator(np.random.PCG64(param_ss))
     rng = np.random.Generator(np.random.PCG64(stream_ss))
@@ -182,15 +181,16 @@ def csv_rows(table, T, d, path):
 
 
 def resolve_n(n_rule, T, d):
-    """Map an --N style rule (auto-smcal, auto-sreg, or an integer) to a
-    concrete grid resolution."""
+    """Map an --N style rule (auto-smcal, auto-sreg, or an integer: as_int,
+    or text in base 10) to a concrete grid resolution."""
     if n_rule == "auto-smcal":
         return choose_n(T, d, "smcal")
     if n_rule == "auto-sreg":
         return choose_n(T, d, "sreg")
     try:
-        return int(n_rule)
-    except (TypeError, ValueError):
+        return (int(n_rule, 10) if isinstance(n_rule, str)
+                else as_int(n_rule, "grid rule", None))
+    except ValueError:
         raise ValueError(f"grid rule must be auto-smcal, auto-sreg, or an "
                          f"integer, got {n_rule!r}") from None
 
@@ -295,8 +295,8 @@ class SweepConfig:
 
     metric may carry an inline class suffix (e.g. smcal2:ball1). n_rule is
     auto-smcal, auto-sreg, or an integer. Row seeds are seed_base + rep.
-    T_list must be a list or tuple of integers, reps a non-negative integer
-    and seed_base an integer; the other fields are checked row by row.
+    T_list (a list or tuple), reps (>= 0) and seed_base take integers, kept
+    as ints (as_int); the other fields are checked row by row.
     """
 
     T_list: list
@@ -313,19 +313,15 @@ class SweepConfig:
     losses: str | None = None
 
     def __post_init__(self):
-        def is_int(v):
-            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-        if not (isinstance(self.T_list, (list, tuple))
-                and all(map(is_int, self.T_list))):
+        listed = isinstance(self.T_list, (list, tuple))
+        try:
+            self.T_list = [as_int(T, "T", None)
+                           for T in (self.T_list if listed else [None])]
+        except ValueError:
             raise ValueError(f"T_list must be a list of integers, got "
-                             f"{self.T_list!r}")
-        if not is_int(self.reps) or self.reps < 0:
-            raise ValueError(f"reps must be a non-negative integer, got "
-                             f"{self.reps!r}")
-        if not is_int(self.seed_base):
-            raise ValueError(f"seed_base must be an integer, got "
-                             f"{self.seed_base!r}")
+                             f"{self.T_list!r}") from None
+        self.reps = as_int(self.reps, "reps", 0)
+        self.seed_base = as_int(self.seed_base, "seed_base", None)
 
     @classmethod
     def from_json(cls, path):
@@ -423,7 +419,7 @@ def run_sweep(cfg, out_path=None):
                               f"lacks {missing}")
     done = {(int(r["T"]), int(r["rep"])) for r in existing
             if r["metric"] == cfg.metric}
-    T_list = list(dict.fromkeys(int(T) for T in cfg.T_list))
+    T_list = list(dict.fromkeys(cfg.T_list))
     new_rows = []
     mode = "a" if existing else "w"
     with open(out_path, mode, encoding="utf-8", newline="") as fh:
@@ -468,9 +464,10 @@ class RateFit:
 def fit_rate(rows, metric):
     """Fit value ~ C * T^slope on a results table for one metric.
 
-    Medians are taken per horizon over the repetition values; zero or
-    negative values are dropped from the log fit (counted in the result).
-    Needs at least three surviving horizons. Natural logs throughout.
+    Medians are taken per horizon over the repetition values; values
+    outside (0, inf), that is zero, negative, infinite or NaN ones, are
+    dropped from the log fit and counted in dropped_nonpositive. Needs at
+    least three surviving horizons. Natural logs throughout.
     """
     by_t = {}
     dropped = 0
@@ -481,7 +478,7 @@ def fit_rate(rows, metric):
             continue
         T = int(r["T"])
         v = float(r["value"])
-        if v <= 0.0:
+        if not 0.0 < v < math.inf:
             dropped += 1
             continue
         by_t.setdefault(T, []).append(v)

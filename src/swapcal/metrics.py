@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (COND_DIST_TOL, MEMBER_CAP, LossSpec, absolute_loss,
-                   affine_restricted, cover_thetas, post_process,
+                   affine_restricted, as_int, cover_thetas, post_process,
                    squared_loss, vshaped_loss)
 from .errors import NumericFailure, PreconditionError, ResourceLimitError
 from .forecaster import BmForecaster, lockstep_rounds, rround
@@ -278,7 +278,7 @@ def _min_affine_res(losses, X, W, y):
 
 
 def _check_q(q):
-    if q not in (1, 2):
+    if as_int(q, "moment q", 1) > 2:
         raise ValueError(f"moment q must be 1 or 2, got {q!r}")
 
 
@@ -473,9 +473,9 @@ def witness_f_prime(tr, cell, f, use_pseudo=True):
     realized weights), with |f| <= 1 on the transcript contexts, returns
     (f', improvement) where f' = z_cell + eta f, eta = min(1, alpha / mu),
     mu the weighted mean of f^2. The improvement in weighted squared loss is
-    at least alpha^2.
+    at least alpha^2. cell must be an integer (as_int) in [0, n].
     """
-    if not (0 <= cell <= tr.grid.n):
+    if not (0 <= as_int(cell, "cell", None) <= tr.grid.n):
         raise ValueError(f"cell {cell} outside the grid")
     CW = tr.cond_dists.T if use_pseudo else realized_weights(tr).T
     w = CW[cell]

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -151,6 +152,29 @@ def test_mixture_json_reads_version_1(tmp_path):
     X, _ = _stream(rng, 6)
     for t in range(3):
         np.testing.assert_array_equal(a.cond_dist(t, X), b.cond_dist(t, X))
+
+
+@pytest.mark.parametrize("write", ["transcript", "mixture"])
+@pytest.mark.parametrize("existed", [False, True])
+def test_failed_write_leaves_no_partial_file(tmp_path, write, existed):
+    """A seed that json cannot encode, set on the object after it was built
+    (the constructors store an int), fails the write before the file is
+    opened: no file appears, and an existing one keeps its bytes."""
+    rng = np.random.default_rng(2)
+    if write == "transcript":
+        obj = run_online(BmForecaster(make_grid(2), 2), _stream(rng, 5))
+        save = obj.write_jsonl
+    else:
+        obj = train_mixture(_stream(rng, 5), 2)
+        save = functools.partial(mixture_to_json, obj)
+    obj.seed = np.int64(3)
+    path = tmp_path / "out"
+    if existed:
+        path.write_bytes(b"previous contents\n")
+    with pytest.raises(TypeError):
+        save(path)
+    assert path.read_bytes() == b"previous contents\n" if existed \
+        else not path.exists()
 
 
 def test_mixture_json_rejects_garbage(tmp_path):

@@ -327,3 +327,15 @@ def test_transcript_files_bit_identical_across_runs(tmp_path):
 def test_usage_requires_subcommand():
     proc = subprocess.run(CLI, capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_adversary_kinds_come_from_one_table(capsys):
+    """simulate --adversary offers exactly harness.ADVERSARIES, and every
+    kind maps to its AdversarySpec."""
+    from swapcal import cli, harness
+
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    assert "{" + ",".join(harness.ADVERSARIES) + "}" in capsys.readouterr().out
+    for kind in harness.ADVERSARIES:
+        assert cli._adversary_from_arg(kind, csv_path="d.csv").kind == kind

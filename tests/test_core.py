@@ -410,6 +410,25 @@ def test_transcript_read_caps_the_grid_before_it_allocates(tmp_path):
     assert peak < 2 ** 20
 
 
+def test_transcript_read_checks_d_before_it_allocates(tmp_path):
+    """A header naming d = 10^12 over a record whose x has 2 entries fails
+    at line 2 before the (T, d) context array is built."""
+    import tracemalloc
+
+    path = tmp_path / "wide.jsonl"
+    path.write_text('{"N":1,"d":1000000000000,"T":1,"seed":0}\n'
+                    '{"t":1,"x":[0.5,0.0],"P":[1.0,0.0],"pi":0,"y":1}\n')
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="line 2: x needs "
+                                              "1000000000000 entries"):
+            Transcript.read_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_transcript_read_errors(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -96,3 +96,13 @@ def test_bench_round_leaves_unresolved_null_below_four_reps():
         assert doc["unresolved_vs_a"] == want
         assert doc["median_ratio_to_a"] == {
             "b": {"k": round(12.5 / 12.0, 4)}}
+
+
+def test_src_stats_runs():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "src_stats.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(proc.stdout)
+    assert set(stats) == {"src", "lines", "param_defaults",
+                          "dataclass_field_defaults"}
+    assert stats["lines"] > 0 and stats["param_defaults"] > 0

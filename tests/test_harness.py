@@ -501,6 +501,20 @@ def test_fit_rate_drops_nonpositive_and_errors():
         fit_rate(_rows({10: [1.0], 100: [2.0]}), "m")
 
 
+def test_fit_rate_drops_non_finite_values():
+    """NaN and inf values are dropped and counted like non-positive ones:
+    the fit is the one without them, finite and valid strict JSON, and no
+    RuntimeWarning is raised."""
+    clean = _rows({T: [T ** 0.5] for T in (10, 100, 1000)})
+    rows = clean + _rows({10: [float("nan")], 100: [float("inf")],
+                          1000: [float("-inf")]})
+    fit = fit_rate(rows, "m")
+    assert fit.dropped_nonpositive == 3
+    assert fit.as_dict() == {**fit_rate(clean, "m").as_dict(),
+                             "dropped_nonpositive": 3}
+    json.dumps(fit.as_dict(), allow_nan=False)
+
+
 def test_fit_rate_filters_by_metric_name():
     rows = _rows({T: [T] for T in (10, 100, 1000)}, metric="a")
     rows += _rows({T: [5.0] for T in (10, 100, 1000)}, metric="b")
