@@ -141,11 +141,11 @@ def mixture_from_json(path):
 
 def _buckets(mix, test, mc_draws, seed):
     """The test stream (X, y) checked against the mixture, y as float, its
-    bucket weights V and how V was made."""
+    bucket weights V and how V was made; seed follows as_int."""
     X, y = validate_stream(test, mix.d)
     if not len(y):
         raise ValueError("test sample must be non-empty")
-    V, how = _bucket_weights(mix, X, mc_draws, seed)
+    V, how = _bucket_weights(mix, X, mc_draws, as_int(seed, "seed", 0))
     return X, y.astype(float), V, how
 
 

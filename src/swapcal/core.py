@@ -320,26 +320,35 @@ class HypothesisClass:
                        stack thetas (M, d)
     cover(eps, r)      the eps-grid of theta over the radius-r ball, enumerated
 
-    Finite and cover classes are enumerated: the metrics read their theta
-    stacks member by member.
+    Every f is offset + scale <theta, x> (1/2 and 1/2 for the affine class,
+    else 0 and 1); a ball kind is that map over ||theta|| <= radius, named
+    in notes by the phrase functions. Finite and cover classes are
+    enumerated: the metrics read their theta stacks member by member.
     """
 
-    __slots__ = ("kind", "radius", "epsilon", "thetas")
+    __slots__ = ("kind", "radius", "epsilon", "thetas", "offset", "scale",
+                 "functions", "_descriptor")
 
     def __init__(self, kind, radius=None, epsilon=None, thetas=None):
-        if kind not in ("linear-ball", "affine-restricted", "finite", "cover"):
-            raise ValueError(f"unknown hypothesis class kind {kind!r}")
-        if kind in ("linear-ball", "cover"):
-            if radius is None or not 0 < radius < np.inf:
-                raise ValueError(f"{kind} class needs a positive finite radius")
+        if kind in ("linear-ball", "cover") and (
+                radius is None or not 0 < radius < np.inf):
+            raise ValueError(f"{kind} class needs a positive finite radius")
+        self.offset, self.scale, self.functions = 0.0, 1.0, None
+        if kind == "linear-ball":
             radius = float(radius)
-        if kind == "affine-restricted":
-            radius = 1.0
-        if kind == "cover":
+            self.functions = f"||theta|| <= {radius:g}"
+            self._descriptor = f"linear-ball(r={radius:g})"
+        elif kind == "affine-restricted":
+            radius, self.offset, self.scale = 1.0, 0.5, 0.5
+            self.functions = ("the affine class (1 + <theta, x>)/2, "
+                              "||theta|| <= 1")
+            self._descriptor = kind
+        elif kind == "cover":
             if epsilon is None or not 0 < epsilon < np.inf:
                 raise ValueError("cover class needs a positive finite epsilon")
-            epsilon = float(epsilon)
-        if kind == "finite":
+            radius, epsilon = float(radius), float(epsilon)
+            self._descriptor = f"cover(eps={epsilon:g}, r={radius:g})"
+        elif kind == "finite":
             try:
                 thetas = np.array(thetas, dtype=float)
             except (TypeError, ValueError) as exc:
@@ -351,23 +360,18 @@ class HypothesisClass:
             if not np.isfinite(thetas).all():
                 raise ValueError("finite class thetas have non-finite entries")
             thetas.flags.writeable = False
-        self.kind = kind
-        self.radius = radius
-        self.epsilon = epsilon
-        self.thetas = thetas
+            self._descriptor = f"finite(m={len(thetas)})"
+        else:
+            raise ValueError(f"unknown hypothesis class kind {kind!r}")
+        self.kind, self.radius = kind, radius
+        self.epsilon, self.thetas = epsilon, thetas
 
     @property
     def enumerated(self):
         return self.kind in ("finite", "cover")
 
     def descriptor(self):
-        if self.kind == "linear-ball":
-            return f"linear-ball(r={self.radius:g})"
-        if self.kind == "affine-restricted":
-            return "affine-restricted"
-        if self.kind == "cover":
-            return f"cover(eps={self.epsilon:g}, r={self.radius:g})"
-        return f"finite(m={len(self.thetas)})"
+        return self._descriptor
 
     def __repr__(self):
         return f"HypothesisClass({self.descriptor()})"

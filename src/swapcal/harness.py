@@ -51,10 +51,10 @@ class AdversarySpec:
     """An oblivious stream generator.
 
     kind: iid-logistic (conditional mean 1/2 + <theta*, x>/2, optional
-    label-flip noise), iid-bernoulli (constant context, Bernoulli(bias)
-    labels), csv (replay a file), anti-calibration (constant context,
-    alternating labels; the adaptive variant is out of scope and the flag is
-    fixed off).
+    label-flip noise; theta_star, if given, is d finite values),
+    iid-bernoulli (constant context, Bernoulli(bias) labels), csv (replay a
+    file), anti-calibration (constant context, alternating labels; the
+    adaptive variant is out of scope).
     """
 
     kind: str
@@ -101,9 +101,9 @@ def generate_stream(spec, T, d, seed=0):
     if spec.kind == "iid-logistic":
         if spec.theta_star is not None:
             theta = np.asarray(spec.theta_star, dtype=float)
-            if theta.shape != (d,):
-                raise ValueError(f"theta_star has shape {theta.shape}, "
-                                 f"expected ({d},)")
+            if theta.shape != (d,) or not np.isfinite(theta).all():
+                raise ValueError(f"theta_star must be {d} finite values, "
+                                 f"got {spec.theta_star!r}")
         else:
             g = rng_param.normal(size=d)
             theta = g / max(np.linalg.norm(g), 1e-12)

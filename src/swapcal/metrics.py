@@ -4,9 +4,10 @@ All metrics share the same skeleton: bucket rounds by grid cell, weight them
 either by the realized predictions (indicator weights) or by the committed
 conditional distributions (pseudo weights), and take per-cell suprema over a
 comparator class. Every closed-form metric reads a transcript only through
-per-cell sums (cell_sums): ball and affine suprema in closed form (support
-functions, constrained least squares), finite and cover classes, which are
-theta stacks, member by member. The omniprediction gap evaluates enumerated
+per-cell sums (cell_sums): every ball class is one map offset + scale
+<theta, x> over ||theta|| <= radius with closed-form suprema (support
+function, constrained least squares); finite and cover classes, theta
+stacks, go member by member. The omniprediction gap evaluates enumerated
 members on the contexts, a fixed budget of member-point pairs at a time.
 Every report discloses in its notes which evaluation set was actually used.
 
@@ -103,11 +104,11 @@ def cell_sums(X, y, CW, z):
                     A=np.stack([(CW * x) @ X for x in X.T], axis=1))
 
 
-def _members(hc, d, cap=MEMBER_CAP):
+def _members(hc, d):
     """Theta stack (M, d) of a finite or cover class in dimension d, plus a
     note."""
     if hc.kind == "cover":
-        thetas = cover_thetas(hc.epsilon, hc.radius, d, cap=cap)
+        thetas = cover_thetas(hc.epsilon, hc.radius, d, cap=MEMBER_CAP)
         return thetas, (f"enumerated over {len(thetas)} cover members "
                         f"(eps={hc.epsilon:g}, r={hc.radius:g})")
     if hc.thetas.shape[1] != d:
@@ -119,20 +120,17 @@ def _members(hc, d, cap=MEMBER_CAP):
 def per_cell_sup_numerators(X, y, CW, zvals, hc):
     """sup_f | sum_t CW[c,t] f(x_t) (y_t - z_c) | for every cell c.
 
-    Returns (numerators, note): r ||R_c|| for the radius-r ball,
-    (|S_c| + ||R_c||)/2 for the affine class, the largest |<theta, R_c>| over
-    an enumerated class's members.
+    Returns (numerators, note): offset |S_c| + scale r ||R_c|| for a ball
+    class's offset + scale <theta, x> over ||theta|| <= r, the largest
+    |<theta, R_c>| over an enumerated class's members.
     """
     s = cell_sums(X, y, CW, zvals)
     if hc.enumerated:
         thetas, note = _members(hc, X.shape[1])
         return np.max(np.abs(thetas @ s.R.T), axis=0), note
-    norms = np.linalg.norm(s.R, axis=1)
-    if hc.kind == "linear-ball":
-        return hc.radius * norms, \
-            f"support function, exact over ||theta|| <= {hc.radius:g}"
-    return 0.5 * (np.abs(s.S) + norms), \
-        "support function of (1 + <theta, x>)/2, exact over ||theta|| <= 1"
+    return (hc.offset * np.abs(s.S)
+            + hc.scale * hc.radius * np.linalg.norm(s.R, axis=1),
+            f"support function, exact over {hc.functions}")
 
 
 def constrained_lstsq(X, y, w, radius):
@@ -152,21 +150,16 @@ def per_cell_min_squared(X, y, CW, hc):
     """min_f sum_t CW[c,t] (f(x_t) - y_t)^2 for every cell. Empty cells get 0.
 
     On cell c, theta's loss is theta^T A_c theta - 2 theta^T R_c + SS_c, from
-    the sums with z = 0: balls take its minimizer ridge_to_sphere(A_c, R_c, r),
-    enumerated classes its least value over their members. The affine class
-    is the unit ball problem on (x/2, y - 1/2): the sums of X/2 with z = 1/2.
+    the sums of scale X with z = offset: balls take its minimizer
+    ridge_to_sphere(A_c, R_c, r), enumerated classes its least value over
+    their members.
     """
     K = len(CW)
-    if hc.kind == "affine-restricted":
-        s = cell_sums(0.5 * X, y, CW, np.full(K, 0.5))
-        note = ("constrained least squares over the affine class "
-                "(1 + <theta, x>)/2, ||theta|| <= 1")
-    else:
-        s = cell_sums(X, y, CW, np.zeros(K))
+    s = cell_sums(hc.scale * X, y, CW, np.full(K, hc.offset))
     if hc.enumerated:
         thetas, note = _members(hc, X.shape[1])
-    elif hc.kind == "linear-ball":
-        note = f"constrained least squares over ||theta|| <= {hc.radius:g}"
+    else:
+        note = f"constrained least squares over {hc.functions}"
     mins = np.zeros(K)
     for c in np.flatnonzero(s.mass > 0):
         th = thetas if hc.enumerated else \
@@ -184,10 +177,11 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc):
     note); empty cells get 0. The loss menu must be non-empty and hold
     LossSpec entries, and its custom-convex losses must pass certify().
     Enumerated classes fill the comparator table by _least_member_losses.
-    The affine-restricted inner minimization is _min_affine_res: projected
+    A ball class's inner minimization is _min_ball_losses: projected
     subgradient descent from theta = 0 (step 1/sqrt(k), best-iterate
     tracking) that stops at a zero subgradient, so a V-shaped loss, whose
-    derivative is 0, stays at theta = 0.
+    derivative is 0, stays at theta = 0. Linear balls, whose functions
+    leave [0, 1], are refused.
     """
     if not losses:
         raise ValueError("loss menu must be non-empty")
@@ -196,21 +190,21 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc):
             raise ValueError(f"loss menu entries must be LossSpec, got {loss!r}")
         if loss.kind == "custom-convex":
             loss.certify()
+    if hc.kind == "linear-ball":
+        raise ValueError(
+            f"omniprediction comparator must be affine-restricted or an "
+            f"enumerable class, got {hc.kind}")
     nz = CW.sum(axis=1) > 0
     if hc.enumerated:
         thetas, note = _members(hc, X.shape[1])
         achieved = _least_member_losses(thetas, X, y, CW, losses)
-    elif hc.kind == "affine-restricted":
+    else:
         note = (f"inner minimization by projected subgradient descent "
                 f"({OMNI_ITERS} iterations from theta = 0, step 1/sqrt(k); "
                 "stops at a zero subgradient, so V-shaped losses stay at "
                 "theta = 0)")
         achieved = np.zeros((len(CW), len(losses)))
-        achieved[nz] = _min_affine_res(losses, X, CW[nz], y)
-    else:
-        raise ValueError(
-            f"omniprediction comparator must be affine-restricted or an "
-            f"enumerable class, got {hc.kind}")
+        achieved[nz] = _min_ball_losses(losses, X, CW[nz], y, hc)
     achieved[~nz] = 0.0
     learner = np.empty_like(achieved)
     for j, loss in enumerate(losses):
@@ -234,10 +228,10 @@ def _least_member_losses(thetas, X, y, CW, losses):
     return best
 
 
-def _min_affine_res(losses, X, W, y):
-    """Projected subgradient minimization of the W-weighted loss of
-    f_theta(x) = (1 + <theta, x>)/2 over the unit theta ball from theta = 0,
-    for every row of W (each of positive mass) and every loss: the
+def _min_ball_losses(losses, X, W, y, hc):
+    """Projected subgradient minimization of the W-weighted loss of the ball
+    class hc's f_theta(x) = offset + scale <theta, x> from theta = 0, for
+    every row of W (each of positive mass) and every loss: the
     (rows, losses) table of the best objective over OMNI_ITERS steps of size
     1/sqrt(k). Each loss runs one descent that steps all rows together on a
     flat, row-major array of each row's positive-weight points. A row stops
@@ -246,9 +240,9 @@ def _min_affine_res(losses, X, W, y):
     C, d = len(W), X.shape[1]
     rows, cols = np.nonzero(W)
     lens = np.bincount(rows, minlength=C)
-    offsets = np.cumsum(lens) - lens
-    # f_theta(x) = 1/2 + <theta, x/2>: one row of XT per coordinate of x/2
-    XT, yf, wf = 0.5 * X.T[:, cols], y[cols], W[rows, cols]
+    starts = np.cumsum(lens) - lens
+    # one row of XT per coordinate of scale x
+    XT, yf, wf = hc.scale * X.T[:, cols], y[cols], W[rows, cols]
     wXT = wf * XT
     out = np.empty((C, len(losses)))
     for j, loss in enumerate(losses):
@@ -256,19 +250,21 @@ def _min_affine_res(losses, X, W, y):
         best = np.full(C, np.inf)
         live = np.ones(C, dtype=bool)
         for k in range(1, OMNI_ITERS + 2):
-            p = sum((x * np.repeat(t, lens) for x, t in zip(XT, th.T)), 0.5)
-            np.minimum(best, np.add.reduceat(wf * loss(p, yf), offsets),
+            p = sum((x * np.repeat(t, lens) for x, t in zip(XT, th.T)),
+                    hc.offset)
+            np.minimum(best, np.add.reduceat(wf * loss(p, yf), starts),
                        out=best)
             if k > OMNI_ITERS:
                 break
             dv = loss.deriv(p, yf)
-            g = np.column_stack([np.add.reduceat(dv * x, offsets) for x in wXT])
+            g = np.column_stack([np.add.reduceat(dv * x, starts) for x in wXT])
             live &= g.any(axis=1)
             if not live.any():
                 break
             th -= g / np.sqrt(k)    # a stopped row's g is 0: it stays put
             nrm = np.linalg.norm(th, axis=1)
-            th /= np.where(live & (nrm > 1.0), nrm, 1.0)[:, None]
+            th /= np.where(live & (nrm > hc.radius), nrm / hc.radius,
+                           1.0)[:, None]
         out[:, j] = best
     return out
 
@@ -315,13 +311,13 @@ def psmcal(tr, hc, q=2):
     return _sup_report(f"psmcal{q}", tr, tr.cond_dists.T.copy(), hc, q)
 
 
-def mcal(tr, hc, q=2, eval_eps=None, cap=MEMBER_CAP):
+def mcal(tr, hc, q=2):
     """Multicalibration error: a single f across all cells,
     max_f sum_p count_p |rho_{p,f}|^q.
 
     Ball classes are maximized over an evaluation cover of their theta ball
-    (default eps = 1/sqrt(T), doubled until the enumeration fits the member
-    cap); the realized eps is disclosed in the notes.
+    (eps = 1/sqrt(T), doubled until the enumeration fits MEMBER_CAP); the
+    realized eps is disclosed in the notes.
     """
     _check_q(q)
     X, y, z = tr.contexts, tr.outcomes.astype(float), tr.grid.points
@@ -331,20 +327,19 @@ def mcal(tr, hc, q=2, eval_eps=None, cap=MEMBER_CAP):
     if not np.any(nz):
         return MetricReport(f"mcal{q}", 0.0, hc.descriptor(), "empty transcript")
     if hc.enumerated:
-        thetas, note = _members(hc, tr.d, cap)
+        thetas, note = _members(hc, tr.d)
     else:
-        eps = eval_eps if eval_eps is not None else 1.0 / np.sqrt(max(tr.horizon, 1))
+        eps = 1.0 / np.sqrt(max(tr.horizon, 1))
         while True:
             try:
-                thetas = cover_thetas(eps, hc.radius, tr.d, cap=cap)
+                thetas = cover_thetas(eps, hc.radius, tr.d, cap=MEMBER_CAP)
                 break
             except ResourceLimitError:
                 eps *= 2.0
         note = (f"maximized over a theta cover of {len(thetas)} members "
                 f"(realized eps={eps:g})")
-    numer = thetas @ s.R.T
-    if hc.kind == "affine-restricted":
-        numer = 0.5 * (s.S + numer)
+    numer = hc.scale * (thetas @ s.R.T)
+    numer += hc.offset * s.S
     m = s.mass[nz]
     per_member = np.sum(m * np.abs(numer[:, nz] / m) ** q, axis=1)
     return MetricReport(f"mcal{q}", float(np.max(per_member)), hc.descriptor(),

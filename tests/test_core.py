@@ -8,7 +8,7 @@ from swapcal import (FormatError, LinearFn, ResourceLimitError, Transcript,
                      custom_loss, finite_class, linear_ball, make_grid,
                      post_process, squared_loss, validate_outcome,
                      validate_stream, vshaped_loss)
-from swapcal.core import MEMBER_CAP, affine_restricted
+from swapcal.core import MEMBER_CAP, HypothesisClass, affine_restricted
 
 
 def test_grid_points():
@@ -248,9 +248,19 @@ def test_class_descriptors():
     assert affine_restricted().descriptor() == "affine-restricted"
     assert cover_class(0.5, 2.0).descriptor() == "cover(eps=0.5, r=2)"
     assert finite_class([[1.0]]).descriptor() == "finite(m=1)"
+    # each class maps f = offset + scale <theta, x>; a ball's phrase names it
+    for hc, want in (
+            (linear_ball(4.0), (0.0, 1.0, 4.0, "||theta|| <= 4")),
+            (affine_restricted(), (0.5, 0.5, 1.0, "the affine class "
+                                   "(1 + <theta, x>)/2, ||theta|| <= 1")),
+            (cover_class(0.5, 2.0), (0.0, 1.0, 2.0, None)),
+            (finite_class([[1.0]]), (0.0, 1.0, None, None))):
+        assert (hc.offset, hc.scale, hc.radius, hc.functions) == want
 
 
 def test_class_constructor_rejections():
+    with pytest.raises(ValueError, match="unknown hypothesis class kind"):
+        HypothesisClass("ball", radius=1.0)
     with pytest.raises(ValueError):
         linear_ball(0.0)
     with pytest.raises(ValueError):

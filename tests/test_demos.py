@@ -106,3 +106,39 @@ def test_src_stats_runs():
     assert set(stats) == {"src", "lines", "param_defaults",
                           "dataclass_field_defaults"}
     assert stats["lines"] > 0 and stats["param_defaults"] > 0
+
+
+def test_report_diff_finds_no_difference_in_one_tree():
+    src = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "report_diff.py"),
+                           "--src", src, "--src", src],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "reports": 149, "differ": 0, "max_abs": 0.0, "max_rel": 0.0,
+        "worst": None, "notes_differ": 0}
+
+
+def test_report_diff_counts_what_differs():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import report_diff
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    base = {"a": {"numbers": [1.0, 2.0], "notes": "x"},
+            "b": {"numbers": [4.0], "notes": "y"},
+            "c": {"error": "ValueError: no"},
+            "d": {"numbers": [0.0], "notes": ""}}
+    other = {"a": {"numbers": [1.0, 2.0], "notes": "x"},
+             "b": {"numbers": [4.0 + 1e-12], "notes": "z"},
+             "c": {"error": "ValueError: no"},
+             "d": {"numbers": [-0.0], "notes": ""},
+             "e": {"numbers": [1.0], "notes": ""}}
+    doc = report_diff.compare(base, other)
+    assert doc["reports"] == 5 and doc["differ"] == 3
+    assert doc["notes_differ"] == 2 and doc["worst"] == "e"
+    assert doc["max_abs"] == float("inf") == doc["max_rel"]
+    doc = report_diff.compare(base, {k: v for k, v in other.items()
+                                     if k in "abcd"})
+    assert doc["differ"] == 2 and doc["worst"] == "b"
+    assert doc["max_rel"] == pytest.approx(1e-12 / 4, rel=1e-3)

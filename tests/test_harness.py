@@ -52,6 +52,15 @@ def test_explicit_parameter_does_not_shift_stream_draws():
     np.testing.assert_array_equal(drawn[0], fixed[0])
 
 
+@pytest.mark.parametrize("theta", [(math.nan, 0.0), (math.inf, 0.0),
+                                   (-math.inf, 0.0), (1.0,)])
+def test_theta_star_must_be_d_finite_values(theta):
+    # (nan, 0) used to give all-zero labels and (inf, 0) all ones
+    spec = AdversarySpec(kind="iid-logistic", theta_star=theta)
+    with pytest.raises(ValueError, match="theta_star must be 2 finite"):
+        generate_stream(spec, 10, 2, seed=0)
+
+
 def test_logistic_label_frequency_matches_mean_probability():
     # E[y] = 1/2 + theta1/4 for theta* = e1 (the tail integrates to zero)
     spec = AdversarySpec(kind="iid-logistic", theta_star=(1.0, 0.0))

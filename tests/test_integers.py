@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from swapcal import (FormatError, LinearFn, MixturePredictor, SweepConfig,
-                     Transcript, cal, choose_n, cover_thetas, generate_stream,
+                     Transcript, cal, choose_n, cover_thetas, estimate_dsmcal,
+                     estimate_dsomni, estimate_saerr, generate_stream,
                      linear_ball, make_grid, mixture_from_json, resolve_n,
                      run_online, run_sweep, smcal, train_mixture,
                      witness_f_prime)
@@ -70,6 +71,12 @@ SITES = {
     "_check_q.cal": lambda v: int(cal(TR, v).name[-1]),
     "witness_f_prime.cell": lambda v: round(witness_f_prime(
         TR, v, LinearFn([1.0, 0.0]))[0].center * 4),
+    "estimate_saerr.seed": lambda v: round(estimate_saerr(
+        MIX, STREAM, seed=v).extras["per_cell_mass"].sum()),
+    "estimate_dsmcal.seed": lambda v: round(estimate_dsmcal(
+        MIX, STREAM, mc_draws=8, seed=v).extras["per_cell_mass"].sum()),
+    "estimate_dsomni.seed": lambda v: round(estimate_dsomni(
+        MIX, STREAM, seed=v).extras["per_cell_mass"].sum()),
 }
 
 BAD = {"True": True, "2.5": 2.5, "2.0": 2.0, "str": "2"}

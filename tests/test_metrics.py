@@ -14,7 +14,7 @@ from swapcal import metrics as metrics_mod
 from swapcal.batch import _bucket_weights
 from swapcal.core import COND_DIST_TOL, affine_restricted, post_process
 from swapcal.forecaster import commit_round, rround
-from swapcal.harness import METRICS
+from swapcal.harness import METRICS, parse_class_spec
 from swapcal.metrics import DEFAULT_LOSSES, constrained_lstsq
 
 
@@ -345,13 +345,14 @@ def _dense_mcal(tr, hc, q, cap):
 
 @pytest.mark.parametrize("hc", [linear_ball(1.0), linear_ball(4.0),
                                 affine_restricted(), cover_class(0.3, 1.0)])
-def test_mcal_theta_classes_match_dense_evaluation(hc):
+def test_mcal_theta_classes_match_dense_evaluation(hc, monkeypatch):
     rng = np.random.default_rng(12)
     tr = _random_transcript(rng, 60, 2, 3)
     for q in (1, 2):
         for cap in (10 ** 6, 100):
             want = _dense_mcal(tr, hc, q, cap)
-            got = mcal(tr, hc, q, cap=cap).value
+            monkeypatch.setattr(metrics_mod, "MEMBER_CAP", cap)
+            got = mcal(tr, hc, q).value
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -371,13 +372,14 @@ def test_mcal_ball_memory_bounded():
 
 
 def test_cal_below_mcal_when_constant_in_class():
-    # f(x) = 2 x_1 = 1 lives in the radius-2 ball, and theta=(2,0) is a
-    # point of the eps=0.5 evaluation cover
+    # f(x) = 2 x_1 = 1 lives in the radius-2 ball, and at T = 16 theta=(2,0)
+    # is a point of the eps = 1/sqrt(T) = 0.25 evaluation cover
     rng = np.random.default_rng(12)
     for _ in range(5):
-        tr = _random_transcript(rng, 40, 2, 3)
+        tr = _random_transcript(rng, 16, 2, 3)
+        assert [2.0, 0.0] in cover_thetas(0.25, 2.0, 2).tolist()
         c2 = cal(tr, 2).value
-        m2 = mcal(tr, linear_ball(2.0), 2, eval_eps=0.5).value
+        m2 = mcal(tr, linear_ball(2.0), 2).value
         assert c2 <= m2 + 1e-9
 
 
@@ -814,7 +816,8 @@ def test_somni_vshaped_stops_at_zero_subgradient(monkeypatch):
 
 
 def _min_affine_res_oracle(loss, X, w, y, iters):
-    """The per-(cell, loss) descent that metrics._min_affine_res batches:
+    """The per-(cell, loss) descent that metrics._min_ball_losses batches
+    for the affine class:
     projected subgradient minimization of the w-weighted loss of
     (1 + <theta, x>)/2 over the unit ball from theta = 0, the best objective
     over all iterates; it stops at an exactly zero subgradient. The slow
@@ -1045,20 +1048,8 @@ def test_pseudo_calibration_below_pseudo_regret():
 # frozen values
 
 
-def test_reports_frozen_values():
-    """Every metrics report with its default class, and the three batch
-    reports, on one fixed-seed transcript and mixture, pinned to the values
-    of the implementation that evaluated every class on the contexts."""
-    spec = AdversarySpec("iid-logistic", noise=0.1)
-    tr = simulate_run(spec, 400, 3, 4, seed=9)
-    got = {name: evaluate_metric(tr, name).value for name in METRICS}
-    mix = train_mixture(generate_stream(spec, 256, 3, seed=10), 4, seed=10,
-                        stride=8)
-    test = generate_stream(spec, 64, 3, seed=11)
-    got["saerr"] = estimate_saerr(mix, test).value
-    got["dsmcal2"] = estimate_dsmcal(mix, test).value
-    got["dsomni"] = estimate_dsomni(mix, test).value
-    want = {
+FROZEN_REPORTS = {
+    "default": {
         "smcal1": 106.092324634062,
         "smcal2": 29.33586349264465,
         "psmcal1": 104.76746431647014,
@@ -1071,7 +1062,52 @@ def test_reports_frozen_values():
         "saerr": 0.2859533593277308,
         "dsmcal2": 0.07429119842953376,
         "dsomni": 0.6875,
-    }
+    },
+    "affine-res": {
+        "smcal2": 64.27387217633435,
+        "mcal2": 64.1231864467509,
+        "sreg": 116.2865740123742,
+        "psreg": 114.19453330704629,
+        "saerr": 0.2859533593277308,
+        "dsmcal2": 0.14928395356287447,
+    },
+    "ball4": {
+        "smcal2": 469.3738158823144,
+        "mcal2": 466.1309089510809,
+        "sreg": 116.42880682687138,
+        "psreg": 114.19560956986585,
+    },
+    "cover:0.7": {
+        "smcal2": 26.569755765456343,
+        "mcal2": 26.01934144098083,
+        "sreg": 21.90500786262036,
+        "psreg": 19.865971403951114,
+    },
+}
+
+
+@pytest.mark.parametrize("cls", FROZEN_REPORTS)
+def test_reports_frozen_values(cls):
+    """Metrics and batch reports on one fixed-seed transcript and mixture:
+    every report with its default class, pinned to the values of the
+    implementation that evaluated every class on the contexts, and the
+    ball, affine and cover kernels under non-default classes, pinned to the
+    values of the kernels that special-cased the affine class."""
+    want = FROZEN_REPORTS[cls]
+    spec = AdversarySpec("iid-logistic", noise=0.1)
+    tr = simulate_run(spec, 400, 3, 4, seed=9)
+    suffix = "" if cls == "default" else ":" + cls
+    got = {name: evaluate_metric(tr, name + suffix).value
+           for name in METRICS if name in want}
+    mix = train_mixture(generate_stream(spec, 256, 3, seed=10), 4, seed=10,
+                        stride=8)
+    test = generate_stream(spec, 64, 3, seed=11)
+    hc = None if cls == "default" else parse_class_spec(cls)
+    for name, estimate in (("saerr", estimate_saerr),
+                           ("dsmcal2", estimate_dsmcal),
+                           ("dsomni", estimate_dsomni)):
+        if name in want:
+            got[name] = estimate(mix, test, hc=hc).value
     assert got.keys() == want.keys()
     for name, value in want.items():
         assert got[name] == pytest.approx(value, rel=1e-12), name
