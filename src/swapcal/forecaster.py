@@ -28,7 +28,7 @@ from .core import (MEMBER_CAP, Grid, Transcript, as_int, validate_outcome,
                    validate_stream)
 from .errors import ResourceLimitError
 from .linalg import stationary_distribution
-from .ons import OMEGA, ons_step
+from .ons import OMEGA, ons_step, ons_steps
 
 
 def seed_streams(seed):
@@ -38,9 +38,7 @@ def seed_streams(seed):
 
 @dataclass(frozen=True)
 class RoundOutput:
-    """One committed round before the outcome arrives: the conditional
-    distribution over grid points, the full column-stochastic matrix, and
-    the sampled grid index."""
+    """What predict() commits: P, its rounding matrix Q and the drawn cell."""
 
     cond_dist: np.ndarray
     q_matrix: np.ndarray
@@ -97,9 +95,9 @@ class BmForecaster:
     Owns n+1 online Newton learners (one per grid point) as the stacks
     thetas (K, d) and inv_curvatures (K, d, d), the update count
     rounds_seen, and the sampling generator. predict() commits a conditional
-    distribution and samples from it; update() advances every learner with
-    its stationary scale weight into fresh stacks; d and seed follow as_int.
-    """
+    distribution and samples from it; update(), a single client's per-cell
+    path, runs ons_step on every learner with its stationary scale weight
+    into fresh stacks; d and seed follow as_int."""
 
     def __init__(self, grid, d, seed=0):
         if not isinstance(grid, Grid):
@@ -165,11 +163,11 @@ def lockstep_rounds(forecasters, streams):
     """The round loop: advance R forecasters that share a grid and d over R
     streams (X, y) of one length together, each stream validated once.
 
-    A round runs one commit_round on the (R, K, d) parameter stack, draws
-    one uniform from each forecaster's rng in order and runs one
-    sample_cell. It yields (thetas (R, K, d), w (R, K), P (R, K), idx (R,)),
-    arrays no later round writes to; then each forecaster updates on its row.
-    """
+    A round runs one commit_round on the (R, K, d) parameter stack, draws one
+    uniform from each forecaster's rng in order and runs one sample_cell. It
+    yields (thetas (R, K, d), w (R, K), P (R, K), idx (R,)), arrays no later
+    round writes to; then one ons_steps call advances all R K learners, read
+    from the forecasters at the first round, into their new rows."""
     grid, d = forecasters[0].grid, forecasters[0].d
     if any(fc.grid != grid or fc.d != d for fc in forecasters):
         raise ValueError("lockstep forecasters must share a grid and d")
@@ -179,16 +177,18 @@ def lockstep_rounds(forecasters, streams):
     streams = [validate_stream(s, d) for s in streams]
     if len({len(y) for _, y in streams}) > 1:
         raise ValueError("lockstep streams must have one length")
-    # round-major (T, R, ...) inputs
-    X = np.stack([s[0] for s in streams], axis=1)
-    Y = np.stack([s[1] for s in streams], axis=1).tolist()
+    # round-major (T, R, ...) inputs, with a cell axis for the kernel
+    X, Y = (np.stack(a, axis=1)[:, :, None] for a in zip(*streams))
+    thetas = np.array([fc.thetas for fc in forecasters])
+    invs = np.array([fc.inv_curvatures for fc in forecasters])
     for x, yt in zip(X, Y):
-        thetas = np.array([fc.thetas for fc in forecasters])
-        w, Q, P = commit_round(thetas, x, grid)
+        w, _, P = commit_round(thetas, x[:, 0], grid)
         idx = sample_cell(P, [fc.rng.random() for fc in forecasters])
         yield thetas, w, P, idx
-        for r, fc in enumerate(forecasters):
-            fc.update(RoundOutput(P[r], Q[r], int(idx[r])), yt[r], x[r])
+        thetas, invs = ons_steps(thetas, invs, x, P, yt)
+        for fc, theta, inv in zip(forecasters, thetas, invs):
+            fc.thetas, fc.inv_curvatures = theta, inv
+            fc.rounds_seen += 1
 
 
 def choose_n(T, d, objective):

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .errors import NumericFailure
 from .linalg import project_ball_a_norm, sherman_morrison_update
 
 BETA = 1.0 / 640.0
@@ -48,3 +49,32 @@ def ons_step(theta, inv_curvature, x, alpha, y):
     if math.sqrt(theta_new @ theta_new) > RADIUS:
         theta_new = project_ball_a_norm(theta_new, inv_new, RADIUS)
     return theta_new, inv_new
+
+
+def ons_steps(thetas, inv_curvatures, x, alpha, y):
+    """ons_step on every row of the stacks thetas (S..., d), inv_curvatures
+    (S..., d, d), with x (..., d), alpha and y broadcast, into fresh stacks,
+    bit for bit: ons_step's order, vecdot for the 1-D dots, a stacked @ for
+    the matrix products. alpha = 0 gives g = 0, leaving a row (its inverse is
+    exactly symmetric) as it was, so only the projection is masked."""
+    x, alpha, y = (np.asarray(v, dtype=float) for v in (x, alpha, y))
+    if x.shape[-1:] != thetas.shape[-1:]:
+        raise ValueError(f"context shape {x.shape} vs state {thetas.shape}")
+    if not (alpha.min(initial=0.0) >= 0.0 and alpha.max(initial=1.0) <= 1.0):
+        raise ValueError("scale weights outside [0, 1]")  # NaN fails too
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError("outcomes must be 0 or 1")
+    g = (2.0 * alpha * (np.vecdot(thetas, x) - y))[..., None] * x
+    Mg = (inv_curvatures @ g[..., None])[..., 0]
+    denom = 1.0 + np.vecdot(g, Mg)[..., None, None]
+    if not ((denom > 0.0) & (denom < np.inf)).all():  # also false for NaN
+        raise NumericFailure("rank-one update denominator is not positive")
+    inv = inv_curvatures - Mg[..., :, None] * Mg[..., None, :] / denom
+    inv = 0.5 * (inv + inv.swapaxes(-1, -2))
+    if not np.isfinite(inv).all():
+        raise NumericFailure("rank-one update produced non-finite entries")
+    theta = thetas - (inv @ g[..., None])[..., 0] / BETA
+    far = (alpha != 0.0) & (np.sqrt(np.vecdot(theta, theta)) > RADIUS)
+    for i in zip(*np.nonzero(far)):
+        theta[i] = project_ball_a_norm(theta[i], inv[i], RADIUS)
+    return theta, inv

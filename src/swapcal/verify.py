@@ -16,7 +16,7 @@ from .linalg import (RIDGE_TOL, project_ball_a_norm, sherman_morrison_update,
                      stationary_distribution)
 from .metrics import (bm_external_regrets, psmcal, psreg, smcal,
                       witness_f_prime)
-from .ons import OMEGA, RADIUS, ons_step
+from .ons import OMEGA, RADIUS, ons_step, ons_steps
 
 
 def _check_rounding(rng):
@@ -106,15 +106,16 @@ def _check_ons(rng):
     # short contexts along theta with y = 1 pull theta outward from near the
     # sphere, so the A-norm projection runs: the stored inverse curvature
     # must stay the inverse of omega I + sum g g^T, and theta in the ball
-    on_sphere = 0
+    on_sphere, runs = 0, {}
     for _ in range(10):
         d = int(rng.integers(1, 5))
         u = rng.normal(size=d)
         u /= np.linalg.norm(u)
         theta, inv, A = 3.95 * u, np.eye(d) / OMEGA, OMEGA * np.eye(d)
-        for _ in range(300):
-            x = 0.2 * u + 0.05 * rng.normal(size=d)
-            alpha = float(rng.random())
+        X, alphas = np.empty((300, d)), np.empty(300)
+        for t in range(300):
+            X[t] = x = 0.2 * u + 0.05 * rng.normal(size=d)
+            alphas[t] = alpha = float(rng.random())
             g = 2.0 * alpha * (theta @ x - 1.0) * x
             A += np.outer(g, g)
             theta, inv = ons_step(theta, inv, x, alpha, 1)
@@ -128,10 +129,20 @@ def _check_ons(rng):
                / np.linalg.norm(dense - np.eye(d) / OMEGA))
         if err > 1e-8:
             return False, f"inverse curvature off the dense one by {err:.2e}"
+        runs.setdefault(d, []).append(
+            (3.95 * u, np.eye(d) / OMEGA, X, alphas, theta, inv))
     if not on_sphere:
         return False, "no step reached the sphere"
+    # the scenarios of one dimension, run as one stack through the round
+    # loop's kernel, must give the scalar chain's learners bit for bit
+    for d, group in runs.items():
+        thetas, invs, X, alphas, *want = map(np.array, zip(*group))
+        for t in range(300):
+            thetas, invs = ons_steps(thetas, invs, X[:, t], alphas[:, t], 1)
+        if not all(map(np.array_equal, (thetas, invs), want)):
+            return False, f"stacked kernel left the ons_step chain at d={d}"
     return True, (f"hand value, dense inverse to 1e-8, ball kept over "
-                  f"{on_sphere} steps on the sphere")
+                  f"{on_sphere} steps on the sphere, stacked kernel bitwise")
 
 
 def _check_decomposition(rng):
@@ -157,14 +168,11 @@ def _check_witness(rng):
     for trial in range(40):
         T = int(rng.integers(10, 60))
         d = int(rng.integers(1, 4))
-        if d > 1:
-            tails = rng.normal(size=(T, d - 1)) * 0.3
-            norms = np.linalg.norm(tails, axis=1)
-            too_big = norms > 0.8
-            tails[too_big] *= (0.8 / norms[too_big])[:, None]
-            X = np.hstack([np.full((T, 1), 0.5), tails])
-        else:
-            X = np.full((T, 1), 0.5)
+        tails = rng.normal(size=(T, d - 1)) * 0.3  # no draws at d = 1
+        norms = np.linalg.norm(tails, axis=1)
+        too_big = norms > 0.8
+        tails[too_big] *= (0.8 / norms[too_big])[:, None]
+        X = np.hstack([np.full((T, 1), 0.5), tails])
         P = rng.random((T, 5))
         P /= P.sum(axis=1, keepdims=True)
         idx = np.array([rng.integers(0, 5) for _ in range(T)])

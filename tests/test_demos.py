@@ -41,7 +41,8 @@ def test_bench_round_runs(tmp_path):
     kernels = {"stationary_distribution", "rround", "sample_cell",
                "commit_round", "ons_step_alpha_pos", "ons_step_alpha_zero",
                "sherman_morrison_update", "round_d2_n4", "round_d5_n7",
-               "omni_somni_T4096", "omni_dsomni_M32", "sweep_T1024_r2",
+               "omni_somni_T4096", "omni_dsomni_M32", "ons_steps_R1_K8_d5",
+               "ons_steps_R2_K5_d2", "ons_steps_R30_K5_d2", "sweep_T1024_r2",
                "sweep_T1024_r30"}
     for label in ("a", "b"):
         assert set(doc["results"][label]) == kernels
@@ -91,11 +92,16 @@ def test_bench_round_leaves_unresolved_null_below_four_reps():
     runs = {"a": [10.0, 11.0, 12.0, 13.0, 30.0], "b": [11.5, 12.5, 12.9]}
     results = {label: {"k": bench_round.summary(times)}
                for label, times in runs.items()}
+    # a kernel that tree a lacks has no summary, no ratio and is never
+    # unresolved
+    results["a"]["new"] = bench_round.summary([None])
+    results["b"]["new"] = bench_round.summary([2.0, 3.0, 4.0])
+    assert results["a"]["new"] is None
     for reps, want in ((1, None), (3, None), (4, {"b": ["k"]})):
         doc = bench_round.compare(results, ["a", "b"], reps)
         assert doc["unresolved_vs_a"] == want
         assert doc["median_ratio_to_a"] == {
-            "b": {"k": round(12.5 / 12.0, 4)}}
+            "b": {"k": round(12.5 / 12.0, 4), "new": None}}
 
 
 def test_src_stats_runs():

@@ -254,11 +254,16 @@ def test_update_advances_all_learners():
     np.testing.assert_array_equal(fc.thetas[2], before[2])
 
 
-@pytest.mark.parametrize("d", [2, 5])
-def test_update_is_a_chain_of_per_cell_steps(d, monkeypatch):
+@pytest.mark.parametrize("driver, d", [
+    pytest.param("update", 2, id="2"), pytest.param("update", 5, id="5"),
+    pytest.param("lockstep", 2, id="lockstep-2"),
+    pytest.param("lockstep", 5, id="lockstep-5")])
+def test_update_is_a_chain_of_per_cell_steps(driver, d, monkeypatch):
     """The stacks equal, bit for bit, a hand-written chain of ons_step calls
     per cell, over a stream with zero-weight cells and A-norm projections
-    (learners started near the radius-4 sphere, pulled outward)."""
+    (learners started near the radius-4 sphere, pulled outward). The driver
+    is update on one forecaster, or lockstep_rounds on three, whose one
+    kernel call a round advances all their cells."""
     projections = []
     project = swapcal.ons.project_ball_a_norm
 
@@ -268,22 +273,39 @@ def test_update_is_a_chain_of_per_cell_steps(d, monkeypatch):
 
     monkeypatch.setattr(swapcal.ons, "project_ball_a_norm", counted)
     rng = np.random.default_rng(d)
-    u = rng.normal(size=(5, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    fc = BmForecaster(make_grid(4), d, seed=d)
-    fc.thetas = 3.999 * u
-    cells = list(zip(fc.thetas, fc.inv_curvatures))
+    R, T = (1 if driver == "update" else 3), 200
+    u = rng.normal(size=(R, 5, d))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    if driver == "update":
+        X = 0.2 * u[:, np.arange(T) % 5] + 0.02 * rng.normal(size=(1, T, d))
+    else:  # lockstep_rounds checks the contexts: x_0 = 1/2, norm <= 1
+        tail = np.clip(0.1 * rng.normal(size=(R, T, d - 1)), -0.2, 0.2)
+        X = np.concatenate([np.full((R, T, 1), 0.5), tail], axis=-1)
+    fcs = [BmForecaster(make_grid(4), d, seed=d + r) for r in range(R)]
+    for fc, ur in zip(fcs, u):
+        fc.thetas = 3.999 * ur
+    cells = [list(zip(fc.thetas, fc.inv_curvatures)) for fc in fcs]
+
+    def by_update():
+        for x in X[0]:
+            out = fcs[0].predict(x)
+            yield out.cond_dist[None]
+            fcs[0].update(out, 1, x)
+
+    rounds = by_update() if driver == "update" else (
+        P for *_, P, _ in lockstep_rounds(
+            fcs, [(Xr, np.ones(T, dtype=int)) for Xr in X]))
     zero_cells = 0
-    for t in range(200):
-        x = 0.2 * u[t % 5] + 0.02 * rng.normal(size=d)
-        out = fc.predict(x)
-        cells = [ons_step(theta, inv, x, p, 1)
-                 for (theta, inv), p in zip(cells, out.cond_dist.tolist())]
-        zero_cells += int((out.cond_dist == 0.0).sum())
-        fc.update(out, 1, x)
-    assert zero_cells and projections and fc.rounds_seen == 200
-    assert np.array_equal(fc.thetas, [theta for theta, _ in cells])
-    assert np.array_equal(fc.inv_curvatures, [inv for _, inv in cells])
+    for t, P in enumerate(rounds):
+        for r in range(R):
+            cells[r] = [ons_step(theta, inv, X[r, t], p, 1)
+                        for (theta, inv), p in zip(cells[r], P[r].tolist())]
+        zero_cells += int((P == 0.0).sum())
+    assert zero_cells and projections
+    for fc, chain in zip(fcs, cells):
+        assert fc.rounds_seen == T
+        assert np.array_equal(fc.thetas, [theta for theta, _ in chain])
+        assert np.array_equal(fc.inv_curvatures, [inv for _, inv in chain])
 
 
 def test_update_is_all_or_nothing(monkeypatch):
@@ -315,6 +337,35 @@ def test_update_is_all_or_nothing(monkeypatch):
     assert fc.rounds_seen == state[2] + 5
     assert not np.array_equal(fc.thetas, frozen)
     assert np.array_equal(snap, frozen)
+    # the round loop: a kernel call that raises leaves every forecaster and
+    # every array yielded so far as it was
+    seeds = (1, 2, 3)
+    spec = AdversarySpec(kind="iid-logistic", noise=0.1)
+    fcs = [BmForecaster(make_grid(4), 2, seed=s) for s in seeds]
+    streams = [generate_stream(spec, 10, 2, seed=s) for s in seeds]
+    kernel, calls = swapcal.forecaster.ons_steps, []
+
+    def failing_kernel(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NumericFailure("forced", residual=1.0)
+        return kernel(*args)
+
+    monkeypatch.setattr(swapcal.forecaster, "ons_steps", failing_kernel)
+    yielded, copies = [], []
+    with pytest.raises(NumericFailure):
+        for arrays in lockstep_rounds(fcs, streams):
+            yielded.append(arrays)
+            copies.append([a.copy() for a in arrays])
+            states = [(fc.thetas.copy(), fc.inv_curvatures.copy(),
+                       fc.rounds_seen) for fc in fcs]
+    assert len(yielded) == 3
+    for fc, (thetas, invs, seen) in zip(fcs, states):
+        assert np.array_equal(fc.thetas, thetas)
+        assert np.array_equal(fc.inv_curvatures, invs)
+        assert fc.rounds_seen == seen == 2
+    assert all(np.array_equal(a, b) for got, want in zip(yielded, copies)
+               for a, b in zip(got, want))
 
 
 def test_sampler_matches_committed_distribution():

@@ -431,20 +431,32 @@ def test_sweep_failure_in_one_rep_errors_only_its_row(tmp_path,
     cfg = _tiny_config(tmp_path, T_list=[32], reps=4)
     run_sweep(cfg, out_path=str(tmp_path / "clean.csv"))
     clean = read_results(tmp_path / "clean.csv")
-    stream, update = harness.generate_stream, BmForecaster.update
+    stream, init = harness.generate_stream, BmForecaster.__init__
 
     def failing_stream(spec, T, d, seed=0):
         if seed == 0:
             raise ValueError("forced stream failure")
         return stream(spec, T, d, seed=seed)
 
-    def failing_update(self, out, y, x):
-        if self.seed == 2 and self.rounds_seen == 16:
-            raise NumericFailure("forced", residual=1.0)
-        update(self, out, y, x)
+    class FailingDraws:
+        """Seed 2's sampling generator, raising on its 17th draw."""
+
+        def __init__(self, rng):
+            self.rng, self.draws = rng, 0
+
+        def random(self):
+            self.draws += 1
+            if self.draws == 17:
+                raise NumericFailure("forced", residual=1.0)
+            return self.rng.random()
+
+    def failing_init(self, grid, d, seed=0):
+        init(self, grid, d, seed=seed)
+        if self.seed == 2:
+            self.rng = FailingDraws(self.rng)
 
     monkeypatch.setattr(harness, "generate_stream", failing_stream)
-    monkeypatch.setattr(BmForecaster, "update", failing_update)
+    monkeypatch.setattr(BmForecaster, "__init__", failing_init)
     run_sweep(cfg)
     rows = read_results(cfg.out)
     assert [r["error"] for r in rows] == [

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from swapcal import BETA, OMEGA, RADIUS, BmForecaster, make_grid, ons_step
+from swapcal import (BETA, OMEGA, RADIUS, BmForecaster, make_grid, ons_step,
+                     ons_steps)
 
 
 def test_constants():
@@ -83,6 +84,13 @@ def test_validation():
         ons_step(theta, inv, np.array([0.5, 0.0]), 1.5, 1)
     with pytest.raises(ValueError):
         ons_step(theta, inv, np.array([0.5, 0.0]), 1.0, 2)
+    # the stacked kernel makes the same checks, on every row
+    for x, alpha, y in (([[0.5]], [1.0], [1]), ([[0.5, 0.0]], [-0.1], [1]),
+                        ([[0.5, 0.0]], [1.5], [1]),
+                        ([[0.5, 0.0]], [np.nan], [1]),
+                        ([[0.5, 0.0]], [1.0], [2])):
+        with pytest.raises(ValueError):
+            ons_steps(theta[None], inv[None], x, alpha, y)
 
 
 def _oracle_replay(steps, d):

@@ -35,13 +35,20 @@ microseconds per call, on two fixed inputs:
 - dsomni-shaped: exhaustive bucket weights of a mixture trained on
   T = 512 rounds (stride 8, seed 10) over M = 32 test points (seed 11).
 
+It times ons.ons_steps, the stacked learner kernel of the round loop, in
+microseconds per call, on the arguments of the 256 lockstep rounds that
+follow 256 warm-up rounds of R forecasters (seeds 0..R-1, iid-logistic
+streams with noise 0.1 on the same seeds) at (R, K, d) = (1, 8, 5),
+(2, 5, 2) and (30, 5, 2); the entry is null for a tree without ons_steps.
+
 Last, it times harness.run_sweep on a fresh table for one horizon,
 T = 1024, d = 2, smcal2:ball1 with auto-smcal N, seeds 0..reps-1, at 2 and
 at 30 reps, in microseconds per sweep row, in one pass (each call runs for
 seconds).
 
 The result holds, per label, the median, quartiles and minimum over the
-reps, and the ratio of each later label's median to the first one's, with
+reps (null for a kernel the tree lacks), and the ratio of each later
+label's median to the first one's (null when either side is null), with
 the core count and the Python and numpy versions. A ratio is listed as
 unresolved when the later median lies inside the first label's
 interquartile range: the reps cannot tell the two apart. Below
@@ -64,6 +71,7 @@ import numpy as np
 WARMUP, RECORD, ROUND_T, PASSES = 256, 256, 1024, 3
 ROUND_SHAPES = ((2, 4), (5, 7))
 SWEEP_T, SWEEP_REPS = 1024, (2, 30)
+KERNEL_SHAPES = ((1, 7, 5), (2, 4, 2), (30, 4, 2))  # (R, N, d), K = N + 1
 MIN_SPREAD_REPS = 4
 STDERR_TAIL = 12  # lines of a failed worker's stderr to show
 
@@ -80,7 +88,10 @@ def _best_us(fn, args_list):
 
 
 def summary(values):
-    """Median, quartiles and minimum of one kernel's times over the reps."""
+    """Median, quartiles and minimum of one kernel's times over the reps,
+    or None when a rep has no time for it."""
+    if None in values:
+        return None
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median_us": float(median), "q1_us": float(q1),
             "q3_us": float(q3), "min_us": min(values)}
@@ -89,8 +100,8 @@ def summary(values):
 def unresolved(base, other):
     """Kernels whose median in other lies inside base's interquartile range,
     so their ratio is within the noise of the base reps."""
-    return [k for k, s in other.items()
-            if base[k]["q1_us"] <= s["median_us"] <= base[k]["q3_us"]]
+    return [k for k, s in other.items() if s and base[k]
+            and base[k]["q1_us"] <= s["median_us"] <= base[k]["q3_us"]]
 
 
 def compare(results, labels, reps):
@@ -101,7 +112,8 @@ def compare(results, labels, reps):
     return {
         "median_ratio_to_" + labels[0]: {
             label: {k: round(results[label][k]["median_us"]
-                             / base[k]["median_us"], 4) for k in base}
+                             / base[k]["median_us"], 4)
+                    if results[label][k] and base[k] else None for k in base}
             for label in labels[1:]},
         "unresolved_vs_" + labels[0]: None if reps < MIN_SPREAD_REPS else {
             label: unresolved(base, results[label]) for label in labels[1:]},
@@ -117,6 +129,24 @@ def sweep_us(reps):
         t0 = time.perf_counter_ns()
         run_sweep(cfg, out_path=os.path.join(tmp, "rows.csv"))
         return (time.perf_counter_ns() - t0) / reps / 1e3
+
+
+def kernel_rows(R, n, d):
+    """The ons_steps arguments of RECORD lockstep rounds of R forecasters
+    after WARMUP rounds."""
+    from swapcal import (AdversarySpec, BmForecaster, generate_stream,
+                         lockstep_rounds, make_grid)
+    spec = AdversarySpec(kind="iid-logistic", noise=0.1)
+    streams = [generate_stream(spec, WARMUP + RECORD, d, seed=r)
+               for r in range(R)]
+    fcs = [BmForecaster(make_grid(n), d, seed=r) for r in range(R)]
+    X, Y = (np.stack(a, axis=1)[:, :, None] for a in zip(*streams))
+    rows = []
+    for t, (thetas, _, P, _) in enumerate(lockstep_rounds(fcs, streams)):
+        if t >= WARMUP:
+            invs = np.array([fc.inv_curvatures for fc in fcs])
+            rows.append((thetas, invs, X[t], P, Y[t]))
+    return rows
 
 
 def run_worker(src, label):
@@ -209,6 +239,10 @@ def worker(src):
         out[name] = _best_us(
             lambda: per_cell_omni_gap(Xo, yo, CW, z, DEFAULT_LOSSES,
                                       affine_restricted()), [()])
+    steps = getattr(swapcal.ons, "ons_steps", None)
+    for R, n, d in KERNEL_SHAPES:
+        out[f"ons_steps_R{R}_K{n + 1}_d{d}"] = None if steps is None else \
+            _best_us(steps, kernel_rows(R, n, d))
     for reps in SWEEP_REPS:
         out[f"sweep_T{SWEEP_T}_r{reps}"] = sweep_us(reps)
     return out
@@ -255,6 +289,11 @@ def main(argv=None):
                            "omni_somni_T4096 on a T 4096, d 2 transcript, "
                            "omni_dsomni_M32 on exhaustive bucket weights, "
                            "M 32",
+                   "ons_steps": "ons.ons_steps on the arguments of "
+                                f"{RECORD} lockstep rounds after {WARMUP} "
+                                "warm-up rounds of R forecasters, "
+                                "iid-logistic noise 0.1, seeds 0..R-1; null "
+                                "for a tree without ons_steps",
                    "sweep": f"run_sweep on a fresh table, T {SWEEP_T}, "
                             "d 2, smcal2:ball1, auto-smcal N, seeds from 0, "
                             "one pass",
