@@ -221,7 +221,10 @@ class LossSpec:
             if self.convex:
                 # midpoint convexity over all grid pairs at stride 2, so the
                 # midpoint of each pair is itself a grid point
-                gap = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
+                mid = vals[1:-1:1]
+                left = vals[:-2]
+                right = vals[2:]
+                gap = mid - 0.5 * (left + right)
                 if float(np.max(gap)) > 1e-9:
                     raise ValueError(
                         f"loss {self.name} fails midpoint convexity by {np.max(gap):.3e}"

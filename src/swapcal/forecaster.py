@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (MEMBER_CAP, Grid, Transcript, as_int, validate_outcome,
                    validate_stream)
-from .errors import ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
 from .linalg import stationary_distribution
 from .ons import OMEGA, ons_step, ons_steps
 
@@ -38,7 +38,9 @@ def seed_streams(seed):
 
 @dataclass(frozen=True)
 class RoundOutput:
-    """What predict() commits: P, its rounding matrix Q and the drawn cell."""
+    """One committed round before the outcome arrives: the conditional
+    distribution over grid points, the full column-stochastic matrix, and
+    the sampled grid index."""
 
     cond_dist: np.ndarray
     q_matrix: np.ndarray
@@ -167,7 +169,9 @@ def lockstep_rounds(forecasters, streams):
     uniform from each forecaster's rng in order and runs one sample_cell. It
     yields (thetas (R, K, d), w (R, K), P (R, K), idx (R,)), arrays no later
     round writes to; then one ons_steps call advances all R K learners, read
-    from the forecasters at the first round, into their new rows."""
+    from the forecasters at the first round, into their new rows. Leave the
+    forecasters alone while the loop runs: a learner stack replaced between
+    rounds (new thetas, an update call) raises PreconditionError."""
     grid, d = forecasters[0].grid, forecasters[0].d
     if any(fc.grid != grid or fc.d != d for fc in forecasters):
         raise ValueError("lockstep forecasters must share a grid and d")
@@ -179,14 +183,19 @@ def lockstep_rounds(forecasters, streams):
         raise ValueError("lockstep streams must have one length")
     # round-major (T, R, ...) inputs, with a cell axis for the kernel
     X, Y = (np.stack(a, axis=1)[:, :, None] for a in zip(*streams))
-    thetas = np.array([fc.thetas for fc in forecasters])
-    invs = np.array([fc.inv_curvatures for fc in forecasters])
+    rows = [(fc.thetas, fc.inv_curvatures) for fc in forecasters]
+    thetas, invs = (np.array(stack) for stack in zip(*rows))
     for x, yt in zip(X, Y):
         w, _, P = commit_round(thetas, x[:, 0], grid)
         idx = sample_cell(P, [fc.rng.random() for fc in forecasters])
         yield thetas, w, P, idx
+        if any(fc.thetas is not theta or fc.inv_curvatures is not inv
+               for fc, (theta, inv) in zip(forecasters, rows)):
+            raise PreconditionError("a forecaster's learners were replaced "
+                                    "inside lockstep_rounds")
         thetas, invs = ons_steps(thetas, invs, x, P, yt)
-        for fc, theta, inv in zip(forecasters, thetas, invs):
+        rows = list(zip(thetas, invs))
+        for fc, (theta, inv) in zip(forecasters, rows):
             fc.thetas, fc.inv_curvatures = theta, inv
             fc.rounds_seen += 1
 

@@ -51,10 +51,16 @@ def ons_step(theta, inv_curvature, x, alpha, y):
     return theta_new, inv_new
 
 
+def _dots(a, b):
+    """<a, b> over the last axis of two stacks, by a stacked (1, d) @ (d, 1)
+    matmul: numpy's dot loop, as a 1-D a @ b runs it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def ons_steps(thetas, inv_curvatures, x, alpha, y):
     """ons_step on every row of the stacks thetas (S..., d), inv_curvatures
     (S..., d, d), with x (..., d), alpha and y broadcast, into fresh stacks,
-    bit for bit: ons_step's order, vecdot for the 1-D dots, a stacked @ for
+    bit for bit: ons_step's order, _dots for the 1-D dots, a stacked @ for
     the matrix products. alpha = 0 gives g = 0, leaving a row (its inverse is
     exactly symmetric) as it was, so only the projection is masked."""
     x, alpha, y = (np.asarray(v, dtype=float) for v in (x, alpha, y))
@@ -64,9 +70,9 @@ def ons_steps(thetas, inv_curvatures, x, alpha, y):
         raise ValueError("scale weights outside [0, 1]")  # NaN fails too
     if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("outcomes must be 0 or 1")
-    g = (2.0 * alpha * (np.vecdot(thetas, x) - y))[..., None] * x
+    g = (2.0 * alpha * (_dots(thetas, x) - y))[..., None] * x
     Mg = (inv_curvatures @ g[..., None])[..., 0]
-    denom = 1.0 + np.vecdot(g, Mg)[..., None, None]
+    denom = 1.0 + _dots(g, Mg)[..., None, None]
     if not ((denom > 0.0) & (denom < np.inf)).all():  # also false for NaN
         raise NumericFailure("rank-one update denominator is not positive")
     inv = inv_curvatures - Mg[..., :, None] * Mg[..., None, :] / denom
@@ -74,7 +80,7 @@ def ons_steps(thetas, inv_curvatures, x, alpha, y):
     if not np.isfinite(inv).all():
         raise NumericFailure("rank-one update produced non-finite entries")
     theta = thetas - (inv @ g[..., None])[..., 0] / BETA
-    far = (alpha != 0.0) & (np.sqrt(np.vecdot(theta, theta)) > RADIUS)
+    far = (alpha != 0.0) & (np.sqrt(_dots(theta, theta)) > RADIUS)
     for i in zip(*np.nonzero(far)):
         theta[i] = project_ball_a_norm(theta[i], inv[i], RADIUS)
     return theta, inv

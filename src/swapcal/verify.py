@@ -168,11 +168,14 @@ def _check_witness(rng):
     for trial in range(40):
         T = int(rng.integers(10, 60))
         d = int(rng.integers(1, 4))
-        tails = rng.normal(size=(T, d - 1)) * 0.3  # no draws at d = 1
-        norms = np.linalg.norm(tails, axis=1)
-        too_big = norms > 0.8
-        tails[too_big] *= (0.8 / norms[too_big])[:, None]
-        X = np.hstack([np.full((T, 1), 0.5), tails])
+        if d > 1:
+            tails = rng.normal(size=(T, d - 1)) * 0.3
+            norms = np.linalg.norm(tails, axis=1)
+            too_big = norms > 0.8
+            tails[too_big] *= (0.8 / norms[too_big])[:, None]
+            X = np.hstack([np.full((T, 1), 0.5), tails])
+        else:
+            X = np.full((T, 1), 0.5)
         P = rng.random((T, 5))
         P /= P.sum(axis=1, keepdims=True)
         idx = np.array([rng.integers(0, 5) for _ in range(T)])

@@ -3,7 +3,7 @@ import pytest
 
 import swapcal
 from swapcal import (AdversarySpec, BmForecaster, NumericFailure,
-                     ResourceLimitError, Transcript, choose_n,
+                     PreconditionError, ResourceLimitError, Transcript, choose_n,
                      generate_stream, make_grid, ons_step, rround,
                      lockstep_rounds, run_lockstep, run_online,
                      seed_streams)
@@ -498,7 +498,8 @@ def test_lockstep_rounds_contract(reps):
     """Each round yields the stack the forecasters held when it was yielded,
     which later rounds never touch; the yielded P and cells are
     run_lockstep's transcripts, and a run to the end leaves the forecasters
-    as run_lockstep leaves them."""
+    as run_lockstep leaves them. Replacing a forecaster's learners between
+    rounds (new thetas, an update call) stops the loop before its kernel."""
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     seeds = [3 * r + 1 for r in range(reps)]
     streams = [generate_stream(spec, 80, 3, seed=s) for s in seeds]
@@ -522,6 +523,16 @@ def test_lockstep_rounds_contract(reps):
         _assert_same_run(mine, fc, tr, ref)
         assert fc.rng.random() == ref.rng.random()
     assert "lockstep_rounds" in swapcal.__all__
+    x0 = streams[-1][0][0]
+    for touch in (lambda fc: setattr(fc, "thetas", fc.thetas.copy()),
+                  lambda fc: fc.update(fc.predict(x0), 1, x0)):
+        fcs = [BmForecaster(make_grid(5), 3, seed=s) for s in seeds]
+        rounds = lockstep_rounds(fcs, streams)
+        next(rounds)
+        touch(fcs[-1])
+        with pytest.raises(PreconditionError, match="replaced"):
+            next(rounds)
+        assert [fc.rounds_seen for fc in fcs[:-1]] == [0] * (reps - 1)
 
 
 def test_choose_n_values():

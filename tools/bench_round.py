@@ -36,10 +36,11 @@ microseconds per call, on two fixed inputs:
   T = 512 rounds (stride 8, seed 10) over M = 32 test points (seed 11).
 
 It times ons.ons_steps, the stacked learner kernel of the round loop, in
-microseconds per call, on the arguments of the 256 lockstep rounds that
-follow 256 warm-up rounds of R forecasters (seeds 0..R-1, iid-logistic
-streams with noise 0.1 on the same seeds) at (R, K, d) = (1, 8, 5),
-(2, 5, 2) and (30, 5, 2); the entry is null for a tree without ons_steps.
+microseconds per call, on the arguments lockstep_rounds passes it (recorded
+by wrapping it) in the 256 lockstep rounds that follow 256 warm-up rounds
+of R forecasters (seeds 0..R-1, iid-logistic streams with noise 0.1 on the
+same seeds) at (R, K, d) = (1, 8, 5), (2, 5, 2) and (30, 5, 2); the entry
+is null for a tree without ons_steps.
 
 Last, it times harness.run_sweep on a fresh table for one horizon,
 T = 1024, d = 2, smcal2:ball1 with auto-smcal N, seeds 0..reps-1, at 2 and
@@ -65,6 +66,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -132,21 +134,20 @@ def sweep_us(reps):
 
 
 def kernel_rows(R, n, d):
-    """The ons_steps arguments of RECORD lockstep rounds of R forecasters
-    after WARMUP rounds."""
+    """The arguments of the ons_steps calls that lockstep_rounds makes for
+    R forecasters, recorded from the loop itself, after WARMUP rounds."""
+    import swapcal.forecaster
     from swapcal import (AdversarySpec, BmForecaster, generate_stream,
                          lockstep_rounds, make_grid)
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     streams = [generate_stream(spec, WARMUP + RECORD, d, seed=r)
                for r in range(R)]
     fcs = [BmForecaster(make_grid(n), d, seed=r) for r in range(R)]
-    X, Y = (np.stack(a, axis=1)[:, :, None] for a in zip(*streams))
-    rows = []
-    for t, (thetas, _, P, _) in enumerate(lockstep_rounds(fcs, streams)):
-        if t >= WARMUP:
-            invs = np.array([fc.inv_curvatures for fc in fcs])
-            rows.append((thetas, invs, X[t], P, Y[t]))
-    return rows
+    with mock.patch.object(swapcal.forecaster, "ons_steps",
+                           wraps=swapcal.forecaster.ons_steps) as spy:
+        for _ in lockstep_rounds(fcs, streams):
+            pass
+    return [call.args for call in spy.call_args_list[WARMUP:]]
 
 
 def run_worker(src, label):
@@ -289,8 +290,9 @@ def main(argv=None):
                            "omni_somni_T4096 on a T 4096, d 2 transcript, "
                            "omni_dsomni_M32 on exhaustive bucket weights, "
                            "M 32",
-                   "ons_steps": "ons.ons_steps on the arguments of "
-                                f"{RECORD} lockstep rounds after {WARMUP} "
+                   "ons_steps": "ons.ons_steps on the arguments "
+                                "lockstep_rounds passed it in "
+                                f"{RECORD} rounds after {WARMUP} "
                                 "warm-up rounds of R forecasters, "
                                 "iid-logistic noise 0.1, seeds 0..R-1; null "
                                 "for a tree without ons_steps",
