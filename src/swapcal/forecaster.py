@@ -28,7 +28,7 @@ from .core import (MEMBER_CAP, Grid, Transcript, as_int, validate_outcome,
                    validate_stream)
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import stationary_distribution
-from .ons import OMEGA, ons_step, ons_steps
+from .ons import OMEGA, ons_kernel, ons_step
 
 
 def seed_streams(seed):
@@ -60,7 +60,11 @@ def rround(w, grid):
     if not (w.min(initial=0.0) >= 0.0 and w.max(initial=1.0) <= 1.0):
         ok = (w >= 0.0) & (w <= 1.0)  # NaN fails both
         raise ValueError(f"value {w[~ok].flat[0]} outside [0, 1]")
-    n = grid.n
+    return _round(w, grid.n)
+
+
+def _round(w, n):
+    """rround of a float w in [0, 1], unchecked."""
     scaled = w.ravel() * n
     idx = np.minimum(scaled.astype(int), n)
     frac = scaled - idx
@@ -78,9 +82,12 @@ def commit_round(thetas, x, grid):
     """The commitment of the learners with parameter stack thetas (K, d) on
     context x, shape (d,) or (M, d): the clamped proposals w (..., K), the
     column-stochastic rounding matrices Q = rround(w) (..., K, K) and their
-    stationary distributions P = QP (..., K). Returns (w, Q, P)."""
+    stationary distributions P = QP (..., K). Returns (w, Q, P); a NaN
+    proposal raises rround's ValueError."""
     w = np.minimum(np.maximum((thetas @ x[..., None])[..., 0], 0.0), 1.0)
-    Q = rround(w, grid)
+    if np.isnan(w.sum()):  # the clamp keeps NaN
+        raise ValueError("value nan outside [0, 1]")
+    Q = _round(w, grid.n)
     return w, Q, stationary_distribution(Q)
 
 
@@ -168,7 +175,8 @@ def lockstep_rounds(forecasters, streams):
     A round runs one commit_round on the (R, K, d) parameter stack, draws one
     uniform from each forecaster's rng in order and runs one sample_cell. It
     yields (thetas (R, K, d), w (R, K), P (R, K), idx (R,)), arrays no later
-    round writes to; then one ons_steps call advances all R K learners, read
+    round writes to; then one ons_kernel call (ons_steps without its checks,
+    which the validated streams and P make) advances all R K learners, read
     from the forecasters at the first round, into their new rows. Leave the
     forecasters alone while the loop runs: a learner stack replaced between
     rounds (new thetas, an update call) raises PreconditionError."""
@@ -181,8 +189,9 @@ def lockstep_rounds(forecasters, streams):
     streams = [validate_stream(s, d) for s in streams]
     if len({len(y) for _, y in streams}) > 1:
         raise ValueError("lockstep streams must have one length")
-    # round-major (T, R, ...) inputs, with a cell axis for the kernel
-    X, Y = (np.stack(a, axis=1)[:, :, None] for a in zip(*streams))
+    # round-major (T, R, ...) float inputs, with a cell axis for the kernel
+    X, Y = (np.stack(a, axis=1)[:, :, None].astype(float)
+            for a in zip(*streams))
     rows = [(fc.thetas, fc.inv_curvatures) for fc in forecasters]
     thetas, invs = (np.array(stack) for stack in zip(*rows))
     for x, yt in zip(X, Y):
@@ -193,7 +202,7 @@ def lockstep_rounds(forecasters, streams):
                for fc, (theta, inv) in zip(forecasters, rows)):
             raise PreconditionError("a forecaster's learners were replaced "
                                     "inside lockstep_rounds")
-        thetas, invs = ons_steps(thetas, invs, x, P, yt)
+        thetas, invs = ons_kernel(thetas, invs, x, P, yt)
         rows = list(zip(thetas, invs))
         for fc, (theta, inv) in zip(forecasters, rows):
             fc.thetas, fc.inv_curvatures = theta, inv

@@ -1,9 +1,11 @@
 """Small dense linear-algebra kernels used by the forecaster.
 
-Everything here is deterministic and takes one path per call: no fallback
-chains, no randomized algorithms. Matrices are plain numpy arrays; the
-curvature matrix maintained by the online learner is stored as its inverse
-throughout.
+Everything here is deterministic, with no randomized algorithms. Each
+kernel takes one path per input, except stationary_distribution, which
+chooses per chain between a square solve and a batched SVD by a structural
+certificate that depends on the chain alone, never on the rest of the
+stack. Matrices are plain numpy arrays; the curvature matrix maintained by
+the online learner is stored as its inverse throughout.
 """
 
 from __future__ import annotations
@@ -35,16 +37,84 @@ def check_column_stochastic(Q, tol=1e-9):
     return Q
 
 
+def single_closed_class(Q):
+    """Whether each chain of a stack Q (..., K, K) of column-stochastic
+    matrices has one closed class, certified by reachability: some state is
+    reachable from every state. Entries at most K eps are read as 0; the
+    reach matrix is ceil(log2 K) squarings of the 0/1 matrix
+    (Q > K eps) + I, capped at 1."""
+    K = Q.shape[-1]
+    reach = (Q > K * _EPS) + np.eye(K)
+    for _ in range((K - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return reach.all(axis=-1).any(axis=-1)
+
+
+def _square_solve(Q):
+    """Stationary distributions of a stack Q (S, K, K) of certified chains:
+    (Q - I) p = 0 with its last row replaced by 1^T p = 1, one batched
+    solve (Stewart 1994). The right-hand side has shape (1, K, 1), which
+    every numpy from 1.24 on reads as a stack of matrices."""
+    K = Q.shape[-1]
+    eye = np.eye(K)
+    A = Q - eye
+    A[:, K - 1] = 1.0
+    return np.linalg.solve(A, eye[None, :, K - 1:])[..., 0]
+
+
+def _min_norm(Q):
+    """Minimum-norm least-squares solutions of the systems
+    [(Q - I); 1^T] p = e_{K+1} of a stack Q (S, K, K), from a batched SVD
+    with the cutoff of lstsq(rcond=None): singular values at most
+    (K+1) eps sigma_max are zero."""
+    K = Q.shape[-1]
+    A = np.empty((len(Q), K + 1, K))
+    A[:, :K] = Q
+    A[:, K] = 1.0
+    # the diagonal of the (K+1, K) block is every (K+1)-th flat entry
+    A.reshape(len(Q), (K + 1) * K)[:, :K * K:K + 1] -= 1.0
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    # min-norm solution: sum_i (u_i[K] / s_i) v_i over the kept s_i
+    c = U[..., K, :] / np.where(s > (K + 1) * _EPS * s[..., :1], s, np.inf)
+    return (c[..., None, :] @ Vh)[..., 0, :]
+
+
+def _solve_chains(Q):
+    """Unnormalized stationary solutions of a stack Q (S, K, K), the path
+    chosen chain by chain: the certified chains by one _square_solve, or,
+    if it raises LinAlgError, each by its own; every other chain by
+    _min_norm."""
+    square = single_closed_class(Q)
+    p = np.empty(Q.shape[:-1])
+    try:
+        if square.all():  # the common case, without the fancy indexing
+            return _square_solve(Q)
+        p[square] = _square_solve(Q[square])
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(square):
+            try:
+                p[i] = _square_solve(Q[i:i + 1])[0]
+            except np.linalg.LinAlgError:
+                square[i] = False
+    p[~square] = _min_norm(Q[~square])
+    return p
+
+
 def stationary_distribution(Q, tol=STATIONARY_TOL):
     """Stationary distribution p of a column-stochastic matrix: Q p = p; a
     stack Q (..., K, K) gives one per matrix, shape (..., K).
 
-    One path: the minimum-norm least-squares solution of the stacked system
-    [(Q - I); 1^T] p = e_{K+1}, from a batched SVD with the cutoff of
-    lstsq(rcond=None) (singular values at most (K+1) eps sigma_max are zero).
-    Entries at most K eps, negatives included, are roundoff and set to zero,
-    and the result is renormalized. The system is always consistent, so the
-    solution meets the residual check ||Q p - p||_inf <= tol up to roundoff.
+    The path is chosen chain by chain, never by the size of the stack. A
+    chain that single_closed_class certifies has a unique stationary
+    distribution, the solution of the nonsingular square system
+    (Q - I) p = 0 with its last row replaced by 1^T p = 1 (Stewart 1994);
+    those chains share one batched solve. Every other chain, and a
+    certified one whose solve raises LinAlgError, takes the minimum-norm
+    least-squares solution of [(Q - I); 1^T] p = e_{K+1} from a batched SVD
+    with the cutoff of lstsq(rcond=None). Entries at most K eps, negatives
+    included, are roundoff and set to zero, and the result is renormalized.
+    Both systems are consistent, so the solution meets the residual check
+    ||Q p - p||_inf <= tol up to roundoff.
 
     Tie-break: when the chain has several closed classes, with stationary
     distributions v_i, the solutions are the affine combinations of the v_i
@@ -58,15 +128,7 @@ def stationary_distribution(Q, tol=STATIONARY_TOL):
     """
     Q = check_column_stochastic(Q)
     K = Q.shape[-1]
-    A = np.empty(Q.shape[:-2] + (K + 1, K))
-    A[..., :K, :] = Q
-    A[..., K, :] = 1.0
-    # the diagonal of the (K+1, K) block is every (K+1)-th flat entry
-    A.reshape(Q.shape[:-2] + ((K + 1) * K,))[..., :K * K:K + 1] -= 1.0
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    # min-norm solution: sum_i (u_i[K] / s_i) v_i over the kept s_i
-    c = U[..., K, :] / np.where(s > (K + 1) * _EPS * s[..., :1], s, np.inf)
-    p = (c[..., None, :] @ Vh)[..., 0, :]
+    p = _solve_chains(Q.reshape((-1, K, K))).reshape(Q.shape[:-1])
     p[p <= K * _EPS] = 0.0
     p /= p.sum(axis=-1, keepdims=True)
     resid = float(abs((Q @ p[..., None])[..., 0] - p).max(initial=0.0))

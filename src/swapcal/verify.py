@@ -13,7 +13,7 @@ from .core import (LinearFn, Transcript, absolute_loss, linear_ball,
 from .forecaster import rround
 from .harness import AdversarySpec, simulate_run
 from .linalg import (RIDGE_TOL, project_ball_a_norm, sherman_morrison_update,
-                     stationary_distribution)
+                     single_closed_class, stationary_distribution)
 from .metrics import (bm_external_regrets, psmcal, psreg, smcal,
                       witness_f_prime)
 from .ons import OMEGA, RADIUS, ons_step, ons_steps
@@ -52,7 +52,24 @@ def _check_stationary(rng):
                                  [[0.0, 1.0], [1.0, 0.0]]])
     if (abs(p - [[0.4, 0.6], [0.5, 0.5]]).max(axis=1) > [1e-10, 1e-8]).any():
         return False, f"known chains gave {p.tolist()}"
-    return True, "residuals within 1e-8"
+    # chains off the square solve, by the min-norm tie-break: Q = I is
+    # uniform; closed classes (0.4, 0.6) and (0.5, 0.5) over a transient
+    # column split in proportion to 1 / ||v_i||^2; a point mass is certified
+    two_block = np.zeros((5, 5))
+    two_block[:2, :2] = [[0.4, 0.4], [0.6, 0.6]]
+    two_block[2:4, 2:4] = [[0.0, 1.0], [1.0, 0.0]]
+    two_block[:, 4] = 0.2
+    point_mass = np.zeros((5, 5))
+    point_mass[2] = 1.0
+    chains = np.array([np.eye(5), two_block, point_mass])
+    want = np.array([[0.2] * 5, [0.4 / 0.52, 0.6 / 0.52, 1.0, 1.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0, 0.0]])
+    want[1] /= want[1].sum()
+    p = stationary_distribution(chains)
+    if single_closed_class(chains).tolist() != [False, False, True] or \
+            abs(p - want).max() > 1e-10:
+        return False, f"reducible chains gave {p.tolist()}"
+    return True, "residuals within 1e-8, both solve paths"
 
 
 def _check_sherman_morrison(rng):

@@ -42,14 +42,19 @@ def test_bench_round_runs(tmp_path):
                "commit_round", "ons_step_alpha_pos", "ons_step_alpha_zero",
                "sherman_morrison_update", "round_d2_n4", "round_d5_n7",
                "omni_somni_T4096", "omni_dsomni_M32", "ons_steps_R1_K8_d5",
-               "ons_steps_R2_K5_d2", "ons_steps_R30_K5_d2", "sweep_T1024_r2",
-               "sweep_T1024_r30"}
+               "ons_steps_R2_K5_d2", "ons_steps_R30_K5_d2", "stationary_R2_K5",
+               "stationary_R30_K5", "sweep_T1024_r2", "sweep_T1024_r30"}
     for label in ("a", "b"):
         assert set(doc["results"][label]) == kernels
         for v in doc["results"][label].values():
             assert 0 < v["min_us"] <= v["q1_us"] <= v["median_us"] \
                 <= v["q3_us"]
     assert set(doc["median_ratio_to_a"]["b"]) == kernels
+    for label in ("a", "b"):
+        paths = doc["stationary_paths"][label]
+        assert set(paths) == {"R2_K5", "R30_K5"}
+        assert [sum(paths[s].values()) for s in ("R2_K5", "R30_K5")] == [
+            2 * 256, 30 * 256]
     # one rep has no spread to judge a ratio against
     assert doc["unresolved_vs_a"] is None
 

@@ -343,7 +343,7 @@ def test_update_is_all_or_nothing(monkeypatch):
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     fcs = [BmForecaster(make_grid(4), 2, seed=s) for s in seeds]
     streams = [generate_stream(spec, 10, 2, seed=s) for s in seeds]
-    kernel, calls = swapcal.forecaster.ons_steps, []
+    kernel, calls = swapcal.forecaster.ons_kernel, []
 
     def failing_kernel(*args):
         calls.append(1)
@@ -351,7 +351,7 @@ def test_update_is_all_or_nothing(monkeypatch):
             raise NumericFailure("forced", residual=1.0)
         return kernel(*args)
 
-    monkeypatch.setattr(swapcal.forecaster, "ons_steps", failing_kernel)
+    monkeypatch.setattr(swapcal.forecaster, "ons_kernel", failing_kernel)
     yielded, copies = [], []
     with pytest.raises(NumericFailure):
         for arrays in lockstep_rounds(fcs, streams):

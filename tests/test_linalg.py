@@ -275,6 +275,8 @@ def test_stationary_on_a_stack_matches_per_matrix_calls():
     rng = np.random.default_rng(29)
     for n in (3, 5, 8):
         Qs, transient = _mixed_chain_stack(rng, 60, n)
+        # the stack mixes chains of both solve paths
+        assert set(linalg.single_closed_class(Qs).tolist()) == {True, False}
         P = stationary_distribution(Qs)
         assert P.shape == (60, n)
         np.testing.assert_array_equal(
@@ -296,6 +298,148 @@ def test_stationary_stack_failure_carries_the_worst_residual():
     with pytest.raises(NumericFailure) as info:
         stationary_distribution(Qs, tol=worst / 2)
     assert info.value.residual == pytest.approx(worst, rel=1e-6)
+
+
+EPS = np.finfo(float).eps
+
+
+def _gth(Q):
+    """Stationary distribution of an irreducible column-stochastic Q by
+    Grassmann-Taksar-Heyman elimination (1985). It never subtracts, so it is
+    accurate entry by entry even on nearly reducible chains: the oracle."""
+    P = np.array(Q, dtype=float).T  # row-stochastic
+    n = len(P)
+    for k in range(n - 1, 0, -1):
+        P[:k, k] /= P[k, :k].sum()
+        P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ P[:k, k]
+    return pi / pi.sum()
+
+
+def _svd_path(Q):
+    """stationary_distribution of one chain as the SVD path gives it."""
+    p = linalg._min_norm(Q[None])[0]
+    p[p <= len(Q) * EPS] = 0.0
+    return p / p.sum()
+
+
+def test_certificate_reads_reachability():
+    """One closed class (some state reachable from all) is certified:
+    irreducible chains, a closed class with transient states, a point mass.
+    Q = I, two closed classes, and a link of at most K eps are not."""
+    cycle = np.roll(np.eye(6), 1, axis=0)  # the longest path takes 5 steps
+    absorbing = np.triu(np.ones((4, 4))) / np.arange(1, 5)
+    point = np.zeros((3, 3))
+    point[1] = 1.0
+    two = np.kron(np.eye(2), [[0.5, 0.5], [0.5, 0.5]])
+    weak = two.copy()
+    weak[:, 0] = [0.5 - 4 * EPS, 0.5, 4 * EPS, 0.0]  # 4 eps = K eps
+    for Q, want in ((cycle, True), (absorbing, True), (point, True),
+                    (np.eye(3), False), (two, False), (weak, False),
+                    (np.array([[1.0]]), True)):
+        assert bool(linalg.single_closed_class(Q)) is want
+    weak[:, 0] = [0.5 - 5 * EPS, 0.5, 5 * EPS, 0.0]
+    weak[:, 2] = [5 * EPS, 0.0, 0.5 - 5 * EPS, 0.5]
+    assert linalg.single_closed_class(np.array([weak, two])).tolist() == [
+        True, False]
+
+
+def test_square_solve_matches_gth_on_irreducible_chains():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(1, 15))
+        Q = _random_column_stochastic(rng, n)
+        Q[rng.random((n, n)) < 0.5] = 0.0  # sparse, mostly irreducible
+        Q += np.roll(np.eye(n), 1, axis=0)  # a cycle keeps it irreducible
+        Q /= Q.sum(axis=0)
+        assert linalg.single_closed_class(Q)
+        p = stationary_distribution(Q)
+        np.testing.assert_allclose(p, _gth(Q), atol=1e-12)
+        np.testing.assert_allclose(p, _svd_path(Q), atol=1e-12)
+
+
+def test_near_reducible_chains_on_both_paths():
+    """Two irreducible blocks, each column leaking c to the other block,
+    for c from 1e-17 to 1e-8. A leak above K eps is certified and solved
+    square: it agrees with the GTH oracle and with the SVD path to about
+    eps / c, the conditioning of the chain. A leak at most K eps is read as
+    0: the chain takes the SVD path and its min-norm tie-break, bit for
+    bit."""
+    rng = np.random.default_rng(43)
+    for c in 10.0 ** np.arange(-17, -7):
+        for _ in range(30):
+            n1, n2 = (int(v) for v in rng.integers(1, 4, size=2))
+            K = n1 + n2
+            Q = np.zeros((K, K))
+            Q[:n1, :n1] = _random_column_stochastic(rng, n1)
+            Q[n1:, n1:] = _random_column_stochastic(rng, n2)
+            Q *= 1.0 - c
+            for j in range(K):
+                Q[int(rng.integers(n1, K)) if j < n1
+                  else int(rng.integers(n1)), j] = c
+            perm = rng.permutation(K)
+            Q = Q[np.ix_(perm, perm)]
+            square = bool(linalg.single_closed_class(Q))
+            assert square == (c > K * EPS)
+            p = stationary_distribution(Q)
+            if square:
+                tol = K * EPS / c
+                np.testing.assert_allclose(p, _gth(Q), atol=tol)
+                np.testing.assert_allclose(p, _svd_path(Q), atol=tol)
+            else:
+                np.testing.assert_array_equal(p, _svd_path(Q))
+
+
+def test_linalg_error_sends_only_its_chain_to_the_svd_path(monkeypatch):
+    """A certified chain whose square solve raises LinAlgError takes the SVD
+    path, chain by chain: the other chains of its stack keep their square
+    solves, and the stack equals the one-at-a-time calls bit for bit."""
+    rng = np.random.default_rng(47)
+    Qs = np.array([_random_column_stochastic(rng, 4) for _ in range(4)]
+                  + [np.eye(4)])
+    before = stationary_distribution(Qs)
+    solve, failing = np.linalg.solve, Qs[2] - np.eye(4)
+    failing[-1] = 1.0
+
+    def flaky_solve(A, b):
+        if any(np.array_equal(a, failing) for a in A):
+            raise np.linalg.LinAlgError("forced")
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky_solve)
+    P = stationary_distribution(Qs)
+    np.testing.assert_array_equal(
+        P, np.array([stationary_distribution(Q) for Q in Qs]))
+    for i in (0, 1, 3):
+        np.testing.assert_array_equal(P[i], before[i])
+    for i in (2, 4):
+        np.testing.assert_array_equal(P[i], _svd_path(Qs[i]))
+    np.testing.assert_allclose(P[2], before[2], atol=1e-12)
+    # without the certified chain that fails, no chain is routed
+    np.testing.assert_array_equal(stationary_distribution(Qs[[0, 1, 3, 4]]),
+                                  before[[0, 1, 3, 4]])
+
+    def batch_failing_solve(A, b):
+        if len(A) > 1:
+            raise np.linalg.LinAlgError("forced")
+        return solve(A, b)
+
+    # a batched solve that fails for the stack's sake alone: every chain
+    # still solves square, alone
+    monkeypatch.setattr(np.linalg, "solve", batch_failing_solve)
+    np.testing.assert_array_equal(stationary_distribution(Qs), before)
+
+
+def test_stationary_empty_stack_and_single_state():
+    assert stationary_distribution(np.zeros((0, 3, 3))).shape == (0, 3)
+    assert stationary_distribution(np.zeros((2, 0, 3, 3))).shape == (2, 0, 3)
+    np.testing.assert_array_equal(stationary_distribution(np.ones((4, 1, 1))),
+                                  np.ones((4, 1)))
+    assert linalg.single_closed_class(np.ones((2, 1, 1))).tolist() == [
+        True, True]
 
 
 def test_check_column_stochastic_on_a_stack():

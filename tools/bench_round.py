@@ -35,12 +35,17 @@ microseconds per call, on two fixed inputs:
 - dsomni-shaped: exhaustive bucket weights of a mixture trained on
   T = 512 rounds (stride 8, seed 10) over M = 32 test points (seed 11).
 
-It times ons.ons_steps, the stacked learner kernel of the round loop, in
-microseconds per call, on the arguments lockstep_rounds passes it (recorded
-by wrapping it) in the 256 lockstep rounds that follow 256 warm-up rounds
-of R forecasters (seeds 0..R-1, iid-logistic streams with noise 0.1 on the
-same seeds) at (R, K, d) = (1, 8, 5), (2, 5, 2) and (30, 5, 2); the entry
-is null for a tree without ons_steps.
+It times the stacked learner kernel of the round loop (ons.ons_kernel,
+or ons.ons_steps in a tree whose loop calls that), in microseconds per
+call, on the arguments lockstep_rounds passes it (recorded by wrapping it
+where the loop looks it up, in swapcal.forecaster) in the 256 lockstep
+rounds that follow 256 warm-up rounds of R forecasters (seeds 0..R-1,
+iid-logistic streams with noise 0.1 on the same seeds) at (R, K, d) =
+(1, 8, 5), (2, 5, 2) and (30, 5, 2); the entry is null for a tree without
+the stacked kernel. From the same recording it times
+stationary_distribution on the Q stacks the loop passes it at (R, K) =
+(2, 5) and (30, 5), and counts the chains that reach the batched SVD (by
+wrapping numpy.linalg.svd) against those solved square.
 
 Last, it times harness.run_sweep on a fresh table for one horizon,
 T = 1024, d = 2, smcal2:ball1 with auto-smcal N, seeds 0..reps-1, at 2 and
@@ -48,7 +53,8 @@ at 30 reps, in microseconds per sweep row, in one pass (each call runs for
 seconds).
 
 The result holds, per label, the median, quartiles and minimum over the
-reps (null for a kernel the tree lacks), and the ratio of each later
+reps (null for a kernel the tree lacks), the stationary path counts of
+the first rep (they are the same in every rep), and the ratio of each later
 label's median to the first one's (null when either side is null), with
 the core count and the Python and numpy versions. A ratio is listed as
 unresolved when the later median lies inside the first label's
@@ -74,6 +80,7 @@ WARMUP, RECORD, ROUND_T, PASSES = 256, 256, 1024, 3
 ROUND_SHAPES = ((2, 4), (5, 7))
 SWEEP_T, SWEEP_REPS = 1024, (2, 30)
 KERNEL_SHAPES = ((1, 7, 5), (2, 4, 2), (30, 4, 2))  # (R, N, d), K = N + 1
+STATIONARY_SHAPES = ((2, 4, 2), (30, 4, 2))
 MIN_SPREAD_REPS = 4
 STDERR_TAIL = 12  # lines of a failed worker's stderr to show
 
@@ -133,9 +140,18 @@ def sweep_us(reps):
         return (time.perf_counter_ns() - t0) / reps / 1e3
 
 
-def kernel_rows(R, n, d):
-    """The arguments of the ons_steps calls that lockstep_rounds makes for
-    R forecasters, recorded from the loop itself, after WARMUP rounds."""
+def loop_kernel():
+    """The name of the stacked learner kernel lockstep_rounds calls, or
+    None for a tree whose loop has none."""
+    import swapcal.forecaster
+    return next((name for name in ("ons_kernel", "ons_steps")
+                 if hasattr(swapcal.forecaster, name)), None)
+
+
+def loop_rows(R, n, d):
+    """The arguments of the learner kernel and of stationary_distribution
+    calls that lockstep_rounds makes for R forecasters, recorded from the
+    loop itself, after WARMUP rounds."""
     import swapcal.forecaster
     from swapcal import (AdversarySpec, BmForecaster, generate_stream,
                          lockstep_rounds, make_grid)
@@ -143,11 +159,25 @@ def kernel_rows(R, n, d):
     streams = [generate_stream(spec, WARMUP + RECORD, d, seed=r)
                for r in range(R)]
     fcs = [BmForecaster(make_grid(n), d, seed=r) for r in range(R)]
-    with mock.patch.object(swapcal.forecaster, "ons_steps",
-                           wraps=swapcal.forecaster.ons_steps) as spy:
+    loop, name = swapcal.forecaster, loop_kernel()
+    with mock.patch.object(loop, name, wraps=getattr(loop, name)) as kernel, \
+            mock.patch.object(loop, "stationary_distribution",
+                              wraps=loop.stationary_distribution) as stat:
         for _ in lockstep_rounds(fcs, streams):
             pass
-    return [call.args for call in spy.call_args_list[WARMUP:]]
+    return ([call.args for call in kernel.call_args_list[WARMUP:]],
+            [call.args for call in stat.call_args_list[WARMUP:]])
+
+
+def svd_chains(stationary_distribution, rows):
+    """How many chains of the stacks in rows stationary_distribution solves
+    without ("square") and with ("svd") the batched SVD."""
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        for args in rows:
+            stationary_distribution(*args)
+    chains = sum(args[0][..., 0, 0].size for args in rows)
+    svd = sum(call.args[0][..., 0, 0].size for call in svd.call_args_list)
+    return {"square": chains - svd, "svd": svd}
 
 
 def run_worker(src, label):
@@ -240,13 +270,19 @@ def worker(src):
         out[name] = _best_us(
             lambda: per_cell_omni_gap(Xo, yo, CW, z, DEFAULT_LOSSES,
                                       affine_restricted()), [()])
-    steps = getattr(swapcal.ons, "ons_steps", None)
+    name, paths = loop_kernel(), {}
     for R, n, d in KERNEL_SHAPES:
-        out[f"ons_steps_R{R}_K{n + 1}_d{d}"] = None if steps is None else \
-            _best_us(steps, kernel_rows(R, n, d))
+        kernel_args, stat_args = loop_rows(R, n, d) if name else (None, None)
+        out[f"ons_steps_R{R}_K{n + 1}_d{d}"] = name and _best_us(
+            getattr(swapcal.ons, name), kernel_args)
+        if (R, n, d) in STATIONARY_SHAPES:
+            out[f"stationary_R{R}_K{n + 1}"] = name and _best_us(
+                stationary_distribution, stat_args)
+            paths[f"R{R}_K{n + 1}"] = name and svd_chains(
+                stationary_distribution, stat_args)
     for reps in SWEEP_REPS:
         out[f"sweep_T{SWEEP_T}_r{reps}"] = sweep_us(reps)
-    return out
+    return {"us": out, "stationary_paths": paths}
 
 
 def main(argv=None):
@@ -275,8 +311,8 @@ def main(argv=None):
             runs[label].append(run_worker(src, label))
             print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr)
 
-    kernels = list(runs[labels[0]][0])
-    results = {label: {k: summary([r[k] for r in rs]) for k in kernels}
+    kernels = list(runs[labels[0]][0]["us"])
+    results = {label: {k: summary([r["us"][k] for r in rs]) for k in kernels}
                for label, rs in runs.items()}
     doc = {
         "machine": {"cpu_count": os.cpu_count(),
@@ -290,12 +326,18 @@ def main(argv=None):
                            "omni_somni_T4096 on a T 4096, d 2 transcript, "
                            "omni_dsomni_M32 on exhaustive bucket weights, "
                            "M 32",
-                   "ons_steps": "ons.ons_steps on the arguments "
-                                "lockstep_rounds passed it in "
+                   "ons_steps": "the loop's learner kernel "
+                                "(ons.ons_kernel, else ons.ons_steps) on "
+                                "the arguments lockstep_rounds passed it in "
                                 f"{RECORD} rounds after {WARMUP} "
                                 "warm-up rounds of R forecasters, "
                                 "iid-logistic noise 0.1, seeds 0..R-1; null "
-                                "for a tree without ons_steps",
+                                "for a tree without a stacked kernel",
+                   "stationary": "stationary_distribution on the Q stacks "
+                                 "lockstep_rounds passed it in the same "
+                                 "rounds; stationary_paths counts the "
+                                 "chains solved square and by the batched "
+                                 "SVD (numpy.linalg.svd wrapped)",
                    "sweep": f"run_sweep on a fresh table, T {SWEEP_T}, "
                             "d 2, smcal2:ball1, auto-smcal N, seeds from 0, "
                             "one pass",
@@ -307,6 +349,8 @@ def main(argv=None):
                                  f"null below {MIN_SPREAD_REPS} reps, where "
                                  "that range rests on one to three values"},
         "results": results,
+        "stationary_paths": {label: rs[0]["stationary_paths"]
+                             for label, rs in runs.items()},
     }
     if len(labels) > 1:
         doc.update(compare(results, labels, args.reps))
