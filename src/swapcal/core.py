@@ -12,6 +12,7 @@ and the observed outcome.
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import numpy as np
 
@@ -430,6 +431,63 @@ def _first_non_index(values, hi):
     return -1 if ok.all() else int(ok.argmin())
 
 
+#: records per block of Transcript.write_jsonl and read_jsonl
+JSONL_BLOCK = 256
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_DECODE = json.JSONDecoder().raw_decode
+_FIELDS = ("x", "P", "pi", "y")
+_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _decode_block(lines, d, n):
+    """The columns (X, P, pi, y) of a block of record lines, or None unless
+    every line is one JSON object (json.loads' rule on a stripped line) with
+    numeric fields of widths d, n + 1, 1 and 1: then the columns equal those
+    _walk_block fills."""
+    try:
+        pairs = [_DECODE(ln) for ln in lines]
+        if any(end != len(ln) for (_, end), ln in zip(pairs, lines)):
+            return None
+        cols = tuple(np.array([rec[key] for rec, _ in pairs])
+                     for key in _FIELDS)
+    except _BAD_RECORD:
+        return None
+    b = len(lines)
+    for col, shape in zip(cols, ((b, d), (b, n + 1), (b,), (b,))):
+        # a str, None or object entry may convert otherwise than by setitem
+        if col.dtype.kind not in "biuf" or col.shape != shape:
+            return None
+    return tuple(col.astype(float, copy=False) for col in cols)
+
+
+def _walk_block(path, lines, first, d, n):
+    """The columns (X, P, pi, y) of a block of record lines read one record
+    at a time; FormatError at the first bad one, named by its line number
+    (the block's first line is line first)."""
+    rows = []
+    for k, ln in enumerate(lines):
+        try:
+            rec = json.loads(ln)
+            x = rec["x"]
+            # the first record reports a wrong x width alone
+            if first + k == 2 and len(x) != d:
+                raise ValueError(f"x needs {d} entries")
+            p = rec["P"]
+            # numpy would broadcast a length-1 list (len rejects a scalar
+            # with a TypeError)
+            if len(x) != d or len(p) != n + 1:
+                raise ValueError(f"x needs {d} entries and P {n + 1}")
+            row = (np.zeros((1, d)), np.zeros((1, n + 1)), np.zeros(1),
+                   np.zeros(1))
+            for col, key in zip(row, _FIELDS):
+                col[0] = rec[key]
+        except _BAD_RECORD as exc:
+            raise FormatError(f"{path}: bad step record on line {first + k}: "
+                              f"{exc}") from exc
+        rows.append(row)
+    return tuple(np.concatenate(c) for c in zip(*rows))
+
+
 class Transcript:
     """A complete forecasting run, stored columnwise.
 
@@ -492,68 +550,64 @@ class Transcript:
 
     def write_jsonl(self, path):
         """Persist as JSON lines: a header {"N","d","T","seed"} followed by one
-        record {"t","x","P","pi","y"} per round (t is 1-based). A header
-        that cannot be written leaves no file behind."""
-        header = json.dumps({"N": self.grid.n, "d": self.d,
-                             "T": self.horizon, "seed": self.seed},
-                            separators=(",", ":"))
+        record {"t","x","P","pi","y"} per round (t is 1-based), written
+        JSONL_BLOCK records at a time. A header that cannot be written
+        leaves no file behind."""
+        header = _ENCODE({"N": self.grid.n, "d": self.d, "T": self.horizon,
+                          "seed": self.seed})
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            for t in range(self.horizon):
-                rec = {"t": t + 1,
-                       "x": [float(v) for v in self.contexts[t]],
-                       "P": [float(v) for v in self.cond_dists[t]],
-                       "pi": int(self.sampled_indices[t]),
-                       "y": int(self.outcomes[t])}
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            for t0 in range(0, self.horizon, JSONL_BLOCK):
+                cols = (a[t0:t0 + JSONL_BLOCK].tolist() for a in (
+                    self.contexts, self.cond_dists, self.sampled_indices,
+                    self.outcomes))
+                fh.write("".join(
+                    _ENCODE({"t": t, "x": x, "P": p, "pi": i, "y": y}) + "\n"
+                    for t, (x, p, i, y) in enumerate(zip(*cols), t0 + 1)))
 
     @classmethod
     def read_jsonl(cls, path):
-        """Read a write_jsonl file; header N, d, T and seed follow as_int."""
+        """Read a write_jsonl file; header N, d, T and seed follow as_int.
+
+        Records are decoded JSONL_BLOCK at a time. Checks keep the order of
+        a whole-file read: the record count, N and the grid cap come before
+        the first bad record, and line numbers count non-blank lines."""
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in (s.strip() for s in fh) if ln]
-        if not lines:
-            raise FormatError(f"{path}: empty transcript file")
-        try:
-            head = json.loads(lines[0])
-            n, d, T = (as_int(head[key], f"header {key}", low)
-                       for key, low in (("N", None), ("d", 1), ("T", 0)))
-            seed = head.get("seed")
-            seed = seed if seed is None else as_int(seed, "header seed", 0)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad header line: {exc}") from exc
-        if len(lines) - 1 != T:
+            lines = filter(None, map(str.strip, fh))
+            head = next(lines, None)
+            if head is None:
+                raise FormatError(f"{path}: empty transcript file")
+            try:
+                head = json.loads(head)
+                n, d, T = (as_int(head[key], f"header {key}", low)
+                           for key, low in (("N", None), ("d", 1), ("T", 0)))
+                seed = head.get("seed")
+                seed = seed if seed is None else as_int(seed, "header seed", 0)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: bad header line: {exc}") from exc
+            blocks, count, error = [], 0, None
+            while block := list(islice(lines, JSONL_BLOCK)):
+                count += len(block)
+                # past T records the count check fails: decode no further
+                if error is None and count <= T:
+                    first = count - len(block) + 2  # the header is line 1
+                    try:
+                        blocks.append(_decode_block(block, d, n)
+                                      or _walk_block(path, block, first, d, n))
+                    except FormatError as exc:
+                        error = exc
+        if count != T:
             raise FormatError(f"{path}: header says T={T} but file has "
-                              f"{len(lines) - 1} step records")
+                              f"{count} step records")
         if n < 1:
             raise FormatError(f"{path}: header N must be >= 1")
         grid = Grid(n)
-        bad = (KeyError, TypeError, ValueError, OverflowError)
-        try:  # X is sized from d only once the first record's x has d entries
-            if T and len(json.loads(lines[1])["x"]) != d:
-                raise ValueError(f"x needs {d} entries")
-        except bad as exc:
-            raise FormatError(f"{path}: bad step record on line 2: {exc}") \
-                from exc
-        X = np.zeros((T, d))
-        P = np.zeros((T, n + 1))
-        pi = np.zeros(T)
-        y = np.zeros(T)
-        for k, ln in enumerate(lines[1:]):
-            try:
-                rec = json.loads(ln)
-                x, p = rec["x"], rec["P"]
-                # numpy would broadcast a length-1 list (len rejects a
-                # scalar with a TypeError)
-                if len(x) != d or len(p) != n + 1:
-                    raise ValueError(f"x needs {d} entries and P {n + 1}")
-                X[k] = x
-                P[k] = p
-                pi[k] = rec["pi"]
-                y[k] = rec["y"]
-            except bad as exc:
-                raise FormatError(f"{path}: bad step record on line {k + 2}: {exc}") \
-                    from exc
+        if error is not None:
+            raise error
+        empty = (np.zeros((0, d)), np.zeros((0, n + 1)), np.zeros(0),
+                 np.zeros(0))
+        X, P, pi, y = (np.concatenate(c) for c in zip(empty, *blocks))
+        del blocks  # before Transcript's checks take their own copies
         for key, values, hi in (("pi", pi, n), ("y", y, 1)):
             k = _first_non_index(values, hi)
             if k >= 0:

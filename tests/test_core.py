@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ from swapcal import (FormatError, LinearFn, ResourceLimitError, Transcript,
                      custom_loss, finite_class, linear_ball, make_grid,
                      post_process, squared_loss, validate_outcome,
                      validate_stream, vshaped_loss)
-from swapcal.core import MEMBER_CAP, HypothesisClass, affine_restricted
+from swapcal.core import (JSONL_BLOCK, MEMBER_CAP, HypothesisClass,
+                          _first_non_index, affine_restricted, as_int)
 
 
 def test_grid_points():
@@ -484,3 +486,251 @@ def test_transcript_read_errors(tmp_path):
         short.write_text(head + '\n{"t":1,' + rec + ',"pi":0,"y":1}\n')
         with pytest.raises(FormatError, match="line 2"):
             Transcript.read_jsonl(short)
+
+
+def _fixed_transcript(T, d=2, n=6, seed=5):
+    """A transcript of correctly rounded quotients of small integers (no
+    libm call), so its bytes are the same on every platform."""
+    t = np.arange(T)[:, None]
+    X = np.empty((T, d))
+    X[:, :1] = 0.5
+    X[:, 1:] = ((t * 37 + np.arange(1, d) * 11) % 101 - 50) / 101 / d
+    W = (t * 7 + np.arange(n + 1) * 3) % 11 + 1.0
+    return Transcript(make_grid(n), X, W / W.sum(axis=1, keepdims=True),
+                      (t[:, 0] * 5) % (n + 1), (t[:, 0] * 3 // 2) % 2,
+                      seed=seed)
+
+
+def _read_whole_file(path):
+    """Reference reader: every stripped non-blank line through json.loads,
+    the record count, N and the first record's x checked before anything is
+    allocated, then one record at a time."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in (s.strip() for s in fh) if ln]
+    if not lines:
+        raise FormatError(f"{path}: empty transcript file")
+    try:
+        head = json.loads(lines[0])
+        n, d, T = (as_int(head[key], f"header {key}", low)
+                   for key, low in (("N", None), ("d", 1), ("T", 0)))
+        seed = head.get("seed")
+        seed = seed if seed is None else as_int(seed, "header seed", 0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad header line: {exc}") from exc
+    if len(lines) - 1 != T:
+        raise FormatError(f"{path}: header says T={T} but file has "
+                          f"{len(lines) - 1} step records")
+    if n < 1:
+        raise FormatError(f"{path}: header N must be >= 1")
+    grid = make_grid(n)
+    bad = (KeyError, TypeError, ValueError, OverflowError)
+    try:
+        if T and len(json.loads(lines[1])["x"]) != d:
+            raise ValueError(f"x needs {d} entries")
+    except bad as exc:
+        raise FormatError(f"{path}: bad step record on line 2: {exc}") \
+            from exc
+    X, P, pi, y = np.zeros((T, d)), np.zeros((T, n + 1)), np.zeros(T), \
+        np.zeros(T)
+    for k, ln in enumerate(lines[1:]):
+        try:
+            rec = json.loads(ln)
+            x, p = rec["x"], rec["P"]
+            if len(x) != d or len(p) != n + 1:
+                raise ValueError(f"x needs {d} entries and P {n + 1}")
+            X[k] = x
+            P[k] = p
+            pi[k] = rec["pi"]
+            y[k] = rec["y"]
+        except bad as exc:
+            raise FormatError(f"{path}: bad step record on line {k + 2}: "
+                              f"{exc}") from exc
+    for key, values, hi in (("pi", pi, n), ("y", y, 1)):
+        k = _first_non_index(values, hi)
+        if k >= 0:
+            raise FormatError(f"{path}: bad step record on line {k + 2}: "
+                              f"{key} {values[k]} is not an integer in "
+                              f"[0, {hi}]")
+    return Transcript(grid, X, P, pi, y, seed=seed)
+
+
+_DROP = object()
+
+
+def _edit_record(text, **fields):
+    """A record line with fields replaced (_DROP drops the key)."""
+    rec = json.loads(text)
+    for key, value in fields.items():
+        if value is _DROP:
+            del rec[key]
+        else:
+            rec[key] = value
+    return json.dumps(rec, separators=(",", ":"))
+
+
+_MISSING = {key: lambda ln, key=key: [_edit_record(ln, **{key: _DROP})]
+            for key in ("x", "P", "pi", "y")}
+_BAD_RECORDS = {
+    **{f"missing-{key}": edit for key, edit in _MISSING.items()},
+    "short-x": lambda ln: [_edit_record(ln, x=[0.5])],
+    "long-x": lambda ln: [_edit_record(ln, x=[0.5, 0.0, 0.0])],
+    "scalar-x": lambda ln: [_edit_record(ln, x=0.5)],
+    "short-P": lambda ln: [_edit_record(ln, P=[1.0] + [0.0] * 5)],
+    "long-P": lambda ln: [_edit_record(ln, P=[1.0] + [0.0] * 7)],
+    "scalar-P": lambda ln: [_edit_record(ln, P=1.0)],
+    "non-numeric": lambda ln: [_edit_record(ln, x=[0.5, "a"])],
+    "nested": lambda ln: [_edit_record(ln, x=[[0.5], [0.0]])],
+    "pi-list": lambda ln: [_edit_record(ln, pi=[1])],
+    "extra-data": lambda ln: [ln + " 7"],
+    "two-on-a-line": lambda ln: [ln + ln],
+    "split": lambda ln: [ln[:40], ln[40:]],
+}
+
+
+def _edge_positions(T):
+    """Record positions at block edges: the first and last record of the
+    first two blocks and the file's last record."""
+    B = JSONL_BLOCK
+    return sorted(k for k in {0, B - 1, B, 2 * B - 1, T - 1} if k < T)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RECORDS))
+def test_transcript_read_bad_record_at_block_edges(tmp_path, case):
+    """A bad record as the first or last line of a block, or the file's last
+    line, raises the whole-file reader's FormatError: the same message and
+    line (a split record changes the record count, so the count is named)."""
+    T = 2 * JSONL_BLOCK + 5
+    path = tmp_path / "run.jsonl"
+    _fixed_transcript(T).write_jsonl(path)
+    head, *records = path.read_text().splitlines()
+    for pos in _edge_positions(T):
+        bad = records[:pos] + _BAD_RECORDS[case](records[pos]) \
+            + records[pos + 1:]
+        path.write_text("\n".join([head, *bad]) + "\n")
+        with pytest.raises(FormatError) as want:
+            _read_whole_file(path)
+        with pytest.raises(FormatError) as got:
+            Transcript.read_jsonl(path)
+        assert str(got.value) == str(want.value)
+        assert type(got.value.__cause__) is type(want.value.__cause__)
+        named = f"on line {pos + 2}:" if case != "split" else \
+            f"header says T={T} but file has {T + 1} step records"
+        assert named in str(got.value)
+
+
+def _outcome(read, path):
+    """What read(path) gives: its error's type, message and cause type, or
+    the transcript's arrays as bytes."""
+    try:
+        tr = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+    return tuple(a.tobytes() for a in (tr.contexts, tr.cond_dists,
+                                        tr.sampled_indices, tr.outcomes))
+
+
+@pytest.mark.parametrize("fields", [
+    {"x": ["0.5", "0.1"]}, {"x": [0.5, 0]}, {"P": [1] + [0] * 6},
+    {"pi": "3"}, {"pi": True}, {"pi": 3.0}, {"y": None}, {"y": False},
+    {"x": [None, 0.0]}, {"x": [10 ** 400, 0.0]}, {"pi": 2 ** 64},
+    {"t": "anything"},
+], ids=lambda f: json.dumps(f)[:24])
+def test_transcript_read_odd_values_as_the_whole_file_reader(tmp_path,
+                                                             fields):
+    """Values json.loads and numpy's setitem take in unusual spellings (a
+    numeric string, a bool, null, an int) read or fail as before."""
+    T = JSONL_BLOCK + 5
+    path = tmp_path / "run.jsonl"
+    _fixed_transcript(T).write_jsonl(path)
+    head, *records = path.read_text().splitlines()
+    for pos in _edge_positions(T):
+        odd = list(records)
+        odd[pos] = _edit_record(odd[pos], **fields)
+        path.write_text("\n".join([head, *odd]) + "\n")
+        assert _outcome(Transcript.read_jsonl, path) == \
+            _outcome(_read_whole_file, path)
+
+
+def test_transcript_read_one_record_split_and_one_line_holding_two(
+        tmp_path):
+    """A split record next to a line that holds two records keeps the
+    record count right; the per-line rule still names the first bad line."""
+    T = 2 * JSONL_BLOCK + 5
+    path = tmp_path / "run.jsonl"
+    _fixed_transcript(T).write_jsonl(path)
+    head, *records = path.read_text().splitlines()
+    pos = JSONL_BLOCK - 1
+    bad = records[:pos] + [records[pos][:40], records[pos][40:]
+                           + records[pos + 1]] + records[pos + 2:]
+    path.write_text("\n".join([head, *bad]) + "\n")
+    with pytest.raises(FormatError, match=f"on line {pos + 2}:") as got:
+        Transcript.read_jsonl(path)
+    with pytest.raises(FormatError) as want:
+        _read_whole_file(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_transcript_read_skips_blank_lines(tmp_path):
+    """Blank and whitespace-only lines are skipped and not counted: a bad
+    record after them is named by its non-blank line, as before."""
+    T = 2 * JSONL_BLOCK + 5
+    tr = _fixed_transcript(T)
+    path = tmp_path / "run.jsonl"
+    tr.write_jsonl(path)
+    head, *records = path.read_text().splitlines()
+    spaced = [head, ""] + [ln if k % JSONL_BLOCK else "  \t\n" + ln
+                           for k, ln in enumerate(records)] + ["", " "]
+    path.write_text("\n".join(spaced) + "\n")
+    back = Transcript.read_jsonl(path)
+    for name in ("contexts", "cond_dists", "sampled_indices", "outcomes"):
+        assert np.array_equal(getattr(back, name), getattr(tr, name))
+    spaced[-3] = _edit_record(spaced[-3], pi=1.5)
+    path.write_text("\n".join(spaced) + "\n")
+    with pytest.raises(FormatError, match=f"on line {T + 1}: pi 1.5"):
+        Transcript.read_jsonl(path)
+
+
+@pytest.mark.parametrize("T", [0, 1, JSONL_BLOCK - 1, JSONL_BLOCK,
+                               JSONL_BLOCK + 1, 4096])
+def test_transcript_jsonl_roundtrip_across_blocks(tmp_path, T):
+    tr = _fixed_transcript(T)
+    path = tmp_path / "run.jsonl"
+    tr.write_jsonl(path)
+    back = Transcript.read_jsonl(path)
+    assert back.grid == tr.grid and back.seed == tr.seed
+    for name in ("contexts", "cond_dists", "sampled_indices", "outcomes"):
+        a, b = getattr(back, name), getattr(tr, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert _outcome(Transcript.read_jsonl, path) == \
+        _outcome(_read_whole_file, path)
+
+
+def test_transcript_write_bytes_are_frozen(tmp_path):
+    """The bytes write_jsonl produces for one fixed transcript of 515
+    records, frozen from the record-at-a-time json.dumps writer."""
+    path = tmp_path / "run.jsonl"
+    _fixed_transcript(515).write_jsonl(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "6423eda926b2b78ede1b62619c5b5084cc72a6e8c38e7d79c506926c07b1ca72"
+
+
+def test_transcript_jsonl_memory_is_bounded(tmp_path):
+    """On a T = 4096, d = 2 transcript (772 kB on disk) the reader holds
+    one block of decoded records, not every line: the whole-file reader
+    peaked at 1.59 MB in tracemalloc. The writer holds one block of
+    encoded records."""
+    import tracemalloc
+
+    tr = _fixed_transcript(4096)
+    path = tmp_path / "run.jsonl"
+    tracemalloc.start()
+    try:
+        tr.write_jsonl(path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        Transcript.read_jsonl(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= 250_000
+    assert read_peak <= 1_250_000

@@ -43,13 +43,15 @@ def test_bench_round_runs(tmp_path):
                "sherman_morrison_update", "round_d2_n4", "round_d5_n7",
                "omni_somni_T4096", "omni_dsomni_M32", "ons_steps_R1_K8_d5",
                "ons_steps_R2_K5_d2", "ons_steps_R30_K5_d2", "stationary_R2_K5",
-               "stationary_R30_K5", "sweep_T1024_r2", "sweep_T1024_r30"}
+               "stationary_R30_K5", "sweep_T1024_r2", "sweep_T1024_r30",
+               "write_jsonl_T4096", "read_jsonl_T4096"}
     for label in ("a", "b"):
         assert set(doc["results"][label]) == kernels
         for v in doc["results"][label].values():
             assert 0 < v["min_us"] <= v["q1_us"] <= v["median_us"] \
                 <= v["q3_us"]
     assert set(doc["median_ratio_to_a"]["b"]) == kernels
+    assert set(doc["paired_ratio_to_a"]["b"]) == kernels
     for label in ("a", "b"):
         paths = doc["stationary_paths"][label]
         assert set(paths) == {"R2_K5", "R30_K5"}
@@ -107,6 +109,27 @@ def test_bench_round_leaves_unresolved_null_below_four_reps():
         assert doc["unresolved_vs_a"] == want
         assert doc["median_ratio_to_a"] == {
             "b": {"k": round(12.5 / 12.0, 4), "new": None}}
+
+
+def test_bench_round_pairs_each_rep_with_the_base_rep():
+    """A rep in which the host ran at half speed slows both sides of its
+    pair: the paired ratios read b as 10 % faster in two reps of three,
+    while the ratio of medians reads it as 10 % slower."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import bench_round
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    runs = {"a": [{"us": {"k": k, "new": None}} for k in (10.0, 20.0, 12.0)],
+            "b": [{"us": {"k": k, "new": 1.0}} for k in (9.0, 18.0, 13.2)]}
+    results = {label: {k: bench_round.summary([r["us"][k] for r in rs])
+                       for k in ("k", "new")} for label, rs in runs.items()}
+    assert bench_round.compare(results, ["a", "b"], 3)[
+        "median_ratio_to_a"]["b"]["k"] == 1.1
+    assert bench_round.paired_ratios(runs, ["a", "b"]) == {
+        "paired_ratio_to_a": {"b": {
+            "k": {"median": 0.9, "per_rep": [0.9, 0.9, 1.1], "wins": 2},
+            "new": None}}}
 
 
 def test_src_stats_runs():

@@ -35,6 +35,10 @@ microseconds per call, on two fixed inputs:
 - dsomni-shaped: exhaustive bucket weights of a mixture trained on
   T = 512 rounds (stride 8, seed 10) over M = 32 test points (seed 11).
 
+On the somni-shaped transcript it also times Transcript.write_jsonl and
+Transcript.read_jsonl, in microseconds per call, on a file in a temporary
+directory.
+
 It times the stacked learner kernel of the round loop (ons.ons_kernel,
 or ons.ons_steps in a tree whose loop calls that), in microseconds per
 call, on the arguments lockstep_rounds passes it (recorded by wrapping it
@@ -56,7 +60,12 @@ The result holds, per label, the median, quartiles and minimum over the
 reps (null for a kernel the tree lacks), the stationary path counts of
 the first rep (they are the same in every rep), and the ratio of each later
 label's median to the first one's (null when either side is null), with
-the core count and the Python and numpy versions. A ratio is listed as
+the core count and the Python and numpy versions. Next to that ratio it
+gives the paired ratios: in each rep, a later label's time over the first
+label's time from the worker that ran just before it. Each time is already
+a best of passes, and a swing in host speed slows both sides of a pair,
+so the median paired ratio and the count of pairs the later label won
+hold up where the ratio of medians does not. A ratio is listed as
 unresolved when the later median lies inside the first label's
 interquartile range: the reps cannot tell the two apart. Below
 MIN_SPREAD_REPS reps that range rests on one to three values and says
@@ -127,6 +136,28 @@ def compare(results, labels, reps):
         "unresolved_vs_" + labels[0]: None if reps < MIN_SPREAD_REPS else {
             label: unresolved(base, results[label]) for label in labels[1:]},
     }
+
+
+def paired(base, other):
+    """For one kernel, other's time over base's time in each rep, their
+    median and the reps other was faster; None when a rep of either side
+    has no time."""
+    if None in base or None in other:
+        return None
+    ratios = [round(b / a, 4) for a, b in zip(base, other)]
+    return {"median": float(np.median(ratios)), "per_rep": ratios,
+            "wins": sum(r < 1.0 for r in ratios)}
+
+
+def paired_ratios(runs, labels):
+    """paired() for each later label and kernel against the first label,
+    keyed by the first label as the output document holds them."""
+    base = runs[labels[0]]
+    return {"paired_ratio_to_" + labels[0]: {
+        label: {k: paired([r["us"][k] for r in base],
+                          [r["us"][k] for r in runs[label]])
+                for k in base[0]["us"]}
+        for label in labels[1:]}}
 
 
 def sweep_us(reps):
@@ -201,9 +232,10 @@ def worker(src):
             os.path.abspath(src):
         raise ImportError(f"swapcal was imported from {swapcal.__file__}, "
                           f"not from {src}")
-    from swapcal import (AdversarySpec, BmForecaster, generate_stream,
-                         make_grid, ons_step, rround, sherman_morrison_update,
-                         simulate_run, stationary_distribution, train_mixture)
+    from swapcal import (AdversarySpec, BmForecaster, Transcript,
+                         generate_stream, make_grid, ons_step, rround,
+                         sherman_morrison_update, simulate_run,
+                         stationary_distribution, train_mixture)
     from swapcal.batch import _bucket_weights
     from swapcal.core import affine_restricted
     from swapcal.forecaster import choose_n, commit_round, sample_cell
@@ -256,6 +288,10 @@ def worker(src):
         out[f"round_d{d}_n{n}"] = best / 1e3
 
     tr = simulate_run(spec, 4096, 2, choose_n(4096, 2, "smcal"), seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.jsonl")
+        out["write_jsonl_T4096"] = _best_us(tr.write_jsonl, [(path,)])
+        out["read_jsonl_T4096"] = _best_us(Transcript.read_jsonl, [(path,)])
     mix = train_mixture(generate_stream(spec, 512, 2, seed=10),
                         choose_n(512, 2, "smcal"), seed=10, stride=8)
     Xm, ym = generate_stream(spec, 32, 2, seed=11)
@@ -338,6 +374,12 @@ def main(argv=None):
                                  "rounds; stationary_paths counts the "
                                  "chains solved square and by the batched "
                                  "SVD (numpy.linalg.svd wrapped)",
+                   "jsonl": "Transcript.write_jsonl and read_jsonl on "
+                            "the omni_somni_T4096 transcript",
+                   "paired": "per kernel and later label, the median over "
+                             "reps of its time over the first label's time "
+                             "in the same rep, the per-rep ratios, and the "
+                             "reps it was faster",
                    "sweep": f"run_sweep on a fresh table, T {SWEEP_T}, "
                             "d 2, smcal2:ball1, auto-smcal N, seeds from 0, "
                             "one pass",
@@ -354,6 +396,7 @@ def main(argv=None):
     }
     if len(labels) > 1:
         doc.update(compare(results, labels, args.reps))
+        doc.update(paired_ratios(runs, labels))
     text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
