@@ -12,8 +12,8 @@ from .batch import (MixturePredictor, estimate_dsmcal, estimate_dsomni,
 from .core import (Grid, HypothesisClass, LinearFn, LossSpec, Transcript,
                    absolute_loss, affine_restricted, cover_class,
                    cover_thetas, custom_loss, finite_class, linear_ball,
-                   make_grid, post_process, squared_loss, validate_outcome,
-                   validate_stream, vshaped_loss)
+                   make_grid, squared_loss, validate_outcome, validate_stream,
+                   vshaped_loss)
 from .errors import (FormatError, NumericFailure, PreconditionError,
                      ResourceLimitError)
 from .forecaster import (BmForecaster, RoundOutput, choose_n, lockstep_rounds,
@@ -27,7 +27,7 @@ from .linalg import (check_column_stochastic, project_ball_a_norm,
 from .metrics import (CellSums, MetricReport, WitnessFn, bm_external_regrets,
                       cal, cell_sums, constrained_lstsq, mcal, psmcal, psreg,
                       realized_weights, smcal, somni, sreg, witness_f_prime)
-from .ons import BETA, OMEGA, RADIUS, ons_step, ons_steps
+from .ons import BETA, OMEGA, RADIUS, ons_step
 
 __version__ = "0.1.0"
 
@@ -43,11 +43,11 @@ __all__ = [
     "evaluate_metric", "finite_class", "fit_rate", "generate_stream",
     "ingest_csv", "linear_ball", "lockstep_rounds", "make_grid", "mcal",
     "mixture_from_json", "mixture_predict", "mixture_to_json", "ons_step",
-    "ons_steps", "parse_class_spec", "parse_losses", "post_process",
-    "project_ball_a_norm", "psmcal", "psreg", "read_results",
-    "realized_weights", "resolve_n", "rround", "run_lockstep", "run_online",
-    "run_sweep", "select_snapshot", "seed_streams", "sherman_morrison_update",
-    "simulate_run", "smcal", "somni", "squared_loss", "sreg",
-    "stationary_distribution", "train_mixture", "validate_outcome",
-    "validate_stream", "vshaped_loss", "witness_f_prime",
+    "parse_class_spec", "parse_losses", "project_ball_a_norm", "psmcal",
+    "psreg", "read_results", "realized_weights", "resolve_n", "rround",
+    "run_lockstep", "run_online", "run_sweep", "select_snapshot",
+    "seed_streams", "sherman_morrison_update", "simulate_run", "smcal",
+    "somni", "squared_loss", "sreg", "stationary_distribution",
+    "train_mixture", "validate_outcome", "validate_stream", "vshaped_loss",
+    "witness_f_prime",
 ]

@@ -99,12 +99,9 @@ def validate_stream(stream, d=None):
 
 
 def validate_outcome(y):
-    """Check a binary outcome, returning it as int 0 or 1."""
-    if isinstance(y, bool):
-        return int(y)
-    if isinstance(y, (int, np.integer)) and y in (0, 1):
-        return int(y)
-    if isinstance(y, (float, np.floating)) and y in (0.0, 1.0):
+    """Check a binary outcome: a Python or numpy integer or float (a bool
+    too) equal to 0 or 1, returned as int 0 or 1."""
+    if isinstance(y, (int, float, np.integer, np.floating)) and y in (0, 1):
         return int(y)
     raise ValueError(f"outcome must be 0 or 1, got {y!r}")
 
@@ -113,95 +110,114 @@ def validate_outcome(y):
 # losses
 
 
-def _sign_pos(s):
-    # sign with sign(0) := +1, the V-shaped losses' convention
-    return np.where(np.asarray(s) >= 0, 1.0, -1.0)
+def _floats(fn, p, y):
+    # fn on p and y as float arrays: a float if 0-d, else a float array
+    p, y = np.asarray(p, dtype=float), np.asarray(y, dtype=float)
+    out = np.asarray(fn(p, y), dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
+_POST_GRID = np.linspace(0.0, 1.0, 10001)
 
 
 class LossSpec:
     """A loss ell(p, y) on p in [0,1], y in {0,1}, with values in [-1, 1].
 
-    Kinds
-    -----
-    squared        (p - y)^2
-    absolute       |p - y|
-    vshaped        (v - y) * sign(p - v), sign(0) = +1; a proper-loss basis
-                   element, not convex in p
-    custom-convex  caller-supplied fn(p, y), declared convex; certified by
-                   sampled midpoint checks (certify()) rather than symbolically
+    kind           value; subgradient in p; best response to Bernoulli(q)
+    squared        (p - y)^2; 2 (p - y); q
+    absolute       |p - y|; sign(p - y); 1 if q >= 1/2 else 0
+    vshaped        (v - y) sign(p - v), sign(0) = +1, a proper-loss basis
+                   element, not convex in p; 0; v if q > v else 0
+    custom-convex  fn(p, y), declared convex, certified by sampled midpoint
+                   checks (certify()); a central finite difference,
+                   one-sided at 0 and 1; the least minimizer on a 1e-4 grid
 
-    lipschitz_bound records the Lipschitz constant in p (2 for squared, 1 for
+    The constructor resolves the kind to these three functions, convex and
+    the Lipschitz constant in p, lipschitz_bound (2 for squared, 1 for
     absolute and vshaped, caller-declared for custom losses).
     """
 
-    __slots__ = ("kind", "v", "fn", "lipschitz_bound", "name")
+    __slots__ = ("kind", "v", "fn", "lipschitz_bound", "name", "convex",
+                 "_value", "_deriv", "_best")
 
     def __init__(self, kind, v=None, fn=None, lipschitz_bound=None, name=None):
-        if kind not in ("squared", "absolute", "vshaped", "custom-convex"):
-            raise ValueError(f"unknown loss kind {kind!r}")
-        if kind == "vshaped":
+        if kind == "squared":
+            funcs = self._squared, self._squared_deriv, float
+        elif kind == "absolute":
+            funcs = self._absolute, self._absolute_deriv, self._threshold
+        elif kind == "vshaped":
             if v is None or not (0.0 <= float(v) <= 1.0):
                 raise ValueError("vshaped loss needs a level v in [0, 1]")
             v = float(v)
-        if kind == "custom-convex":
+            funcs = self._vshaped, self._flat, self._vshaped_best
+            name = f"vshaped({v:g})" if name is None else name
+        elif kind == "custom-convex":
             if fn is None:
                 raise ValueError("custom-convex loss needs an eval function")
             if lipschitz_bound is None:
                 raise ValueError("custom-convex loss needs a declared lipschitz_bound")
-        self.kind = kind
-        self.v = v
-        self.fn = fn
+            funcs = fn, self._difference, self._grid_best
+        else:
+            raise ValueError(f"unknown loss kind {kind!r}")
+        self._value, self._deriv, self._best = funcs
+        self.kind, self.v, self.fn = kind, v, fn
+        self.convex = kind != "vshaped"
         if lipschitz_bound is None:
             lipschitz_bound = 2.0 if kind == "squared" else 1.0
         self.lipschitz_bound = float(lipschitz_bound)
-        if name is None:
-            name = kind if kind != "vshaped" else f"vshaped({v:g})"
-        self.name = name
+        self.name = kind if name is None else name
 
     def __call__(self, p, y):
         """Evaluate the loss. p and y may be scalars or broadcastable arrays."""
-        p = np.asarray(p, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.kind == "squared":
-            out = (p - y) ** 2
-        elif self.kind == "absolute":
-            out = np.abs(p - y)
-        elif self.kind == "vshaped":
-            out = (self.v - y) * _sign_pos(p - self.v)
-        else:
-            out = np.asarray(self.fn(p, y), dtype=float)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _floats(self._value, p, y)
 
     def deriv(self, p, y):
-        """A subgradient of the loss in p (0 where the loss is locally flat,
-        and 0 at the kink p = y of the absolute loss).
+        """A subgradient of the loss in p, shaped as the loss value."""
+        return _floats(self._deriv, p, y)
 
-        Custom losses fall back to a central finite difference, one-sided at
-        the boundary of [0, 1].
-        """
-        p = np.asarray(p, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.kind == "squared":
-            out = 2.0 * (p - y)
-        elif self.kind == "absolute":
-            out = np.sign(p - y)
-        elif self.kind == "vshaped":
-            out = np.zeros(np.broadcast(p, y).shape)
-        else:
-            h = 1e-5
-            lo = np.clip(p - h, 0.0, 1.0)
-            hi = np.clip(p + h, 0.0, 1.0)
-            out = (self(hi, y) - self(lo, y)) / np.maximum(hi - lo, 1e-300)
-        out = np.asarray(out, dtype=float)
-        if out.ndim == 0:
-            return float(out)
-        return out
+    def post_process(self, q):
+        """Best response to a Bernoulli(q) outcome, q in [0, 1]: the least
+        minimizer of q*ell(p,1) + (1-q)*ell(p,0), except that absolute loss
+        returns 1 at q = 1/2."""
+        q = float(q)
+        if not (0.0 <= q <= 1.0):
+            raise ValueError(f"q={q} outside [0, 1]")
+        return self._best(q)
 
-    @property
-    def convex(self):
-        return self.kind in ("squared", "absolute", "custom-convex")
+    # the kinds' functions, on float arrays p and y or a float q in [0, 1]
+
+    def _squared(self, p, y):
+        return (p - y) ** 2
+
+    def _squared_deriv(self, p, y):
+        return 2.0 * (p - y)
+
+    def _absolute(self, p, y):
+        return np.abs(p - y)
+
+    def _absolute_deriv(self, p, y):
+        return np.sign(p - y)
+
+    def _threshold(self, q):
+        return 1.0 if q >= 0.5 else 0.0
+
+    def _vshaped(self, p, y):
+        return (self.v - y) * np.where(p - self.v >= 0, 1.0, -1.0)
+
+    def _flat(self, p, y):
+        return np.zeros(np.broadcast(p, y).shape)
+
+    def _vshaped_best(self, q):
+        return self.v if q > self.v else 0.0
+
+    def _difference(self, p, y):
+        h = 1e-5
+        lo, hi = np.clip(p - h, 0.0, 1.0), np.clip(p + h, 0.0, 1.0)
+        return (self(hi, y) - self(lo, y)) / np.maximum(hi - lo, 1e-300)
+
+    def _grid_best(self, q):
+        vals = q * self(_POST_GRID, 1) + (1.0 - q) * self(_POST_GRID, 0)
+        return float(_POST_GRID[int(np.argmin(vals))])
 
     def certify(self):
         """Check boundedness, the declared Lipschitz bound, and (for convex
@@ -209,9 +225,7 @@ class LossSpec:
         ValueError on the first violation; returns the checked quantities.
         """
         p = np.linspace(0.0, 1.0, 1001)
-        report = {"resolution": 1e-3}
-        max_abs = 0.0
-        max_slope = 0.0
+        max_abs = max_slope = 0.0
         for y in (0, 1):
             vals = np.asarray(self(p, y), dtype=float)
             if not np.all(np.isfinite(vals)):
@@ -222,24 +236,16 @@ class LossSpec:
             if self.convex:
                 # midpoint convexity over all grid pairs at stride 2, so the
                 # midpoint of each pair is itself a grid point
-                mid = vals[1:-1:1]
-                left = vals[:-2]
-                right = vals[2:]
-                gap = mid - 0.5 * (left + right)
+                gap = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
                 if float(np.max(gap)) > 1e-9:
-                    raise ValueError(
-                        f"loss {self.name} fails midpoint convexity by {np.max(gap):.3e}"
-                    )
+                    raise ValueError(f"loss {self.name} fails midpoint "
+                                     f"convexity by {np.max(gap):.3e}")
         if max_abs > 1.0 + 1e-9:
             raise ValueError(f"loss {self.name} leaves [-1, 1]: max |value| {max_abs}")
-        if self.kind != "vshaped" and max_slope > self.lipschitz_bound + 1e-6:
-            raise ValueError(
-                f"loss {self.name} violates declared Lipschitz bound: "
-                f"{max_slope} > {self.lipschitz_bound}"
-            )
-        report["max_abs"] = max_abs
-        report["max_slope"] = max_slope
-        return report
+        if self.convex and max_slope > self.lipschitz_bound + 1e-6:
+            raise ValueError(f"loss {self.name} violates declared Lipschitz "
+                             f"bound: {max_slope} > {self.lipschitz_bound}")
+        return {"resolution": 1e-3, "max_abs": max_abs, "max_slope": max_slope}
 
     def __repr__(self):
         return f"LossSpec({self.name})"
@@ -260,31 +266,6 @@ def vshaped_loss(v):
 def custom_loss(fn, lipschitz_bound, name="custom"):
     """Wrap a caller-supplied convex loss. fn must vectorize over p and y."""
     return LossSpec("custom-convex", fn=fn, lipschitz_bound=lipschitz_bound, name=name)
-
-
-_POST_GRID = np.linspace(0.0, 1.0, 10001)
-
-
-def post_process(loss, q):
-    """Best response to a Bernoulli(q) outcome under the given loss.
-
-    Returns argmin_p q*ell(p,1) + (1-q)*ell(p,0). Squared loss gives q
-    itself; absolute loss thresholds at 1/2 (returning 1 on the boundary); a
-    V-shaped loss has expected loss (v - q) sign(p - v), so its lowest
-    minimizer is v when q > v and 0 otherwise; custom losses are minimized
-    over a grid of step 1e-4, ties broken toward the lowest p.
-    """
-    q = float(q)
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q={q} outside [0, 1]")
-    if loss.kind == "squared":
-        return q
-    if loss.kind == "absolute":
-        return 1.0 if q >= 0.5 else 0.0
-    if loss.kind == "vshaped":
-        return loss.v if q > loss.v else 0.0
-    vals = q * loss(_POST_GRID, 1) + (1.0 - q) * loss(_POST_GRID, 0)
-    return float(_POST_GRID[int(np.argmin(vals))])
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +417,8 @@ JSONL_BLOCK = 256
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 _DECODE = json.JSONDecoder().raw_decode
 _FIELDS = ("x", "P", "pi", "y")
-_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
+# RecursionError: json's scanner on a deeply nested list
+_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 def _decode_block(lines, d, n):
@@ -583,7 +565,7 @@ class Transcript:
                            for key, low in (("N", None), ("d", 1), ("T", 0)))
                 seed = head.get("seed")
                 seed = seed if seed is None else as_int(seed, "header seed", 0)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise FormatError(f"{path}: bad header line: {exc}") from exc
             blocks, count, error = [], 0, None
             while block := list(islice(lines, JSONL_BLOCK)):

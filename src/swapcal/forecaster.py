@@ -175,14 +175,20 @@ def lockstep_rounds(forecasters, streams):
     A round runs one commit_round on the (R, K, d) parameter stack, draws one
     uniform from each forecaster's rng in order and runs one sample_cell. It
     yields (thetas (R, K, d), w (R, K), P (R, K), idx (R,)), arrays no later
-    round writes to; then one ons_kernel call (ons_steps without its checks,
-    which the validated streams and P make) advances all R K learners, read
-    from the forecasters at the first round, into their new rows. Leave the
+    round writes to; then one ons_kernel call (its inputs valid by the
+    stream checks and P) advances all R K learners, read from the
+    forecasters at the first round, into their new rows. Leave the
     forecasters alone while the loop runs: a learner stack replaced between
-    rounds (new thetas, an update call) raises PreconditionError."""
+    rounds (new thetas, an update call) raises PreconditionError. R K^2
+    rounding-matrix entries a round over MEMBER_CAP raise ResourceLimitError
+    before the first."""
     grid, d = forecasters[0].grid, forecasters[0].d
     if any(fc.grid != grid or fc.d != d for fc in forecasters):
         raise ValueError("lockstep forecasters must share a grid and d")
+    if len(forecasters) * grid.size ** 2 > MEMBER_CAP:
+        raise ResourceLimitError(f"{len(forecasters)} forecasters at N = "
+                                 f"{grid.n} need over {MEMBER_CAP} "
+                                 "rounding-matrix entries a round")
     if len(streams) != len(forecasters):
         raise ValueError(f"{len(forecasters)} forecasters but "
                          f"{len(streams)} streams")

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (as_int, cover_class, finite_class, linear_ball,
-                   affine_restricted, make_grid, absolute_loss, squared_loss,
-                   vshaped_loss)
+from .core import (MEMBER_CAP, as_int, cover_class, finite_class,
+                   linear_ball, affine_restricted, make_grid, absolute_loss,
+                   squared_loss, vshaped_loss)
 from .errors import FormatError
 from .forecaster import (BmForecaster, choose_n, run_lockstep, run_online,
                          seed_streams)
@@ -397,7 +397,8 @@ def run_sweep(cfg, out_path=None):
     Each distinct horizon runs once, in first-seen order. Resumable: rows
     of this metric already present in the table are skipped. The pending
     reps of one horizon run together in lockstep, in groups of at most
-    max(1, LOCKSTEP_ROUNDS // T) reps, which bounds a group's memory; a
+    max(1, LOCKSTEP_ROUNDS // T) reps and, on a grid of K cells, at most
+    max(1, MEMBER_CAP // K^2) reps, which bounds a group's memory. A
     group's rows are written, in configuration order, when the group
     finishes. A failed group reruns each rep alone by simulate_run, so only
     a faulty rep's row carries the error. A row's wall_ms is its share of
@@ -429,7 +430,13 @@ def run_sweep(cfg, out_path=None):
             fh.flush()
         for T in T_list:
             reps = [rep for rep in range(cfg.reps) if (T, rep) not in done]
-            size = max(1, LOCKSTEP_ROUNDS // max(T, 1))
+            size = LOCKSTEP_ROUNDS // max(T, 1)
+            try:
+                K = resolve_n(cfg.n_rule, T, cfg.d) + 1
+                size = min(size, MEMBER_CAP // max(K, 1) ** 2)
+            except ValueError:
+                pass  # the rule fails every row: keep the rounds bound
+            size = max(1, size)
             for i in range(0, len(reps), size):
                 rows = _sweep_rows(cfg, T, reps[i:i + size])
                 writer.writerows(rows)

@@ -7,8 +7,8 @@ comparator class. Every closed-form metric reads a transcript only through
 per-cell sums (cell_sums): every ball class is one map offset + scale
 <theta, x> over ||theta|| <= radius with closed-form suprema (support
 function, constrained least squares); finite and cover classes, theta
-stacks, go member by member. The omniprediction gap evaluates enumerated
-members on the contexts, a fixed budget of member-point pairs at a time.
+stacks, go member by member, a fixed budget of table entries (member x
+cell, and member x point for the omniprediction gap) at a time.
 Every report discloses in its notes which evaluation set was actually used.
 
 Conventions: ball suprema are exact over the stated theta radius, which for
@@ -24,14 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (COND_DIST_TOL, MEMBER_CAP, LossSpec, absolute_loss,
-                   affine_restricted, as_int, cover_thetas, post_process,
-                   squared_loss, vshaped_loss)
+                   affine_restricted, as_int, cover_thetas, squared_loss,
+                   vshaped_loss)
 from .errors import NumericFailure, PreconditionError, ResourceLimitError
 from .forecaster import BmForecaster, lockstep_rounds, rround
 from .linalg import ridge_to_sphere
 
-#: member-point evaluations per chunk of the omniprediction table: bounds
-#: its temporaries at a few (OMNI_CHUNK,) float arrays, whatever M x T is
+#: table entries per chunk of an enumerated class's members (their cells,
+#: and for the omniprediction table their points too): bounds the tables'
+#: temporaries at a few (OMNI_CHUNK,) float arrays, whatever M x K x T is
 OMNI_CHUNK = 2 ** 20
 
 #: projected subgradient steps of the affine omniprediction comparator
@@ -117,6 +118,12 @@ def _members(hc, d):
     return hc.thetas, f"enumerated over {len(hc.thetas)} finite members"
 
 
+def _chunks(thetas, width):
+    """Row blocks of thetas, OMNI_CHUNK // width rows each (at least 1)."""
+    step = max(1, OMNI_CHUNK // max(width, 1))
+    return (thetas[i:i + step] for i in range(0, len(thetas), step))
+
+
 def per_cell_sup_numerators(X, y, CW, zvals, hc):
     """sup_f | sum_t CW[c,t] f(x_t) (y_t - z_c) | for every cell c.
 
@@ -127,7 +134,10 @@ def per_cell_sup_numerators(X, y, CW, zvals, hc):
     s = cell_sums(X, y, CW, zvals)
     if hc.enumerated:
         thetas, note = _members(hc, X.shape[1])
-        return np.max(np.abs(thetas @ s.R.T), axis=0), note
+        sups = np.zeros(len(CW))
+        for th in _chunks(thetas, len(CW)):
+            np.maximum(sups, np.max(np.abs(th @ s.R.T), axis=0), out=sups)
+        return sups, note
     return (hc.offset * np.abs(s.S)
             + hc.scale * hc.radius * np.linalg.norm(s.R, axis=1),
             f"support function, exact over {hc.functions}")
@@ -208,7 +218,7 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc):
     achieved[~nz] = 0.0
     learner = np.empty_like(achieved)
     for j, loss in enumerate(losses):
-        k = np.array([post_process(loss, float(z)) for z in zvals])
+        k = np.array([loss.post_process(z) for z in zvals])
         learner[:, j] = np.sum(CW * loss(k[:, None], y), axis=1)
     gaps = np.where(nz, np.max(learner - achieved, axis=1), 0.0)
     return gaps, achieved, note
@@ -216,12 +226,11 @@ def per_cell_omni_gap(X, y, CW, zvals, losses, hc):
 
 def _least_member_losses(thetas, X, y, CW, losses):
     """(n_cells, losses) table of min over members m of
-    sum_t CW[c, t] loss(<theta_m, x_t>, y_t), one chunk of OMNI_CHUNK
-    member-point evaluations at a time: never the (M, T) matrix."""
+    sum_t CW[c, t] loss(<theta_m, x_t>, y_t), one chunk of members (of T +
+    n_cells entries each) at a time: never the (M, T) or (M, n_cells) one."""
     best = np.full((len(CW), len(losses)), np.inf)
-    step = max(1, OMNI_CHUNK // max(len(X), 1))
-    for i in range(0, len(thetas), step):
-        vals = thetas[i:i + step] @ X.T
+    for th in _chunks(thetas, len(X) + len(CW)):
+        vals = th @ X.T
         for j, loss in enumerate(losses):
             np.minimum(best[:, j], np.min(loss(vals, y[None, :]) @ CW.T, axis=0),
                        out=best[:, j])
@@ -338,11 +347,13 @@ def mcal(tr, hc, q=2):
                 eps *= 2.0
         note = (f"maximized over a theta cover of {len(thetas)} members "
                 f"(realized eps={eps:g})")
-    numer = hc.scale * (thetas @ s.R.T)
-    numer += hc.offset * s.S
-    m = s.mass[nz]
-    per_member = np.sum(m * np.abs(numer[:, nz] / m) ** q, axis=1)
-    return MetricReport(f"mcal{q}", float(np.max(per_member)), hc.descriptor(),
+    m, per_chunk = s.mass[nz], []
+    for th in _chunks(thetas, len(s.mass)):
+        numer = hc.scale * (th @ s.R.T)
+        numer += hc.offset * s.S
+        per_chunk.append(np.max(np.sum(m * np.abs(numer[:, nz] / m) ** q,
+                                       axis=1)))
+    return MetricReport(f"mcal{q}", float(np.max(per_chunk)), hc.descriptor(),
                         f"{note}; empty cells contribute 0")
 
 

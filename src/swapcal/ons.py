@@ -57,25 +57,14 @@ def _dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def ons_steps(thetas, inv_curvatures, x, alpha, y):
-    """ons_step on every row of the stacks thetas (S..., d), inv_curvatures
-    (S..., d, d), with x (..., d), alpha and y broadcast, into fresh stacks,
-    bit for bit: ons_step's checks, then ons_kernel."""
-    x, alpha, y = (np.asarray(v, dtype=float) for v in (x, alpha, y))
-    if x.shape[-1:] != thetas.shape[-1:]:
-        raise ValueError(f"context shape {x.shape} vs state {thetas.shape}")
-    if not (alpha.min(initial=0.0) >= 0.0 and alpha.max(initial=1.0) <= 1.0):
-        raise ValueError("scale weights outside [0, 1]")  # NaN fails too
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise ValueError("outcomes must be 0 or 1")
-    return ons_kernel(thetas, inv_curvatures, x, alpha, y)
-
-
 def ons_kernel(thetas, inv_curvatures, x, alpha, y):
-    """ons_steps without its input checks, for float arrays a caller has
-    validated: ons_step's order, _dots for the 1-D dots, a stacked @ for the
-    matrix products. alpha = 0 gives g = 0, leaving a row (its inverse is
-    exactly symmetric) as it was, so only the projection is masked."""
+    """ons_step on every row of the stacks thetas (S..., d), inv_curvatures
+    (S..., d, d), with float x (..., d), alpha and y broadcast, into fresh
+    stacks, bit for bit, without ons_step's input checks: alpha in [0, 1]
+    and y in {0, 1} are the caller's to ensure. ons_step's order, _dots for
+    the 1-D dots, a stacked @ for the matrix products. alpha = 0 gives
+    g = 0, leaving a row (its inverse is exactly symmetric) as it was, so
+    only the projection is masked."""
     g = (2.0 * alpha * (_dots(thetas, x) - y))[..., None] * x
     Mg = (inv_curvatures @ g[..., None])[..., 0]
     denom = 1.0 + _dots(g, Mg)[..., None, None]

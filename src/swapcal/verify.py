@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (LinearFn, Transcript, absolute_loss, linear_ball,
-                   make_grid, post_process, squared_loss, vshaped_loss)
+from .core import LinearFn, Transcript, linear_ball, make_grid
 from .forecaster import rround
-from .harness import AdversarySpec, simulate_run
+from .harness import AdversarySpec, generate_stream, simulate_run
 from .linalg import (RIDGE_TOL, project_ball_a_norm, sherman_morrison_update,
                      single_closed_class, stationary_distribution)
-from .metrics import (bm_external_regrets, psmcal, psreg, smcal,
-                      witness_f_prime)
-from .ons import OMEGA, RADIUS, ons_step, ons_steps
+from .metrics import (DEFAULT_LOSSES, bm_external_regrets, psmcal, psreg,
+                      smcal, witness_f_prime)
+from .ons import OMEGA, RADIUS, ons_kernel, ons_step
 
 
 def _check_rounding(rng):
@@ -155,7 +154,7 @@ def _check_ons(rng):
     for d, group in runs.items():
         thetas, invs, X, alphas, *want = map(np.array, zip(*group))
         for t in range(300):
-            thetas, invs = ons_steps(thetas, invs, X[:, t], alphas[:, t], 1)
+            thetas, invs = ons_kernel(thetas, invs, X[:, t], alphas[:, t], 1.0)
         if not all(map(np.array_equal, (thetas, invs), want)):
             return False, f"stacked kernel left the ons_step chain at d={d}"
     return True, (f"hand value, dense inverse to 1e-8, ball kept over "
@@ -185,19 +184,10 @@ def _check_witness(rng):
     for trial in range(40):
         T = int(rng.integers(10, 60))
         d = int(rng.integers(1, 4))
-        if d > 1:
-            tails = rng.normal(size=(T, d - 1)) * 0.3
-            norms = np.linalg.norm(tails, axis=1)
-            too_big = norms > 0.8
-            tails[too_big] *= (0.8 / norms[too_big])[:, None]
-            X = np.hstack([np.full((T, 1), 0.5), tails])
-        else:
-            X = np.full((T, 1), 0.5)
+        X, y = generate_stream(AdversarySpec("iid-logistic"), T, d, trial)
         P = rng.random((T, 5))
         P /= P.sum(axis=1, keepdims=True)
-        idx = np.array([rng.integers(0, 5) for _ in range(T)])
-        y = np.array([rng.integers(0, 2) for _ in range(T)])
-        tr = Transcript(grid, X, P, idx, y)
+        tr = Transcript(grid, X, P, rng.integers(0, 5, size=T), y)
         theta = rng.normal(size=d)
         nt = np.linalg.norm(theta)
         if nt > 1:
@@ -259,16 +249,14 @@ def _check_cs_chain(rng):
 
 def _check_post_process(rng):
     grid01 = np.linspace(0.0, 1.0, 10001)
-    losses = [squared_loss(), absolute_loss(), vshaped_loss(0.25),
-              vshaped_loss(0.5), vshaped_loss(0.75)]
-    for loss in losses:
+    for loss in DEFAULT_LOSSES:
         for q in rng.random(40):
-            k = post_process(loss, float(q))
+            k = loss.post_process(q)
             best = float(np.min(q * loss(grid01, 1) + (1 - q) * loss(grid01, 0)))
-            got = q * loss(np.array([k]), 1)[0] + (1 - q) * loss(np.array([k]), 0)[0]
+            got = q * loss(k, 1) + (1 - q) * loss(k, 0)
             if got > best + 1e-12:
                 return False, f"post_process lost {got - best:.2e} on " \
-                              f"{loss.kind}"
+                              f"{loss.name}"
     return True, "matches exhaustive grid minimum"
 
 
@@ -276,11 +264,8 @@ def _check_determinism(rng):
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     a = simulate_run(spec, 60, 2, 3, seed=7)
     b = simulate_run(spec, 60, 2, 3, seed=7)
-    same = (np.array_equal(a.contexts, b.contexts)
-            and np.array_equal(a.cond_dists, b.cond_dists)
-            and np.array_equal(a.sampled_indices, b.sampled_indices)
-            and np.array_equal(a.outcomes, b.outcomes))
-    if not same:
+    if not all(np.array_equal(getattr(a, k), getattr(b, k)) for k in (
+            "contexts", "cond_dists", "sampled_indices", "outcomes")):
         return False, "same seed produced different runs"
     c = simulate_run(spec, 60, 2, 3, seed=8)
     if np.array_equal(a.sampled_indices, c.sampled_indices) and \

@@ -147,6 +147,17 @@ def test_metrics_error_paths(tmp_path, capsys):
             assert captured.out == ""
 
 
+def test_metrics_deeply_nested_record_exits_2(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"N":1,"d":1,"T":1,"seed":0}\n{"t":1,"x":'
+                    + "[" * 100_000 + "]" * 100_000
+                    + ',"P":[1.0,0.0],"pi":0,"y":1}\n')
+    proc = run_cli("metrics", "--transcript", str(path), "--report", "cal2",
+                   expect=2)
+    assert "bad step record on line 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_and_fit_rate(tmp_path):
     cfg = tmp_path / "cfg.json"
     rows = tmp_path / "rows.csv"

@@ -7,9 +7,9 @@ import pytest
 from swapcal import (FormatError, LinearFn, ResourceLimitError, Transcript,
                      absolute_loss, cover_class, cover_thetas,
                      custom_loss, finite_class, linear_ball, make_grid,
-                     post_process, squared_loss, validate_outcome,
-                     validate_stream, vshaped_loss)
-from swapcal.core import (JSONL_BLOCK, MEMBER_CAP, HypothesisClass,
+                     squared_loss, validate_outcome, validate_stream,
+                     vshaped_loss)
+from swapcal.core import (JSONL_BLOCK, MEMBER_CAP, HypothesisClass, LossSpec,
                           _first_non_index, affine_restricted, as_int)
 
 
@@ -183,14 +183,14 @@ def test_certify_rejects_understated_lipschitz():
 def test_post_process_squared_is_identity():
     rng = np.random.default_rng(1)
     for q in rng.random(20):
-        assert post_process(squared_loss(), float(q)) == float(q)
+        assert squared_loss().post_process(float(q)) == float(q)
 
 
 def test_post_process_absolute_thresholds():
     ab = absolute_loss()
-    assert post_process(ab, 0.49) == 0.0
-    assert post_process(ab, 0.5) == 1.0
-    assert post_process(ab, 0.51) == 1.0
+    assert ab.post_process(0.49) == 0.0
+    assert ab.post_process(0.5) == 1.0
+    assert ab.post_process(0.51) == 1.0
 
 
 def test_post_process_matches_grid_minimum():
@@ -200,7 +200,7 @@ def test_post_process_matches_grid_minimum():
     for loss in (vshaped_loss(0.25), vshaped_loss(0.75),
                  custom_loss(lambda p, y: 0.5 * (p - y) ** 2, 1.0)):
         for q in rng.random(10):
-            k = post_process(loss, float(q))
+            k = loss.post_process(float(q))
             obj = lambda p: q * loss(np.asarray(p), 1) + (1 - q) * loss(np.asarray(p), 0)
             best = float(np.min(obj(grid)))
             assert float(obj(np.array([k]))[0]) <= best + 1e-12
@@ -216,7 +216,7 @@ def test_post_process_vshaped_closed_form_matches_grid():
     for v in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 0.33333, 0.123456):
         loss = vshaped_loss(v)
         for q in qs:
-            k, want = post_process(loss, float(q)), _grid_post_process(loss, q)
+            k, want = loss.post_process(float(q)), _grid_post_process(loss, q)
             assert k == (v if q > v else 0.0)
             assert loss(k, 1) == loss(want, 1) and loss(k, 0) == loss(want, 0)
             if v * 10000 == round(v * 10000):   # v is a grid point
@@ -226,12 +226,80 @@ def test_post_process_vshaped_closed_form_matches_grid():
 def test_post_process_breaks_ties_low():
     flat = custom_loss(lambda p, y: np.zeros_like(np.asarray(p, dtype=float)),
                        lipschitz_bound=1.0)
-    assert post_process(flat, 0.3) == 0.0
+    assert flat.post_process(0.3) == 0.0
 
 
 def test_post_process_rejects_bad_q():
     with pytest.raises(ValueError):
-        post_process(squared_loss(), 1.5)
+        squared_loss().post_process(1.5)
+
+
+def _half_squared(p, y):
+    return 0.5 * (p - y) ** 2
+
+
+def _reference_loss(kind, v, fn, p, y):
+    """The value, the subgradient and the q -> best response map of one
+    loss, each kind's formula written out on float arrays."""
+    if kind == "squared":
+        return (p - y) ** 2, 2.0 * (p - y), lambda q: q
+    if kind == "absolute":
+        return (np.abs(p - y), np.sign(p - y),
+                lambda q: 1.0 if q >= 0.5 else 0.0)
+    if kind == "vshaped":
+        return ((v - y) * np.where(p - v >= 0, 1.0, -1.0),
+                np.zeros(np.broadcast(p, y).shape),
+                lambda q: v if q > v else 0.0)
+    h = 1e-5
+    lo, hi = np.clip(p - h, 0.0, 1.0), np.clip(p + h, 0.0, 1.0)
+    grid = np.linspace(0.0, 1.0, 10001)
+    return ((fn(p, y), (fn(hi, y) - fn(lo, y)) / np.maximum(hi - lo, 1e-300),
+             lambda q: float(grid[int(np.argmin(q * fn(grid, 1.0)
+                                                + (1.0 - q) * fn(grid, 0.0)))])))
+
+
+@pytest.mark.parametrize("loss", [
+    squared_loss(), absolute_loss(), vshaped_loss(0.0), vshaped_loss(0.3),
+    vshaped_loss(1.0), custom_loss(_half_squared, lipschitz_bound=1.0)],
+    ids=lambda loss: loss.name)
+def test_loss_kinds_match_their_formulas_bit_for_bit(loss):
+    """Value, subgradient and best response of every kind equal the
+    formulas of the class docstring bit for bit, on arrays and on scalars
+    (as floats), boundaries and kinks included."""
+    rng = np.random.default_rng(8)
+    p = np.concatenate([[0.0, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0],
+                        rng.random(50)])
+    for y in (0.0, 1.0):
+        value, deriv, best = _reference_loss(loss.kind, loss.v, loss.fn, p, y)
+        assert np.array_equal(loss(p, y), value)
+        assert np.array_equal(loss.deriv(p, y), deriv)
+        for k in (0, 2, 3, 5):
+            # numpy may square a scalar otherwise than an array
+            value, deriv, _ = _reference_loss(loss.kind, loss.v, loss.fn,
+                                              np.asarray(p[k]), np.asarray(y))
+            assert loss(p[k], int(y)) == value
+            assert loss.deriv(p[k], int(y)) == deriv
+            assert isinstance(loss.deriv(p[k], int(y)), float)
+    for q in np.concatenate([[0.0, 0.3, 0.5, 1.0], rng.random(20)]):
+        assert loss.post_process(q) == best(float(q))
+        assert isinstance(loss.post_process(q), float)
+
+
+def test_builtin_losses_pickle():
+    import pickle
+
+    p = np.linspace(0.0, 1.0, 101)
+    for loss in (squared_loss(), absolute_loss(), vshaped_loss(0.25),
+                 LossSpec("vshaped", v=0.5, name="v-half")):
+        back = pickle.loads(pickle.dumps(loss))
+        assert (back.kind, back.v, back.name, back.convex,
+                back.lipschitz_bound) == (loss.kind, loss.v, loss.name,
+                                          loss.convex, loss.lipschitz_bound)
+        for y in (0, 1):
+            assert np.array_equal(back(p, y), loss(p, y))
+            assert np.array_equal(back.deriv(p, y), loss.deriv(p, y))
+        assert [back.post_process(q) for q in p] == \
+            [loss.post_process(q) for q in p]
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +554,22 @@ def test_transcript_read_errors(tmp_path):
         short.write_text(head + '\n{"t":1,' + rec + ',"pi":0,"y":1}\n')
         with pytest.raises(FormatError, match="line 2"):
             Transcript.read_jsonl(short)
+
+
+def test_transcript_read_deep_nesting_is_a_format_error(tmp_path):
+    """100,000 nested lists exhaust json's recursion limit: in the header
+    or in a record, that is a malformed line, not a crash."""
+    deep = "[" * 100_000 + "]" * 100_000
+    header = '{"N":1,"d":1,"T":1,"seed":0}\n'
+    record = '{"t":1,"x":[0.5],"P":[1.0,0.0],"pi":0,"y":1}\n'
+    for text, match in ((header.replace("0}", deep + "}") + record,
+                         "bad header line"),
+                        (header + record.replace("[0.5]", deep),
+                         "line 2")):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=match):
+            Transcript.read_jsonl(path)
 
 
 def _fixed_transcript(T, d=2, n=6, seed=5):

@@ -493,6 +493,29 @@ def test_lockstep_rejects_mismatched_runs():
     assert fc.rounds_seen == 0
 
 
+def test_lockstep_caps_the_rounding_stack_before_it_allocates():
+    """R forecasters at K cells commit an (R, K, K) rounding stack a round,
+    about 32 B per entry at its peak: R K^2 over MEMBER_CAP raises before
+    the first round. At N = 299 that is 12 forecasters, whose first round
+    would peak near 35 MB."""
+    import tracemalloc
+
+    grid = make_grid(299)
+    fcs = [BmForecaster(grid, 2, seed=s) for s in range(12)]
+    streams = [generate_stream(AdversarySpec(kind="iid-logistic"), 1, 2,
+                               seed=s) for s in range(12)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="12 forecasters"):
+            run_lockstep(fcs, streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert all(fc.rounds_seen == 0 for fc in fcs)
+    assert len(run_lockstep(fcs[:11], streams[:11])) == 11
+
+
 @pytest.mark.parametrize("reps", [1, 3])
 def test_lockstep_rounds_contract(reps):
     """Each round yields the stack the forecasters held when it was yielded,

@@ -9,6 +9,7 @@ from swapcal import (AdversarySpec, BmForecaster, FormatError,
                      fit_rate, generate_stream, ingest_csv, linear_ball,
                      parse_class_spec, parse_losses, read_results, resolve_n,
                      run_sweep, simulate_run, validate_stream)
+from swapcal import forecaster as forecaster_mod
 from swapcal import harness
 from swapcal.harness import _sweep_rows
 
@@ -394,7 +395,8 @@ def _strip(rows):
 def test_sweep_rows_do_not_depend_on_lockstep_groups(tmp_path, monkeypatch):
     """Every grouping of a horizon's reps writes the same rows, in
     configuration order, and each row's value is that of its rep run and
-    evaluated alone."""
+    evaluated alone. Groups are bounded by LOCKSTEP_ROUNDS rounds and by
+    MEMBER_CAP rounding-matrix entries, K^2 = 9 a rep here (N = 2)."""
     cfg = _tiny_config(tmp_path, T_list=[40, 64], reps=5,
                        metric="smcal2:ball1", n_rule="auto-smcal")
     lockstep = harness.run_lockstep
@@ -406,14 +408,21 @@ def test_sweep_rows_do_not_depend_on_lockstep_groups(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_lockstep", spy)
     tables = []
-    for rounds, sizes in ((harness.LOCKSTEP_ROUNDS, [5, 5]),
-                          (130, [3, 2, 2, 2, 1]), (1, [1] * 10)):
+    cap = harness.MEMBER_CAP
+    for rounds, entries, sizes in ((harness.LOCKSTEP_ROUNDS, cap, [5, 5]),
+                                   (130, cap, [3, 2, 2, 2, 1]),
+                                   (1, cap, [1] * 10),
+                                   (harness.LOCKSTEP_ROUNDS, 20,
+                                    [2, 2, 1, 2, 2, 1])):
         monkeypatch.setattr(harness, "LOCKSTEP_ROUNDS", rounds)
+        monkeypatch.setattr(harness, "MEMBER_CAP", entries)
+        monkeypatch.setattr(forecaster_mod, "MEMBER_CAP", entries)
         groups.clear()
-        run_sweep(cfg, out_path=str(tmp_path / f"rows{rounds}.csv"))
+        out = tmp_path / f"rows{rounds}_{entries}.csv"
+        run_sweep(cfg, out_path=str(out))
         assert groups == sizes
-        tables.append(_strip(read_results(tmp_path / f"rows{rounds}.csv")))
-    assert tables[0] == tables[1] == tables[2]
+        tables.append(_strip(read_results(out)))
+    assert tables[0] == tables[1] == tables[2] == tables[3]
     assert [(int(r["T"]), int(r["rep"])) for r in tables[0]] == \
         [(T, rep) for T in (40, 64) for rep in range(5)]
     spec = cfg.adversary_spec()

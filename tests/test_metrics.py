@@ -12,7 +12,7 @@ from swapcal import (AdversarySpec, BmForecaster, LinearFn, LossSpec,
                      train_mixture, vshaped_loss, witness_f_prime)
 from swapcal import metrics as metrics_mod
 from swapcal.batch import _bucket_weights
-from swapcal.core import COND_DIST_TOL, affine_restricted, post_process
+from swapcal.core import COND_DIST_TOL, affine_restricted
 from swapcal.forecaster import commit_round, rround
 from swapcal.harness import METRICS, parse_class_spec
 from swapcal.metrics import DEFAULT_LOSSES, constrained_lstsq
@@ -183,19 +183,22 @@ def _naive_sup_metric(tr, members, q, pseudo):
     return total
 
 
-def test_smcal_finite_matches_naive_loops():
+def test_smcal_finite_matches_naive_loops(monkeypatch):
     rng = np.random.default_rng(4)
     for _ in range(5):
         tr = _random_transcript(rng, 30, 2, 3)
         members = [LinearFn(rng.normal(size=2)) for _ in range(6)]
         hc = finite_class([f.theta for f in members])
-        for q in (1, 2):
-            got = smcal(tr, hc, q).value
-            want = _naive_sup_metric(tr, members, q, pseudo=False)
-            assert got == pytest.approx(want, abs=1e-9)
-            gotp = psmcal(tr, hc, q).value
-            wantp = _naive_sup_metric(tr, members, q, pseudo=True)
-            assert gotp == pytest.approx(wantp, abs=1e-9)
+        # all members in one block, then blocks of 1 and of 2 of the 4 cells
+        for chunk in (metrics_mod.OMNI_CHUNK, 4, 8):
+            monkeypatch.setattr(metrics_mod, "OMNI_CHUNK", chunk)
+            for q in (1, 2):
+                got = smcal(tr, hc, q).value
+                want = _naive_sup_metric(tr, members, q, pseudo=False)
+                assert got == pytest.approx(want, abs=1e-9)
+                gotp = psmcal(tr, hc, q).value
+                wantp = _naive_sup_metric(tr, members, q, pseudo=True)
+                assert gotp == pytest.approx(wantp, abs=1e-9)
 
 
 def test_smcal_ball_matches_dense_direction_scan():
@@ -352,8 +355,11 @@ def test_mcal_theta_classes_match_dense_evaluation(hc, monkeypatch):
         for cap in (10 ** 6, 100):
             want = _dense_mcal(tr, hc, q, cap)
             monkeypatch.setattr(metrics_mod, "MEMBER_CAP", cap)
-            got = mcal(tr, hc, q).value
-            assert got == pytest.approx(want, rel=1e-12)
+            # members in one block, then blocks of 1 and of 2 of the 4 cells
+            for chunk in (2 ** 20, 4, 8):
+                monkeypatch.setattr(metrics_mod, "OMNI_CHUNK", chunk)
+                got = mcal(tr, hc, q).value
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_mcal_ball_memory_bounded():
@@ -628,6 +634,28 @@ def test_min_squared_cover_memory_bounded():
     assert peak < 64 * 2 ** 20
 
 
+def test_enumerated_tables_memory_bounded():
+    """On a one-record transcript at N = 999 the cover:0.02 tables are
+    10201 members x 1000 cells: 156 MB for smcal2's |thetas @ R.T| and
+    78 MB each for mcal2's numerators and somni's comparator losses. Members
+    go OMNI_CHUNK table entries at a time instead."""
+    import tracemalloc
+
+    P = np.zeros((1, 1000))
+    P[0, 3] = 1.0
+    tr = Transcript(make_grid(999), [[0.5, 0.2]], P, [3], [1])
+    hc = cover_class(0.02, 1.0)
+    for report in (lambda: smcal(tr, hc, 2), lambda: mcal(tr, hc, 2),
+                   lambda: somni(tr, hc=hc)):
+        tracemalloc.start()
+        try:
+            report()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # enumerated classes: a finite class is its theta stack
 
@@ -684,7 +712,7 @@ def _dense_omni_gap(X, y, CW, z, losses, thetas):
         w = CW[c]
         best = -np.inf
         for j, loss in enumerate(losses):
-            learner = float(np.sum(w * loss(post_process(loss, z[c]), y)))
+            learner = float(np.sum(w * loss(loss.post_process(z[c]), y)))
             comp = float(np.min(np.sum(w[None, :] * loss(vals, y[None, :]),
                                        axis=1)))
             achieved[c, j] = comp
@@ -850,7 +878,7 @@ def _affine_omni_gap_oracle(X, y, CW, z, losses, iters):
         learner = np.zeros(len(losses))
         for j, loss in enumerate(losses):
             achieved[c, j] = _min_affine_res_oracle(loss, X, CW[c], y, iters)
-            learner[j] = np.sum(CW[c] * loss(post_process(loss, z[c]), y))
+            learner[j] = np.sum(CW[c] * loss(loss.post_process(z[c]), y))
         gaps[c] = np.max(learner - achieved[c])
     return gaps, achieved
 

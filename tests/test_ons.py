@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from swapcal import (BETA, OMEGA, RADIUS, BmForecaster, make_grid, ons_step,
-                     ons_steps)
+from swapcal import BETA, OMEGA, RADIUS, BmForecaster, make_grid, ons_step
+from swapcal.ons import ons_kernel
 
 
 def test_constants():
@@ -84,13 +84,36 @@ def test_validation():
         ons_step(theta, inv, np.array([0.5, 0.0]), 1.5, 1)
     with pytest.raises(ValueError):
         ons_step(theta, inv, np.array([0.5, 0.0]), 1.0, 2)
-    # the stacked kernel makes the same checks, on every row
-    for x, alpha, y in (([[0.5]], [1.0], [1]), ([[0.5, 0.0]], [-0.1], [1]),
-                        ([[0.5, 0.0]], [1.5], [1]),
-                        ([[0.5, 0.0]], [np.nan], [1]),
-                        ([[0.5, 0.0]], [1.0], [2])):
-        with pytest.raises(ValueError):
-            ons_steps(theta[None], inv[None], x, alpha, y)
+
+
+def test_kernel_rows_are_ons_step_bit_for_bit():
+    """ons_kernel on an (R, K) stack of learners, each with its own context
+    row, scale weight and outcome, equals ons_step on every learner, bit for
+    bit: zero weights, projected steps and both outcomes included."""
+    rng = np.random.default_rng(17)
+    R, K, d = 3, 4, 3
+    # learners near the sphere, fed short contexts along theta with mostly
+    # y = 1, step outward and are projected back
+    u = rng.normal(size=(R, 1, d))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    thetas = np.repeat(3.999 * u, K, axis=1)
+    thetas[:, 0] = 0.0
+    invs = np.tile(np.eye(d) / OMEGA, (R, K, 1, 1))
+    projected = 0
+    for _ in range(60):
+        x = 0.2 * u + 0.05 * rng.normal(size=(R, 1, d))
+        alpha = rng.random((R, K)) * (rng.random((R, K)) > 0.2)
+        y = (rng.random((R, 1)) > 0.1).astype(float)
+        want = [[ons_step(thetas[r, k], invs[r, k], x[r, 0], alpha[r, k],
+                          y[r, 0]) for k in range(K)] for r in range(R)]
+        thetas, invs = ons_kernel(thetas, invs, x, alpha, y)
+        for r in range(R):
+            for k in range(K):
+                assert np.array_equal(thetas[r, k], want[r][k][0])
+                assert np.array_equal(invs[r, k], want[r][k][1])
+        projected += int((np.linalg.norm(thetas, axis=-1)
+                          > RADIUS - 1e-6).sum())
+    assert projected
 
 
 def _oracle_replay(steps, d):

@@ -15,11 +15,16 @@ which only the iid-logistic adversary reads):
   d = 2, N = 8, seed 3; anti-calibration, T = 256, d = 2, N = 4, seed 5;
 - on each, every metric of METRIC_NAMES under its default class and under
   each class of CLASSES (cal2 has no class, and somni refuses the linear
-  balls), and bm_external_regrets under each class of CLASSES;
+  balls), bm_external_regrets under each class of CLASSES, and somni over
+  the loss menu MENU under each class of OMNI_CLASSES;
 - a mixture trained on 256 rounds (d = 3, N = 4, stride 8, seed 10) and 64
   test points (seed 11): saerr and dsmcal2 under each class of CLASSES and
-  dsomni under affine-res and cover:0.7, each exhaustive and with
-  MC_DRAWS Monte-Carlo draws.
+  dsomni under each class of OMNI_CLASSES, each exhaustive and with
+  MC_DRAWS Monte-Carlo draws, and dsomni over MENU, exhaustive.
+
+MENU holds one loss of each kind: squared, absolute, vshaped(0.5) and the
+custom convex loss _custom, so the omniprediction reports run every kind's
+value, subgradient and best response.
 
 A report's numbers are its value followed by every extras array,
 flattened in key order. It differs bitwise when any number's bits, the
@@ -43,10 +48,17 @@ import numpy as np
 METRIC_NAMES = ("smcal1", "smcal2", "psmcal1", "psmcal2", "mcal2", "cal2",
                 "sreg", "psreg", "somni")
 CLASSES = ("ball1", "ball4", "affine-res", "cover:0.7")
+OMNI_CLASSES = ("affine-res", "cover:0.7")
 TRANSCRIPTS = (("iid-logistic", 400, 3, 4, 9), ("iid-logistic", 1024, 2, 8, 3),
                ("anti-calibration", 256, 2, 4, 5))
 MC_DRAWS = 200
 STDERR_TAIL = 12  # lines of a failed worker's stderr to show
+
+
+def _custom(p, y):
+    """A convex loss with a kink at p = y and best response 1.5 q - 1/4,
+    clipped to [0, 1]: slope at most 1.25, values in [0, 0.75]."""
+    return 0.5 * (p - y) ** 2 + 0.25 * np.abs(p - y)
 
 
 def _entry(fn):
@@ -65,11 +77,15 @@ def _entry(fn):
 
 def reports():
     """{report name: entry} over the fixed report set."""
-    from swapcal import (AdversarySpec, bm_external_regrets, estimate_dsmcal,
-                         estimate_dsomni, estimate_saerr, evaluate_metric,
-                         generate_stream, simulate_run, train_mixture)
+    from swapcal import (AdversarySpec, absolute_loss, bm_external_regrets,
+                         custom_loss, estimate_dsmcal, estimate_dsomni,
+                         estimate_saerr, evaluate_metric, generate_stream,
+                         simulate_run, somni, squared_loss, train_mixture,
+                         vshaped_loss)
     from swapcal.harness import parse_class_spec
 
+    menu = [squared_loss(), absolute_loss(), vshaped_loss(0.5),
+            custom_loss(_custom, lipschitz_bound=1.25)]
     out = {}
     for kind, T, d, n, seed in TRANSCRIPTS:
         tr = simulate_run(AdversarySpec(kind, noise=0.1), T, d, n, seed=seed)
@@ -85,6 +101,9 @@ def reports():
         for cls in CLASSES:
             out[f"{tag}/bm_external_regrets:{cls}"] = _entry(
                 lambda: bm_external_regrets(tr, parse_class_spec(cls)))
+        for cls in OMNI_CLASSES:
+            out[f"{tag}/somni:{cls}/menu"] = _entry(
+                lambda: somni(tr, losses=menu, hc=parse_class_spec(cls)))
 
     spec = AdversarySpec("iid-logistic", noise=0.1)
     mix = train_mixture(generate_stream(spec, 256, 3, seed=10), 4, seed=10,
@@ -92,13 +111,17 @@ def reports():
     test = generate_stream(spec, 64, 3, seed=11)
     estimators = (("saerr", estimate_saerr, CLASSES),
                   ("dsmcal2", estimate_dsmcal, CLASSES),
-                  ("dsomni", estimate_dsomni, ("affine-res", "cover:0.7")))
+                  ("dsomni", estimate_dsomni, OMNI_CLASSES))
     for name, estimate, classes in estimators:
         for cls in classes:
             for draws in (None, MC_DRAWS):
                 out[f"batch/{name}:{cls}/draws{draws}"] = _entry(
                     lambda: estimate(mix, test, hc=parse_class_spec(cls),
                                      mc_draws=draws))
+    for cls in OMNI_CLASSES:
+        out[f"batch/dsomni:{cls}/menu"] = _entry(
+            lambda: estimate_dsomni(mix, test, losses=menu,
+                                    hc=parse_class_spec(cls)))
     return out
 
 
