@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
-"""Train on a stream, freeze a mixture of snapshots, predict on fresh data."""
+"""Train on a stream, freeze a mixture of snapshots, predict on fresh data,
+and keep the mixture by saving its parameter stack."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from swapcal.batch import estimate_dsmcal, estimate_saerr, train_mixture
+from swapcal.batch import (MixturePredictor, estimate_dsmcal, estimate_saerr,
+                           mixture_predict, train_mixture)
+from swapcal.core import make_grid
 from swapcal.forecaster import choose_n
 from swapcal.harness import AdversarySpec, generate_stream
 
@@ -26,10 +32,18 @@ def main():
 
     rng = np.random.default_rng(7)
     x = np.array([0.5, 0.3])
-    from swapcal.batch import mixture_predict
     draws = [mix.grid.points[mixture_predict(mix, x, rng)] for _ in range(5)]
     print("five sampled predictions at one context:",
           [round(float(v), 3) for v in draws])
+
+    # a mixture is its grid and parameter stack: save the stack, rebuild
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "thetas.npy"
+        np.save(path, mix.thetas)
+        back = MixturePredictor(make_grid(n), np.load(path))
+    same = np.array_equal(back.cond_dist(0, x), mix.cond_dist(0, x))
+    print(f"saved and reloaded {back.size} snapshots: same conditional "
+          f"distribution at that context: {same}")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ an experiment harness for convergence-rate studies.
 """
 
 from .batch import (MixturePredictor, estimate_dsmcal, estimate_dsomni,
-                    estimate_saerr, mixture_from_json, mixture_predict,
-                    mixture_to_json, select_snapshot, train_mixture)
+                    estimate_saerr, mixture_predict, select_snapshot,
+                    train_mixture)
 from .core import (Grid, HypothesisClass, LinearFn, LossSpec, Transcript,
                    absolute_loss, affine_restricted, cover_class,
                    cover_thetas, custom_loss, finite_class, linear_ball,
@@ -42,12 +42,11 @@ __all__ = [
     "custom_loss", "estimate_dsmcal", "estimate_dsomni", "estimate_saerr",
     "evaluate_metric", "finite_class", "fit_rate", "generate_stream",
     "ingest_csv", "linear_ball", "lockstep_rounds", "make_grid", "mcal",
-    "mixture_from_json", "mixture_predict", "mixture_to_json", "ons_step",
-    "parse_class_spec", "parse_losses", "project_ball_a_norm", "psmcal",
-    "psreg", "read_results", "realized_weights", "resolve_n", "rround",
-    "run_lockstep", "run_online", "run_sweep", "select_snapshot",
-    "seed_streams", "sherman_morrison_update", "simulate_run", "smcal",
-    "somni", "squared_loss", "sreg", "stationary_distribution",
-    "train_mixture", "validate_outcome", "validate_stream", "vshaped_loss",
-    "witness_f_prime",
+    "mixture_predict", "ons_step", "parse_class_spec", "parse_losses",
+    "project_ball_a_norm", "psmcal", "psreg", "read_results",
+    "realized_weights", "resolve_n", "rround", "run_lockstep", "run_online",
+    "run_sweep", "select_snapshot", "seed_streams", "sherman_morrison_update",
+    "simulate_run", "smcal", "somni", "squared_loss", "sreg",
+    "stationary_distribution", "train_mixture", "validate_outcome",
+    "validate_stream", "vshaped_loss", "witness_f_prime",
 ]

@@ -16,13 +16,10 @@ Training and test streams are one pair of arrays (X, y): contexts X float
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .core import (Grid, affine_restricted, as_int, linear_ball, make_grid,
                    validate_stream)
-from .errors import FormatError
 from .forecaster import (BmForecaster, commit_round, lockstep_rounds,
                          sample_cell)
 from .metrics import (DEFAULT_LOSSES, MetricReport, per_cell_omni_gap,
@@ -33,21 +30,16 @@ COMMIT_CHUNK = 1024  # test points per batched commit: bounds solver memory
 
 class MixturePredictor:
     """Uniform mixture over per-round snapshots of the online forecaster,
-    held as their parameter stacks thetas (S, K, d); seed and stride follow
-    as_int."""
+    held as their parameter stacks thetas (S, K, d)."""
 
-    def __init__(self, grid, thetas, seed=None, stride=1):
+    def __init__(self, grid, thetas):
         if not isinstance(grid, Grid):
             raise ValueError("grid must be a Grid")
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 3 or not len(thetas) or thetas.shape[1] != grid.size:
             raise ValueError(f"thetas must have shape (S >= 1, {grid.size}, d),"
                              f" got {thetas.shape}")
-        self.grid = grid
-        self.thetas = thetas
-        self.d = thetas.shape[2]
-        self.seed = None if seed is None else as_int(seed, "seed", 0)
-        self.stride = as_int(stride, "stride", 1)
+        self.grid, self.thetas, self.d = grid, thetas, thetas.shape[2]
 
     @property
     def size(self):
@@ -73,7 +65,7 @@ def train_mixture(stream, n, seed=0, stride=1):
     fc = BmForecaster(make_grid(n), X.shape[1], seed=seed)
     snaps = np.concatenate([thetas for t, (thetas, *_) in enumerate(
         lockstep_rounds([fc], [(X, y)])) if t % stride == 0])
-    return MixturePredictor(fc.grid, snaps, seed=seed, stride=stride)
+    return MixturePredictor(fc.grid, snaps)
 
 
 def select_snapshot(mix, rng):
@@ -88,51 +80,6 @@ def mixture_predict(mix, x, rng):
     mix.grid.points[index]."""
     P = mix.cond_dist(select_snapshot(mix, rng), x)
     return int(sample_cell(P, rng.random()))
-
-
-# ---------------------------------------------------------------------------
-# serialization (versioned JSON, no binary blobs)
-
-
-def mixture_to_json(mix, path):
-    """Write the mixture as a version-2 document: n, d, seed, stride and the
-    (S, K, d) parameter stack; one that cannot be written leaves no file."""
-    text = json.dumps({"version": 2, "n": mix.grid.n, "d": mix.d,
-                       "seed": mix.seed, "stride": mix.stride,
-                       "thetas": mix.thetas.tolist()})
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def mixture_from_json(path):
-    """Read a version-2 document, or a version-1 one (per-snapshot learner
-    records, of which only theta is read); its integers follow as_int."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        if doc["version"] == 1:
-            thetas = [[st["theta"] for st in s["learners"]]
-                      for s in doc["snapshots"]]
-        elif doc["version"] == 2:
-            thetas = doc["thetas"]
-        else:
-            raise FormatError(f"{path}: unsupported mixture version "
-                              f"{doc['version']}")
-        mix = MixturePredictor(make_grid(doc["n"]),
-                               np.asarray(thetas, dtype=float),
-                               seed=doc.get("seed"),
-                               stride=doc.get("stride", 1))
-        if mix.d != as_int(doc.get("d"), "d", 1):
-            raise ValueError(f"thetas have dimension {mix.d}, header says "
-                             f"{doc['d']}")
-        return mix
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"{path}: malformed mixture document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,17 @@ def rround(w, grid):
     return _round(w, grid.n)
 
 
+def round_split(w, n):
+    """Grid indices k <= n and upper weights f in [0, 1): w = (k + f) / n."""
+    k = np.minimum((w * n).astype(int), n)
+    return k, w * n - k
+
+
 def _round(w, n):
     """rround of a float w in [0, 1], unchecked."""
-    scaled = w.ravel() * n
-    idx = np.minimum(scaled.astype(int), n)
-    frac = scaled - idx
-    rows = np.arange(len(scaled))
-    # row k of q is the rounding of entry k; the spare cell n+1 takes the
-    # zero upper weight of w = 1 and is dropped
+    idx, frac = round_split(w.ravel(), n)
+    rows = np.arange(len(idx))
+    # row k rounds entry k; the spare cell n+1 takes w = 1's zero weight
     q = np.zeros(w.shape + (n + 2,))
     flat = q.reshape(-1, n + 2)
     flat[rows, idx] = 1.0 - frac

@@ -15,25 +15,27 @@ import numpy as np
 from .errors import NumericFailure
 
 STATIONARY_TOL = 1e-8
+COLUMN_SUM_TOL = 1e-9
 RIDGE_TOL = 1e-9
 RIDGE_MAX_ITER = 200
 _EPS = np.finfo(float).eps
 
 
-def check_column_stochastic(Q, tol=1e-9):
+def check_column_stochastic(Q):
     """Validate a square column-stochastic matrix, or a stack (..., K, K) of
-    them, and return it as float."""
+    them, columns summing to 1 within COLUMN_SUM_TOL; return it as float."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim < 2 or Q.shape[-1] != Q.shape[-2] or Q.shape[-1] < 1:
         raise ValueError("matrix must be square and non-empty")
     # a non-finite entry makes its column sum non-finite: diagnose on failure
     err = float(abs(Q.sum(axis=-2) - 1.0).max(initial=0.0))
-    if not (err <= tol and Q.min(initial=0.0) >= -1e-12):
+    if not (err <= COLUMN_SUM_TOL and Q.min(initial=0.0) >= -1e-12):
         if not np.isfinite(Q).all():
             raise ValueError("matrix has non-finite entries")
         if Q.min() < -1e-12:
             raise ValueError(f"matrix has negative entry {Q.min()}")
-        raise ValueError(f"columns must sum to 1 within {tol}, worst error {err}")
+        raise ValueError(f"columns must sum to 1 within {COLUMN_SUM_TOL}, "
+                         f"worst error {err}")
     return Q
 
 
@@ -100,7 +102,7 @@ def _solve_chains(Q):
     return p
 
 
-def stationary_distribution(Q, tol=STATIONARY_TOL):
+def stationary_distribution(Q):
     """Stationary distribution p of a column-stochastic matrix: Q p = p; a
     stack Q (..., K, K) gives one per matrix, shape (..., K).
 
@@ -114,7 +116,7 @@ def stationary_distribution(Q, tol=STATIONARY_TOL):
     with the cutoff of lstsq(rcond=None). Entries at most K eps, negatives
     included, are roundoff and set to zero, and the result is renormalized.
     Both systems are consistent, so the solution meets the residual check
-    ||Q p - p||_inf <= tol up to roundoff.
+    ||Q p - p||_inf <= STATIONARY_TOL up to roundoff.
 
     Tie-break: when the chain has several closed classes, with stationary
     distributions v_i, the solutions are the affine combinations of the v_i
@@ -132,10 +134,9 @@ def stationary_distribution(Q, tol=STATIONARY_TOL):
     p[p <= K * _EPS] = 0.0
     p /= p.sum(axis=-1, keepdims=True)
     resid = float(abs((Q @ p[..., None])[..., 0] - p).max(initial=0.0))
-    if not resid <= tol:
-        raise NumericFailure(
-            f"stationary distribution residual {resid:.3e} exceeds {tol}",
-            residual=resid)
+    if not resid <= STATIONARY_TOL:
+        raise NumericFailure(f"stationary distribution residual {resid:.3e} "
+                             f"exceeds {STATIONARY_TOL}", residual=resid)
     return p
 
 

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (COND_DIST_TOL, MEMBER_CAP, LossSpec, absolute_loss,
-                   affine_restricted, as_int, cover_thetas, squared_loss,
-                   vshaped_loss)
+from .core import (COND_DIST_TOL, LossSpec, absolute_loss, affine_restricted,
+                   as_int, cover_thetas, squared_loss, vshaped_loss)
 from .errors import NumericFailure, PreconditionError, ResourceLimitError
-from .forecaster import BmForecaster, lockstep_rounds, rround
+from .forecaster import BmForecaster, lockstep_rounds, round_split
 from .linalg import ridge_to_sphere
 
 #: table entries per chunk of an enumerated class's members (their cells,
@@ -109,7 +108,7 @@ def _members(hc, d):
     """Theta stack (M, d) of a finite or cover class in dimension d, plus a
     note."""
     if hc.kind == "cover":
-        thetas = cover_thetas(hc.epsilon, hc.radius, d, cap=MEMBER_CAP)
+        thetas = cover_thetas(hc.epsilon, hc.radius, d)
         return thetas, (f"enumerated over {len(thetas)} cover members "
                         f"(eps={hc.epsilon:g}, r={hc.radius:g})")
     if hc.thetas.shape[1] != d:
@@ -341,7 +340,7 @@ def mcal(tr, hc, q=2):
         eps = 1.0 / np.sqrt(max(tr.horizon, 1))
         while True:
             try:
-                thetas = cover_thetas(eps, hc.radius, tr.d, cap=MEMBER_CAP)
+                thetas = cover_thetas(eps, hc.radius, tr.d)
                 break
             except ResourceLimitError:
                 eps *= 2.0
@@ -413,8 +412,7 @@ def bm_external_regrets(tr, hc):
     proposals by lockstep_rounds; a round whose P it does not reproduce to
     COND_DIST_TOL raises ValueError.
     """
-    y = tr.outcomes.astype(float)
-    P = tr.cond_dists
+    y, P = tr.outcomes.astype(float), tr.cond_dists
     mins, _ = per_cell_min_squared(tr.contexts, y, P.T.copy(), hc)
     W, fc = np.empty_like(P), BmForecaster(tr.grid, tr.d)
     rounds = lockstep_rounds([fc], [(tr.contexts, tr.outcomes)])
@@ -424,7 +422,9 @@ def bm_external_regrets(tr, hc):
                              "forecaster's")
         W[t] = w[0]
     L = (tr.grid.points[None, :] - y[:, None]) ** 2
-    qdot = np.einsum("tj,tji->ti", L, rround(W, tr.grid))
+    k, f = round_split(W, tr.grid.n)  # <q_{t,i}, L_t> by its two points
+    rows = np.arange(len(L))[:, None]
+    qdot = (1.0 - f) * L[rows, k] + f * L[rows, np.minimum(k + 1, tr.grid.n)]
     return np.sum(P * qdot, axis=0) - mins
 
 

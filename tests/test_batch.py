@@ -1,13 +1,9 @@
-import functools
-import json
-
 import numpy as np
 import pytest
 
-from swapcal import (AdversarySpec, BmForecaster, FormatError, cover_class,
-                     cover_thetas, estimate_dsmcal, estimate_dsomni,
-                     estimate_saerr, generate_stream, linear_ball, make_grid,
-                     mixture_from_json, mixture_predict, mixture_to_json,
+from swapcal import (AdversarySpec, BmForecaster, cover_class, cover_thetas,
+                     estimate_dsmcal, estimate_dsomni, estimate_saerr,
+                     generate_stream, linear_ball, make_grid, mixture_predict,
                      run_online, select_snapshot, squared_loss, train_mixture)
 from swapcal.batch import COMMIT_CHUNK, _bucket_weights
 from swapcal.metrics import constrained_lstsq
@@ -115,86 +111,22 @@ def test_select_snapshot_uniform():
     assert counts.max() < 1.3 * 4000 / 8
 
 
-def test_mixture_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    mix = train_mixture(_stream(rng, 12), 2, seed=3, stride=2)
-    path = tmp_path / "mix.json"
-    mixture_to_json(mix, path)
-    back = mixture_from_json(path)
-    assert back.size == mix.size
-    assert back.grid == mix.grid
-    assert back.stride == 2
-    assert back.seed == 3
-    np.testing.assert_array_equal(back.thetas, mix.thetas)
-    x = np.array([0.5, -0.2])
-    np.testing.assert_allclose(back.cond_dist(4, x), mix.cond_dist(4, x),
-                               atol=1e-15)
-
-
-def test_mixture_json_reads_version_1(tmp_path):
-    """A version-1 document (per-snapshot learner records) loads by its
-    thetas alone and predicts like the same mixture written as version 2."""
-    rng = np.random.default_rng(13)
-    mix = train_mixture(_stream(rng, 9), 2, seed=4, stride=3)
-    v1 = {"version": 1, "n": 2, "d": 2, "T": mix.size, "seed": 4,
-          "stride": 3,
-          "snapshots": [
-              {"round": 1 + 3 * k,
-               "learners": [{"theta": th.tolist(),
-                             "inv_curvature": [[1.0, 0.0], [0.0, 1.0]],
-                             "rounds_seen": 3 * k} for th in snap]}
-              for k, snap in enumerate(mix.thetas)]}
-    old, new = tmp_path / "v1.json", tmp_path / "v2.json"
-    old.write_text(json.dumps(v1))
-    mixture_to_json(mix, new)
-    a, b = mixture_from_json(old), mixture_from_json(new)
-    assert (a.size, a.d, a.stride, a.seed) == (3, 2, 3, 4)
-    X, _ = _stream(rng, 6)
-    for t in range(3):
-        np.testing.assert_array_equal(a.cond_dist(t, X), b.cond_dist(t, X))
-
-
-@pytest.mark.parametrize("write", ["transcript", "mixture"])
+@pytest.mark.parametrize("write", ["transcript"])
 @pytest.mark.parametrize("existed", [False, True])
 def test_failed_write_leaves_no_partial_file(tmp_path, write, existed):
-    """A seed that json cannot encode, set on the object after it was built
-    (the constructors store an int), fails the write before the file is
-    opened: no file appears, and an existing one keeps its bytes."""
-    rng = np.random.default_rng(2)
-    if write == "transcript":
-        obj = run_online(BmForecaster(make_grid(2), 2), _stream(rng, 5))
-        save = obj.write_jsonl
-    else:
-        obj = train_mixture(_stream(rng, 5), 2)
-        save = functools.partial(mixture_to_json, obj)
-    obj.seed = np.int64(3)
+    """A seed that json cannot encode, set on the transcript after it was
+    built (the constructor stores an int), fails the write before the file
+    is opened: no file appears, and an existing one keeps its bytes."""
+    tr = run_online(BmForecaster(make_grid(2), 2),
+                    _stream(np.random.default_rng(2), 5))
+    tr.seed = np.int64(3)
     path = tmp_path / "out"
     if existed:
         path.write_bytes(b"previous contents\n")
     with pytest.raises(TypeError):
-        save(path)
+        tr.write_jsonl(path)
     assert path.read_bytes() == b"previous contents\n" if existed \
         else not path.exists()
-
-
-def test_mixture_json_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(FormatError):
-        mixture_from_json(bad)
-    bad.write_text('{"version": 2}')
-    with pytest.raises(FormatError):
-        mixture_from_json(bad)
-    bad.write_text('{"version": 1, "n": 2}')
-    with pytest.raises(FormatError):
-        mixture_from_json(bad)
-    bad.write_text('{"version": 3, "n": 2, "d": 2, "thetas": [[[0, 0]]]}')
-    with pytest.raises(FormatError, match="version 3"):
-        mixture_from_json(bad)
-    bad.write_text('{"version": 2, "n": 2, "d": 3, "thetas": '
-                   '[[[0, 0], [0, 0], [0, 0]]]}')
-    with pytest.raises(FormatError, match="dimension"):
-        mixture_from_json(bad)
 
 
 def test_bucket_weights_exhaustive_matches_naive():

@@ -818,3 +818,13 @@ def test_transcript_jsonl_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert write_peak <= 250_000
     assert read_peak <= 1_250_000
+
+
+def test_package_exports_resolve_once():
+    """Every name in swapcal.__all__ is an attribute of the package and is
+    listed once."""
+    import swapcal
+
+    names = swapcal.__all__
+    assert [n for n in names if not hasattr(swapcal, n)] == []
+    assert len(set(names)) == len(names)

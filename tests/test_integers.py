@@ -11,9 +11,8 @@ import pytest
 from swapcal import (FormatError, LinearFn, MixturePredictor, SweepConfig,
                      Transcript, cal, choose_n, cover_thetas, estimate_dsmcal,
                      estimate_dsomni, estimate_saerr, generate_stream,
-                     linear_ball, make_grid, mixture_from_json, resolve_n,
-                     run_online, run_sweep, smcal, train_mixture,
-                     witness_f_prime)
+                     linear_ball, make_grid, resolve_n, run_online, run_sweep,
+                     smcal, train_mixture, witness_f_prime)
 from swapcal.batch import _bucket_weights
 from swapcal.core import Grid, as_int
 from swapcal.forecaster import BmForecaster
@@ -58,12 +57,8 @@ SITES = {
     "SweepConfig.reps": lambda v: _sweep(reps=v).reps,
     "SweepConfig.seed_base": lambda v: _sweep(seed_base=v).seed_base,
     "train_mixture.stride": lambda v: train_mixture(STREAM, 2,
-                                                    stride=v).stride,
-    "train_mixture.seed": lambda v: train_mixture(STREAM, 2, seed=v).seed,
-    "MixturePredictor.stride": lambda v: MixturePredictor(
-        make_grid(2), np.zeros((1, 3, 2)), stride=v).stride,
-    "MixturePredictor.seed": lambda v: MixturePredictor(
-        make_grid(2), np.zeros((1, 3, 2)), seed=v).seed,
+                                                    stride=v).size,
+    "train_mixture.seed": lambda v: train_mixture(STREAM, 2, seed=v).size,
     "_bucket_weights.mc_draws": lambda v: round(
         _bucket_weights(MIX, STREAM[0], v, 0)[0].sum() * 2),
     "_check_q.smcal": lambda v: int(smcal(TR, linear_ball(1.0), v)
@@ -107,21 +102,11 @@ def _transcript_file(path, key, value):
     return Transcript.read_jsonl(path)
 
 
-def _mixture_file(path, key, value):
-    doc = {"version": 2, "n": 2, "d": 2, "seed": 0, "stride": 1,
-           "thetas": np.zeros((1, 3, 2)).tolist(), key: value}
-    path.write_text(json.dumps(doc))
-    return mixture_from_json(path)
-
-
 @pytest.mark.parametrize("bad", BAD, ids=BAD)
 @pytest.mark.parametrize("read, key, good", [
     (_transcript_file, "N", 2), (_transcript_file, "d", 2),
     (_transcript_file, "T", 1), (_transcript_file, "seed", 2),
-    (_mixture_file, "n", 2), (_mixture_file, "d", 2),
-    (_mixture_file, "stride", 2), (_mixture_file, "seed", 2),
-], ids=["transcript-N", "transcript-d", "transcript-T", "transcript-seed",
-        "mixture-n", "mixture-d", "mixture-stride", "mixture-seed"])
+], ids=["transcript-N", "transcript-d", "transcript-T", "transcript-seed"])
 def test_file_readers_follow_the_integer_rule(tmp_path, read, key, good,
                                               bad):
     """A file's integer fields follow the same rule and fail as FormatError
@@ -154,12 +139,15 @@ def test_sweep_does_not_truncate_a_fractional_grid_rule(tmp_path):
 
 
 def test_numpy_integer_seeds_reach_the_files(tmp_path):
-    """A run and a mixture seeded with np.int64 write their files (the
-    transcript header used to raise TypeError) and read back as ints."""
+    """A run seeded with np.int64 writes its file (the transcript header
+    used to raise TypeError) and reads back as an int; a mixture trained
+    with np.int64 seed and stride is the one their ints train."""
     tr = run_online(BmForecaster(make_grid(2), 2, seed=np.int64(3)), STREAM)
     tr.write_jsonl(tmp_path / "run.jsonl")
     assert Transcript.read_jsonl(tmp_path / "run.jsonl").seed == 3
     ref = run_online(BmForecaster(make_grid(2), 2, seed=3), STREAM)
     assert np.array_equal(tr.sampled_indices, ref.sampled_indices)
     mix = train_mixture(STREAM, 2, seed=np.int64(3), stride=np.int64(4))
-    assert (mix.seed, mix.stride, mix.size) == (3, 4, 5)
+    assert mix.size == 5
+    assert np.array_equal(mix.thetas,
+                          train_mixture(STREAM, 2, seed=3, stride=4).thetas)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from swapcal import (AdversarySpec, BmForecaster, LinearFn, LossSpec,
 from swapcal import metrics as metrics_mod
 from swapcal.batch import _bucket_weights
 from swapcal.core import COND_DIST_TOL, affine_restricted
-from swapcal.forecaster import commit_round, rround
+from swapcal.forecaster import commit_round, lockstep_rounds, rround
 from swapcal.harness import METRICS, parse_class_spec
 from swapcal.metrics import DEFAULT_LOSSES, constrained_lstsq
 
@@ -354,7 +356,8 @@ def test_mcal_theta_classes_match_dense_evaluation(hc, monkeypatch):
     for q in (1, 2):
         for cap in (10 ** 6, 100):
             want = _dense_mcal(tr, hc, q, cap)
-            monkeypatch.setattr(metrics_mod, "MEMBER_CAP", cap)
+            monkeypatch.setattr(metrics_mod, "cover_thetas",
+                                functools.partial(cover_thetas, cap=cap))
             # members in one block, then blocks of 1 and of 2 of the 4 cells
             for chunk in (2 ** 20, 4, 8):
                 monkeypatch.setattr(metrics_mod, "OMNI_CHUNK", chunk)
@@ -584,6 +587,34 @@ def test_bm_external_regrets_matches_a_predict_update_replay():
                    finite_class([rng.normal(size=d) for _ in range(4)])):
             assert np.array_equal(bm_external_regrets(tr, hc),
                                   _bm_external_regrets_by_hand(tr, hc))
+
+
+@pytest.mark.parametrize("T, n", [(200, 49), (400, 99)])
+def test_bm_external_regrets_reads_two_points_per_rounding(T, n):
+    """Each rounding has two points: bm_external_regrets equals the dense
+    contraction with the (T, K, K) stack rround(W) bit for bit, and at
+    (T, N) = (400, 99), where that stack alone is 31 MiB, it peaks under
+    4 MiB."""
+    import tracemalloc
+
+    tr = _forecaster_transcript(np.random.default_rng(29), T, 2, n, seed=0)
+    hc = linear_ball(4.0)
+    tracemalloc.start()
+    try:
+        got = bm_external_regrets(tr, hc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rounds = lockstep_rounds([BmForecaster(tr.grid, tr.d)],
+                             [(tr.contexts, tr.outcomes)])
+    W = np.array([w[0] for _, w, _, _ in rounds])
+    y, P = tr.outcomes.astype(float), tr.cond_dists
+    L = (tr.grid.points[None, :] - y[:, None]) ** 2
+    qdot = np.einsum("tj,tji->ti", L, rround(W, tr.grid))
+    mins, _ = metrics_mod.per_cell_min_squared(tr.contexts, y, P.T.copy(), hc)
+    assert np.array_equal(got, np.sum(P * qdot, axis=0) - mins)
+    if n == 99:
+        assert peak <= 4 * 2 ** 20, peak
 
 
 def test_bm_external_regrets_rejects_a_transcript_not_the_forecasters():
