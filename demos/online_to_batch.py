@@ -24,7 +24,7 @@ def main():
     for T, stride in ((256, 8), (1024, 32), (4096, 128)):
         n = choose_n(T, 2, "smcal")
         train = generate_stream(spec, T, 2, seed=1)
-        mix = train_mixture(train, n, seed=1, stride=stride)
+        mix = train_mixture(train, n, stride=stride)
         saerr = estimate_saerr(mix, test).value
         dcal = estimate_dsmcal(mix, test).value
         print(f"  T={T:<5} N={n}  snapshots={mix.size:>3}  "

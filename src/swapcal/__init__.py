@@ -25,8 +25,8 @@ from .harness import (AdversarySpec, RateFit, SweepConfig, evaluate_metric,
 from .linalg import (check_column_stochastic, project_ball_a_norm,
                      sherman_morrison_update, stationary_distribution)
 from .metrics import (CellSums, MetricReport, WitnessFn, bm_external_regrets,
-                      cal, cell_sums, constrained_lstsq, mcal, psmcal, psreg,
-                      realized_weights, smcal, somni, sreg, witness_f_prime)
+                      cal, cell_sums, mcal, psmcal, psreg, realized_weights,
+                      smcal, somni, sreg, witness_f_prime)
 from .ons import BETA, OMEGA, RADIUS, ons_step
 
 __version__ = "0.1.0"
@@ -38,8 +38,8 @@ __all__ = [
     "RADIUS", "RateFit", "ResourceLimitError", "RoundOutput", "SweepConfig",
     "Transcript", "WitnessFn", "absolute_loss", "affine_restricted",
     "bm_external_regrets", "cal", "cell_sums", "check_column_stochastic",
-    "choose_n", "constrained_lstsq", "cover_class", "cover_thetas",
-    "custom_loss", "estimate_dsmcal", "estimate_dsomni", "estimate_saerr",
+    "choose_n", "cover_class", "cover_thetas", "custom_loss",
+    "estimate_dsmcal", "estimate_dsomni", "estimate_saerr",
     "evaluate_metric", "finite_class", "fit_rate", "generate_stream",
     "ingest_csv", "linear_ball", "lockstep_rounds", "make_grid", "mcal",
     "mixture_predict", "ons_step", "parse_class_spec", "parse_losses",

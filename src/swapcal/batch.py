@@ -53,7 +53,7 @@ class MixturePredictor:
                             self.grid)[2]
 
 
-def train_mixture(stream, n, seed=0, stride=1):
+def train_mixture(stream, n, stride=1):
     """Run the online forecaster over the stream (X, y) by lockstep_rounds
     and keep the stack that every stride-th round commits from; the mixture
     is uniform over the kept snapshots. The context dimension is X.shape[1]
@@ -62,7 +62,7 @@ def train_mixture(stream, n, seed=0, stride=1):
     if not len(y):
         raise ValueError("cannot train a mixture on an empty stream")
     stride = as_int(stride, "stride", 1)
-    fc = BmForecaster(make_grid(n), X.shape[1], seed=seed)
+    fc = BmForecaster(make_grid(n), X.shape[1])
     snaps = np.concatenate([thetas for t, (thetas, *_) in enumerate(
         lockstep_rounds([fc], [(X, y)])) if t % stride == 0])
     return MixturePredictor(fc.grid, snaps)

@@ -96,12 +96,8 @@ def build_parser():
 
 
 def _adversary_from_arg(kind, csv_path=None, bias=0.5, noise=0.0):
-    if kind == "csv":
-        if not csv_path:
-            raise ValueError("csv adversary needs --csv-path")
-        return AdversarySpec(kind="csv", path=csv_path)
     if kind in ADVERSARIES:
-        return AdversarySpec(kind=kind, bias=bias, noise=noise)
+        return AdversarySpec(kind=kind, bias=bias, noise=noise, path=csv_path)
     # treat anything path-like as a csv file
     return AdversarySpec(kind="csv", path=kind)
 
@@ -168,7 +164,7 @@ def _cmd_batch(args):
         d = tables[csv[0]][0].shape[1]
     train = _stream(train_spec, args.T, d, args.seed, tables)
     n = choose_n(args.T, d, "smcal")
-    mix = train_mixture(train, n, seed=args.seed, stride=args.stride)
+    mix = train_mixture(train, n, stride=args.stride)
     test_T = args.test_T if args.test_T is not None else args.T
     test = _stream(test_spec, test_T, d, args.seed + 1, tables)
     # looked up at call time, like harness.METRICS

@@ -86,6 +86,19 @@ def validate_stream(stream, d=None):
                          f"shape {X.shape}")
     if d is not None and X.shape[1] != d:
         raise ValueError(f"context has dimension {X.shape[1]}, expected {d}")
+    check_contexts(X)
+    if y.shape != (len(X),) or not ((y == 0) | (y == 1)).all():
+        raise ValueError("outcomes must be one 0/1 entry per context row")
+    return X, y.astype(int)
+
+
+def check_contexts(X):
+    """Raise ValueError unless each context in the float array X, (d,) or
+    (T, d), is finite with first coordinate exactly 1/2 and norm at most 1
+    (up to CONTEXT_NORM_TOL); a valid (d,) passes by one dot product."""
+    if X.ndim == 1 and X[0] == 0.5 and X @ X <= (1 + CONTEXT_NORM_TOL) ** 2:
+        return
+    X = np.atleast_2d(X)
     if not np.isfinite(X).all():
         raise ValueError("context has non-finite entries")
     if (X[:, 0] != 0.5).any():
@@ -93,9 +106,6 @@ def validate_stream(stream, d=None):
     nrm = float(np.linalg.norm(X, axis=1).max(initial=0.0))
     if nrm > 1.0 + CONTEXT_NORM_TOL:
         raise ValueError(f"context norm {nrm} exceeds 1")
-    if y.shape != (len(X),) or not ((y == 0) | (y == 1)).all():
-        raise ValueError("outcomes must be one 0/1 entry per context row")
-    return X, y.astype(int)
 
 
 def validate_outcome(y):

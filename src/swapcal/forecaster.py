@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MEMBER_CAP, Grid, Transcript, as_int, validate_outcome,
-                   validate_stream)
+from .core import (MEMBER_CAP, Grid, Transcript, as_int, check_contexts,
+                   validate_outcome, validate_stream)
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import stationary_distribution
 from .ons import OMEGA, ons_kernel, ons_step
@@ -131,6 +131,7 @@ class BmForecaster:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"context dimension {x.shape} does not match {self.d}")
+        check_contexts(x)
         _, Q, P = commit_round(self.thetas, x, self.grid)
         return RoundOutput(P, Q, int(sample_cell(P, self.rng.random())))
 
@@ -139,6 +140,9 @@ class BmForecaster:
         stationary weight out.cond_dist[i], in ascending cell order, into
         fresh stacks that replace the old ones once every cell is done."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.d,):
+            raise ValueError(f"context dimension {x.shape} does not match {self.d}")
+        check_contexts(x)
         y = validate_outcome(y)
         thetas = np.empty_like(self.thetas)
         invs = np.empty_like(self.inv_curvatures)

@@ -70,8 +70,8 @@ class AdversarySpec:
             raise ValueError("noise must be in [0, 1]")
         if not (0.0 <= self.bias <= 1.0):
             raise ValueError("bias must be in [0, 1]")
-        if self.kind == "csv" and not self.path:
-            raise ValueError("csv adversary needs a path")
+        if self.kind == "csv" and not isinstance(self.path or None, str):
+            raise ValueError(f"csv adversary needs a path, got {self.path!r}")
 
 
 def _uniform_ball(rng, count, dim, radius):
@@ -183,10 +183,8 @@ def csv_rows(table, T, d, path):
 def resolve_n(n_rule, T, d):
     """Map an --N style rule (auto-smcal, auto-sreg, or an integer: as_int,
     or text in base 10) to a concrete grid resolution."""
-    if n_rule == "auto-smcal":
-        return choose_n(T, d, "smcal")
-    if n_rule == "auto-sreg":
-        return choose_n(T, d, "sreg")
+    if n_rule in ("auto-smcal", "auto-sreg"):
+        return choose_n(T, d, n_rule.removeprefix("auto-"))
     try:
         return (int(n_rule, 10) if isinstance(n_rule, str)
                 else as_int(n_rule, "grid rule", None))
@@ -295,8 +293,9 @@ class SweepConfig:
 
     metric may carry an inline class suffix (e.g. smcal2:ball1). n_rule is
     auto-smcal, auto-sreg, or an integer. Row seeds are seed_base + rep.
-    T_list (a list or tuple), reps (>= 0) and seed_base take integers, kept
-    as ints (as_int); the other fields are checked row by row.
+    T_list (a list or tuple), reps (>= 0), seed_base and d (>= 1) take
+    integers, kept as ints (as_int). Construction runs plan(), so the rows
+    meet only the faults that need the stream or the horizon.
     """
 
     T_list: list
@@ -322,6 +321,8 @@ class SweepConfig:
                              f"{self.T_list!r}") from None
         self.reps = as_int(self.reps, "reps", 0)
         self.seed_base = as_int(self.seed_base, "seed_base", None)
+        self.d = as_int(self.d, "d", 1)
+        self.plan()
 
     @classmethod
     def from_json(cls, path):
@@ -332,52 +333,55 @@ class SweepConfig:
                 raise FormatError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise FormatError(f"{path}: a sweep config is one JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise FormatError(f"{path}: unknown sweep fields {sorted(unknown)}")
         try:
             return cls(**doc)
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OSError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
 
     def adversary_spec(self):
         return AdversarySpec(kind=self.adversary, noise=self.noise,
                              bias=self.bias, path=self.csv_path)
 
+    def plan(self):
+        """(metric on (transcript, class, losses), class, loss menu,
+        AdversarySpec) from the fields; ValueError if one or n_rule is bad."""
+        make_grid(resolve_n(self.n_rule, 1, self.d))
+        metric, hc = resolve_metric(self.metric, None)
+        return metric, hc, parse_losses(self.losses), self.adversary_spec()
 
-def _sweep_rows(cfg, T, reps):
-    """The rows of the distinct repetitions `reps` at horizon T, in order.
 
-    One try parses the loss menu, resolves the metric and runs the group in
-    lockstep; if it raises, each rep does the same alone in its own try, so
-    a bad menu or metric simulates nothing. wall_ms is as run_sweep says.
-    """
+def _sweep_rows(cfg, T, reps, plan):
+    """The rows of the distinct repetitions `reps` at horizon T, in order,
+    with plan = cfg.plan(): one attempt at the group, then, if it fails,
+    one per rep, as run_sweep says."""
+    metric, hc, losses, spec = plan
     seeds = [cfg.seed_base + rep for rep in reps]
     rows = [{"T": T, "N": "", "d": cfg.d, "rep": rep, "seed": seed,
              "metric": cfg.metric, "value": "", "wall_ms": "", "error": ""}
             for rep, seed in zip(reps, seeds)]
     t0 = time.perf_counter()
     try:
-        parse_losses(cfg.losses), resolve_metric(cfg.metric, None)
-        n, spec = resolve_n(cfg.n_rule, T, cfg.d), cfg.adversary_spec()
+        n = resolve_n(cfg.n_rule, T, cfg.d)
+        for row in rows:
+            row["N"] = n
         streams = [generate_stream(spec, T, cfg.d, seed=s) for s in seeds]
         runs = run_lockstep([BmForecaster(make_grid(n), cfg.d, seed=s)
                              for s in seeds], streams)
-    except Exception:
-        runs = [None] * len(rows)  # each rep reruns alone below
+    except Exception as exc:
+        if len(rows) > 1:
+            return [row for rep in reps
+                    for row in _sweep_rows(cfg, T, [rep], plan)]
+        rows[0]["error"] = f"{type(exc).__name__}: {exc}"
+        rows[0]["wall_ms"] = f"{(time.perf_counter() - t0) * 1e3:.3f}"
+        return rows
     share = (time.perf_counter() - t0) / len(rows)
     for row, tr in zip(rows, runs):
         t0 = time.perf_counter()
         try:
-            row["N"] = resolve_n(cfg.n_rule, T, cfg.d)
-            losses = parse_losses(cfg.losses)
-            hc = resolve_metric(cfg.metric, None)[1]
-            if tr is None:
-                tr = simulate_run(cfg.adversary_spec(), T, cfg.d, row["N"],
-                                  seed=row["seed"])
-            row["value"] = repr(evaluate_metric(tr, cfg.metric, hc,
-                                                losses).value)
+            row["value"] = repr(metric(tr, hc, losses).value)
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         row["wall_ms"] = f"{(share + time.perf_counter() - t0) * 1e3:.3f}"
@@ -400,14 +404,16 @@ def run_sweep(cfg, out_path=None):
     max(1, LOCKSTEP_ROUNDS // T) reps and, on a grid of K cells, at most
     max(1, MEMBER_CAP // K^2) reps, which bounds a group's memory. A
     group's rows are written, in configuration order, when the group
-    finishes. A failed group reruns each rep alone by simulate_run, so only
-    a faulty rep's row carries the error. A row's wall_ms is its share of
-    the group's time (streams, forecasters, lockstep run) plus its own N,
-    rerun and metric time. Returns all rows, previously completed first.
+    finishes. A failed group reruns each rep as a group of one, so only a
+    faulty rep's row carries the error. A row's wall_ms is its share of its
+    group's time (grid size, streams, forecasters, lockstep run) plus its
+    own metric time. cfg.plan() runs once, before the table is opened.
+    Returns all rows, previously completed first.
     """
     out_path = out_path or cfg.out
     if not out_path:
         raise ValueError("sweep needs an output path")
+    plan = cfg.plan()
     existing = []
     if os.path.exists(out_path):
         with open(out_path, "r", encoding="utf-8", newline="") as fh:
@@ -420,7 +426,6 @@ def run_sweep(cfg, out_path=None):
                               f"lacks {missing}")
     done = {(int(r["T"]), int(r["rep"])) for r in existing
             if r["metric"] == cfg.metric}
-    T_list = list(dict.fromkeys(cfg.T_list))
     new_rows = []
     mode = "a" if existing else "w"
     with open(out_path, mode, encoding="utf-8", newline="") as fh:
@@ -428,17 +433,14 @@ def run_sweep(cfg, out_path=None):
         if mode == "w":
             writer.writeheader()
             fh.flush()
-        for T in T_list:
+        for T in dict.fromkeys(cfg.T_list):
             reps = [rep for rep in range(cfg.reps) if (T, rep) not in done]
-            size = LOCKSTEP_ROUNDS // max(T, 1)
-            try:
-                K = resolve_n(cfg.n_rule, T, cfg.d) + 1
-                size = min(size, MEMBER_CAP // max(K, 1) ** 2)
-            except ValueError:
-                pass  # the rule fails every row: keep the rounds bound
-            size = max(1, size)
+            # a horizon below 1 fails its rows; it is sized as T = 1
+            K = resolve_n(cfg.n_rule, max(T, 1), cfg.d) + 1
+            size = max(1, min(LOCKSTEP_ROUNDS // max(T, 1),
+                              MEMBER_CAP // K ** 2))
             for i in range(0, len(reps), size):
-                rows = _sweep_rows(cfg, T, reps[i:i + size])
+                rows = _sweep_rows(cfg, T, reps[i:i + size], plan)
                 writer.writerows(rows)
                 fh.flush()
                 new_rows += rows

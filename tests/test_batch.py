@@ -6,7 +6,8 @@ from swapcal import (AdversarySpec, BmForecaster, cover_class, cover_thetas,
                      generate_stream, linear_ball, make_grid, mixture_predict,
                      run_online, select_snapshot, squared_loss, train_mixture)
 from swapcal.batch import COMMIT_CHUNK, _bucket_weights
-from swapcal.metrics import constrained_lstsq
+
+from oracles import constrained_lstsq
 
 
 def _stream(rng, T, d=2):
@@ -28,7 +29,7 @@ def _empty(d=2):
 def test_snapshots_freeze_start_of_round_states():
     rng = np.random.default_rng(0)
     stream = _stream(rng, 20)
-    mix = train_mixture(stream, 2, seed=5)
+    mix = train_mixture(stream, 2)
     assert mix.size == 20
     assert mix.thetas.shape == (20, 3, 2)
     # replay the prefix: snapshot k equals the forecaster after k updates
@@ -42,7 +43,7 @@ def test_snapshots_freeze_start_of_round_states():
 def test_snapshot_distributions_match_online_run():
     rng = np.random.default_rng(1)
     stream = _stream(rng, 30)
-    mix = train_mixture(stream, 3, seed=7)
+    mix = train_mixture(stream, 3)
     tr = run_online(BmForecaster(make_grid(3), 2, seed=7), stream)
     for t in (0, 3, 11, 29):
         np.testing.assert_allclose(mix.cond_dist(t, tr.contexts[t]),
@@ -52,10 +53,10 @@ def test_snapshot_distributions_match_online_run():
 def test_stride_keeps_every_kth_snapshot():
     rng = np.random.default_rng(2)
     stream = _stream(rng, 21)
-    mix = train_mixture(stream, 2, seed=0, stride=5)
+    mix = train_mixture(stream, 2, stride=5)
     # snapshot k is the start of round 1 + 5k: rounds 1, 6, 11, 16, 21
     assert mix.size == 5
-    every = train_mixture(stream, 2, seed=0)
+    every = train_mixture(stream, 2)
     np.testing.assert_array_equal(mix.thetas, every.thetas[::5])
     with pytest.raises(ValueError):
         train_mixture(stream, 2, stride=0)
@@ -86,14 +87,14 @@ def test_train_mixture_matches_a_predict_update_loop(kind, d):
     for n in (1, 4, 9):
         stream = generate_stream(spec, 100, d, seed=n)
         for stride in (1, 3, 8):
-            got = train_mixture(stream, n, seed=n, stride=stride).thetas
+            got = train_mixture(stream, n, stride=stride).thetas
             assert np.array_equal(got,
                                   _snapshots_by_hand(stream, n, n, stride))
 
 
 def test_mixture_sampling_determinism_and_range():
     rng = np.random.default_rng(3)
-    mix = train_mixture(_stream(rng, 15), 2, seed=1)
+    mix = train_mixture(_stream(rng, 15), 2)
     x = np.array([0.5, 0.1])
     a = [mixture_predict(mix, x, np.random.default_rng(9)) for _ in range(20)]
     b = [mixture_predict(mix, x, np.random.default_rng(9)) for _ in range(20)]
@@ -103,7 +104,7 @@ def test_mixture_sampling_determinism_and_range():
 
 def test_select_snapshot_uniform():
     rng = np.random.default_rng(4)
-    mix = train_mixture(_stream(rng, 8), 1, seed=0)
+    mix = train_mixture(_stream(rng, 8), 1)
     draws = np.array([select_snapshot(mix, np.random.default_rng(s))
                       for s in range(4000)])
     counts = np.bincount(draws, minlength=8)
@@ -131,7 +132,7 @@ def test_failed_write_leaves_no_partial_file(tmp_path, write, existed):
 
 def test_bucket_weights_exhaustive_matches_naive():
     rng = np.random.default_rng(6)
-    mix = train_mixture(_stream(rng, 10), 2, seed=2)
+    mix = train_mixture(_stream(rng, 10), 2)
     X, _ = _stream(rng, 7)
     V, how = _bucket_weights(mix, X, None, 0)
     assert "exhaustive" in how
@@ -146,7 +147,7 @@ def test_bucket_weights_exhaustive_matches_naive():
 
 def test_cond_dist_on_many_contexts_matches_one_at_a_time():
     rng = np.random.default_rng(14)
-    mix = train_mixture(_stream(rng, 12), 3, seed=2, stride=4)
+    mix = train_mixture(_stream(rng, 12), 3, stride=4)
     X, _ = _stream(rng, 9)
     for t in range(mix.size):
         P = mix.cond_dist(t, X)
@@ -158,7 +159,7 @@ def test_cond_dist_on_many_contexts_matches_one_at_a_time():
 def test_bucket_weights_exhaustive_in_chunks():
     # more test points than one commit takes: the chunks must line up
     rng = np.random.default_rng(15)
-    mix = train_mixture(_stream(rng, 6), 2, seed=1, stride=2)
+    mix = train_mixture(_stream(rng, 6), 2, stride=2)
     X, _ = _stream(rng, COMMIT_CHUNK + 37)
     V, _ = _bucket_weights(mix, X, None, 0)
     want = sum(mix.cond_dist(t, X).T for t in range(mix.size))
@@ -169,7 +170,7 @@ def test_bucket_weights_frozen_values():
     """V of a fixed-seed mixture, pinned to the values of the one-pair-at-a-
     time lstsq implementation this one replaced."""
     rng = np.random.default_rng(32)
-    mix = train_mixture(_stream(rng, 60), 3, seed=32, stride=6)
+    mix = train_mixture(_stream(rng, 60), 3, stride=6)
     X, _ = _stream(rng, 4)
     V, _ = _bucket_weights(mix, X, None, 0)
     want = [[0.22272010332115372, 0.22213118975269844, 0.2223653023606976,
@@ -188,7 +189,7 @@ def test_bucket_weights_monte_carlo_matches_per_draw_loop():
     draw on its own, reading the same (test point, snapshot, uniform)
     arrays from the seeded generator."""
     rng = np.random.default_rng(16)
-    mix = train_mixture(_stream(rng, 14), 3, seed=3, stride=2)
+    mix = train_mixture(_stream(rng, 14), 3, stride=2)
     X, _ = _stream(rng, 6)
     V, _ = _bucket_weights(mix, X, 2000, seed=21)
     draw = np.random.Generator(np.random.PCG64(np.random.SeedSequence(21)))
@@ -205,7 +206,7 @@ def test_bucket_weights_monte_carlo_matches_per_draw_loop():
 
 def test_bucket_weights_monte_carlo_converges():
     rng = np.random.default_rng(7)
-    mix = train_mixture(_stream(rng, 10), 2, seed=2)
+    mix = train_mixture(_stream(rng, 10), 2)
     X, _ = _stream(rng, 5)
     exact, _ = _bucket_weights(mix, X, None, 0)
     mc, how = _bucket_weights(mix, X, 200_000, seed=11)
@@ -217,7 +218,7 @@ def test_bucket_weights_monte_carlo_converges():
 
 def test_saerr_exhaustive_matches_naive_loops():
     rng = np.random.default_rng(8)
-    mix = train_mixture(_stream(rng, 12), 2, seed=4)
+    mix = train_mixture(_stream(rng, 12), 2)
     test = _stream(rng, 9)
     rep = estimate_saerr(mix, test)
     X, y = test[0], test[1].astype(float)
@@ -238,7 +239,7 @@ def test_saerr_exhaustive_matches_naive_loops():
 
 def test_saerr_cover_matches_dense_enumeration():
     rng = np.random.default_rng(9)
-    mix = train_mixture(_stream(rng, 40), 3, seed=6, stride=4)
+    mix = train_mixture(_stream(rng, 40), 3, stride=4)
     test = _stream(rng, 30)
     hc = cover_class(0.05, 4.0)
     X, y = test[0], test[1].astype(float)
@@ -257,7 +258,7 @@ def test_saerr_cover_matches_dense_enumeration():
 def test_dsmcal_zero_for_degenerate_perfect_predictor():
     # untrained learners always commit the point mass at cell 0 (value 0);
     # if every test label is 0 the buckets carry no residual at all
-    mix = train_mixture((np.array([[0.5, 0.0]]), np.array([0])), 2, seed=0)
+    mix = train_mixture((np.array([[0.5, 0.0]]), np.array([0])), 2)
     test = (np.array([[0.5, 0.3], [0.5, -0.3]]), np.array([0, 0]))
     assert estimate_dsmcal(mix, test).value == pytest.approx(0.0, abs=1e-12)
     assert estimate_saerr(mix, test).value == pytest.approx(0.0, abs=1e-9)
@@ -265,7 +266,7 @@ def test_dsmcal_zero_for_degenerate_perfect_predictor():
 
 def test_dsmcal_monte_carlo_tracks_exhaustive():
     rng = np.random.default_rng(9)
-    mix = train_mixture(_stream(rng, 25), 2, seed=6)
+    mix = train_mixture(_stream(rng, 25), 2)
     test = _stream(rng, 15)
     exact = estimate_dsmcal(mix, test, mc_draws=None).value
     mc = estimate_dsmcal(mix, test, mc_draws=150_000, seed=3).value
@@ -274,7 +275,7 @@ def test_dsmcal_monte_carlo_tracks_exhaustive():
 
 def test_dsomni_runs_and_reports():
     rng = np.random.default_rng(10)
-    mix = train_mixture(_stream(rng, 15), 2, seed=8)
+    mix = train_mixture(_stream(rng, 15), 2)
     test = _stream(rng, 10)
     rep = estimate_dsomni(mix, test, losses=[squared_loss()])
     assert rep.name == "dsomni"
@@ -284,7 +285,7 @@ def test_dsomni_runs_and_reports():
 
 def test_estimators_reject_empty_test():
     rng = np.random.default_rng(11)
-    mix = train_mixture(_stream(rng, 5), 1, seed=0)
+    mix = train_mixture(_stream(rng, 5), 1)
     with pytest.raises(ValueError):
         estimate_saerr(mix, _empty())
 
@@ -302,7 +303,7 @@ def test_saerr_improves_with_training_on_learnable_stream():
             y[t] = rng.random() < p
         return X, y
     test = make(300)
-    small = estimate_saerr(train_mixture(make(30), 2, seed=1, stride=1), test)
-    large = estimate_saerr(train_mixture(make(1000), 2, seed=1, stride=25),
+    small = estimate_saerr(train_mixture(make(30), 2, stride=1), test)
+    large = estimate_saerr(train_mixture(make(1000), 2, stride=25),
                            test)
     assert large.value < small.value

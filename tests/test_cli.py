@@ -192,11 +192,33 @@ _GOOD_SWEEP = {"T_list": [8], "d": 2, "reps": 1, "metric": "cal2",
     ({**_GOOD_SWEEP, "seed_base": "x"},
      "seed_base must be an integer, got 'x'"),
     ([1, 2], "a sweep config is one JSON object"),
+    ({**_GOOD_SWEEP, "metric": "nope"}, "unknown metric 'nope'; known: "),
+    ({**_GOOD_SWEEP, "metric": 5}, "'int' object has no attribute"),
+    ({**_GOOD_SWEEP, "metric": "smcal2:ball9"},
+     "unknown class spec 'ball9'"),
+    ({**_GOOD_SWEEP, "metric": "smcal2:finite:absent.json"},
+     "No such file or directory: 'absent.json'"),
+    ({**_GOOD_SWEEP, "losses": "squared,bad"}, "unknown loss token 'bad'"),
+    ({**_GOOD_SWEEP, "bias": 1.5}, "bias must be in [0, 1]"),
+    ({**_GOOD_SWEEP, "adversary": "weird"},
+     "unknown adversary kind 'weird'"),
+    ({**_GOOD_SWEEP, "n_rule": "bogus"}, "grid rule must be auto-smcal, "
+                                         "auto-sreg, or an integer, got "
+                                         "'bogus'"),
+    ({**_GOOD_SWEEP, "n_rule": 2.9}, "grid rule must be auto-smcal, "
+                                     "auto-sreg, or an integer, got 2.9"),
+    ({**_GOOD_SWEEP, "d": 0}, "d must be a positive integer, got 0"),
+    ({**_GOOD_SWEEP, "adversary": "csv", "csv_path": 3},
+     "csv adversary needs a path, got 3"),
     (_GOOD_SWEEP, "not a results table, its header lacks ['T', 'N'"),
 ], ids=["reps-str", "reps-float", "reps-negative", "T_list-int",
-        "T_list-bool", "seed_base-str", "not-an-object", "foreign-table"])
+        "T_list-bool", "seed_base-str", "not-an-object", "metric",
+        "metric-int", "class", "class-file", "losses", "bias", "adversary",
+        "n_rule-str", "n_rule-float", "d-zero", "csv_path-int",
+        "foreign-table"])
 def test_sweep_rejects_malformed_input(tmp_path, doc, message):
-    """A malformed config, or a --out that is not a results table (the good
+    """A malformed config, any fault of it that does not depend on the
+    horizon included, or a --out that is not a results table (the good
     config's case), exits 2 with one error line: no traceback, no table
     written, and the foreign CSV left as it was."""
     out = tmp_path / "rows.csv"
@@ -206,12 +228,28 @@ def test_sweep_rejects_malformed_input(tmp_path, doc, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     proc = run_cli("sweep", "--config", str(cfg), "--out", str(out), expect=2)
-    assert message in proc.stderr
+    assert message in proc.stderr and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     if before is None:
         assert not out.exists()
     else:
         assert out.read_bytes() == before
+
+
+def test_sweep_rerun_after_a_config_fault_writes_every_row(tmp_path):
+    """A config with bias 1.5 leaves --out untouched, so the corrected
+    config run on the same --out writes every row, none of them an error
+    (rows the faulty run wrote used to be skipped as done)."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    doc = {**_GOOD_SWEEP, "T_list": [8, 16], "reps": 2,
+           "adversary": "iid-bernoulli"}
+    cfg.write_text(json.dumps({**doc, "bias": 1.5}))
+    run_cli("sweep", "--config", str(cfg), "--out", str(out), expect=2)
+    assert not out.exists()
+    cfg.write_text(json.dumps({**doc, "bias": 0.3}))
+    proc = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+    assert json.loads(proc.stdout) == {"rows": 4, "errors": 0,
+                                       "out": str(out)}
 
 
 def test_fit_rate_too_few_points(tmp_path):
@@ -341,8 +379,9 @@ def test_usage_requires_subcommand():
 
 
 def test_adversary_kinds_come_from_one_table(capsys):
-    """simulate --adversary offers exactly harness.ADVERSARIES, and every
-    kind maps to its AdversarySpec."""
+    """simulate --adversary offers exactly harness.ADVERSARIES, every kind
+    maps to its AdversarySpec, and AdversarySpec alone refuses a csv kind
+    without a path."""
     from swapcal import cli, harness
 
     with pytest.raises(SystemExit):
@@ -350,3 +389,5 @@ def test_adversary_kinds_come_from_one_table(capsys):
     assert "{" + ",".join(harness.ADVERSARIES) + "}" in capsys.readouterr().out
     for kind in harness.ADVERSARIES:
         assert cli._adversary_from_arg(kind, csv_path="d.csv").kind == kind
+    with pytest.raises(ValueError, match="csv adversary needs a path"):
+        cli._adversary_from_arg("csv")

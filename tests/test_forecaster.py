@@ -6,7 +6,7 @@ from swapcal import (AdversarySpec, BmForecaster, NumericFailure,
                      PreconditionError, ResourceLimitError, Transcript, choose_n,
                      generate_stream, make_grid, ons_step, rround,
                      lockstep_rounds, run_lockstep, run_online,
-                     seed_streams)
+                     seed_streams, validate_stream)
 from swapcal.forecaster import commit_round, sample_cell
 
 
@@ -151,10 +151,40 @@ def test_fresh_forecaster_commits_point_mass_at_zero():
     (lambda: BmForecaster(2, 2), "grid must be a Grid"),
     (lambda: BmForecaster(make_grid(2), 2).predict([0.5, 0.0, 0.0]),
      "context dimension"),
-], ids=["not-a-grid", "context-length"])
+    (lambda: BmForecaster(make_grid(2), 2).update(None, 1, []),
+     "context dimension"),
+], ids=["not-a-grid", "context-length", "update-context-length"])
 def test_forecaster_rejections(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("x, message", [
+    ([0.5, np.inf], "context has non-finite entries"),
+    ([0.5, np.nan], "context has non-finite entries"),
+    ([0.5, 3.0], "context norm 3.04"),
+    ([0.4, 0.1], "context first coordinate must be exactly 0.5"),
+], ids=["inf", "nan", "norm", "first-coordinate"])
+def test_predict_and_update_check_the_stream_contract(x, message):
+    """predict and update raise validate_stream's ValueError for a context
+    off the stream contract, and leave the stacks, the round count and the
+    sampling generator as they were."""
+    fc = BmForecaster(make_grid(3), 2, seed=0)
+    good = np.array([0.5, 0.2])
+    fc.update(fc.predict(good), 1, good)
+    out = fc.predict(good)
+    with pytest.raises(ValueError) as want:
+        validate_stream((np.array([x]), np.array([1])))
+    assert message in str(want.value)
+    state = (fc.thetas.copy(), fc.inv_curvatures.copy(), fc.rounds_seen,
+             fc.rng.bit_generator.state)
+    for call in (lambda: fc.predict(x), lambda: fc.update(out, 1, x)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == str(want.value)
+    assert np.array_equal(fc.thetas, state[0])
+    assert np.array_equal(fc.inv_curvatures, state[1])
+    assert (fc.rounds_seen, fc.rng.bit_generator.state) == state[2:]
 
 
 def test_forecaster_rejects_a_grid_too_large_for_memory():
@@ -276,11 +306,9 @@ def test_update_is_a_chain_of_per_cell_steps(driver, d, monkeypatch):
     R, T = (1 if driver == "update" else 3), 200
     u = rng.normal(size=(R, 5, d))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    if driver == "update":
-        X = 0.2 * u[:, np.arange(T) % 5] + 0.02 * rng.normal(size=(1, T, d))
-    else:  # lockstep_rounds checks the contexts: x_0 = 1/2, norm <= 1
-        tail = np.clip(0.1 * rng.normal(size=(R, T, d - 1)), -0.2, 0.2)
-        X = np.concatenate([np.full((R, T, 1), 0.5), tail], axis=-1)
+    # both drivers check the contexts: x_0 = 1/2, norm <= 1
+    tail = np.clip(0.1 * rng.normal(size=(R, T, d - 1)), -0.2, 0.2)
+    X = np.concatenate([np.full((R, T, 1), 0.5), tail], axis=-1)
     fcs = [BmForecaster(make_grid(4), d, seed=d + r) for r in range(R)]
     for fc, ur in zip(fcs, u):
         fc.thetas = 3.999 * ur

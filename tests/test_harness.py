@@ -326,63 +326,73 @@ def test_sweep_records_errors_and_continues(tmp_path):
 
 
 @pytest.mark.parametrize("over, error", [
-    (dict(losses="squared,bad"), "ValueError: unknown loss token 'bad'"),
-    (dict(adversary="weird"), "ValueError: unknown adversary kind 'weird'"),
-    (dict(n_rule="bogus"), "ValueError: grid rule must be auto-smcal, "
-                           "auto-sreg, or an integer, got 'bogus'"),
-    (dict(n_rule=0), "ValueError: grid resolution must be a positive "
-                     "integer, got 0"),
-    (dict(metric="nope"), "ValueError: unknown metric 'nope'; known: "
+    (dict(losses="squared,bad"), "unknown loss token 'bad'"),
+    (dict(adversary="weird"), "unknown adversary kind 'weird'"),
+    (dict(n_rule="bogus"), "grid rule must be auto-smcal, auto-sreg, or an "
+                           "integer, got 'bogus'"),
+    (dict(n_rule=0), "grid resolution must be a positive integer, got 0"),
+    (dict(metric="nope"), "unknown metric 'nope'; known: "
                           + ", ".join(harness.METRICS)),
-    (dict(adversary="csv"), "ValueError: csv stream {path} has 4 rows, "
+    (dict(adversary="csv"), "csv stream {path} has 4 rows, "
                             "fewer than the requested horizon {T}"),
 ], ids=["losses", "adversary", "n-rule", "n-zero", "metric", "short-csv"])
 def test_sweep_bad_configuration_errors_every_row(tmp_path, over, error):
-    """A configuration fault, whichever step meets it first, lands in every
-    row's error column and does not stop the sweep."""
+    """A configuration fault that does not depend on the horizon raises
+    ValueError when the config is built, so no table is written; a csv
+    shorter than a horizon, found only by reading the stream, lands in
+    every row's error column and does not stop the sweep."""
     data = tmp_path / "short.csv"
     data.write_text("0.1,1\n" * 4)
+    if over.get("adversary") != "csv":
+        with pytest.raises(ValueError) as exc:
+            _tiny_config(tmp_path, csv_path=str(data), **over)
+        assert str(exc.value) == error
+        assert not (tmp_path / "rows.csv").exists()
+        return
     cfg = _tiny_config(tmp_path, csv_path=str(data), **over)
     rows = run_sweep(cfg)
     assert len(rows) == len(read_results(cfg.out)) == 6
     for r in rows:
-        assert r["value"] == ""
-        assert r["error"] == error.format(path=data, T=r["T"])
+        assert r["value"] == "" and r["N"] == 2
+        assert r["error"] == "ValueError: " + error.format(path=data, T=r["T"])
 
 
 @pytest.mark.parametrize("over, error", [
-    (dict(metric="nope"), "ValueError: unknown metric 'nope'; known: "
+    (dict(metric="nope"), "unknown metric 'nope'; known: "
                           + ", ".join(harness.METRICS)),
-    (dict(metric="smcal2:ball9"), "ValueError: unknown class spec 'ball9'"),
-    (dict(losses="squared,bad"), "ValueError: unknown loss token 'bad'"),
+    (dict(metric="smcal2:ball9"), "unknown class spec 'ball9'"),
+    (dict(losses="squared,bad"), "unknown loss token 'bad'"),
     (dict(metric="nope", adversary="csv"),
-     "ValueError: unknown metric 'nope'; known: "
-     + ", ".join(harness.METRICS)),
+     "unknown metric 'nope'; known: " + ", ".join(harness.METRICS)),
 ], ids=["metric", "class", "losses", "metric-and-short-csv"])
 def test_sweep_bad_metric_or_losses_simulate_nothing(tmp_path, monkeypatch,
                                                      over, error):
-    """A bad metric, class or loss menu errors every row before any stream
-    is generated, in the group or in a rerun; it outranks a short csv."""
+    """A bad metric, class or loss menu fails the config when it is built;
+    set on a built config, it fails run_sweep before the table is opened or
+    any stream is generated. It outranks a short csv, a row fault."""
     calls = []
-
-    def spy(name):
-        real = getattr(harness, name)
-        return lambda *a, **k: calls.append(name) or real(*a, **k)
-
-    for name in ("generate_stream", "simulate_run"):
-        monkeypatch.setattr(harness, name, spy(name))
+    real = harness.generate_stream
+    monkeypatch.setattr(harness, "generate_stream",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     data = tmp_path / "short.csv"
     data.write_text("0.1,1\n" * 4)
-    rows = run_sweep(_tiny_config(tmp_path, csv_path=str(data), **over))
-    assert calls == []
-    assert [r["error"] for r in rows] == [error] * 6
-    assert all(r["value"] == "" for r in rows)
+    with pytest.raises(ValueError) as exc:
+        _tiny_config(tmp_path, csv_path=str(data), **over)
+    assert str(exc.value) == error
+    cfg = _tiny_config(tmp_path, csv_path=str(data),
+                       adversary=over.get("adversary", "iid-logistic"))
+    for field, value in over.items():
+        setattr(cfg, field, value)
+    with pytest.raises(ValueError) as exc:
+        run_sweep(cfg)
+    assert str(exc.value) == error
+    assert calls == [] and not (tmp_path / "rows.csv").exists()
 
 
 def test_sweep_row_isolated():
     cfg = SweepConfig(T_list=[16], d=2, reps=1, metric="cal2", n_rule="2",
                       out="unused.csv")
-    [row] = _sweep_rows(cfg, 16, [0])
+    [row] = _sweep_rows(cfg, 16, [0], cfg.plan())
     assert row["error"] == ""
     assert float(row["value"]) >= 0.0
     assert float(row["wall_ms"]) > 0.0

@@ -11,7 +11,7 @@ import pytest
 from swapcal import (FormatError, LinearFn, MixturePredictor, SweepConfig,
                      Transcript, cal, choose_n, cover_thetas, estimate_dsmcal,
                      estimate_dsomni, estimate_saerr, generate_stream,
-                     linear_ball, make_grid, resolve_n, run_online, run_sweep,
+                     linear_ball, make_grid, resolve_n, run_online,
                      smcal, train_mixture, witness_f_prime)
 from swapcal.batch import _bucket_weights
 from swapcal.core import Grid, as_int
@@ -56,9 +56,9 @@ SITES = {
     "SweepConfig.T_list": lambda v: _sweep(T_list=[v]).T_list[0],
     "SweepConfig.reps": lambda v: _sweep(reps=v).reps,
     "SweepConfig.seed_base": lambda v: _sweep(seed_base=v).seed_base,
+    "SweepConfig.d": lambda v: _sweep(d=v).d,
     "train_mixture.stride": lambda v: train_mixture(STREAM, 2,
                                                     stride=v).size,
-    "train_mixture.seed": lambda v: train_mixture(STREAM, 2, seed=v).size,
     "_bucket_weights.mc_draws": lambda v: round(
         _bucket_weights(MIX, STREAM[0], v, 0)[0].sum() * 2),
     "_check_q.smcal": lambda v: int(smcal(TR, linear_ball(1.0), v)
@@ -128,26 +128,25 @@ def test_as_int_names_its_rule(low, value, kind):
     assert str(exc.value) == f"y must be {kind}, got {value!r}"
 
 
-def test_sweep_does_not_truncate_a_fractional_grid_rule(tmp_path):
-    """n_rule 2.9 used to run every row at N = 2; now each row carries the
-    rule's error and no value."""
-    cfg = _sweep(n_rule=2.9, reps=2, out=str(tmp_path / "rows.csv"))
-    for row in run_sweep(cfg):
-        assert row["N"] == "" and row["value"] == ""
-        assert row["error"] == ("ValueError: grid rule must be auto-smcal, "
-                                "auto-sreg, or an integer, got 2.9")
+def test_sweep_does_not_truncate_a_fractional_grid_rule():
+    """n_rule 2.9 used to run every row at N = 2; now the config raises the
+    rule's error when it is built."""
+    with pytest.raises(ValueError) as exc:
+        _sweep(n_rule=2.9, reps=2)
+    assert str(exc.value) == ("grid rule must be auto-smcal, auto-sreg, or "
+                              "an integer, got 2.9")
 
 
 def test_numpy_integer_seeds_reach_the_files(tmp_path):
     """A run seeded with np.int64 writes its file (the transcript header
     used to raise TypeError) and reads back as an int; a mixture trained
-    with np.int64 seed and stride is the one their ints train."""
+    with an np.int64 stride is the one its int trains."""
     tr = run_online(BmForecaster(make_grid(2), 2, seed=np.int64(3)), STREAM)
     tr.write_jsonl(tmp_path / "run.jsonl")
     assert Transcript.read_jsonl(tmp_path / "run.jsonl").seed == 3
     ref = run_online(BmForecaster(make_grid(2), 2, seed=3), STREAM)
     assert np.array_equal(tr.sampled_indices, ref.sampled_indices)
-    mix = train_mixture(STREAM, 2, seed=np.int64(3), stride=np.int64(4))
+    mix = train_mixture(STREAM, 2, stride=np.int64(4))
     assert mix.size == 5
     assert np.array_equal(mix.thetas,
-                          train_mixture(STREAM, 2, seed=3, stride=4).thetas)
+                          train_mixture(STREAM, 2, stride=4).thetas)

@@ -17,7 +17,9 @@ from swapcal.batch import _bucket_weights
 from swapcal.core import COND_DIST_TOL, affine_restricted
 from swapcal.forecaster import commit_round, lockstep_rounds, rround
 from swapcal.harness import METRICS, parse_class_spec
-from swapcal.metrics import DEFAULT_LOSSES, constrained_lstsq
+from swapcal.metrics import DEFAULT_LOSSES
+
+from oracles import constrained_lstsq
 
 
 def _random_transcript(rng, T, d, n):
@@ -706,8 +708,7 @@ def test_finite_class_of_cover_thetas_matches_cover(d, eps, r):
     np.testing.assert_allclose(bm_external_regrets(tr, fin),
                                bm_external_regrets(tr, cov), rtol=1e-12)
     spec = AdversarySpec("iid-logistic", noise=0.1)
-    mix = train_mixture(generate_stream(spec, 96, d, seed=d), 3, seed=d,
-                        stride=8)
+    mix = train_mixture(generate_stream(spec, 96, d, seed=d), 3, stride=8)
     test = generate_stream(spec, 40, d, seed=d + 1)
     for draws in (None, 300):
         for est in (estimate_saerr, estimate_dsmcal, estimate_dsomni):
@@ -779,8 +780,7 @@ def test_omni_enumerated_matches_dense_evaluation(kind, chunk, monkeypatch):
     np.testing.assert_allclose(rep.extras["achieved_comparator_loss"],
                                achieved, rtol=1e-12, atol=1e-12)
     spec = AdversarySpec("iid-logistic", noise=0.1)
-    mix = train_mixture(generate_stream(spec, 96, 2, seed=4), 3, seed=4,
-                        stride=8)
+    mix = train_mixture(generate_stream(spec, 96, 2, seed=4), 3, stride=8)
     X, y = generate_stream(spec, 40, 2, seed=5)
     for draws in (None, 300):
         V, _ = _bucket_weights(mix, X, draws, 0)
@@ -933,8 +933,7 @@ def test_affine_omni_descent_matches_per_pair_oracle(d, shift, monkeypatch):
     cases = [(tr.contexts, tr.outcomes.astype(float), CW, tr.grid.points)]
     spec = AdversarySpec("iid-logistic", noise=0.1)
     seed = d + 100 * shift
-    mix = train_mixture(generate_stream(spec, 64, d, seed=seed), 3, seed=seed,
-                        stride=8)
+    mix = train_mixture(generate_stream(spec, 64, d, seed=seed), 3, stride=8)
     X, y = generate_stream(spec, 24, d, seed=seed + 1)
     for draws in (None, 200):
         V, _ = _bucket_weights(mix, X, draws, shift)
@@ -971,7 +970,7 @@ def test_both_omni_reports_check_the_loss_menu(bad):
     menus with the same message."""
     losses, match = _BAD_MENUS[bad]
     tr = _forecaster_transcript(np.random.default_rng(21), 30, 2, 2, seed=0)
-    mix = train_mixture((tr.contexts, tr.outcomes), 2, seed=0)
+    mix = train_mixture((tr.contexts, tr.outcomes), 2)
     X, y = tr.contexts, tr.outcomes.astype(float)
     for call in (lambda: somni(tr, losses=losses),
                  lambda: estimate_dsomni(mix, (X, tr.outcomes), losses=losses),
@@ -1158,8 +1157,7 @@ def test_reports_frozen_values(cls):
     suffix = "" if cls == "default" else ":" + cls
     got = {name: evaluate_metric(tr, name + suffix).value
            for name in METRICS if name in want}
-    mix = train_mixture(generate_stream(spec, 256, 3, seed=10), 4, seed=10,
-                        stride=8)
+    mix = train_mixture(generate_stream(spec, 256, 3, seed=10), 4, stride=8)
     test = generate_stream(spec, 64, 3, seed=11)
     hc = None if cls == "default" else parse_class_spec(cls)
     for name, estimate in (("saerr", estimate_saerr),

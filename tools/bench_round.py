@@ -293,7 +293,7 @@ def worker(src):
         out["write_jsonl_T4096"] = _best_us(tr.write_jsonl, [(path,)])
         out["read_jsonl_T4096"] = _best_us(Transcript.read_jsonl, [(path,)])
     mix = train_mixture(generate_stream(spec, 512, 2, seed=10),
-                        choose_n(512, 2, "smcal"), seed=10, stride=8)
+                        choose_n(512, 2, "smcal"), stride=8)
     Xm, ym = generate_stream(spec, 32, 2, seed=11)
     omni_inputs = {
         "omni_somni_T4096": (tr.contexts, tr.outcomes.astype(float),

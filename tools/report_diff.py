@@ -106,8 +106,7 @@ def reports():
                 lambda: somni(tr, losses=menu, hc=parse_class_spec(cls)))
 
     spec = AdversarySpec("iid-logistic", noise=0.1)
-    mix = train_mixture(generate_stream(spec, 256, 3, seed=10), 4, seed=10,
-                        stride=8)
+    mix = train_mixture(generate_stream(spec, 256, 3, seed=10), 4, stride=8)
     test = generate_stream(spec, 64, 3, seed=11)
     estimators = (("saerr", estimate_saerr, CLASSES),
                   ("dsmcal2", estimate_dsmcal, CLASSES),
