@@ -12,7 +12,7 @@ and the observed outcome.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -426,58 +426,56 @@ def _first_non_index(values, hi):
 JSONL_BLOCK = 256
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 _DECODE = json.JSONDecoder().raw_decode
-_FIELDS = ("x", "P", "pi", "y")
 # RecursionError: json's scanner on a deeply nested list
 _BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 def _decode_block(lines, d, n):
-    """The columns (X, P, pi, y) of a block of record lines, or None unless
-    every line is one JSON object (json.loads' rule on a stripped line) with
-    numeric fields of widths d, n + 1, 1 and 1: then the columns equal those
-    _walk_block fills."""
+    """The float columns (X, P, pi, y) of a block of record lines, each one
+    JSON object (json.loads' rule on a stripped line) whose x and P are
+    lists of d and n + 1 JSON numbers within float range and whose pi and y
+    are integers in [0, n] and [0, 1]; other keys are ignored. Else one of
+    _BAD_RECORD is raised, and some line of the block fails alone too."""
+    pairs = [_DECODE(ln) for ln in lines]
+    for (_, end), ln in zip(pairs, lines):
+        if end != len(ln):
+            json.loads(ln)  # raises json's own "Extra data" error
+    # true, false and null each hold a "u" or an "l", a written record
+    # neither; numpy reads a bool among numbers as a number
+    text = "".join(lines)
+    check_each = "u" in text or "l" in text
+    cols = []
+    for key, shape, hi in (("x", (d,), None), ("P", (n + 1,), None),
+                           ("pi", (), n), ("y", (), 1)):
+        values = [rec[key] for rec, _ in pairs]
+        col = np.array(values)
+        if col.shape[1:] != shape:
+            raise ValueError(f"{key} needs {shape[0]} entries" if shape
+                             else f"{key} needs a number")
+        # a string reads as dtype "<U", null or a huge integer as object
+        if (check_each or col.dtype.kind not in "iuf") and not all(
+                type(v) in (int, float)
+                for v in (chain.from_iterable(values) if shape else values)):
+            raise TypeError(f"{key} needs JSON numbers")
+        col = col.astype(float, copy=False)  # OverflowError past float range
+        if hi is not None and (k := _first_non_index(col, hi)) >= 0:
+            raise ValueError(f"{key} {col[k]} is not an integer in [0, {hi}]")
+        cols.append(col)
+    return tuple(cols)
+
+
+def _decode_lines(path, lines, first, d, n):
+    """_decode_block(lines, d, n), or FormatError naming the first line that
+    fails alone (lines[0] is line first), caused by that line's error."""
     try:
-        pairs = [_DECODE(ln) for ln in lines]
-        if any(end != len(ln) for (_, end), ln in zip(pairs, lines)):
-            return None
-        cols = tuple(np.array([rec[key] for rec, _ in pairs])
-                     for key in _FIELDS)
+        return _decode_block(lines, d, n)
     except _BAD_RECORD:
-        return None
-    b = len(lines)
-    for col, shape in zip(cols, ((b, d), (b, n + 1), (b,), (b,))):
-        # a str, None or object entry may convert otherwise than by setitem
-        if col.dtype.kind not in "biuf" or col.shape != shape:
-            return None
-    return tuple(col.astype(float, copy=False) for col in cols)
-
-
-def _walk_block(path, lines, first, d, n):
-    """The columns (X, P, pi, y) of a block of record lines read one record
-    at a time; FormatError at the first bad one, named by its line number
-    (the block's first line is line first)."""
-    rows = []
-    for k, ln in enumerate(lines):
-        try:
-            rec = json.loads(ln)
-            x = rec["x"]
-            # the first record reports a wrong x width alone
-            if first + k == 2 and len(x) != d:
-                raise ValueError(f"x needs {d} entries")
-            p = rec["P"]
-            # numpy would broadcast a length-1 list (len rejects a scalar
-            # with a TypeError)
-            if len(x) != d or len(p) != n + 1:
-                raise ValueError(f"x needs {d} entries and P {n + 1}")
-            row = (np.zeros((1, d)), np.zeros((1, n + 1)), np.zeros(1),
-                   np.zeros(1))
-            for col, key in zip(row, _FIELDS):
-                col[0] = rec[key]
-        except _BAD_RECORD as exc:
-            raise FormatError(f"{path}: bad step record on line {first + k}: "
-                              f"{exc}") from exc
-        rows.append(row)
-    return tuple(np.concatenate(c) for c in zip(*rows))
+        for k, ln in enumerate(lines, first):
+            try:
+                _decode_block([ln], d, n)
+            except _BAD_RECORD as exc:
+                raise FormatError(f"{path}: bad step record on line {k}: "
+                                  f"{exc}") from exc
 
 
 class Transcript:
@@ -561,9 +559,10 @@ class Transcript:
     def read_jsonl(cls, path):
         """Read a write_jsonl file; header N, d, T and seed follow as_int.
 
-        Records are decoded JSONL_BLOCK at a time. Checks keep the order of
-        a whole-file read: the record count, N and the grid cap come before
-        the first bad record, and line numbers count non-blank lines."""
+        Records are decoded JSONL_BLOCK at a time (_decode_lines). Checks
+        keep the order of a whole-file read: the record count, N and the grid
+        cap come before the first bad record, and line numbers count
+        non-blank lines."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = filter(None, map(str.strip, fh))
             head = next(lines, None)
@@ -584,8 +583,7 @@ class Transcript:
                 if error is None and count <= T:
                     first = count - len(block) + 2  # the header is line 1
                     try:
-                        blocks.append(_decode_block(block, d, n)
-                                      or _walk_block(path, block, first, d, n))
+                        blocks.append(_decode_lines(path, block, first, d, n))
                     except FormatError as exc:
                         error = exc
         if count != T:
@@ -600,10 +598,4 @@ class Transcript:
                  np.zeros(0))
         X, P, pi, y = (np.concatenate(c) for c in zip(empty, *blocks))
         del blocks  # before Transcript's checks take their own copies
-        for key, values, hi in (("pi", pi, n), ("y", y, 1)):
-            k = _first_non_index(values, hi)
-            if k >= 0:
-                raise FormatError(f"{path}: bad step record on line {k + 2}: "
-                                  f"{key} {values[k]} is not an integer in "
-                                  f"[0, {hi}]")
         return cls(grid, X, P, pi, y, seed=seed)

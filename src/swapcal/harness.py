@@ -169,7 +169,8 @@ def ingest_csv(path):
 
 def csv_rows(table, T, d, path):
     """The first T rounds (X, y) of an ingest_csv result (X, y, factor) read
-    from `path`, checked against the horizon T and the dimension d."""
+    from `path`, checked against the horizon T (as_int) and dimension d."""
+    T = as_int(T, "horizon", 0)
     X, y, _ = table
     if len(y) < T:
         raise ValueError(f"csv stream {path} has {len(y)} rows, "
@@ -346,18 +347,25 @@ class SweepConfig:
                              bias=self.bias, path=self.csv_path)
 
     def plan(self):
-        """(metric on (transcript, class, losses), class, loss menu,
-        AdversarySpec) from the fields; ValueError if one or n_rule is bad."""
+        """(metric on (transcript, class, losses), class, loss menu, stream)
+        from the fields, stream(T, seed) giving generate_stream's (X, y).
+        A csv file is read here, once. ValueError if a field is bad."""
         make_grid(resolve_n(self.n_rule, 1, self.d))
         metric, hc = resolve_metric(self.metric, None)
-        return metric, hc, parse_losses(self.losses), self.adversary_spec()
+        losses, spec = parse_losses(self.losses), self.adversary_spec()
+        stream = lambda T, seed: generate_stream(spec, T, self.d, seed=seed)
+        if spec.kind == "csv":
+            table = ingest_csv(spec.path)
+            csv_rows(table, 0, self.d, spec.path)  # the width, whatever T
+            stream = lambda T, _: csv_rows(table, T, self.d, spec.path)
+        return metric, hc, losses, stream
 
 
 def _sweep_rows(cfg, T, reps, plan):
     """The rows of the distinct repetitions `reps` at horizon T, in order,
     with plan = cfg.plan(): one attempt at the group, then, if it fails,
     one per rep, as run_sweep says."""
-    metric, hc, losses, spec = plan
+    metric, hc, losses, stream = plan
     seeds = [cfg.seed_base + rep for rep in reps]
     rows = [{"T": T, "N": "", "d": cfg.d, "rep": rep, "seed": seed,
              "metric": cfg.metric, "value": "", "wall_ms": "", "error": ""}
@@ -367,7 +375,7 @@ def _sweep_rows(cfg, T, reps, plan):
         n = resolve_n(cfg.n_rule, T, cfg.d)
         for row in rows:
             row["N"] = n
-        streams = [generate_stream(spec, T, cfg.d, seed=s) for s in seeds]
+        streams = [stream(T, s) for s in seeds]
         runs = run_lockstep([BmForecaster(make_grid(n), cfg.d, seed=s)
                              for s in seeds], streams)
     except Exception as exc:
@@ -389,9 +397,16 @@ def _sweep_rows(cfg, T, reps, plan):
 
 
 def read_results(path):
-    """Rows of a results table as dicts (strings as written)."""
+    """Rows of a results table as dicts (strings as written); an empty file
+    has none. FormatError if the header lacks any of RESULT_COLUMNS."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        table = csv.DictReader(fh)
+        missing = [c for c in RESULT_COLUMNS
+                   if c not in (table.fieldnames or RESULT_COLUMNS)]
+        if missing:
+            raise FormatError(f"{path}: not a results table, its header "
+                              f"lacks {missing}")
+        return list(table)
 
 
 def run_sweep(cfg, out_path=None):
@@ -414,16 +429,7 @@ def run_sweep(cfg, out_path=None):
     if not out_path:
         raise ValueError("sweep needs an output path")
     plan = cfg.plan()
-    existing = []
-    if os.path.exists(out_path):
-        with open(out_path, "r", encoding="utf-8", newline="") as fh:
-            table = csv.DictReader(fh)
-            existing = list(table)
-        missing = [c for c in RESULT_COLUMNS
-                   if c not in (table.fieldnames or RESULT_COLUMNS)]
-        if missing:
-            raise FormatError(f"{out_path}: not a results table, its header "
-                              f"lacks {missing}")
+    existing = read_results(out_path) if os.path.exists(out_path) else []
     done = {(int(r["T"]), int(r["rep"])) for r in existing
             if r["metric"] == cfg.metric}
     new_rows = []

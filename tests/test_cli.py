@@ -158,6 +158,20 @@ def test_metrics_deeply_nested_record_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_metrics_rejects_what_is_not_a_json_number(tmp_path):
+    """Numeric strings, a bool and null in a record's fields exit 2 and name
+    the first bad line; they used to read as numbers."""
+    path = tmp_path / "odd.jsonl"
+    path.write_text('{"N":1,"d":2,"T":2,"seed":0}\n'
+                    '{"t":1,"x":["0.5","0.1"],"P":[1.0,0.0],"pi":"0",'
+                    '"y":true}\n'
+                    '{"t":2,"x":[0.5,0.1],"P":[1.0,0.0],"pi":0,"y":null}\n')
+    proc = run_cli("metrics", "--transcript", str(path), "--report", "cal2",
+                   expect=2)
+    assert proc.stderr == (f"error: {path}: bad step record on line 2: "
+                           "x needs JSON numbers\n")
+
+
 def test_sweep_and_fit_rate(tmp_path):
     cfg = tmp_path / "cfg.json"
     rows = tmp_path / "rows.csv"
@@ -260,6 +274,36 @@ def test_fit_rate_too_few_points(tmp_path):
                                  "--metric", "m"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_fit_rate_rejects_a_table_without_the_result_columns(tmp_path):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("metric,value\nsmcal2,1.0\n")
+    proc = run_cli("fit-rate", "--in", str(rows), "--metric", "smcal2",
+                   expect=2)
+    assert proc.stderr == (f"error: {rows}: not a results table, its header "
+                           "lacks ['T', 'N', 'd', 'rep', 'seed', 'wall_ms', "
+                           "'error']\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file or directory"),
+    ("0.1,x,1\n", "non-numeric cell in row 1"),
+    ("0.1,0.2,1\n" * 40, "csv contexts have dimension 3, expected 2"),
+], ids=["missing", "unparsable", "wrong-d"])
+def test_sweep_csv_faults_exit_2_before_the_table(tmp_path, text, message):
+    """A csv adversary's file that is missing, cannot be parsed or has
+    another dimension fails the config whatever the horizon: exit 2, one
+    error line, no table written."""
+    data, cfg, out = (tmp_path / name for name in ("d.csv", "cfg.json",
+                                                   "rows.csv"))
+    if text is not None:
+        data.write_text(text)
+    cfg.write_text(json.dumps({**_GOOD_SWEEP, "adversary": "csv",
+                               "csv_path": str(data)}))
+    proc = run_cli("sweep", "--config", str(cfg), "--out", str(out), expect=2)
+    assert message in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_batch_reports(tmp_path):

@@ -10,7 +10,7 @@ from swapcal import (FormatError, LinearFn, ResourceLimitError, Transcript,
                      squared_loss, validate_outcome, validate_stream,
                      vshaped_loss)
 from swapcal.core import (JSONL_BLOCK, MEMBER_CAP, HypothesisClass, LossSpec,
-                          _first_non_index, affine_restricted, as_int)
+                          affine_restricted, as_int)
 
 
 def test_grid_points():
@@ -587,8 +587,10 @@ def _fixed_transcript(T, d=2, n=6, seed=5):
 
 def _read_whole_file(path):
     """Reference reader: every stripped non-blank line through json.loads,
-    the record count, N and the first record's x checked before anything is
-    allocated, then one record at a time."""
+    the record count and N checked before anything is allocated, then one
+    record at a time, field by field in the order x, P, pi, y: its shape,
+    then each value's type (an int or a float, not a bool), then its float
+    value and, for pi and y, its range."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in (s.strip() for s in fh) if ln]
     if not lines:
@@ -607,34 +609,29 @@ def _read_whole_file(path):
     if n < 1:
         raise FormatError(f"{path}: header N must be >= 1")
     grid = make_grid(n)
-    bad = (KeyError, TypeError, ValueError, OverflowError)
-    try:
-        if T and len(json.loads(lines[1])["x"]) != d:
-            raise ValueError(f"x needs {d} entries")
-    except bad as exc:
-        raise FormatError(f"{path}: bad step record on line 2: {exc}") \
-            from exc
     X, P, pi, y = np.zeros((T, d)), np.zeros((T, n + 1)), np.zeros(T), \
         np.zeros(T)
+    fields = (("x", X, (d,), None), ("P", P, (n + 1,), None),
+              ("pi", pi, (), n), ("y", y, (), 1))
     for k, ln in enumerate(lines[1:]):
         try:
             rec = json.loads(ln)
-            x, p = rec["x"], rec["P"]
-            if len(x) != d or len(p) != n + 1:
-                raise ValueError(f"x needs {d} entries and P {n + 1}")
-            X[k] = x
-            P[k] = p
-            pi[k] = rec["pi"]
-            y[k] = rec["y"]
-        except bad as exc:
+            for key, col, shape, hi in fields:
+                value = rec[key]
+                if np.shape(value) != shape:
+                    raise ValueError(f"{key} needs {shape[0]} entries"
+                                     if shape else f"{key} needs a number")
+                for v in value if shape else [value]:
+                    if type(v) is not int and type(v) is not float:
+                        raise TypeError(f"{key} needs JSON numbers")
+                col[k] = value
+                if hi is not None and not (0 <= col[k] <= hi
+                                           and col[k] == int(col[k])):
+                    raise ValueError(f"{key} {col[k]} is not an integer in "
+                                     f"[0, {hi}]")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad step record on line {k + 2}: "
                               f"{exc}") from exc
-    for key, values, hi in (("pi", pi, n), ("y", y, 1)):
-        k = _first_non_index(values, hi)
-        if k >= 0:
-            raise FormatError(f"{path}: bad step record on line {k + 2}: "
-                              f"{key} {values[k]} is not an integer in "
-                              f"[0, {hi}]")
     return Transcript(grid, X, P, pi, y, seed=seed)
 
 
@@ -713,26 +710,59 @@ def _outcome(read, path):
                                         tr.sampled_indices, tr.outcomes))
 
 
-@pytest.mark.parametrize("fields", [
-    {"x": ["0.5", "0.1"]}, {"x": [0.5, 0]}, {"P": [1] + [0] * 6},
-    {"pi": "3"}, {"pi": True}, {"pi": 3.0}, {"y": None}, {"y": False},
-    {"x": [None, 0.0]}, {"x": [10 ** 400, 0.0]}, {"pi": 2 ** 64},
-    {"t": "anything"},
-], ids=lambda f: json.dumps(f)[:24])
+# a string, a bool or null in each field, a number past float range, and
+# an index that does not fit 64 bits
+_NOT_NUMBERS = [
+    {"x": ["0.5", "0.1"]}, {"x": [True, 0.0]}, {"x": [0.5, False]},
+    {"x": [None, 0.0]}, {"x": [10 ** 400, 0.0]},
+    {"P": ["1"] + [0.0] * 6}, {"P": [True] + [0.0] * 6},
+    {"P": [False] + [1.0] + [0.0] * 5}, {"P": [None] + [1.0] + [0.0] * 5},
+    {"P": [10 ** 400] + [0.0] * 6},
+    {"pi": "3"}, {"pi": True}, {"pi": False}, {"pi": None},
+    {"pi": 10 ** 400}, {"pi": 2 ** 64},
+    {"y": "1"}, {"y": True}, {"y": False}, {"y": None}, {"y": 10 ** 400},
+    {"y": 2 ** 64},
+]
+# other spellings of a written value, and keys the reader ignores
+_SAME_VALUES = [
+    {"x": [0.5, 0]}, {"P": [1] + [0] * 6}, {"pi": 3.0}, {"t": "anything"},
+    {"extra": "true"}, {"extra": None},
+]
+_COLUMNS = {"x": "contexts", "P": "cond_dists", "pi": "sampled_indices",
+            "y": "outcomes"}
+
+
+@pytest.mark.parametrize(
+    "fields, reads",
+    [(f, False) for f in _NOT_NUMBERS] + [(f, True) for f in _SAME_VALUES],
+    ids=[json.dumps(f)[:24] for f in _NOT_NUMBERS + _SAME_VALUES])
 def test_transcript_read_odd_values_as_the_whole_file_reader(tmp_path,
-                                                             fields):
-    """Values json.loads and numpy's setitem take in unusual spellings (a
-    numeric string, a bool, null, an int) read or fail as before."""
+                                                             fields, reads):
+    """x, P, pi and y hold JSON numbers only: a string, a bool or null in
+    any of them, or a value past float range, raises FormatError naming
+    its line at every block edge, as the whole-file reader does. An integer
+    where the writer writes a float, a float where it writes an integer,
+    and any value under another key read as the written file does."""
     T = JSONL_BLOCK + 5
+    tr = _fixed_transcript(T)
     path = tmp_path / "run.jsonl"
-    _fixed_transcript(T).write_jsonl(path)
+    tr.write_jsonl(path)
     head, *records = path.read_text().splitlines()
     for pos in _edge_positions(T):
         odd = list(records)
         odd[pos] = _edit_record(odd[pos], **fields)
         path.write_text("\n".join([head, *odd]) + "\n")
-        assert _outcome(Transcript.read_jsonl, path) == \
-            _outcome(_read_whole_file, path)
+        got = _outcome(Transcript.read_jsonl, path)
+        assert got == _outcome(_read_whole_file, path)
+        if not reads:
+            assert got[0] is FormatError and f"on line {pos + 2}:" in got[1]
+            continue
+        want = {name: getattr(tr, name).copy() for name in _COLUMNS.values()}
+        for key, value in fields.items():
+            if key in _COLUMNS:
+                want[_COLUMNS[key]][pos] = value
+        assert got == tuple(want[name].tobytes()
+                            for name in _COLUMNS.values())
 
 
 def test_transcript_read_one_record_split_and_one_line_holding_two(

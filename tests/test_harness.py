@@ -138,6 +138,8 @@ def test_csv_adversary_replays_file(tmp_path):
         generate_stream(spec, 100, 2, seed=0)
     with pytest.raises(ValueError, match="dimension"):
         generate_stream(spec, 10, 4, seed=0)
+    with pytest.raises(ValueError, match="horizon must be a non-negative"):
+        harness.csv_rows(ingest_csv(p), -1, 2, p)
 
 
 def test_resolve_n():
@@ -387,6 +389,22 @@ def test_sweep_bad_metric_or_losses_simulate_nothing(tmp_path, monkeypatch,
         run_sweep(cfg)
     assert str(exc.value) == error
     assert calls == [] and not (tmp_path / "rows.csv").exists()
+
+
+def test_sweep_reads_a_csv_once_per_plan(tmp_path, monkeypatch):
+    """run_sweep reads a csv adversary's file once, however many reps and
+    horizons it runs."""
+    real, calls = harness.ingest_csv, []
+    monkeypatch.setattr(harness, "ingest_csv",
+                        lambda path: calls.append(path) or real(path))
+    data = tmp_path / "d.csv"
+    data.write_text("0.1,1\n0.2,0\n" * 16)
+    cfg = _tiny_config(tmp_path, adversary="csv", csv_path=str(data),
+                       T_list=[16, 32], reps=8)
+    calls.clear()
+    rows = run_sweep(cfg)
+    assert calls == [str(data)]
+    assert len(rows) == 16 and all(r["error"] == "" for r in rows)
 
 
 def test_sweep_row_isolated():
