@@ -516,9 +516,9 @@ class Transcript:
         if self.cond_dists.shape != (T, self.grid.size):
             raise ValueError("cond_dists shape does not match (T, grid size)")
         sums = self.cond_dists.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > COND_DIST_TOL:
+        if not np.max(np.abs(sums - 1.0)) <= COND_DIST_TOL:  # NaN fails
             raise ValueError("some conditional distribution does not sum to 1")
-        if self.cond_dists.min() < -1e-12:
+        if not self.cond_dists.min() >= -1e-12:
             raise ValueError("negative conditional probability")
         validate_stream((self.contexts, self.outcomes))
 

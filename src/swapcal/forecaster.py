@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MEMBER_CAP, Grid, Transcript, as_int, check_contexts,
-                   validate_outcome, validate_stream)
+from .core import (JSONL_BLOCK, MEMBER_CAP, Grid, Transcript, as_int,
+                   check_contexts, validate_outcome, validate_stream)
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import stationary_distribution
 from .ons import OMEGA, ons_kernel, ons_step
@@ -163,14 +163,20 @@ def run_online(forecaster, stream):
 def run_lockstep(forecasters, streams):
     """Run R forecasters that share a grid and d over R streams (X, y) of
     one length by lockstep_rounds, and return one transcript per forecaster,
-    bit for bit the one it would record alone."""
+    bit for bit the one it would record alone. After the loop each rng
+    draws its T uniforms at once (on PCG64 the draws of T scalar calls), and
+    sample_cell samples P JSONL_BLOCK rounds at a time; a raise draws none."""
     R, K = len(forecasters), forecasters[0].grid.size
-    P, pi = np.zeros((R, 0, K)), np.zeros((R, 0), dtype=int)
-    for t, (_, _, Pt, idx) in enumerate(lockstep_rounds(forecasters, streams)):
-        if t == 0:  # the streams are checked by now: size the records
-            T = len(streams[0][1])
-            P, pi = np.zeros((R, T, K)), np.zeros((R, T), dtype=int)
-        P[:, t], pi[:, t] = Pt, idx
+    P = np.zeros((R, 0, K))
+    for t, (_, _, Pt) in enumerate(lockstep_rounds(forecasters, streams)):
+        if t == 0:  # the streams are checked by now: size the record
+            P = np.zeros((R, len(streams[0][1]), K))
+        P[:, t] = Pt
+    u = np.array([fc.rng.random(P.shape[1]) for fc in forecasters])
+    pi = np.zeros(u.shape, dtype=int)
+    for t0 in range(0, P.shape[1], JSONL_BLOCK):
+        block = slice(t0, t0 + JSONL_BLOCK)
+        pi[:, block] = sample_cell(P[:, block], u[:, block])
     return [Transcript(fc.grid, X, P[r], pi[r], y, seed=fc.seed)
             for r, (fc, (X, y)) in enumerate(zip(forecasters, streams))]
 
@@ -179,12 +185,12 @@ def lockstep_rounds(forecasters, streams):
     """The round loop: advance R forecasters that share a grid and d over R
     streams (X, y) of one length together, each stream validated once.
 
-    A round runs one commit_round on the (R, K, d) parameter stack, draws one
-    uniform from each forecaster's rng in order and runs one sample_cell. It
-    yields (thetas (R, K, d), w (R, K), P (R, K), idx (R,)), arrays no later
-    round writes to; then one ons_kernel call (its inputs valid by the
-    stream checks and P) advances all R K learners, read from the
-    forecasters at the first round, into their new rows. Leave the
+    A round runs one commit_round on the (R, K, d) parameter stack and
+    yields (thetas (R, K, d), w (R, K), P (R, K)), arrays no later round
+    writes to; then one ons_kernel call (its inputs valid by the stream
+    checks and P) advances all R K learners, read from the forecasters at
+    the first round, into their new rows. The loop touches no rng: the
+    learners read P, never a sampled cell (run_lockstep samples). Leave the
     forecasters alone while the loop runs: a learner stack replaced between
     rounds (new thetas, an update call) raises PreconditionError. R K^2
     rounding-matrix entries a round over MEMBER_CAP raise ResourceLimitError
@@ -209,8 +215,7 @@ def lockstep_rounds(forecasters, streams):
     thetas, invs = (np.array(stack) for stack in zip(*rows))
     for x, yt in zip(X, Y):
         w, _, P = commit_round(thetas, x[:, 0], grid)
-        idx = sample_cell(P, [fc.rng.random() for fc in forecasters])
-        yield thetas, w, P, idx
+        yield thetas, w, P
         if any(fc.thetas is not theta or fc.inv_curvatures is not inv
                for fc, (theta, inv) in zip(forecasters, rows)):
             raise PreconditionError("a forecaster's learners were replaced "

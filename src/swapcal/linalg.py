@@ -10,6 +10,8 @@ the online learner is stored as its inverse throughout.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NumericFailure
@@ -39,15 +41,24 @@ def check_column_stochastic(Q):
     return Q
 
 
+@functools.lru_cache(maxsize=4)
+def _identity(K):
+    """np.eye(K), read-only, built once per K rather than every round."""
+    eye = np.eye(K)
+    eye.flags.writeable = False
+    return eye
+
+
 def single_closed_class(Q):
     """Whether each chain of a stack Q (..., K, K) of column-stochastic
     matrices has one closed class, certified by reachability: some state is
     reachable from every state. Entries at most K eps are read as 0; the
-    reach matrix is ceil(log2 K) squarings of the 0/1 matrix
-    (Q > K eps) + I, capped at 1."""
+    reach matrix is ceil(log2(K - 1)) squarings (2^s >= K - 1 steps) of the
+    0/1 matrix (Q > K eps) + I, capped at 1, in float: numpy's bool matmul
+    skips BLAS and is slower from about K = 12, or 30 chains of K = 8."""
     K = Q.shape[-1]
-    reach = (Q > K * _EPS) + np.eye(K)
-    for _ in range((K - 1).bit_length()):
+    reach = (Q > K * _EPS) + _identity(K)
+    for _ in range(max(K - 2, 0).bit_length()):
         reach = np.minimum(reach @ reach, 1.0)
     return reach.all(axis=-1).any(axis=-1)
 
@@ -58,7 +69,7 @@ def _square_solve(Q):
     solve (Stewart 1994). The right-hand side has shape (1, K, 1), which
     every numpy from 1.24 on reads as a stack of matrices."""
     K = Q.shape[-1]
-    eye = np.eye(K)
+    eye = _identity(K)
     A = Q - eye
     A[:, K - 1] = 1.0
     return np.linalg.solve(A, eye[None, :, K - 1:])[..., 0]

@@ -403,7 +403,7 @@ def bm_external_regrets(tr, hc):
     mins, _ = per_cell_min_squared(tr.contexts, y, P.T.copy(), hc)
     W, fc = np.empty_like(P), BmForecaster(tr.grid, tr.d)
     rounds = lockstep_rounds([fc], [(tr.contexts, tr.outcomes)])
-    for t, (_, w, Pt, _) in enumerate(rounds):
+    for t, (_, w, Pt) in enumerate(rounds):
         if np.max(np.abs(Pt[0] - P[t])) > COND_DIST_TOL:
             raise ValueError(f"round {t + 1} of {len(P)} is not the "
                              "forecaster's")

@@ -172,6 +172,18 @@ def test_metrics_rejects_what_is_not_a_json_number(tmp_path):
                            "x needs JSON numbers\n")
 
 
+def test_metrics_rejects_nan_in_p(tmp_path):
+    """A NaN probability exits 2; it used to read as a distribution and
+    report 0.0."""
+    path = tmp_path / "nan.jsonl"
+    path.write_text('{"N":1,"d":2,"T":2,"seed":0}\n'
+                    '{"t":1,"x":[0.5,0.1],"P":[NaN,1.0],"pi":1,"y":1}\n'
+                    '{"t":2,"x":[0.5,0.1],"P":[0.5,0.5],"pi":0,"y":0}\n')
+    proc = run_cli("metrics", "--transcript", str(path), "--report", "smcal2",
+                   expect=2)
+    assert "does not sum to 1" in proc.stderr and proc.stdout == ""
+
+
 def test_sweep_and_fit_rate(tmp_path):
     cfg = tmp_path / "cfg.json"
     rows = tmp_path / "rows.csv"

@@ -439,8 +439,12 @@ def _read_n0(tmp_path):
     (lambda _: Transcript(make_grid(2), [[0.5, 0.0]], [[1.1, -0.1, 0.0]],
                           [0], [1]),
      ValueError, "negative conditional probability"),
+    (lambda _: Transcript(make_grid(1), [[0.5, 0.0], [0.5, 0.1]],
+                          [[np.nan, 1.0], [0.5, 0.5]], [1, 0], [1, 0]),
+     ValueError, "does not sum to 1"),
     (_read_n0, FormatError, "header N must be >= 1"),
-], ids=["cond-dists-shape", "negative-probability", "header-n-zero"])
+], ids=["cond-dists-shape", "negative-probability", "nan-probability",
+        "header-n-zero"])
 def test_transcript_rejection_branches(tmp_path, build, error, match):
     with pytest.raises(error, match=match):
         build(tmp_path)

@@ -7,6 +7,7 @@ from swapcal import (AdversarySpec, BmForecaster, NumericFailure,
                      generate_stream, make_grid, ons_step, rround,
                      lockstep_rounds, run_lockstep, run_online,
                      seed_streams, validate_stream)
+from swapcal.core import JSONL_BLOCK
 from swapcal.forecaster import commit_round, sample_cell
 
 
@@ -321,7 +322,7 @@ def test_update_is_a_chain_of_per_cell_steps(driver, d, monkeypatch):
             fcs[0].update(out, 1, x)
 
     rounds = by_update() if driver == "update" else (
-        P for *_, P, _ in lockstep_rounds(
+        P for *_, P in lockstep_rounds(
             fcs, [(Xr, np.ones(T, dtype=int)) for Xr in X]))
     zero_cells = 0
     for t, P in enumerate(rounds):
@@ -547,32 +548,32 @@ def test_lockstep_caps_the_rounding_stack_before_it_allocates():
 @pytest.mark.parametrize("reps", [1, 3])
 def test_lockstep_rounds_contract(reps):
     """Each round yields the stack the forecasters held when it was yielded,
-    which later rounds never touch; the yielded P and cells are
-    run_lockstep's transcripts, and a run to the end leaves the forecasters
-    as run_lockstep leaves them. Replacing a forecaster's learners between
-    rounds (new thetas, an update call) stops the loop before its kernel."""
+    which later rounds never touch; the yielded P are run_lockstep's
+    transcripts, a run to the end leaves the learners as run_lockstep
+    leaves them, and the loop draws nothing from any rng (run_lockstep
+    samples after it). Replacing a forecaster's learners between rounds
+    (new thetas, an update call) stops the loop before its kernel."""
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     seeds = [3 * r + 1 for r in range(reps)]
     streams = [generate_stream(spec, 80, 3, seed=s) for s in seeds]
     fcs = [BmForecaster(make_grid(5), 3, seed=s) for s in seeds]
     held, rounds = [], []
-    for thetas, w, P, idx in lockstep_rounds(fcs, streams):
+    for thetas, w, P in lockstep_rounds(fcs, streams):
         assert thetas.shape == (reps, 6, 3) and w.shape == P.shape == (reps, 6)
-        assert idx.shape == (reps,)
         for r, fc in enumerate(fcs):
             assert np.array_equal(thetas[r], fc.thetas)
         held.append(np.stack([fc.thetas for fc in fcs]))
-        rounds.append((thetas, w, P, idx))
+        rounds.append((thetas, w, P))
     assert len(rounds) == 80 and fcs[0].rounds_seen == 80
     assert all(np.array_equal(th, want)
                for (th, *_), want in zip(rounds, held))
     refs = [BmForecaster(make_grid(5), 3, seed=s) for s in seeds]
     trs = run_lockstep(refs, streams)
-    for r, (stream, tr, fc, ref) in enumerate(zip(streams, trs, fcs, refs)):
-        mine = Transcript(fc.grid, stream[0], [P[r] for _, _, P, _ in rounds],
-                          [idx[r] for *_, idx in rounds], stream[1])
-        _assert_same_run(mine, fc, tr, ref)
-        assert fc.rng.random() == ref.rng.random()
+    for r, (s, tr, fc, ref) in enumerate(zip(seeds, trs, fcs, refs)):
+        assert np.array_equal([P[r] for *_, P in rounds], tr.cond_dists)
+        got, want = _learner_state(fc), _learner_state(ref)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert fc.rng.random() == BmForecaster(fc.grid, 3, seed=s).rng.random()
     assert "lockstep_rounds" in swapcal.__all__
     x0 = streams[-1][0][0]
     for touch in (lambda fc: setattr(fc, "thetas", fc.thetas.copy()),
@@ -584,6 +585,47 @@ def test_lockstep_rounds_contract(reps):
         with pytest.raises(PreconditionError, match="replaced"):
             next(rounds)
         assert [fc.rounds_seen for fc in fcs[:-1]] == [0] * (reps - 1)
+
+
+@pytest.mark.parametrize("reps, T", [(1, 0), (1, 2 * JSONL_BLOCK + 5),
+                                     (3, 0), (3, 2 * JSONL_BLOCK + 5)])
+def test_run_lockstep_samples_each_round_from_its_own_rng(reps, T):
+    """run_lockstep samples after the loop, JSONL_BLOCK rounds at a time;
+    its cells are searchsorted(cumsum(P_t), u, "right") with u a scalar draw
+    from a fresh copy of each forecaster's generator, and each generator
+    ends exactly T draws on. A run that raises mid-loop draws nothing."""
+    spec = AdversarySpec(kind="iid-logistic", noise=0.1)
+    seeds = [5 * r + 2 for r in range(reps)]
+    streams = [generate_stream(spec, T, 2, seed=s) for s in seeds]
+    fcs = [BmForecaster(make_grid(4), 2, seed=s) for s in seeds]
+    trs = run_lockstep(fcs, streams)
+
+    def fresh(s):
+        return np.random.Generator(np.random.PCG64(seed_streams(s)[0]))
+
+    for s, tr, fc in zip(seeds, trs, fcs):
+        rng = fresh(s)
+        want = [min(int(np.searchsorted(np.cumsum(p), rng.random(), "right")),
+                    4) for p in tr.cond_dists]
+        assert tr.sampled_indices.tolist() == want and len(want) == T
+        assert fc.rng.bit_generator.state == rng.bit_generator.state
+    if T == 0:
+        return
+    kernel, calls = swapcal.forecaster.ons_kernel, []
+
+    def failing_kernel(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NumericFailure("forced", residual=1.0)
+        return kernel(*args)
+
+    fcs = [BmForecaster(make_grid(4), 2, seed=s) for s in seeds]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(swapcal.forecaster, "ons_kernel", failing_kernel)
+        with pytest.raises(NumericFailure):
+            run_lockstep(fcs, streams)
+    assert [fc.rng.bit_generator.state for fc in fcs] == [
+        fresh(s).bit_generator.state for s in seeds]
 
 
 def test_choose_n_values():

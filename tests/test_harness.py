@@ -463,8 +463,9 @@ def test_sweep_rows_do_not_depend_on_lockstep_groups(tmp_path, monkeypatch):
 
 def test_sweep_failure_in_one_rep_errors_only_its_row(tmp_path,
                                                       monkeypatch):
-    """A stream that fails, or a run that fails mid-way inside a lockstep
-    group, errors only its own row; the other reps keep their values."""
+    """A stream that fails, or a run that fails inside a lockstep group
+    (its sampling generator, drawn from after the loop), errors only its
+    own row; the other reps keep their values."""
     cfg = _tiny_config(tmp_path, T_list=[32], reps=4)
     run_sweep(cfg, out_path=str(tmp_path / "clean.csv"))
     clean = read_results(tmp_path / "clean.csv")
@@ -476,16 +477,17 @@ def test_sweep_failure_in_one_rep_errors_only_its_row(tmp_path,
         return stream(spec, T, d, seed=seed)
 
     class FailingDraws:
-        """Seed 2's sampling generator, raising on its 17th draw."""
+        """Seed 2's sampling generator, raising when asked for its 17th
+        draw."""
 
         def __init__(self, rng):
             self.rng, self.draws = rng, 0
 
-        def random(self):
-            self.draws += 1
-            if self.draws == 17:
+        def random(self, size=None):
+            self.draws += 1 if size is None else size
+            if self.draws >= 17:
                 raise NumericFailure("forced", residual=1.0)
-            return self.rng.random()
+            return self.rng.random(size)
 
     def failing_init(self, grid, d, seed=0):
         init(self, grid, d, seed=seed)

@@ -348,6 +348,48 @@ def test_certificate_reads_reachability():
         True, False]
 
 
+def _one_closed_class_by_search(Q):
+    """Breadth-first search from each state over the links j -> i with
+    Q[i, j] > K eps: whether some state is reachable from every state."""
+    K = len(Q)
+    reached_by = np.zeros((K, K), dtype=bool)  # [i, j]: j reaches i
+    for j in range(K):
+        seen, frontier = {j}, [j]
+        while frontier:
+            frontier = [i for k in frontier
+                        for i in np.flatnonzero(Q[:, k] > K * EPS)
+                        if i not in seen]
+            seen.update(frontier)
+        reached_by[sorted(seen), j] = True
+    return bool(reached_by.all(axis=1).any())
+
+
+def test_certificate_matches_reachability_search():
+    """The certificate's squarings reach every path the search does: random
+    sparse chains at K = 1..12 (stacked and one by one), and the paths
+    i -> i - 1 into an absorbing state 0, whose last state needs all K - 1
+    steps, at K = 1..20."""
+    rng = np.random.default_rng(43)
+    seen = set()
+    for K in range(1, 13):
+        odds = rng.choice([0.0, 0.1, 0.3], size=(40, 1, 1))
+        Q = rng.random((40, K, K)) * (rng.random((40, K, K)) < odds)
+        # each column links to one random state, and to each other w.p. odds
+        Q[np.arange(40)[:, None], rng.integers(K, size=(40, K)),
+          np.arange(K)] += 1.0
+        Q /= Q.sum(axis=1, keepdims=True)
+        want = [_one_closed_class_by_search(q) for q in Q]
+        assert linalg.single_closed_class(Q).tolist() == want
+        assert [bool(linalg.single_closed_class(q)) for q in Q] == want
+        seen.update(want)
+    assert seen == {True, False}
+    for K in range(1, 21):
+        path = np.eye(K, k=1)
+        path[0, 0] = 1.0
+        assert _one_closed_class_by_search(path)
+        assert bool(linalg.single_closed_class(path))
+
+
 def test_square_solve_matches_gth_on_irreducible_chains():
     rng = np.random.default_rng(41)
     for _ in range(200):

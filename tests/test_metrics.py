@@ -609,7 +609,7 @@ def test_bm_external_regrets_reads_two_points_per_rounding(T, n):
         tracemalloc.stop()
     rounds = lockstep_rounds([BmForecaster(tr.grid, tr.d)],
                              [(tr.contexts, tr.outcomes)])
-    W = np.array([w[0] for _, w, _, _ in rounds])
+    W = np.array([w[0] for _, w, _ in rounds])
     y, P = tr.outcomes.astype(float), tr.cond_dists
     L = (tr.grid.points[None, :] - y[:, None]) ** 2
     qdot = np.einsum("tj,tji->ti", L, rround(W, tr.grid))
