@@ -17,14 +17,14 @@ import sys
 
 from .batch import (estimate_dsmcal, estimate_dsomni, estimate_saerr,
                     train_mixture)
-from .core import Transcript, make_grid
+from .core import Transcript
 from .errors import FormatError, NumericFailure, PreconditionError, \
     ResourceLimitError
-from .forecaster import BmForecaster, choose_n, run_online
+from .forecaster import choose_n
 from .harness import (ADVERSARIES, METRICS, AdversarySpec, SweepConfig,
-                      csv_rows, evaluate_metric, fit_rate, generate_stream,
-                      ingest_csv, parse_class_spec, parse_losses,
-                      read_results, resolve_n, run_sweep)
+                      evaluate_metric, fit_rate, generate_stream,
+                      parse_class_spec, parse_losses, read_results,
+                      resolve_n, run_sweep, simulate_run)
 
 BATCH_REPORTS = ("saerr", "dsmcal2", "dsomni")
 
@@ -95,35 +95,15 @@ def build_parser():
     return ap
 
 
-def _adversary_from_arg(kind, csv_path=None, bias=0.5, noise=0.0):
-    if kind in ADVERSARIES:
-        return AdversarySpec(kind=kind, bias=bias, noise=noise, path=csv_path)
-    # treat anything path-like as a csv file
-    return AdversarySpec(kind="csv", path=kind)
-
-
-def _stream(spec, T, d, seed, tables):
-    """generate_stream, except that each csv file is read once per command:
-    `tables` maps a path to its ingest_csv result."""
-    if spec.kind != "csv":
-        return generate_stream(spec, T, d, seed=seed)
-    if spec.path not in tables:
-        tables[spec.path] = ingest_csv(spec.path)
-    return csv_rows(tables[spec.path], T, d, spec.path)
-
-
 def _cmd_simulate(args):
-    spec = _adversary_from_arg(args.adversary, csv_path=args.csv_path,
-                               bias=args.bias, noise=args.noise)
+    spec = AdversarySpec(args.adversary, bias=args.bias, noise=args.noise,
+                         path=args.csv_path)
     n = resolve_n(args.N, args.T, args.d)
-    tables = {}
-    tr = run_online(BmForecaster(make_grid(n), args.d, seed=args.seed),
-                    _stream(spec, args.T, args.d, args.seed, tables))
-    tr.write_jsonl(args.out)
+    simulate_run(spec, args.T, args.d, n, seed=args.seed).write_jsonl(args.out)
     header = {"N": n, "d": args.d, "T": args.T, "seed": args.seed,
               "out": args.out}
     if spec.kind == "csv":
-        header["csv_scale"] = tables[spec.path][2]
+        header["csv_scale"] = spec.table[2]
     print(json.dumps(header))
     return 0
 
@@ -153,20 +133,22 @@ def _cmd_fit_rate(args):
     return 0
 
 
+def _adversary_from_arg(arg):
+    """An adversary kind with its default parameters, else a csv path."""
+    return (AdversarySpec(arg) if arg in ADVERSARIES
+            else AdversarySpec("csv", path=arg))
+
+
 def _cmd_batch(args):
-    train_spec = _adversary_from_arg(args.train)
-    test_spec = _adversary_from_arg(args.test)
-    tables = {}
-    d = 2
-    csv = [s.path for s in (train_spec, test_spec) if s.kind == "csv"]
-    if csv:
-        tables[csv[0]] = ingest_csv(csv[0])
-        d = tables[csv[0]][0].shape[1]
-    train = _stream(train_spec, args.T, d, args.seed, tables)
+    # one spec per distinct argument, so a file named twice is read once
+    specs = {arg: _adversary_from_arg(arg) for arg in (args.train, args.test)}
+    csv = [s for s in specs.values() if s.kind == "csv"]
+    d = csv[0].table[0].shape[1] if csv else 2
+    train = generate_stream(specs[args.train], args.T, d, seed=args.seed)
+    test_T = args.test_T if args.test_T is not None else args.T
+    test = generate_stream(specs[args.test], test_T, d, seed=args.seed + 1)
     n = choose_n(args.T, d, "smcal")
     mix = train_mixture(train, n, stride=args.stride)
-    test_T = args.test_T if args.test_T is not None else args.T
-    test = _stream(test_spec, test_T, d, args.seed + 1, tables)
     # looked up at call time, like harness.METRICS
     estimate = {"saerr": estimate_saerr, "dsmcal2": estimate_dsmcal,
                 "dsomni": estimate_dsomni}[args.report]

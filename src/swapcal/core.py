@@ -515,11 +515,12 @@ class Transcript:
             return
         if self.cond_dists.shape != (T, self.grid.size):
             raise ValueError("cond_dists shape does not match (T, grid size)")
-        sums = self.cond_dists.sum(axis=1)
-        if not np.max(np.abs(sums - 1.0)) <= COND_DIST_TOL:  # NaN fails
-            raise ValueError("some conditional distribution does not sum to 1")
-        if not self.cond_dists.min() >= -1e-12:
-            raise ValueError("negative conditional probability")
+        sums, mins = self.cond_dists.sum(axis=1), self.cond_dists.min(axis=1)
+        for ok, what in ((np.abs(sums - 1.0) <= COND_DIST_TOL,
+                          "conditional distribution does not sum to 1"),
+                         (mins >= -1e-12, "negative conditional probability")):
+            if not ok.all():  # NaN fails both checks
+                raise ValueError(f"{what} at position {ok.argmin()}")
         validate_stream((self.contexts, self.outcomes))
 
     @property
@@ -561,8 +562,8 @@ class Transcript:
 
         Records are decoded JSONL_BLOCK at a time (_decode_lines). Checks
         keep the order of a whole-file read: the record count, N and the grid
-        cap come before the first bad record, and line numbers count
-        non-blank lines."""
+        cap come before the first bad record; line numbers count non-blank
+        lines. A FormatError naming the file wraps a constructor ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = filter(None, map(str.strip, fh))
             head = next(lines, None)
@@ -598,4 +599,7 @@ class Transcript:
                  np.zeros(0))
         X, P, pi, y = (np.concatenate(c) for c in zip(empty, *blocks))
         del blocks  # before Transcript's checks take their own copies
-        return cls(grid, X, P, pi, y, seed=seed)
+        try:
+            return cls(grid, X, P, pi, y, seed=seed)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc

@@ -22,6 +22,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class AdversarySpec:
         if self.kind == "csv" and not isinstance(self.path or None, str):
             raise ValueError(f"csv adversary needs a path, got {self.path!r}")
 
+    @cached_property
+    def table(self):
+        """ingest_csv(path), read on first use, once per spec."""
+        return ingest_csv(self.path)
+
 
 def _uniform_ball(rng, count, dim, radius):
     """Uniform draws from the radius-`radius` ball in `dim` dimensions."""
@@ -91,9 +97,13 @@ def generate_stream(spec, T, d, seed=0):
 
     Contexts always have first coordinate 1/2 and norm at most 1 (the random
     tail lives in the radius sqrt(3)/2 ball); T, d and seed follow as_int.
+    A csv spec replays the first T rows of spec.table and draws nothing.
     """
     T, d = as_int(T, "horizon", 0), as_int(d, "dimension", 1)
-    _, adv_ss = seed_streams(as_int(seed, "seed", 0))
+    seed = as_int(seed, "seed", 0)
+    if spec.kind == "csv":
+        return csv_rows(spec.table, T, d, spec.path)
+    _, adv_ss = seed_streams(seed)
     param_ss, stream_ss = adv_ss.spawn(2)
     rng_param = np.random.Generator(np.random.PCG64(param_ss))
     rng = np.random.Generator(np.random.PCG64(stream_ss))
@@ -115,9 +125,6 @@ def generate_stream(spec, T, d, seed=0):
             flips = rng.random(T) < spec.noise
             y = np.where(flips, 1 - y, y)
         return X, y
-
-    if spec.kind == "csv":
-        return csv_rows(ingest_csv(spec.path), T, d, spec.path)
 
     # iid-bernoulli, and the oblivious stand-in for anti-calibration
     # (alternating labels), share the constant context e_1 / 2
@@ -195,11 +202,10 @@ def resolve_n(n_rule, T, d):
 
 
 def simulate_run(spec, T, d, n, seed=0):
-    """Generate a stream from the adversary and run the forecaster on it,
-    both derived from the same run seed."""
-    stream = generate_stream(spec, T, d, seed=seed)
+    """Run the forecaster on the adversary's stream, both from one run seed;
+    built first, a grid over the forecaster's cap fails before any stream."""
     fc = BmForecaster(make_grid(n), d, seed=seed)
-    return run_online(fc, stream)
+    return run_online(fc, generate_stream(spec, T, d, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +353,22 @@ class SweepConfig:
                              bias=self.bias, path=self.csv_path)
 
     def plan(self):
-        """(metric on (transcript, class, losses), class, loss menu, stream)
-        from the fields, stream(T, seed) giving generate_stream's (X, y).
-        A csv file is read here, once. ValueError if a field is bad."""
+        """(metric on (transcript, class, losses), class, loss menu,
+        adversary spec) from the fields; a csv spec reads its file here,
+        once. ValueError if a field is bad."""
         make_grid(resolve_n(self.n_rule, 1, self.d))
         metric, hc = resolve_metric(self.metric, None)
         losses, spec = parse_losses(self.losses), self.adversary_spec()
-        stream = lambda T, seed: generate_stream(spec, T, self.d, seed=seed)
         if spec.kind == "csv":
-            table = ingest_csv(spec.path)
-            csv_rows(table, 0, self.d, spec.path)  # the width, whatever T
-            stream = lambda T, _: csv_rows(table, T, self.d, spec.path)
-        return metric, hc, losses, stream
+            csv_rows(spec.table, 0, self.d, spec.path)  # the width, whatever T
+        return metric, hc, losses, spec
 
 
 def _sweep_rows(cfg, T, reps, plan):
     """The rows of the distinct repetitions `reps` at horizon T, in order,
     with plan = cfg.plan(): one attempt at the group, then, if it fails,
     one per rep, as run_sweep says."""
-    metric, hc, losses, stream = plan
+    metric, hc, losses, spec = plan
     seeds = [cfg.seed_base + rep for rep in reps]
     rows = [{"T": T, "N": "", "d": cfg.d, "rep": rep, "seed": seed,
              "metric": cfg.metric, "value": "", "wall_ms": "", "error": ""}
@@ -375,7 +378,7 @@ def _sweep_rows(cfg, T, reps, plan):
         n = resolve_n(cfg.n_rule, T, cfg.d)
         for row in rows:
             row["N"] = n
-        streams = [stream(T, s) for s in seeds]
+        streams = [generate_stream(spec, T, cfg.d, seed=s) for s in seeds]
         runs = run_lockstep([BmForecaster(make_grid(n), cfg.d, seed=s)
                              for s in seeds], streams)
     except Exception as exc:
@@ -398,7 +401,9 @@ def _sweep_rows(cfg, T, reps, plan):
 
 def read_results(path):
     """Rows of a results table as dicts (strings as written); an empty file
-    has none. FormatError if the header lacks any of RESULT_COLUMNS."""
+    has none. FormatError if the header lacks any of RESULT_COLUMNS, or, with
+    the line, if a row's T or rep is not an integer or its value not a float
+    or empty."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         table = csv.DictReader(fh)
         missing = [c for c in RESULT_COLUMNS
@@ -406,7 +411,15 @@ def read_results(path):
         if missing:
             raise FormatError(f"{path}: not a results table, its header "
                               f"lacks {missing}")
-        return list(table)
+        rows = []
+        for row in table:
+            try:  # a failed row has an empty value
+                int(row["T"]), int(row["rep"]), float(row["value"] or 0)
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: line {table.line_num}: {exc}") \
+                    from exc
+            rows.append(row)
+        return rows
 
 
 def run_sweep(cfg, out_path=None):

@@ -173,15 +173,22 @@ def test_metrics_rejects_what_is_not_a_json_number(tmp_path):
 
 
 def test_metrics_rejects_nan_in_p(tmp_path):
-    """A NaN probability exits 2; it used to read as a distribution and
-    report 0.0."""
-    path = tmp_path / "nan.jsonl"
-    path.write_text('{"N":1,"d":2,"T":2,"seed":0}\n'
-                    '{"t":1,"x":[0.5,0.1],"P":[NaN,1.0],"pi":1,"y":1}\n'
-                    '{"t":2,"x":[0.5,0.1],"P":[0.5,0.5],"pi":0,"y":0}\n')
-    proc = run_cli("metrics", "--transcript", str(path), "--report", "smcal2",
-                   expect=2)
-    assert "does not sum to 1" in proc.stderr and proc.stdout == ""
+    """A NaN probability exits 2, naming the file and the record's 0-based
+    position; it used to read as a distribution and report 0.0. A negative
+    entry and a row sum off 1 name them the same way."""
+    for p, error in (
+            ("[NaN,1.0]", "conditional distribution does not sum to 1"),
+            ("[1.5,-0.5]", "negative conditional probability"),
+            ("[0.5,0.4]", "conditional distribution does not sum to 1")):
+        path = tmp_path / "bad_p.jsonl"
+        path.write_text('{"N":1,"d":2,"T":3,"seed":0}\n'
+                        '{"t":1,"x":[0.5,0.1],"P":[0.5,0.5],"pi":1,"y":1}\n'
+                        f'{{"t":2,"x":[0.5,0.1],"P":{p},"pi":0,"y":0}}\n'
+                        f'{{"t":3,"x":[0.5,0.1],"P":{p},"pi":1,"y":0}}\n')
+        proc = run_cli("metrics", "--transcript", str(path), "--report",
+                       "smcal2", expect=2)
+        assert proc.stderr == f"error: {path}: {error} at position 1\n"
+        assert proc.stdout == ""
 
 
 def test_sweep_and_fit_rate(tmp_path):
@@ -369,16 +376,16 @@ def test_batch_synthetic_training_takes_d_from_test_csv(tmp_path):
 def test_csv_read_once_per_command(tmp_path, monkeypatch, capsys):
     """simulate and batch parse a csv file once, even when batch trains and
     tests on the same file."""
-    import swapcal.cli as cli
+    from swapcal import cli, harness
 
     calls = []
-    real = cli.ingest_csv
+    real = harness.ingest_csv
 
     def counting(path):
         calls.append(str(path))
         return real(path)
 
-    monkeypatch.setattr(cli, "ingest_csv", counting)
+    monkeypatch.setattr(harness, "ingest_csv", counting)
     data = tmp_path / "d.csv"
     rng = np.random.default_rng(1)
     data.write_text("\n".join(f"{rng.uniform(-0.5, 0.5):.4f},"
@@ -396,6 +403,26 @@ def test_csv_read_once_per_command(tmp_path, monkeypatch, capsys):
                      "--report", "saerr"]) == 0
     assert np.isfinite(json.loads(capsys.readouterr().out)["value"])
     assert calls == [str(data)]
+
+
+def test_batch_csv_files_of_two_widths_exit_2(tmp_path, monkeypatch, capsys):
+    """A test csv with another width than the training csv exits 2 with the
+    dimension message before any training; each file is parsed once."""
+    from swapcal import cli, harness
+
+    real, calls = harness.ingest_csv, []
+    monkeypatch.setattr(harness, "ingest_csv",
+                        lambda path: calls.append(path) or real(path))
+    monkeypatch.setattr(cli, "train_mixture",
+                        lambda *a, **k: calls.append("trained"))
+    train, test = tmp_path / "a.csv", tmp_path / "b.csv"
+    train.write_text("0.1,1\n0.2,0\n" * 10)
+    test.write_text("0.1,0.3,1\n0.2,-0.1,0\n" * 10)
+    assert cli.main(["batch", "--train", str(train), "--test", str(test),
+                     "--T", "20", "--report", "saerr"]) == 2
+    assert capsys.readouterr().err == ("error: csv contexts have dimension "
+                                       "3, expected 2\n")
+    assert calls == [str(train), str(test)]
 
 
 def test_batch_empty_training_csv(tmp_path):
@@ -434,16 +461,22 @@ def test_usage_requires_subcommand():
     assert proc.returncode == 2
 
 
-def test_adversary_kinds_come_from_one_table(capsys):
-    """simulate --adversary offers exactly harness.ADVERSARIES, every kind
-    maps to its AdversarySpec, and AdversarySpec alone refuses a csv kind
-    without a path."""
+def test_adversary_kinds_come_from_one_table(tmp_path, capsys):
+    """simulate --adversary offers exactly harness.ADVERSARIES; batch maps
+    every other kind to its default AdversarySpec and anything else to a
+    csv path; AdversarySpec alone refuses a csv kind without a path, on
+    both commands."""
     from swapcal import cli, harness
 
     with pytest.raises(SystemExit):
         cli.main(["simulate", "--help"])
     assert "{" + ",".join(harness.ADVERSARIES) + "}" in capsys.readouterr().out
-    for kind in harness.ADVERSARIES:
-        assert cli._adversary_from_arg(kind, csv_path="d.csv").kind == kind
+    for kind in set(harness.ADVERSARIES) - {"csv"}:
+        assert cli._adversary_from_arg(kind) == harness.AdversarySpec(kind)
+    assert cli._adversary_from_arg("d.csv") == harness.AdversarySpec(
+        "csv", path="d.csv")
     with pytest.raises(ValueError, match="csv adversary needs a path"):
         cli._adversary_from_arg("csv")
+    assert cli.main(["simulate", "--adversary", "csv", "--T", "4", "--d", "2",
+                     "--out", str(tmp_path / "tr.jsonl")]) == 2
+    assert "csv adversary needs a path" in capsys.readouterr().err

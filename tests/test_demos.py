@@ -149,7 +149,7 @@ def test_report_diff_finds_no_difference_in_one_tree():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "reports": 157, "differ": 0, "max_abs": 0.0, "max_rel": 0.0,
+        "reports": 247, "differ": 0, "max_abs": 0.0, "max_rel": 0.0,
         "worst": None, "notes_differ": 0}
 
 

@@ -1,14 +1,16 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from swapcal import (AdversarySpec, BmForecaster, FormatError,
-                     NumericFailure, RateFit, SweepConfig, evaluate_metric,
-                     fit_rate, generate_stream, ingest_csv, linear_ball,
-                     parse_class_spec, parse_losses, read_results, resolve_n,
-                     run_sweep, simulate_run, validate_stream)
+                     NumericFailure, RateFit, ResourceLimitError,
+                     SweepConfig, evaluate_metric, fit_rate, generate_stream,
+                     ingest_csv, linear_ball, parse_class_spec, parse_losses,
+                     read_results, resolve_n, run_sweep, simulate_run,
+                     validate_stream)
 from swapcal import forecaster as forecaster_mod
 from swapcal import harness
 from swapcal.harness import _sweep_rows
@@ -405,6 +407,53 @@ def test_sweep_reads_a_csv_once_per_plan(tmp_path, monkeypatch):
     rows = run_sweep(cfg)
     assert calls == [str(data)]
     assert len(rows) == 16 and all(r["error"] == "" for r in rows)
+
+
+def test_csv_spec_reads_its_file_once(tmp_path, monkeypatch):
+    """One csv spec parses its file once however many streams it makes:
+    two generate_stream calls and a simulate_run share the table."""
+    real, calls = harness.ingest_csv, []
+    monkeypatch.setattr(harness, "ingest_csv",
+                        lambda path: calls.append(path) or real(path))
+    data = tmp_path / "d.csv"
+    data.write_text("0.1,1\n0.2,0\n" * 10)
+    spec = AdversarySpec("csv", path=str(data))
+    X, y = generate_stream(spec, 20, 2, seed=0)
+    X5, _ = generate_stream(spec, 5, 2, seed=3)
+    tr = simulate_run(spec, 12, 2, 2, seed=1)
+    assert calls == [str(data)]
+    np.testing.assert_array_equal(X5, X[:5])
+    np.testing.assert_array_equal(tr.outcomes, y[:12])
+    assert spec.table[2] == 1.0
+
+
+def test_simulate_run_refuses_a_large_grid_before_the_stream(monkeypatch):
+    """A grid whose rounding matrix is over MEMBER_CAP entries fails before
+    any stream is generated, whatever the horizon."""
+    calls = []
+    monkeypatch.setattr(harness, "generate_stream",
+                        lambda *a, **k: calls.append(a))
+    n = math.isqrt(harness.MEMBER_CAP)  # (n + 1)^2 entries
+    with pytest.raises(ResourceLimitError):
+        simulate_run(AdversarySpec("iid-logistic"), 10 ** 9, 2, n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("row, bad", [
+    ("abc,2,2,0,0,m,1.0,1.0,", "'abc'"),
+    ("8,2,2,x,0,m,1.0,1.0,", "'x'"),
+    ("8,2,2,0,0,m,big,1.0,", "'big'"),
+    ("8,2,2", "NoneType"),
+], ids=["T", "rep", "value", "short"])
+def test_read_results_names_a_malformed_row(tmp_path, row, bad):
+    """A row whose T or rep is not an integer, or whose value is not a
+    float or empty, is a FormatError naming the file and its line."""
+    path = tmp_path / "rows.csv"
+    path.write_text("T,N,d,rep,seed,metric,value,wall_ms,error\n"
+                    "8,2,2,1,1,m,,1.0,ValueError: x\n" + row + "\n")
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(str(path))}: line 3: .*{bad}"):
+        read_results(path)
 
 
 def test_sweep_row_isolated():

@@ -11,8 +11,11 @@ tool prints the tree and the last lines of the worker's stderr and exits 1.
 The report set, on fixed seeds (every stream has label-flip noise 0.1,
 which only the iid-logistic adversary reads):
 
-- three simulate_run transcripts: T = 400, d = 3, N = 4, seed 9; T = 1024,
+- five simulate_run transcripts: T = 400, d = 3, N = 4, seed 9; T = 1024,
   d = 2, N = 8, seed 3; anti-calibration, T = 256, d = 2, N = 4, seed 5;
+  and two of the csv adversary, replaying a file of d - 1 features and
+  labels that _write_csv draws on a fixed seed into a temporary directory:
+  T = 300, d = 2, N = 4, seed 6 and T = 300, d = 3, N = 4, seed 7;
 - on each, every metric of METRIC_NAMES under its default class and under
   each class of CLASSES (cal2 has no class, and somni refuses the linear
   balls), bm_external_regrets under each class of CLASSES, and somni over
@@ -42,6 +45,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -50,7 +54,9 @@ METRIC_NAMES = ("smcal1", "smcal2", "psmcal1", "psmcal2", "mcal2", "cal2",
 CLASSES = ("ball1", "ball4", "affine-res", "cover:0.7")
 OMNI_CLASSES = ("affine-res", "cover:0.7")
 TRANSCRIPTS = (("iid-logistic", 400, 3, 4, 9), ("iid-logistic", 1024, 2, 8, 3),
-               ("anti-calibration", 256, 2, 4, 5))
+               ("anti-calibration", 256, 2, 4, 5), ("csv", 300, 2, 4, 6),
+               ("csv", 300, 3, 4, 7))
+CSV_ROWS = 320
 MC_DRAWS = 200
 STDERR_TAIL = 12  # lines of a failed worker's stderr to show
 
@@ -59,6 +65,19 @@ def _custom(p, y):
     """A convex loss with a kink at p = y and best response 1.5 q - 1/4,
     clipped to [0, 1]: slope at most 1.25, values in [0, 0.75]."""
     return 0.5 * (p - y) ** 2 + 0.25 * np.abs(p - y)
+
+
+def _write_csv(directory, d):
+    """The path of a CSV_ROWS-row file of d - 1 features in [-1, 1] and a
+    0/1 label, drawn on a fixed seed, written into directory."""
+    rng = np.random.default_rng(20 + d)
+    feats = rng.uniform(-1.0, 1.0, size=(CSV_ROWS, d - 1))
+    labels = rng.random(CSV_ROWS) < 0.5 + 0.4 * feats[:, 0]
+    path = os.path.join(directory, f"d{d}.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(f"{v:.6f}" for v in row) + f",{int(lab)}\n"
+                      for row, lab in zip(feats, labels))
+    return path
 
 
 def _entry(fn):
@@ -86,10 +105,14 @@ def reports():
 
     menu = [squared_loss(), absolute_loss(), vshaped_loss(0.5),
             custom_loss(_custom, lipschitz_bound=1.25)]
+    runs = {}
+    with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
+        for kind, T, d, n, seed in TRANSCRIPTS:
+            path = _write_csv(tmp, d) if kind == "csv" else None
+            runs[f"{kind}/T{T}/d{d}/N{n}/s{seed}"] = simulate_run(
+                AdversarySpec(kind, noise=0.1, path=path), T, d, n, seed=seed)
     out = {}
-    for kind, T, d, n, seed in TRANSCRIPTS:
-        tr = simulate_run(AdversarySpec(kind, noise=0.1), T, d, n, seed=seed)
-        tag = f"{kind}/T{T}/d{d}/N{n}/s{seed}"
+    for tag, tr in runs.items():
         for name in METRIC_NAMES:
             classes = ("",) if name == "cal2" else ("",) + CLASSES
             for cls in classes:
