@@ -17,7 +17,7 @@ import sys
 
 from .batch import (estimate_dsmcal, estimate_dsomni, estimate_saerr,
                     train_mixture)
-from .core import Transcript
+from .core import Transcript, as_int
 from .errors import FormatError, NumericFailure, PreconditionError, \
     ResourceLimitError
 from .forecaster import choose_n
@@ -144,9 +144,17 @@ def _cmd_batch(args):
     specs = {arg: _adversary_from_arg(arg) for arg in (args.train, args.test)}
     csv = [s for s in specs.values() if s.kind == "csv"]
     d = csv[0].table[0].shape[1] if csv else 2
-    train = generate_stream(specs[args.train], args.T, d, seed=args.seed)
     test_T = args.test_T if args.test_T is not None else args.T
-    test = generate_stream(specs[args.test], test_T, d, seed=args.seed + 1)
+    if args.train == args.test and csv:
+        # one file is one stream: training takes its first --T rows and the
+        # test stream the test_T rows after them
+        T = as_int(args.T, "horizon", 0)
+        X, y = generate_stream(csv[0], T + as_int(test_T, "test horizon", 0),
+                               d)
+        train, test = (X[:T], y[:T]), (X[T:], y[T:])
+    else:
+        train = generate_stream(specs[args.train], args.T, d, seed=args.seed)
+        test = generate_stream(specs[args.test], test_T, d, seed=args.seed + 1)
     n = choose_n(args.T, d, "smcal")
     mix = train_mixture(train, n, stride=args.stride)
     # looked up at call time, like harness.METRICS

@@ -405,6 +405,48 @@ def test_csv_read_once_per_command(tmp_path, monkeypatch, capsys):
     assert calls == [str(data)]
 
 
+def test_batch_one_csv_file_trains_and_tests_on_disjoint_rows(
+        tmp_path, monkeypatch, capsys):
+    """--train F --test F trains on the first --T rows of F and scores the
+    --test-T rows after them, so no scored row is a training row; a file
+    too short for both exits 2 before any training."""
+    from swapcal import cli, harness
+
+    seen = {}
+    real_train, real_saerr = cli.train_mixture, cli.estimate_saerr
+
+    def train(stream, *args, **kwargs):
+        seen["train"] = stream
+        return real_train(stream, *args, **kwargs)
+
+    def saerr(mix, stream, **kwargs):
+        seen["test"] = stream
+        return real_saerr(mix, stream, **kwargs)
+
+    monkeypatch.setattr(cli, "train_mixture", train)
+    monkeypatch.setattr(cli, "estimate_saerr", saerr)
+    data = tmp_path / "d.csv"
+    data.write_text("".join(f"{t / 100:.2f},{t % 2}\n" for t in range(50)))
+    args = ["batch", "--train", str(data), "--test", str(data), "--T", "30",
+            "--stride", "5", "--report", "saerr"]
+    assert cli.main(args + ["--test-T", "15"]) == 0
+    (X_train, y_train), (X_test, y_test) = seen["train"], seen["test"]
+    assert len(X_train) == 30 and len(X_test) == 15
+    assert not set(map(tuple, X_train.tolist())) & set(map(tuple,
+                                                          X_test.tolist()))
+    spec = harness.AdversarySpec("csv", path=str(data))
+    X, y = harness.generate_stream(spec, 45, 2)
+    np.testing.assert_array_equal(np.vstack([X_train, X_test]), X)
+    np.testing.assert_array_equal(np.concatenate([y_train, y_test]), y)
+    capsys.readouterr()
+
+    seen.clear()
+    assert cli.main(args + ["--test-T", "25"]) == 2
+    assert not seen
+    assert "has 50 rows, fewer than the requested horizon 55" in \
+        capsys.readouterr().err
+
+
 def test_batch_csv_files_of_two_widths_exit_2(tmp_path, monkeypatch, capsys):
     """A test csv with another width than the training csv exits 2 with the
     dimension message before any training; each file is parsed once."""

@@ -1037,31 +1037,6 @@ def test_witness_hand_example():
     assert fn.eta == pytest.approx(1.0)
 
 
-def test_witness_random_instances_beat_alpha_squared():
-    rng = np.random.default_rng(23)
-    done = 0
-    while done < 60:
-        tr = _random_transcript(rng, int(rng.integers(10, 60)), 2,
-                                int(rng.integers(1, 5)))
-        theta = rng.normal(size=2)
-        theta /= max(np.linalg.norm(theta), 1e-12)
-        W = tr.cond_dists
-        z = tr.grid.points
-        for c in range(tr.grid.size):
-            mass = W[:, c].sum()
-            if mass <= 0:
-                continue
-            corr = float((W[:, c] * (tr.outcomes - z[c])) @
-                         (tr.contexts @ theta)) / mass
-            if abs(corr) < 1e-4:
-                continue
-            f = LinearFn(theta if corr > 0 else -theta)
-            fn, imp = witness_f_prime(tr, c, f)
-            assert imp >= corr ** 2 - 1e-9
-            assert np.max(np.abs(fn(tr.contexts))) <= 2.0 + 1e-12
-            done += 1
-
-
 def test_witness_preconditions():
     g = make_grid(2)
     tr = Transcript(g, [[0.5, 0.0]], [[1.0, 0.0, 0.0]], [0], [1])
