@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (Grid, affine_restricted, as_int, linear_ball, make_grid,
-                   validate_stream)
+from .core import (MEMBER_CAP, Grid, affine_restricted, as_int, linear_ball,
+                   make_grid, validate_stream)
 from .forecaster import (BmForecaster, commit_round, lockstep_rounds,
                          sample_cell)
 from .metrics import (DEFAULT_LOSSES, MetricReport, per_cell_omni_gap,
                       sup_calibration, swap_regret)
-
-COMMIT_CHUNK = 1024  # test points per batched commit: bounds solver memory
 
 
 class MixturePredictor:
@@ -98,9 +96,10 @@ def _buckets(mix, test, mc_draws, seed):
 
 def _snapshot_dists(mix, t, X):
     """Snapshot t's conditional distributions on the rows of X, (M, n+1),
-    committed COMMIT_CHUNK rows at a time."""
-    return np.concatenate([mix.cond_dist(t, X[i:i + COMMIT_CHUNK])
-                           for i in range(0, len(X), COMMIT_CHUNK)])
+    committed max(1, MEMBER_CAP // K^2) rows at a time to bound memory."""
+    chunk = max(1, MEMBER_CAP // mix.grid.size ** 2)
+    return np.concatenate([mix.cond_dist(t, X[i:i + chunk])
+                           for i in range(0, len(X), chunk)])
 
 
 def _bucket_weights(mix, X, mc_draws, seed):

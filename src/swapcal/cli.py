@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .batch import (estimate_dsmcal, estimate_dsomni, estimate_saerr,
@@ -26,7 +27,10 @@ from .harness import (ADVERSARIES, METRICS, AdversarySpec, SweepConfig,
                       parse_class_spec, parse_losses, read_results,
                       resolve_n, run_sweep, simulate_run)
 
-BATCH_REPORTS = ("saerr", "dsmcal2", "dsomni")
+# name -> estimator, looked up at call time like harness.METRICS
+BATCH_REPORTS = {"saerr": lambda *a, **k: estimate_saerr(*a, **k),
+                 "dsmcal2": lambda *a, **k: estimate_dsmcal(*a, **k),
+                 "dsomni": lambda *a, **k: estimate_dsomni(*a, **k)}
 
 
 def build_parser():
@@ -140,12 +144,14 @@ def _adversary_from_arg(arg):
 
 
 def _cmd_batch(args):
-    # one spec per distinct argument, so a file named twice is read once
-    specs = {arg: _adversary_from_arg(arg) for arg in (args.train, args.test)}
+    # one spec per kind or real file path: d.csv and ./d.csv are read once
+    names = (args.train, args.test)
+    keys = [a if a in ADVERSARIES else os.path.realpath(a) for a in names]
+    specs = dict(zip(keys, map(_adversary_from_arg, names)))
     csv = [s for s in specs.values() if s.kind == "csv"]
     d = csv[0].table[0].shape[1] if csv else 2
     test_T = args.test_T if args.test_T is not None else args.T
-    if args.train == args.test and csv:
+    if len(specs) == 1 and csv:
         # one file is one stream: training takes its first --T rows and the
         # test stream the test_T rows after them
         T = as_int(args.T, "horizon", 0)
@@ -153,14 +159,12 @@ def _cmd_batch(args):
                                d)
         train, test = (X[:T], y[:T]), (X[T:], y[T:])
     else:
-        train = generate_stream(specs[args.train], args.T, d, seed=args.seed)
-        test = generate_stream(specs[args.test], test_T, d, seed=args.seed + 1)
+        train = generate_stream(specs[keys[0]], args.T, d, seed=args.seed)
+        test = generate_stream(specs[keys[1]], test_T, d, seed=args.seed + 1)
     n = choose_n(args.T, d, "smcal")
     mix = train_mixture(train, n, stride=args.stride)
-    # looked up at call time, like harness.METRICS
-    estimate = {"saerr": estimate_saerr, "dsmcal2": estimate_dsmcal,
-                "dsomni": estimate_dsomni}[args.report]
-    report = estimate(mix, test, mc_draws=args.draws, seed=args.seed)
+    report = BATCH_REPORTS[args.report](mix, test, mc_draws=args.draws,
+                                        seed=args.seed)
     print(report.to_json())
     return 0
 

@@ -104,12 +104,11 @@ def sample_cell(P, u):
 class BmForecaster:
     """Grid of per-cell learners reduced to a single forecaster.
 
-    Owns n+1 online Newton learners (one per grid point) as the stacks
-    thetas (K, d) and inv_curvatures (K, d, d), the update count
-    rounds_seen, and the sampling generator. predict() commits a conditional
-    distribution and samples from it; update(), a single client's per-cell
-    path, runs ons_step on every learner with its stationary scale weight
-    into fresh stacks; d and seed follow as_int."""
+    Owns n+1 online Newton learners, one per grid point, as the stacks thetas
+    (K, d) and inv_curvatures (K, d, d), the update count rounds_seen and the
+    sampling generator; d and seed follow as_int. predict() commits and
+    samples a conditional distribution. update(), one client's per-cell
+    path, and a run (run_lockstep) swap in fresh stacks, all or nothing."""
 
     def __init__(self, grid, d, seed=0):
         if not isinstance(grid, Grid):
@@ -162,16 +161,14 @@ def run_online(forecaster, stream):
 
 def run_lockstep(forecasters, streams):
     """Run R forecasters that share a grid and d over R streams (X, y) of
-    one length by lockstep_rounds, and return one transcript per forecaster,
-    bit for bit the one it would record alone. After the loop each rng
-    draws its T uniforms at once (on PCG64 the draws of T scalar calls), and
-    sample_cell samples P JSONL_BLOCK rounds at a time; a raise draws none."""
+    one length by lockstep_rounds and return one transcript per forecaster,
+    bit for bit the one it would record alone. Then each rng draws its T
+    uniforms at once (on PCG64 the T scalar draws) and sample_cell samples
+    P JSONL_BLOCK rounds at a time; a raise writes and draws nothing."""
     R, K = len(forecasters), forecasters[0].grid.size
-    P = np.zeros((R, 0, K))
-    for t, (_, _, Pt) in enumerate(lockstep_rounds(forecasters, streams)):
-        if t == 0:  # the streams are checked by now: size the record
-            P = np.zeros((R, len(streams[0][1]), K))
-        P[:, t] = Pt
+    P = np.fromiter((Pt for *_, Pt in lockstep_rounds(forecasters, streams)),
+                    np.dtype((float, (R, K))))
+    P = np.ascontiguousarray(P.swapaxes(0, 1))  # (R, T, K)
     u = np.array([fc.rng.random(P.shape[1]) for fc in forecasters])
     pi = np.zeros(u.shape, dtype=int)
     for t0 in range(0, P.shape[1], JSONL_BLOCK):
@@ -185,16 +182,16 @@ def lockstep_rounds(forecasters, streams):
     """The round loop: advance R forecasters that share a grid and d over R
     streams (X, y) of one length together, each stream validated once.
 
-    A round runs one commit_round on the (R, K, d) parameter stack and
-    yields (thetas (R, K, d), w (R, K), P (R, K)), arrays no later round
-    writes to; then one ons_kernel call (its inputs valid by the stream
-    checks and P) advances all R K learners, read from the forecasters at
-    the first round, into their new rows. The loop touches no rng: the
-    learners read P, never a sampled cell (run_lockstep samples). Leave the
-    forecasters alone while the loop runs: a learner stack replaced between
-    rounds (new thetas, an update call) raises PreconditionError. R K^2
-    rounding-matrix entries a round over MEMBER_CAP raise ResourceLimitError
-    before the first."""
+    A round runs one commit_round on the (R, K, d) parameter stack, yields
+    (thetas (R, K, d), w (R, K), P (R, K)), arrays no later round writes to,
+    and advances all R K learners by one ons_kernel call (its inputs valid by
+    the stream checks and P); no rng is touched (run_lockstep samples). A run
+    is all-or-nothing: after the last round, unless a forecaster's stacks were
+    replaced since the first (new thetas, an update call), which raises
+    PreconditionError, each forecaster takes its rows of the final stacks and
+    adds T to rounds_seen. A run that raises, is closed early or has no rounds
+    writes nothing. R K^2 rounding-matrix entries a round over MEMBER_CAP raise
+    ResourceLimitError before the first."""
     grid, d = forecasters[0].grid, forecasters[0].d
     if any(fc.grid != grid or fc.d != d for fc in forecasters):
         raise ValueError("lockstep forecasters must share a grid and d")
@@ -216,15 +213,15 @@ def lockstep_rounds(forecasters, streams):
     for x, yt in zip(X, Y):
         w, _, P = commit_round(thetas, x[:, 0], grid)
         yield thetas, w, P
-        if any(fc.thetas is not theta or fc.inv_curvatures is not inv
-               for fc, (theta, inv) in zip(forecasters, rows)):
-            raise PreconditionError("a forecaster's learners were replaced "
-                                    "inside lockstep_rounds")
         thetas, invs = ons_kernel(thetas, invs, x, P, yt)
-        rows = list(zip(thetas, invs))
-        for fc, (theta, inv) in zip(forecasters, rows):
-            fc.thetas, fc.inv_curvatures = theta, inv
-            fc.rounds_seen += 1
+    if not len(X):
+        return
+    if any(fc.thetas is not theta or fc.inv_curvatures is not inv
+           for fc, (theta, inv) in zip(forecasters, rows)):
+        raise PreconditionError("learners replaced during lockstep_rounds")
+    for fc, theta, inv in zip(forecasters, thetas, invs):
+        fc.thetas, fc.inv_curvatures = theta, inv
+        fc.rounds_seen += len(X)
 
 
 def choose_n(T, d, objective):

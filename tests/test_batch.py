@@ -5,7 +5,8 @@ from swapcal import (AdversarySpec, BmForecaster, cover_class, cover_thetas,
                      estimate_dsmcal, estimate_dsomni, estimate_saerr,
                      generate_stream, linear_ball, make_grid, mixture_predict,
                      run_online, select_snapshot, squared_loss, train_mixture)
-from swapcal.batch import COMMIT_CHUNK, _bucket_weights
+from swapcal.batch import MixturePredictor, _bucket_weights
+from swapcal.core import MEMBER_CAP
 
 from oracles import constrained_lstsq
 
@@ -157,13 +158,35 @@ def test_cond_dist_on_many_contexts_matches_one_at_a_time():
 
 
 def test_bucket_weights_exhaustive_in_chunks():
-    # more test points than one commit takes: the chunks must line up
+    # more test points than one commit takes (MEMBER_CAP // K^2 = 100 at
+    # K = 100): the chunks must line up
     rng = np.random.default_rng(15)
-    mix = train_mixture(_stream(rng, 6), 2, stride=2)
-    X, _ = _stream(rng, COMMIT_CHUNK + 37)
+    mix = train_mixture(_stream(rng, 6), 99, stride=3)
+    X, _ = _stream(rng, MEMBER_CAP // mix.grid.size ** 2 + 37)
     V, _ = _bucket_weights(mix, X, None, 0)
     want = sum(mix.cond_dist(t, X).T for t in range(mix.size))
     np.testing.assert_allclose(V, want / (mix.size * len(X)), atol=1e-15)
+
+
+def test_bucket_weights_memory_is_bounded_at_large_k():
+    """A commit holds at most MEMBER_CAP rounding-matrix entries, whatever
+    the number of test points: estimate_saerr on a one-snapshot mixture at
+    K = 201 with M = 1024 test points peaks well under 64 MiB. With 1024
+    points a commit it peaked at 1267 MiB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(16)
+    mix = MixturePredictor(make_grid(200), rng.normal(scale=0.3,
+                                                      size=(1, 201, 2)))
+    test = _stream(rng, 1024)
+    tracemalloc.start()
+    try:
+        report = estimate_saerr(mix, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(report.value)
+    assert peak < 64 * 2 ** 20
 
 
 def test_bucket_weights_frozen_values():

@@ -447,6 +447,38 @@ def test_batch_one_csv_file_trains_and_tests_on_disjoint_rows(
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("test_arg", ["./d.csv", "absolute"])
+def test_batch_one_csv_file_named_two_ways(tmp_path, monkeypatch, capsys,
+                                           test_arg):
+    """--train d.csv with --test ./d.csv or the file's absolute path names
+    one file: it is parsed once and split into disjoint training and test
+    rows, as when both arguments are the same string."""
+    from swapcal import cli, harness
+
+    calls, seen = [], {}
+    real_ingest, real_train = harness.ingest_csv, cli.train_mixture
+    real_saerr = cli.estimate_saerr
+    monkeypatch.setattr(harness, "ingest_csv",
+                        lambda path: calls.append(path) or real_ingest(path))
+    monkeypatch.setattr(cli, "train_mixture", lambda stream, *a, **k: (
+        seen.setdefault("train", stream), real_train(stream, *a, **k))[1])
+    monkeypatch.setattr(cli, "estimate_saerr", lambda mix, stream, **k: (
+        seen.setdefault("test", stream), real_saerr(mix, stream, **k))[1])
+    (tmp_path / "d.csv").write_text(
+        "".join(f"{t / 100:.2f},{t % 2}\n" for t in range(50)))
+    monkeypatch.chdir(tmp_path)
+    if test_arg == "absolute":
+        test_arg = str(tmp_path / "d.csv")
+    assert cli.main(["batch", "--train", "d.csv", "--test", test_arg,
+                     "--T", "30", "--test-T", "15", "--stride", "5",
+                     "--report", "saerr"]) == 0
+    assert np.isfinite(json.loads(capsys.readouterr().out)["value"])
+    assert len(calls) == 1
+    (X_train, _), (X_test, _) = seen["train"], seen["test"]
+    assert len(X_train) == 30 and len(X_test) == 15
+    assert not set(X_train[:, 1].tolist()) & set(X_test[:, 1].tolist())
+
+
 def test_batch_csv_files_of_two_widths_exit_2(tmp_path, monkeypatch, capsys):
     """A test csv with another width than the training csv exits 2 with the
     dimension message before any training; each file is parsed once."""

@@ -366,12 +366,30 @@ def test_update_is_all_or_nothing(monkeypatch):
     assert fc.rounds_seen == state[2] + 5
     assert not np.array_equal(fc.thetas, frozen)
     assert np.array_equal(snap, frozen)
-    # the round loop: a kernel call that raises leaves every forecaster and
-    # every array yielded so far as it was
+
+
+def _untouched(fcs, seeds, stacks):
+    """Each forecaster still holds its stack objects, has counted no round
+    and has drawn nothing from its fresh generator."""
+    for fc, s, (thetas, invs) in zip(fcs, seeds, stacks):
+        assert fc.thetas is thetas and fc.inv_curvatures is invs
+        assert fc.rounds_seen == 0
+        assert fc.rng.bit_generator.state == BmForecaster(
+            fc.grid, fc.d, seed=s).rng.bit_generator.state
+
+
+@pytest.mark.parametrize("end", ["raise", "close", "empty"])
+def test_a_run_that_does_not_finish_writes_nothing(end, monkeypatch):
+    """A kernel raise at round 3 of a three-forecaster run, a loop closed
+    after 2 rounds and a run of T = 0 rounds all leave every forecaster as
+    it was: the same stack objects, rounds_seen and rng state. The arrays
+    yielded before a raise keep their values."""
     seeds = (1, 2, 3)
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     fcs = [BmForecaster(make_grid(4), 2, seed=s) for s in seeds]
-    streams = [generate_stream(spec, 10, 2, seed=s) for s in seeds]
+    stacks = [(fc.thetas, fc.inv_curvatures) for fc in fcs]
+    T = 0 if end == "empty" else 10
+    streams = [generate_stream(spec, T, 2, seed=s) for s in seeds]
     kernel, calls = swapcal.forecaster.ons_kernel, []
 
     def failing_kernel(*args):
@@ -381,20 +399,26 @@ def test_update_is_all_or_nothing(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(swapcal.forecaster, "ons_kernel", failing_kernel)
+    rounds = lockstep_rounds(fcs, streams)
     yielded, copies = [], []
-    with pytest.raises(NumericFailure):
-        for arrays in lockstep_rounds(fcs, streams):
-            yielded.append(arrays)
-            copies.append([a.copy() for a in arrays])
-            states = [(fc.thetas.copy(), fc.inv_curvatures.copy(),
-                       fc.rounds_seen) for fc in fcs]
-    assert len(yielded) == 3
-    for fc, (thetas, invs, seen) in zip(fcs, states):
-        assert np.array_equal(fc.thetas, thetas)
-        assert np.array_equal(fc.inv_curvatures, invs)
-        assert fc.rounds_seen == seen == 2
-    assert all(np.array_equal(a, b) for got, want in zip(yielded, copies)
-               for a, b in zip(got, want))
+    if end == "raise":
+        with pytest.raises(NumericFailure):
+            for arrays in rounds:
+                yielded.append(arrays)
+                copies.append([a.copy() for a in arrays])
+        assert len(yielded) == 3
+        assert all(np.array_equal(a, b) for got, want in zip(yielded, copies)
+                   for a, b in zip(got, want))
+        calls.clear()
+        with pytest.raises(NumericFailure):
+            run_lockstep(fcs, streams)
+    elif end == "close":
+        next(rounds), next(rounds)
+        rounds.close()
+    else:
+        assert list(rounds) == []
+        assert [tr.horizon for tr in run_lockstep(fcs, streams)] == [0] * 3
+    _untouched(fcs, seeds, stacks)
 
 
 def test_sampler_matches_committed_distribution():
@@ -547,26 +571,29 @@ def test_lockstep_caps_the_rounding_stack_before_it_allocates():
 
 @pytest.mark.parametrize("reps", [1, 3])
 def test_lockstep_rounds_contract(reps):
-    """Each round yields the stack the forecasters held when it was yielded,
-    which later rounds never touch; the yielded P are run_lockstep's
-    transcripts, a run to the end leaves the learners as run_lockstep
-    leaves them, and the loop draws nothing from any rng (run_lockstep
-    samples after it). Replacing a forecaster's learners between rounds
-    (new thetas, an update call) stops the loop before its kernel."""
+    """Each round yields the stack it committed from, which later rounds
+    never touch; the forecasters keep their own stacks, uncounted, until
+    the last round, after which they hold the final stacks and T rounds.
+    The yielded P are run_lockstep's transcripts, the learners end as
+    run_lockstep leaves them, and the loop draws nothing from any rng
+    (run_lockstep samples after it). Replacing a forecaster's learners
+    mid-run (new thetas, an update call) raises PreconditionError once the
+    last round is done, and no forecaster is written."""
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     seeds = [3 * r + 1 for r in range(reps)]
     streams = [generate_stream(spec, 80, 3, seed=s) for s in seeds]
     fcs = [BmForecaster(make_grid(5), 3, seed=s) for s in seeds]
-    held, rounds = [], []
+    stacks = [(fc.thetas, fc.inv_curvatures) for fc in fcs]
+    copies, rounds = [], []
     for thetas, w, P in lockstep_rounds(fcs, streams):
         assert thetas.shape == (reps, 6, 3) and w.shape == P.shape == (reps, 6)
-        for r, fc in enumerate(fcs):
-            assert np.array_equal(thetas[r], fc.thetas)
-        held.append(np.stack([fc.thetas for fc in fcs]))
+        _untouched(fcs, seeds, stacks)
+        copies.append(thetas.copy())
         rounds.append((thetas, w, P))
     assert len(rounds) == 80 and fcs[0].rounds_seen == 80
+    assert np.array_equal(rounds[0][0], [theta for theta, _ in stacks])
     assert all(np.array_equal(th, want)
-               for (th, *_), want in zip(rounds, held))
+               for (th, *_), want in zip(rounds, copies))
     refs = [BmForecaster(make_grid(5), 3, seed=s) for s in seeds]
     trs = run_lockstep(refs, streams)
     for r, (s, tr, fc, ref) in enumerate(zip(seeds, trs, fcs, refs)):
@@ -579,12 +606,19 @@ def test_lockstep_rounds_contract(reps):
     for touch in (lambda fc: setattr(fc, "thetas", fc.thetas.copy()),
                   lambda fc: fc.update(fc.predict(x0), 1, x0)):
         fcs = [BmForecaster(make_grid(5), 3, seed=s) for s in seeds]
+        stacks = [(fc.thetas, fc.inv_curvatures) for fc in fcs]
         rounds = lockstep_rounds(fcs, streams)
         next(rounds)
         touch(fcs[-1])
+        touched, later = _learner_state(fcs[-1]), []
         with pytest.raises(PreconditionError, match="replaced"):
-            next(rounds)
-        assert [fc.rounds_seen for fc in fcs[:-1]] == [0] * (reps - 1)
+            for arrays in rounds:
+                later.append(arrays)
+        assert len(later) == 79
+        _untouched(fcs[:-1], seeds, stacks)
+        assert all(a is b for a, b in zip(_learner_state(fcs[-1])[:2],
+                                          touched[:2]))
+        assert fcs[-1].rounds_seen == touched[2]
 
 
 @pytest.mark.parametrize("reps, T", [(1, 0), (1, 2 * JSONL_BLOCK + 5),
@@ -622,6 +656,7 @@ def test_run_lockstep_samples_each_round_from_its_own_rng(reps, T):
     fcs = [BmForecaster(make_grid(4), 2, seed=s) for s in seeds]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(swapcal.forecaster, "ons_kernel", failing_kernel)
+        calls.clear()
         with pytest.raises(NumericFailure):
             run_lockstep(fcs, streams)
     assert [fc.rng.bit_generator.state for fc in fcs] == [
