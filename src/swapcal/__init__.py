@@ -23,11 +23,11 @@ from .harness import (AdversarySpec, RateFit, SweepConfig, evaluate_metric,
                       parse_losses, read_results, resolve_n, run_sweep,
                       simulate_run)
 from .linalg import (check_column_stochastic, project_ball_a_norm,
-                     sherman_morrison_update, stationary_distribution)
+                     stationary_distribution)
 from .metrics import (CellSums, MetricReport, WitnessFn, bm_external_regrets,
                       cal, cell_sums, mcal, psmcal, psreg, realized_weights,
                       smcal, somni, sreg, witness_f_prime)
-from .ons import BETA, OMEGA, RADIUS, ons_step
+from .ons import BETA, OMEGA, RADIUS
 
 __version__ = "0.1.0"
 
@@ -42,11 +42,11 @@ __all__ = [
     "estimate_dsmcal", "estimate_dsomni", "estimate_saerr",
     "evaluate_metric", "finite_class", "fit_rate", "generate_stream",
     "ingest_csv", "linear_ball", "lockstep_rounds", "make_grid", "mcal",
-    "mixture_predict", "ons_step", "parse_class_spec", "parse_losses",
+    "mixture_predict", "parse_class_spec", "parse_losses",
     "project_ball_a_norm", "psmcal", "psreg", "read_results",
     "realized_weights", "resolve_n", "rround", "run_lockstep", "run_online",
-    "run_sweep", "select_snapshot", "seed_streams", "sherman_morrison_update",
-    "simulate_run", "smcal", "somni", "squared_loss", "sreg",
+    "run_sweep", "select_snapshot", "seed_streams", "simulate_run", "smcal",
+    "somni", "squared_loss", "sreg",
     "stationary_distribution", "train_mixture", "validate_outcome",
     "validate_stream", "vshaped_loss", "witness_f_prime",
 ]

@@ -124,29 +124,33 @@ class BmForecaster:
         self.rounds_seen = 0
         self.rng = np.random.Generator(np.random.PCG64(seed_streams(seed)[0]))
 
-    def predict(self, x):
-        """Commit this round's conditional distribution for context x and
-        sample a grid index from it."""
+    def _context(self, x):
+        """x as a float (d,) context on the stream contract, or ValueError."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"context dimension {x.shape} does not match {self.d}")
         check_contexts(x)
-        _, Q, P = commit_round(self.thetas, x, self.grid)
+        return x
+
+    def predict(self, x):
+        """Commit this round's conditional distribution for context x and
+        sample a grid index from it."""
+        _, Q, P = commit_round(self.thetas, self._context(x), self.grid)
         return RoundOutput(P, Q, int(sample_cell(P, self.rng.random())))
 
     def update(self, out, y, x):
         """Advance every learner on (x, y), learner i scaled by its
         stationary weight out.cond_dist[i], in ascending cell order, into
-        fresh stacks that replace the old ones once every cell is done."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"context dimension {x.shape} does not match {self.d}")
-        check_contexts(x)
-        y = validate_outcome(y)
+        fresh stacks that replace the old ones once every cell is done. x, y
+        and out.cond_dist (K weights in [0, 1]) are checked first, once."""
+        x, y, P = self._context(x), validate_outcome(y), out.cond_dist
+        if P.shape != (self.grid.size,) or not 0 <= P.min() <= P.max() <= 1:
+            raise ValueError(f"cond_dist of shape {P.shape} is not "
+                             f"{self.grid.size} weights in [0, 1]")
         thetas = np.empty_like(self.thetas)
         invs = np.empty_like(self.inv_curvatures)
         for i, (theta, inv, p) in enumerate(zip(
-                self.thetas, self.inv_curvatures, out.cond_dist.tolist())):
+                self.thetas, self.inv_curvatures, P.tolist())):
             thetas[i], invs[i] = ons_step(theta, inv, x, p, y)
         self.thetas, self.inv_curvatures = thetas, invs
         self.rounds_seen += 1

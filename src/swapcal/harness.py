@@ -349,13 +349,17 @@ class SweepConfig:
             raise FormatError(f"{path}: {exc}") from exc
 
     def adversary_spec(self):
-        return AdversarySpec(kind=self.adversary, noise=self.noise,
+        """One spec object, so one csv read, while its fields are unchanged."""
+        spec = AdversarySpec(kind=self.adversary, noise=self.noise,
                              bias=self.bias, path=self.csv_path)
+        if spec != getattr(self, "_spec", None):
+            self._spec = spec
+        return self._spec
 
     def plan(self):
         """(metric on (transcript, class, losses), class, loss menu,
-        adversary spec) from the fields; a csv spec reads its file here,
-        once. ValueError if a field is bad."""
+        adversary spec) from the fields; a csv spec reads its file on the
+        first plan. ValueError if a field is bad."""
         make_grid(resolve_n(self.n_rule, 1, self.d))
         metric, hc = resolve_metric(self.metric, None)
         losses, spec = parse_losses(self.losses), self.adversary_spec()
@@ -435,8 +439,8 @@ def run_sweep(cfg, out_path=None):
     finishes. A failed group reruns each rep as a group of one, so only a
     faulty rep's row carries the error. A row's wall_ms is its share of its
     group's time (grid size, streams, forecasters, lockstep run) plus its
-    own metric time. cfg.plan() runs once, before the table is opened.
-    Returns all rows, previously completed first.
+    own metric time. cfg.plan() runs once, before the table is opened, and
+    reuses cfg's csv read. Returns all rows, previously completed first.
     """
     out_path = out_path or cfg.out
     if not out_path:

@@ -151,26 +151,6 @@ def stationary_distribution(Q):
     return p
 
 
-def sherman_morrison_update(M, g):
-    """Rank-one inverse update: given M = A^{-1}, return (A + g g^T)^{-1}.
-
-    Uses M - (M g)(M g)^T / (1 + g^T M g) and re-symmetrizes to fight drift.
-    """
-    M = np.asarray(M, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or g.shape != (M.shape[0],):
-        raise ValueError("shape mismatch in rank-one update")
-    Mg = M @ g
-    denom = 1.0 + float(g @ Mg)
-    if not 0.0 < denom < np.inf:  # also false for NaN
-        raise NumericFailure(f"rank-one update denominator {denom} is not positive")
-    out = M - Mg[:, None] * Mg / denom
-    out = 0.5 * (out + out.T)
-    if not np.isfinite(out).all():
-        raise NumericFailure("rank-one update produced non-finite entries")
-    return out
-
-
 def ridge_to_sphere(A, b, radius):
     """The point of the ridge path u(lam) = (A + lam I)^+ b, lam >= 0, of a
     symmetric PSD A with the least lam such that ||u|| <= radius: the

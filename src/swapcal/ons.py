@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import NumericFailure
-from .linalg import project_ball_a_norm, sherman_morrison_update
+from .linalg import project_ball_a_norm
 
 BETA = 1.0 / 640.0
 OMEGA = 102400.0  # 1 / (4 beta^2), written out exactly
@@ -27,24 +27,26 @@ RADIUS = 4.0
 def ons_step(theta, inv_curvature, x, alpha, y):
     """Advance one learner one round on (x, y) with scale weight alpha and
     return the new (theta, inv_curvature); the inputs are never modified.
+    Unchecked, like ons_kernel: x float (d,), alpha in [0, 1], y in {0, 1}.
 
-    Folds the gradient into the curvature (rank-one inverse update), takes
-    the Newton step theta - (1/beta) A^{-1} g, g = 2 alpha (<theta, x> - y) x
-    the gradient of phi, and projects back onto the radius-4 ball in the
-    A-norm when the step leaves it. alpha = 0 returns the inputs unchanged.
+    Folds g = 2 alpha (<theta, x> - y) x, the gradient of phi, into the
+    inverse curvature M as M - (M g)(M g)^T / (1 + g^T M g), symmetrized
+    (NumericFailure if the denominator is not positive and finite or the
+    result not finite), takes the Newton step theta - (1/beta) A^{-1} g and
+    projects back onto the radius-4 ball in the A-norm when the step leaves
+    it. alpha = 0 returns the inputs unchanged.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != theta.shape:
-        raise ValueError(f"context dimension {x.shape} does not match state "
-                         f"dimension {theta.shape}")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"scale weight alpha={alpha} outside [0, 1]")
-    if y not in (0, 0.0, 1, 1.0):
-        raise ValueError(f"outcome must be 0 or 1, got {y!r}")
     if alpha == 0.0:
         return theta, inv_curvature
     g = (2.0 * alpha * (float(theta @ x) - y)) * x
-    inv_new = sherman_morrison_update(inv_curvature, g)
+    Mg = inv_curvature @ g
+    denom = 1.0 + float(g @ Mg)
+    if not 0.0 < denom < np.inf:  # also false for NaN
+        raise NumericFailure(f"rank-one update denominator {denom} is not positive")
+    inv_new = inv_curvature - Mg[:, None] * Mg / denom
+    inv_new = 0.5 * (inv_new + inv_new.T)
+    if not np.isfinite(inv_new).all():
+        raise NumericFailure("rank-one update produced non-finite entries")
     theta_new = theta - (inv_new @ g) / BETA
     if math.sqrt(theta_new @ theta_new) > RADIUS:
         theta_new = project_ball_a_norm(theta_new, inv_new, RADIUS)
@@ -60,11 +62,10 @@ def _dots(a, b):
 def ons_kernel(thetas, inv_curvatures, x, alpha, y):
     """ons_step on every row of the stacks thetas (S..., d), inv_curvatures
     (S..., d, d), with float x (..., d), alpha and y broadcast, into fresh
-    stacks, bit for bit, without ons_step's input checks: alpha in [0, 1]
-    and y in {0, 1} are the caller's to ensure. ons_step's order, _dots for
-    the 1-D dots, a stacked @ for the matrix products. alpha = 0 gives
-    g = 0, leaving a row (its inverse is exactly symmetric) as it was, so
-    only the projection is masked."""
+    stacks, bit for bit, and as unchecked. ons_step's order, _dots for the
+    1-D dots, a stacked @ for the matrix products. alpha = 0 gives g = 0,
+    leaving a row (its inverse is exactly symmetric) as it was, so only the
+    projection is masked."""
     g = (2.0 * alpha * (_dots(thetas, x) - y))[..., None] * x
     Mg = (inv_curvatures @ g[..., None])[..., 0]
     denom = 1.0 + _dots(g, Mg)[..., None, None]

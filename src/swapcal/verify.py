@@ -21,8 +21,8 @@ import numpy as np
 from .core import LinearFn, Transcript, finite_class, linear_ball, make_grid
 from .forecaster import rround
 from .harness import AdversarySpec, simulate_run
-from .linalg import (RIDGE_TOL, project_ball_a_norm, sherman_morrison_update,
-                     single_closed_class, stationary_distribution)
+from .linalg import (RIDGE_TOL, project_ball_a_norm, single_closed_class,
+                     stationary_distribution)
 from .metrics import (DEFAULT_LOSSES, bm_external_regrets, psmcal, psreg,
                       smcal, witness_f_prime)
 from .ons import OMEGA, RADIUS, ons_kernel, ons_step
@@ -123,16 +123,23 @@ def _check_stationary(rng):
     return True, "residuals within 1e-8, both solve paths"
 
 
-def _check_sherman_morrison(rng):
+def _check_rank_one(rng):
+    # the learner kernel's stored inverse, from a fresh learner on random
+    # rounds, against the dense inverse of omega I + sum g g^T, relative to
+    # what the updates changed, which omega I would swamp
     for _ in range(25):
         d = int(rng.integers(1, 9))
-        A = np.eye(d) * 0.3
-        M = np.linalg.inv(A)
+        A = OMEGA * np.eye(d)
+        theta, inv = np.zeros((1, d)), np.eye(d)[None] / OMEGA
         for _ in range(60):
-            g = rng.normal(size=d)
-            A = A + np.outer(g, g)
-            M = sherman_morrison_update(M, g)
-        err = np.linalg.norm(M - np.linalg.inv(A)) / np.linalg.norm(M)
+            x, alpha = ball_point(rng, d, 1.0), float(rng.random())
+            y = float(rng.integers(0, 2))
+            g = 2.0 * alpha * (theta[0] @ x - y) * x
+            A += np.outer(g, g)
+            theta, inv = ons_kernel(theta, inv, x, alpha, y)
+        dense = np.linalg.inv(A)
+        err = (np.linalg.norm(inv[0] - dense)
+               / np.linalg.norm(dense - np.eye(d) / OMEGA))
         if err > 1e-8:
             return False, f"relative drift {err:.2e}"
     return True, "matches dense inverse to 1e-8"
@@ -167,7 +174,8 @@ def _check_projection(rng):
 
 def _check_ons(rng):
     # one hand-checked step
-    theta, _ = ons_step(np.zeros(1), np.eye(1) / OMEGA, [0.5], 1.0, 1)
+    theta, _ = ons_step(np.zeros(1), np.eye(1) / OMEGA, np.array([0.5]),
+                        1.0, 1)
     want = 640.0 / 102401.0
     if abs(theta[0] - want) > 1e-15:
         return False, f"first step gave {theta[0]!r}, wanted {want!r}"
@@ -348,7 +356,7 @@ CHECKS = (
     ("rounding keeps means, bounded excess",
      lambda rng: rounding((1, 2, 3, 7, 16, 64), 201)),
     ("stationary distributions", _check_stationary),
-    ("rank-one inverse updates", _check_sherman_morrison),
+    ("rank-one inverse updates", _check_rank_one),
     ("curvature-norm ball projection", _check_projection),
     ("newton-step learner", _check_ons),
     ("swap regret decomposition",

@@ -374,8 +374,8 @@ def test_batch_synthetic_training_takes_d_from_test_csv(tmp_path):
 
 
 def test_csv_read_once_per_command(tmp_path, monkeypatch, capsys):
-    """simulate and batch parse a csv file once, even when batch trains and
-    tests on the same file."""
+    """simulate, batch and sweep parse a csv file once, even when batch
+    trains and tests on the same file."""
     from swapcal import cli, harness
 
     calls = []
@@ -402,6 +402,15 @@ def test_csv_read_once_per_command(tmp_path, monkeypatch, capsys):
                      "--T", "20", "--test-T", "10", "--stride", "4",
                      "--report", "saerr"]) == 0
     assert np.isfinite(json.loads(capsys.readouterr().out)["value"])
+    assert calls == [str(data)]
+    calls.clear()
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "T_list": [10, 20], "d": 2, "reps": 2, "metric": "smcal2",
+        "n_rule": "2", "adversary": "csv", "csv_path": str(data),
+        "out": str(tmp_path / "rows.csv")}))
+    assert cli.main(["sweep", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["errors"] == 0
     assert calls == [str(data)]
 
 

@@ -40,7 +40,7 @@ def test_bench_round_runs(tmp_path):
     assert doc["machine"]["cpu_count"] >= 1 and doc["machine"]["numpy"]
     kernels = {"stationary_distribution", "rround", "sample_cell",
                "commit_round", "ons_step_alpha_pos", "ons_step_alpha_zero",
-               "sherman_morrison_update", "round_d2_n4", "round_d5_n7",
+               "round_d2_n4", "round_d5_n7",
                "omni_somni_T4096", "omni_dsomni_M32", "ons_steps_R1_K8_d5",
                "ons_steps_R2_K5_d2", "ons_steps_R30_K5_d2", "stationary_R2_K5",
                "stationary_R30_K5", "sweep_T1024_r2", "sweep_T1024_r30",

@@ -3,12 +3,13 @@ import pytest
 
 import swapcal
 from swapcal import (AdversarySpec, BmForecaster, NumericFailure,
-                     PreconditionError, ResourceLimitError, Transcript, choose_n,
-                     generate_stream, make_grid, ons_step, rround,
+                     PreconditionError, ResourceLimitError, RoundOutput,
+                     Transcript, choose_n, generate_stream, make_grid, rround,
                      lockstep_rounds, run_lockstep, run_online,
                      seed_streams, validate_stream)
 from swapcal.core import JSONL_BLOCK
 from swapcal.forecaster import commit_round, sample_cell
+from swapcal.ons import ons_step
 
 
 def _stream(rng, T, d):
@@ -186,6 +187,31 @@ def test_predict_and_update_check_the_stream_contract(x, message):
     assert np.array_equal(fc.thetas, state[0])
     assert np.array_equal(fc.inv_curvatures, state[1])
     assert (fc.rounds_seen, fc.rng.bit_generator.state) == state[2:]
+
+
+@pytest.mark.parametrize("n, bad", [
+    (3, None), (9, None), (7, 1.5), (7, -0.25), (7, np.nan)],
+    ids=["shorter", "longer", "above-one", "negative", "nan"])
+def test_update_checks_cond_dist(n, bad):
+    """update raises ValueError for a cond_dist that is not K weights in
+    [0, 1]: another grid's RoundOutput, shorter or longer, or an entry off
+    [0, 1]. The forecaster keeps its stack objects, rounds_seen and rng."""
+    fc = BmForecaster(make_grid(7), 2, seed=0)
+    x = np.array([0.5, 0.2])
+    fc.update(fc.predict(x), 1, x)
+    out = BmForecaster(make_grid(n), 2, seed=1).predict(x)
+    if bad is not None:
+        P = out.cond_dist.copy()
+        P[1] = bad
+        out = RoundOutput(P, out.q_matrix, out.sampled_index)
+    state = (fc.thetas, fc.inv_curvatures, fc.thetas.copy(),
+             fc.inv_curvatures.copy(), fc.rng.bit_generator.state)
+    with pytest.raises(ValueError, match="cond_dist"):
+        fc.update(out, 1, x)
+    assert fc.thetas is state[0] and fc.inv_curvatures is state[1]
+    assert np.array_equal(fc.thetas, state[2])
+    assert np.array_equal(fc.inv_curvatures, state[3])
+    assert fc.rounds_seen == 1 and fc.rng.bit_generator.state == state[4]
 
 
 def test_forecaster_rejects_a_grid_too_large_for_memory():

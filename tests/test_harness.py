@@ -394,8 +394,8 @@ def test_sweep_bad_metric_or_losses_simulate_nothing(tmp_path, monkeypatch,
 
 
 def test_sweep_reads_a_csv_once_per_plan(tmp_path, monkeypatch):
-    """run_sweep reads a csv adversary's file once, however many reps and
-    horizons it runs."""
+    """A csv sweep reads its file once, when the config is built: run_sweep
+    reuses that read however many reps and horizons it runs."""
     real, calls = harness.ingest_csv, []
     monkeypatch.setattr(harness, "ingest_csv",
                         lambda path: calls.append(path) or real(path))
@@ -403,7 +403,6 @@ def test_sweep_reads_a_csv_once_per_plan(tmp_path, monkeypatch):
     data.write_text("0.1,1\n0.2,0\n" * 16)
     cfg = _tiny_config(tmp_path, adversary="csv", csv_path=str(data),
                        T_list=[16, 32], reps=8)
-    calls.clear()
     rows = run_sweep(cfg)
     assert calls == [str(data)]
     assert len(rows) == 16 and all(r["error"] == "" for r in rows)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from swapcal import (BmForecaster, NumericFailure, check_column_stochastic,
-                     make_grid, project_ball_a_norm, sherman_morrison_update,
-                     stationary_distribution)
+                     make_grid, project_ball_a_norm, stationary_distribution)
 from swapcal import linalg
 
 
@@ -145,39 +144,6 @@ def test_stationary_matches_eigenvector_on_forecaster_matrices():
 def test_stationary_rejects_bad_input():
     with pytest.raises(ValueError):
         stationary_distribution(np.array([[0.5, 0.5], [0.4, 0.5]]))
-
-
-def test_sherman_morrison_hand_example():
-    # A = diag(0.5, 1), add g = e1: inverse becomes diag(2/3, 1)
-    M = np.diag([2.0, 1.0])
-    out = sherman_morrison_update(M, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(out, np.diag([2.0 / 3.0, 1.0]), atol=1e-14)
-
-
-def test_sherman_morrison_tracks_dense_inverse():
-    rng = np.random.default_rng(11)
-    for d in (1, 2, 4, 8):
-        A = np.eye(d) * 0.7
-        M = np.linalg.inv(A)
-        for _ in range(1000):
-            g = rng.normal(size=d) * rng.random()
-            A = A + np.outer(g, g)
-            M = sherman_morrison_update(M, g)
-        rel = np.linalg.norm(M - np.linalg.inv(A)) / np.linalg.norm(M)
-        assert rel <= 1e-8
-        np.testing.assert_allclose(M, M.T, atol=1e-15)
-
-
-def test_sherman_morrison_failure_modes():
-    with pytest.raises(NumericFailure):
-        sherman_morrison_update(np.eye(2) * np.nan, np.array([1.0, 0.0]))
-    # denominator 1 + g^T M g: zero, negative, NaN, +inf
-    for M, g in ((-np.eye(2), np.array([1.0, 0.0])),
-                 (-2.0 * np.eye(2), np.array([1.0, 0.0])),
-                 (np.eye(2), np.array([np.nan, 0.0])),
-                 (np.diag([np.inf, 1.0]), np.array([1.0, 0.0]))):
-        with pytest.raises(NumericFailure, match="denominator"):
-            sherman_morrison_update(M, g)
 
 
 def _oracle_project(theta, A, radius, grid=4_000_000):

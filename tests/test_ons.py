@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from swapcal import BETA, OMEGA, RADIUS, BmForecaster, make_grid, ons_step
-from swapcal.ons import ons_kernel
+from swapcal import (BETA, OMEGA, RADIUS, BmForecaster, NumericFailure,
+                     make_grid)
+from swapcal.ons import ons_kernel, ons_step
 
 
 def test_constants():
@@ -76,14 +77,33 @@ def test_step_is_functional():
     assert np.linalg.norm(theta1) == pytest.approx(RADIUS, abs=1e-6)
 
 
-def test_validation():
-    theta, inv = _fresh(2)
-    with pytest.raises(ValueError):
-        ons_step(theta, inv, np.array([0.5]), 1.0, 1)
-    with pytest.raises(ValueError):
-        ons_step(theta, inv, np.array([0.5, 0.0]), 1.5, 1)
-    with pytest.raises(ValueError):
-        ons_step(theta, inv, np.array([0.5, 0.0]), 1.0, 2)
+def _one_step(kernel, inv):
+    """One step of a learner at theta = 0 with inverse curvature inv on
+    x = (0.5, 0), alpha = 1, y = 1, so g = (-1, 0) and the rank-one
+    denominator is 1 + inv[0, 0]; kernel is ons_step or ons_kernel on a
+    stack of one."""
+    theta, x = np.zeros(2), np.array([0.5, 0.0])
+    if kernel is ons_step:
+        return ons_step(theta, inv, x, 1.0, 1)
+    return ons_kernel(theta[None], inv[None], x, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kernel", [ons_step, ons_kernel],
+                         ids=["ons_step", "ons_kernel"])
+def test_rank_one_failure_modes(kernel):
+    """Both kernels raise NumericFailure, not a wrong learner, when the
+    rank-one denominator 1 + g^T M g is zero, negative, NaN or +inf, when
+    the inverse is NaN, and when the updated inverse overflows."""
+    for inv in (-np.eye(2), -2.0 * np.eye(2), np.diag([np.nan, 1.0]),
+                np.diag([np.inf, 1.0])):
+        with pytest.raises(NumericFailure, match="denominator"):
+            _one_step(kernel, inv)
+    with pytest.raises(NumericFailure):
+        _one_step(kernel, np.eye(2) * np.nan)
+    # a finite inverse whose symmetrization overflows: 1e308 + 1e308
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericFailure, match="non-finite entries"):
+        _one_step(kernel, np.diag([1.0, 1e308]))
 
 
 def test_kernel_rows_are_ons_step_bit_for_bit():
@@ -156,6 +176,7 @@ def test_replay_matches_dense_oracle():
             theta, inv = ons_step(theta, inv, x, a, y)
         want = _oracle_replay(steps, d)
         np.testing.assert_allclose(theta, want, atol=1e-7)
+        np.testing.assert_array_equal(inv, inv.T)
 
 
 def test_iterates_stay_in_radius():

@@ -22,8 +22,8 @@ best of three passes:
 
 - stationary_distribution, rround, sample_cell and commit_round, once per
   round;
-- ons_step with alpha > 0 and with alpha = 0, once per (round, cell);
-- sherman_morrison_update on the alpha > 0 pairs.
+- ons_step with alpha > 0 and with alpha = 0, once per (round, cell); the
+  alpha > 0 timing is the ONS update layer, rank-one update included.
 
 It then times whole rounds (predict + update) of a fresh forecaster over
 1024 rounds at (d = 2, N = 4) and (d = 5, N = 7), in microseconds per round,
@@ -235,21 +235,21 @@ def worker(src):
         raise ImportError(f"swapcal was imported from {swapcal.__file__}, "
                           f"not from {src}")
     from swapcal import (AdversarySpec, BmForecaster, Transcript,
-                         generate_stream, make_grid, ons_step, rround,
-                         sherman_morrison_update, simulate_run,
+                         generate_stream, make_grid, rround, simulate_run,
                          stationary_distribution, train_mixture)
     from swapcal.batch import _bucket_weights
     from swapcal.core import affine_restricted
     from swapcal.forecaster import choose_n, commit_round, sample_cell
     from swapcal.metrics import (DEFAULT_LOSSES, per_cell_omni_gap,
                                  realized_weights)
+    from swapcal.ons import ons_step
 
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     X, y = generate_stream(spec, WARMUP + RECORD, 5, seed=0)
     fc = BmForecaster(make_grid(7), 5, seed=0)
     grid = fc.grid
     rows = {k: [] for k in ("stat", "rround", "sample", "commit", "step",
-                            "step0", "sm")}
+                            "step0")}
     for t in range(WARMUP + RECORD):
         x, yt = X[t], int(y[t])
         if t >= WARMUP:
@@ -262,9 +262,6 @@ def worker(src):
             for theta, inv, p in zip(thetas, fc.inv_curvatures, P.tolist()):
                 rows["step" if p > 0.0 else "step0"].append(
                     (theta, inv, x, p, yt))
-                if p > 0.0:
-                    g = (2.0 * p * (float(theta @ x) - yt)) * x
-                    rows["sm"].append((inv, g))
         fc.update(fc.predict(x), yt, x)
 
     out = {
@@ -275,8 +272,6 @@ def worker(src):
         "commit_round": _best_us(commit_round, rows["commit"]),
         "ons_step_alpha_pos": _best_us(ons_step, rows["step"]),
         "ons_step_alpha_zero": _best_us(ons_step, rows["step0"]),
-        "sherman_morrison_update": _best_us(sherman_morrison_update,
-                                            rows["sm"]),
     }
     for d, n in ROUND_SHAPES:
         Xr, yr = generate_stream(spec, ROUND_T, d, seed=1)
