@@ -37,6 +37,8 @@ class MixturePredictor:
         if thetas.ndim != 3 or not len(thetas) or thetas.shape[1] != grid.size:
             raise ValueError(f"thetas must have shape (S >= 1, {grid.size}, d),"
                              f" got {thetas.shape}")
+        if not np.isfinite(thetas).all():
+            raise ValueError("thetas hold a non-finite value")
         self.grid, self.thetas, self.d = grid, thetas, thetas.shape[2]
 
     @property
@@ -45,10 +47,15 @@ class MixturePredictor:
 
     def cond_dist(self, t, X):
         """Conditional distribution over grid points that snapshot t commits
-        to on context X, shape (d,), or on each row of X, shape (M, d)
+        to on context X, shape (d,), or on each row of X, shape (M, d),
+        max(1, MEMBER_CAP // K^2) rows at a time to bound memory
         (deterministic)."""
-        return commit_round(self.thetas[t], np.asarray(X, dtype=float),
-                            self.grid)[2]
+        X, thetas = np.asarray(X, dtype=float), self.thetas[t]
+        if X.ndim == 1:
+            return commit_round(thetas, X, self.grid)[2]
+        rows = max(1, MEMBER_CAP // self.grid.size ** 2)
+        return np.concatenate([commit_round(thetas, X[i:i + rows], self.grid)[2]
+                               for i in range(0, max(len(X), 1), rows)])
 
 
 def train_mixture(stream, n, stride=1):
@@ -94,14 +101,6 @@ def _buckets(mix, test, mc_draws, seed):
     return X, y.astype(float), V, how
 
 
-def _snapshot_dists(mix, t, X):
-    """Snapshot t's conditional distributions on the rows of X, (M, n+1),
-    committed max(1, MEMBER_CAP // K^2) rows at a time to bound memory."""
-    chunk = max(1, MEMBER_CAP // mix.grid.size ** 2)
-    return np.concatenate([mix.cond_dist(t, X[i:i + chunk])
-                           for i in range(0, len(X), chunk)])
-
-
 def _bucket_weights(mix, X, mc_draws, seed):
     """Joint weight matrix V (n+1, M) over (cell, test point).
 
@@ -114,7 +113,7 @@ def _bucket_weights(mix, X, mc_draws, seed):
     V = np.zeros((mix.grid.size, M))
     if mc_draws is None:
         for t in range(mix.size):
-            V += _snapshot_dists(mix, t, X).T
+            V += mix.cond_dist(t, X).T
         V /= mix.size * M
         return V, "exhaustive enumeration over snapshots x test points"
     draws = as_int(mc_draws, "mc_draws", 1)
@@ -125,7 +124,7 @@ def _bucket_weights(mix, X, mc_draws, seed):
     for t in np.unique(snap):
         mine = snap == t
         points, back = np.unique(xi[mine], return_inverse=True)
-        cells = sample_cell(_snapshot_dists(mix, t, X[points])[back], u[mine])
+        cells = sample_cell(mix.cond_dist(t, X[points])[back], u[mine])
         np.add.at(V, (cells, xi[mine]), 1.0)
     V /= draws
     return V, f"plug-in Monte-Carlo, {draws} draws"

@@ -143,7 +143,8 @@ class BmForecaster:
         stationary weight out.cond_dist[i], in ascending cell order, into
         fresh stacks that replace the old ones once every cell is done. x, y
         and out.cond_dist (K weights in [0, 1]) are checked first, once."""
-        x, y, P = self._context(x), validate_outcome(y), out.cond_dist
+        x, y = self._context(x), validate_outcome(y)
+        P = np.asarray(out.cond_dist, dtype=float)
         if P.shape != (self.grid.size,) or not 0 <= P.min() <= P.max() <= 1:
             raise ValueError(f"cond_dist of shape {P.shape} is not "
                              f"{self.grid.size} weights in [0, 1]")

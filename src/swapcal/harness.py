@@ -26,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (MEMBER_CAP, as_int, cover_class, finite_class,
-                   linear_ball, affine_restricted, make_grid, absolute_loss,
-                   squared_loss, vshaped_loss)
+from .core import (MEMBER_CAP, Transcript, as_int, cover_class,
+                   finite_class, linear_ball, affine_restricted, make_grid,
+                   absolute_loss, squared_loss, vshaped_loss)
 from .errors import FormatError
 from .forecaster import (BmForecaster, choose_n, run_lockstep, run_online,
                          seed_streams)
@@ -294,15 +294,16 @@ def evaluate_metric(tr, name, hc=None, losses=None):
 # sweeps
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     """One sweep: horizons x repetitions of (simulate, evaluate one metric).
 
     metric may carry an inline class suffix (e.g. smcal2:ball1). n_rule is
     auto-smcal, auto-sreg, or an integer. Row seeds are seed_base + rep.
     T_list (a list or tuple), reps (>= 0), seed_base and d (>= 1) take
-    integers, kept as ints (as_int). Construction runs plan(), so the rows
-    meet only the faults that need the stream or the horizon.
+    integers, kept as ints (as_int). A built config cannot change: its
+    construction checks every field and builds its plan, so the rows meet
+    only the faults that need the stream or the horizon.
     """
 
     T_list: list
@@ -321,15 +322,16 @@ class SweepConfig:
     def __post_init__(self):
         listed = isinstance(self.T_list, (list, tuple))
         try:
-            self.T_list = [as_int(T, "T", None)
-                           for T in (self.T_list if listed else [None])]
+            object.__setattr__(self, "T_list", [
+                as_int(T, "T", None)
+                for T in (self.T_list if listed else [None])])
         except ValueError:
             raise ValueError(f"T_list must be a list of integers, got "
                              f"{self.T_list!r}") from None
-        self.reps = as_int(self.reps, "reps", 0)
-        self.seed_base = as_int(self.seed_base, "seed_base", None)
-        self.d = as_int(self.d, "d", 1)
-        self.plan()
+        for name, low in (("reps", 0), ("seed_base", None), ("d", 1)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name,
+                                                  low))
+        self.plan  # built now, so a bad field fails the construction
 
     @classmethod
     def from_json(cls, path):
@@ -348,31 +350,29 @@ class SweepConfig:
         except (AttributeError, TypeError, ValueError, OSError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
 
-    def adversary_spec(self):
-        """One spec object, so one csv read, while its fields are unchanged."""
-        spec = AdversarySpec(kind=self.adversary, noise=self.noise,
-                             bias=self.bias, path=self.csv_path)
-        if spec != getattr(self, "_spec", None):
-            self._spec = spec
-        return self._spec
-
+    @cached_property
     def plan(self):
         """(metric on (transcript, class, losses), class, loss menu,
-        adversary spec) from the fields; a csv spec reads its file on the
-        first plan. ValueError if a field is bad."""
-        make_grid(resolve_n(self.n_rule, 1, self.d))
+        adversary spec), built once, at construction: a csv spec reads its
+        file, and the metric is evaluated on a zero-round transcript of the
+        config's grid and d. ValueError if a field is bad."""
+        grid = make_grid(resolve_n(self.n_rule, 1, self.d))
         metric, hc = resolve_metric(self.metric, None)
-        losses, spec = parse_losses(self.losses), self.adversary_spec()
+        losses = parse_losses(self.losses)
+        spec = AdversarySpec(kind=self.adversary, noise=self.noise,
+                             bias=self.bias, path=self.csv_path)
         if spec.kind == "csv":
             csv_rows(spec.table, 0, self.d, spec.path)  # the width, whatever T
+        metric(Transcript(grid, np.zeros((0, self.d)), np.zeros((0, grid.size)),
+                          [], []), hc, losses)
         return metric, hc, losses, spec
 
 
-def _sweep_rows(cfg, T, reps, plan):
+def _sweep_rows(cfg, T, reps):
     """The rows of the distinct repetitions `reps` at horizon T, in order,
-    with plan = cfg.plan(): one attempt at the group, then, if it fails,
-    one per rep, as run_sweep says."""
-    metric, hc, losses, spec = plan
+    by cfg.plan: one attempt at the group, then, if it fails, one per rep,
+    as run_sweep says."""
+    metric, hc, losses, spec = cfg.plan
     seeds = [cfg.seed_base + rep for rep in reps]
     rows = [{"T": T, "N": "", "d": cfg.d, "rep": rep, "seed": seed,
              "metric": cfg.metric, "value": "", "wall_ms": "", "error": ""}
@@ -388,7 +388,7 @@ def _sweep_rows(cfg, T, reps, plan):
     except Exception as exc:
         if len(rows) > 1:
             return [row for rep in reps
-                    for row in _sweep_rows(cfg, T, [rep], plan)]
+                    for row in _sweep_rows(cfg, T, [rep])]
         rows[0]["error"] = f"{type(exc).__name__}: {exc}"
         rows[0]["wall_ms"] = f"{(time.perf_counter() - t0) * 1e3:.3f}"
         return rows
@@ -439,13 +439,13 @@ def run_sweep(cfg, out_path=None):
     finishes. A failed group reruns each rep as a group of one, so only a
     faulty rep's row carries the error. A row's wall_ms is its share of its
     group's time (grid size, streams, forecasters, lockstep run) plus its
-    own metric time. cfg.plan() runs once, before the table is opened, and
-    reuses cfg's csv read. Returns all rows, previously completed first.
+    own metric time. The rows run cfg.plan, built with cfg, so no field
+    fault and no second csv read reach the table. Returns all rows,
+    previously completed first.
     """
     out_path = out_path or cfg.out
     if not out_path:
         raise ValueError("sweep needs an output path")
-    plan = cfg.plan()
     existing = read_results(out_path) if os.path.exists(out_path) else []
     done = {(int(r["T"]), int(r["rep"])) for r in existing
             if r["metric"] == cfg.metric}
@@ -463,7 +463,7 @@ def run_sweep(cfg, out_path=None):
             size = max(1, min(LOCKSTEP_ROUNDS // max(T, 1),
                               MEMBER_CAP // K ** 2))
             for i in range(0, len(reps), size):
-                rows = _sweep_rows(cfg, T, reps[i:i + size], plan)
+                rows = _sweep_rows(cfg, T, reps[i:i + size])
                 writer.writerows(rows)
                 fh.flush()
                 new_rows += rows

@@ -155,6 +155,22 @@ def test_cond_dist_on_many_contexts_matches_one_at_a_time():
         assert P.shape == (9, 4)
         np.testing.assert_array_equal(
             P, np.array([mix.cond_dist(t, x) for x in X]))
+    assert mix.cond_dist(0, X[0]).shape == (4,)
+    assert mix.cond_dist(0, X[:0]).shape == (0, 4)
+
+
+@pytest.mark.parametrize("thetas, message", [
+    (np.zeros((2, 4, 2)), r"shape \(S >= 1, 3, d\), got \(2, 4, 2\)"),
+    (np.zeros((3, 2)), r"shape \(S >= 1, 3, d\), got \(3, 2\)"),
+    (np.zeros((0, 3, 2)), r"shape \(S >= 1, 3, d\), got \(0, 3, 2\)"),
+    (np.full((1, 3, 2), np.nan), "non-finite"),
+    (np.array([[[0.0, 0.0]] * 2 + [[np.inf, 0.0]]]), "non-finite"),
+], ids=["wrong-k", "two-axes", "empty", "nan", "inf"])
+def test_mixture_rejects_a_bad_stack(thetas, message):
+    """A saved stack is outside input: one that is not (S >= 1, K, d) or
+    holds a NaN or inf raises ValueError when the mixture is built."""
+    with pytest.raises(ValueError, match=message):
+        MixturePredictor(make_grid(2), thetas)
 
 
 def test_bucket_weights_exhaustive_in_chunks():
@@ -171,8 +187,9 @@ def test_bucket_weights_exhaustive_in_chunks():
 def test_bucket_weights_memory_is_bounded_at_large_k():
     """A commit holds at most MEMBER_CAP rounding-matrix entries, whatever
     the number of test points: estimate_saerr on a one-snapshot mixture at
-    K = 201 with M = 1024 test points peaks well under 64 MiB. With 1024
-    points a commit it peaked at 1267 MiB."""
+    K = 201 with M = 1024 test points, and cond_dist called on those points
+    directly, each peak well under 64 MiB. With 1024 points a commit it
+    peaked at 1267 MiB."""
     import tracemalloc
 
     rng = np.random.default_rng(16)
@@ -183,10 +200,13 @@ def test_bucket_weights_memory_is_bounded_at_large_k():
     try:
         report = estimate_saerr(mix, test)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        P = mix.cond_dist(0, test[0])
+        direct = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.isfinite(report.value)
-    assert peak < 64 * 2 ** 20
+    assert np.isfinite(report.value) and P.shape == (1024, 201)
+    assert peak < 64 * 2 ** 20 and direct < 64 * 2 ** 20
 
 
 def test_bucket_weights_frozen_values():

@@ -231,6 +231,8 @@ _GOOD_SWEEP = {"T_list": [8], "d": 2, "reps": 1, "metric": "cal2",
      "unknown class spec 'ball9'"),
     ({**_GOOD_SWEEP, "metric": "smcal2:finite:absent.json"},
      "No such file or directory: 'absent.json'"),
+    ({**_GOOD_SWEEP, "metric": "somni:ball1"},
+     "omniprediction comparator must be affine-restricted"),
     ({**_GOOD_SWEEP, "losses": "squared,bad"}, "unknown loss token 'bad'"),
     ({**_GOOD_SWEEP, "bias": 1.5}, "bias must be in [0, 1]"),
     ({**_GOOD_SWEEP, "adversary": "weird"},
@@ -246,8 +248,8 @@ _GOOD_SWEEP = {"T_list": [8], "d": 2, "reps": 1, "metric": "cal2",
     (_GOOD_SWEEP, "not a results table, its header lacks ['T', 'N'"),
 ], ids=["reps-str", "reps-float", "reps-negative", "T_list-int",
         "T_list-bool", "seed_base-str", "not-an-object", "metric",
-        "metric-int", "class", "class-file", "losses", "bias", "adversary",
-        "n_rule-str", "n_rule-float", "d-zero", "csv_path-int",
+        "metric-int", "class", "class-file", "somni-ball", "losses", "bias",
+        "adversary", "n_rule-str", "n_rule-float", "d-zero", "csv_path-int",
         "foreign-table"])
 def test_sweep_rejects_malformed_input(tmp_path, doc, message):
     """A malformed config, any fault of it that does not depend on the

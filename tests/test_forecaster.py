@@ -190,17 +190,33 @@ def test_predict_and_update_check_the_stream_contract(x, message):
 
 
 @pytest.mark.parametrize("n, bad", [
-    (3, None), (9, None), (7, 1.5), (7, -0.25), (7, np.nan)],
-    ids=["shorter", "longer", "above-one", "negative", "nan"])
+    (3, None), (9, None), (7, 1.5), (7, -0.25), (7, np.nan), (3, list),
+    (7, list)],
+    ids=["shorter", "longer", "above-one", "negative", "nan", "shorter-list",
+         "list"])
 def test_update_checks_cond_dist(n, bad):
     """update raises ValueError for a cond_dist that is not K weights in
-    [0, 1]: another grid's RoundOutput, shorter or longer, or an entry off
-    [0, 1]. The forecaster keeps its stack objects, rounds_seen and rng."""
+    [0, 1]: another grid's RoundOutput, shorter or longer, as an array or a
+    list, or an entry off [0, 1]. The forecaster keeps its stack objects,
+    rounds_seen and rng. A valid list updates exactly as its array does."""
     fc = BmForecaster(make_grid(7), 2, seed=0)
     x = np.array([0.5, 0.2])
     fc.update(fc.predict(x), 1, x)
     out = BmForecaster(make_grid(n), 2, seed=1).predict(x)
-    if bad is not None:
+    if bad is list:
+        listed = RoundOutput(list(out.cond_dist), out.q_matrix,
+                             out.sampled_index)
+        if n == fc.grid.n:
+            twin = BmForecaster(make_grid(7), 2, seed=0)
+            twin.update(twin.predict(x), 1, x)
+            twin.update(out, 1, x)
+            fc.update(listed, 1, x)
+            assert np.array_equal(fc.thetas, twin.thetas)
+            assert np.array_equal(fc.inv_curvatures, twin.inv_curvatures)
+            assert fc.rounds_seen == twin.rounds_seen == 2
+            return
+        out = listed
+    elif bad is not None:
         P = out.cond_dist.copy()
         P[1] = bad
         out = RoundOutput(P, out.q_matrix, out.sampled_index)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -368,28 +369,34 @@ def test_sweep_bad_configuration_errors_every_row(tmp_path, over, error):
     (dict(losses="squared,bad"), "unknown loss token 'bad'"),
     (dict(metric="nope", adversary="csv"),
      "unknown metric 'nope'; known: " + ", ".join(harness.METRICS)),
-], ids=["metric", "class", "losses", "metric-and-short-csv"])
+    (dict(metric="somni:ball1"), "omniprediction comparator must be "
+     "affine-restricted or an enumerable class, got linear-ball"),
+    (dict(metric="smcal2:finite:{wide}"),
+     "finite class thetas have dimension 3, the contexts have d = 2"),
+], ids=["metric", "class", "losses", "metric-and-short-csv", "somni-ball",
+        "finite-width"])
 def test_sweep_bad_metric_or_losses_simulate_nothing(tmp_path, monkeypatch,
                                                      over, error):
-    """A bad metric, class or loss menu fails the config when it is built;
-    set on a built config, it fails run_sweep before the table is opened or
-    any stream is generated. It outranks a short csv, a row fault."""
+    """A bad metric, class or loss menu, or a metric and class that no
+    transcript can evaluate, fails the config when it is built. A built
+    config cannot change, so no field fault reaches run_sweep: no stream is
+    generated and no table opened. It outranks a short csv, a row fault."""
     calls = []
     real = harness.generate_stream
     monkeypatch.setattr(harness, "generate_stream",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
-    data = tmp_path / "short.csv"
+    data, wide = tmp_path / "short.csv", tmp_path / "wide.json"
     data.write_text("0.1,1\n" * 4)
+    wide.write_text('{"thetas": [[1.0, 0.0, 0.0]]}')
+    over = {k: v.format(wide=wide) for k, v in over.items()}
     with pytest.raises(ValueError) as exc:
         _tiny_config(tmp_path, csv_path=str(data), **over)
     assert str(exc.value) == error
     cfg = _tiny_config(tmp_path, csv_path=str(data),
                        adversary=over.get("adversary", "iid-logistic"))
     for field, value in over.items():
-        setattr(cfg, field, value)
-    with pytest.raises(ValueError) as exc:
-        run_sweep(cfg)
-    assert str(exc.value) == error
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
     assert calls == [] and not (tmp_path / "rows.csv").exists()
 
 
@@ -458,7 +465,7 @@ def test_read_results_names_a_malformed_row(tmp_path, row, bad):
 def test_sweep_row_isolated():
     cfg = SweepConfig(T_list=[16], d=2, reps=1, metric="cal2", n_rule="2",
                       out="unused.csv")
-    [row] = _sweep_rows(cfg, 16, [0], cfg.plan())
+    [row] = _sweep_rows(cfg, 16, [0])
     assert row["error"] == ""
     assert float(row["value"]) >= 0.0
     assert float(row["wall_ms"]) > 0.0
@@ -501,7 +508,7 @@ def test_sweep_rows_do_not_depend_on_lockstep_groups(tmp_path, monkeypatch):
     assert tables[0] == tables[1] == tables[2] == tables[3]
     assert [(int(r["T"]), int(r["rep"])) for r in tables[0]] == \
         [(T, rep) for T in (40, 64) for rep in range(5)]
-    spec = cfg.adversary_spec()
+    spec = cfg.plan[3]
     for r in tables[0]:
         tr = simulate_run(spec, int(r["T"]), 2, int(r["N"]),
                           seed=int(r["seed"]))
