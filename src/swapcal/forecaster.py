@@ -27,7 +27,7 @@ import numpy as np
 from .core import (JSONL_BLOCK, MEMBER_CAP, Grid, Transcript, as_int,
                    check_contexts, validate_outcome, validate_stream)
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import stationary_distribution
+from .linalg import stationary_solve
 from .ons import OMEGA, ons_kernel, ons_step
 
 
@@ -86,12 +86,13 @@ def commit_round(thetas, x, grid):
     context x, shape (d,) or (M, d): the clamped proposals w (..., K), the
     column-stochastic rounding matrices Q = rround(w) (..., K, K) and their
     stationary distributions P = QP (..., K). Returns (w, Q, P); a NaN
-    proposal raises rround's ValueError."""
+    proposal raises rround's ValueError. Q, column-stochastic by
+    construction, is solved unchecked (stationary_solve), residual checked."""
     w = np.minimum(np.maximum((thetas @ x[..., None])[..., 0], 0.0), 1.0)
     if np.isnan(w.sum()):  # the clamp keeps NaN
         raise ValueError("value nan outside [0, 1]")
     Q = _round(w, grid.n)
-    return w, Q, stationary_distribution(Q)
+    return w, Q, stationary_solve(Q)
 
 
 def sample_cell(P, u):

@@ -300,13 +300,13 @@ class SweepConfig:
 
     metric may carry an inline class suffix (e.g. smcal2:ball1). n_rule is
     auto-smcal, auto-sreg, or an integer. Row seeds are seed_base + rep.
-    T_list (a list or tuple), reps (>= 0), seed_base and d (>= 1) take
-    integers, kept as ints (as_int). A built config cannot change: its
-    construction checks every field and builds its plan, so the rows meet
-    only the faults that need the stream or the horizon.
+    T_list (a list or tuple, kept as a tuple), reps (>= 0), seed_base and
+    d (>= 1) take integers, kept as ints (as_int). A built config cannot
+    change: its construction checks every field and builds its plan, so the
+    rows meet only the faults that need the stream or the horizon.
     """
 
-    T_list: list
+    T_list: tuple
     d: int
     reps: int
     metric: str
@@ -322,9 +322,9 @@ class SweepConfig:
     def __post_init__(self):
         listed = isinstance(self.T_list, (list, tuple))
         try:
-            object.__setattr__(self, "T_list", [
+            object.__setattr__(self, "T_list", tuple(
                 as_int(T, "T", None)
-                for T in (self.T_list if listed else [None])])
+                for T in (self.T_list if listed else [None])))
         except ValueError:
             raise ValueError(f"T_list must be a list of integers, got "
                              f"{self.T_list!r}") from None

@@ -136,10 +136,17 @@ def stationary_distribution(Q):
     class gets mass in proportion to 1 / ||v_i||^2 (Q = I gives the uniform
     distribution) and transient states get none.
 
-    Raises NumericFailure, carrying the worst residual over the stack, if the
-    check fails.
+    Raises check_column_stochastic's ValueError on a bad Q, and
+    NumericFailure, carrying the worst residual over the stack, if the
+    residual check fails.
     """
-    Q = check_column_stochastic(Q)
+    return stationary_solve(check_column_stochastic(Q))
+
+
+def stationary_solve(Q):
+    """stationary_distribution, unchecked, like ons_kernel: Q a float
+    column-stochastic stack (..., K, K), such as the one commit_round builds.
+    The residual check and its NumericFailure stay."""
     K = Q.shape[-1]
     p = _solve_chains(Q.reshape((-1, K, K))).reshape(Q.shape[:-1])
     p[p <= K * _EPS] = 0.0

@@ -43,7 +43,9 @@ def test_bench_round_runs(tmp_path):
                "round_d2_n4", "round_d5_n7",
                "omni_somni_T4096", "omni_dsomni_M32", "ons_steps_R1_K8_d5",
                "ons_steps_R2_K5_d2", "ons_steps_R30_K5_d2", "stationary_R2_K5",
-               "stationary_R30_K5", "sweep_T1024_r2", "sweep_T1024_r30",
+               "stationary_R30_K5", "single_closed_class_R1_K8",
+               "single_closed_class_R2_K5", "single_closed_class_R30_K5",
+               "sweep_T1024_r2", "sweep_T1024_r30",
                "write_jsonl_T4096", "read_jsonl_T4096"}
     for label in ("a", "b"):
         assert set(doc["results"][label]) == kernels

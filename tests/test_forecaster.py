@@ -6,7 +6,8 @@ from swapcal import (AdversarySpec, BmForecaster, NumericFailure,
                      PreconditionError, ResourceLimitError, RoundOutput,
                      Transcript, choose_n, generate_stream, make_grid, rround,
                      lockstep_rounds, run_lockstep, run_online,
-                     seed_streams, validate_stream)
+                     seed_streams, stationary_distribution, validate_stream)
+from swapcal import linalg
 from swapcal.core import JSONL_BLOCK
 from swapcal.forecaster import commit_round, sample_cell
 from swapcal.ons import ons_step
@@ -77,6 +78,46 @@ def test_commit_round_on_many_contexts_matches_one_at_a_time():
         one = commit_round(thetas, X[m], g)
         for got, want in zip((w[m], Q[m], P[m]), one):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("R", [1, 2, 30])
+def test_commit_round_solves_its_q_as_the_checked_entry_does(R, monkeypatch):
+    """commit_round solves its own Q without stationary_distribution's input
+    check, bit for bit the same P: on random proposals, proposals clamped
+    to exactly 0 and 1, and proposals on grid points, whose point-mass
+    columns give chains with several closed classes (the SVD path)."""
+    svd_chains = []
+    real = linalg._min_norm
+    monkeypatch.setattr(linalg, "_min_norm",
+                        lambda Q: svd_chains.append(len(Q)) or real(Q))
+    rng = np.random.default_rng(R)
+    g = make_grid(4)
+    x = np.ones((R, 1))  # d = 1: each proposal is its theta, clamped
+    on_grid = rng.integers(0, g.n + 1, size=(R, g.size)) / g.n
+    on_grid[0] = g.points  # Q = I: every cell is its own closed class
+    for w in (rng.random((R, g.size)),
+              rng.choice([-0.5, 0.0, 0.3, 1.0, 1.5], size=(R, g.size)),
+              on_grid):
+        svd_chains.clear()
+        _, Q, P = commit_round(w[..., None], x, g)
+        assert np.array_equal(P, stationary_distribution(Q))
+    # the grid-point chains, Q = I among them, took the SVD path in both
+    assert len(svd_chains) == 2 and svd_chains[0] == svd_chains[1] >= 1
+
+
+def test_commit_round_keeps_the_residual_check(monkeypatch):
+    """A wrong square solve still fails the round: commit_round skips only
+    the input check, and raises NumericFailure carrying the residual."""
+    g = make_grid(4)
+    w = np.random.default_rng(5).uniform(0.1, 0.9, size=(2, g.size))
+    Q = commit_round(w[..., None], np.ones((2, 1)), g)[1]
+    last = np.eye(g.size)[g.n]  # a point mass on the last cell
+    monkeypatch.setattr(linalg, "_square_solve",
+                        lambda Q: np.broadcast_to(last, Q.shape[:-1]).copy())
+    with pytest.raises(NumericFailure) as info:
+        commit_round(w[..., None], np.ones((2, 1)), g)
+    assert info.value.residual == abs(Q @ last - last).max()
+    assert info.value.residual > linalg.STATIONARY_TOL
 
 
 def test_sample_cell_is_searchsorted_per_row():

@@ -220,7 +220,7 @@ def test_sweep_config_from_json(tmp_path):
     cfgfile.write_text(json.dumps({"T_list": [4, 8], "d": 2, "reps": 1,
                                    "metric": "cal2"}))
     cfg = SweepConfig.from_json(cfgfile)
-    assert cfg.T_list == [4, 8]
+    assert cfg.T_list == (4, 8)
     cfgfile.write_text(json.dumps({"T_list": [4], "d": 2, "reps": 1,
                                    "metric": "cal2", "mystery_knob": True}))
     with pytest.raises(FormatError, match="mystery_knob"):
@@ -398,6 +398,17 @@ def test_sweep_bad_metric_or_losses_simulate_nothing(tmp_path, monkeypatch,
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, field, value)
     assert calls == [] and not (tmp_path / "rows.csv").exists()
+
+
+def test_sweep_config_horizons_cannot_change(tmp_path):
+    """T_list is kept as a tuple of ints: a built config's horizons cannot
+    be appended to, so no unchecked horizon reaches run_sweep."""
+    cfg = _tiny_config(tmp_path, T_list=[8, 16], reps=1)
+    with pytest.raises(AttributeError):
+        cfg.T_list.append(2.5)
+    assert cfg.T_list == (8, 16)
+    assert [(r["T"], r["error"]) for r in run_sweep(cfg)] == [(8, ""),
+                                                               (16, "")]
 
 
 def test_sweep_reads_a_csv_once_per_plan(tmp_path, monkeypatch):

@@ -46,10 +46,14 @@ where the loop looks it up, in swapcal.forecaster) in the 256 lockstep
 rounds that follow 256 warm-up rounds of R forecasters (seeds 0..R-1,
 iid-logistic streams with noise 0.1 on the same seeds) at (R, K, d) =
 (1, 8, 5), (2, 5, 2) and (30, 5, 2); the entry is null for a tree without
-the stacked kernel. From the same recording it times
-stationary_distribution on the Q stacks the loop passes it at (R, K) =
-(2, 5) and (30, 5), and counts the chains that reach the batched SVD (by
-wrapping numpy.linalg.svd) against those solved square.
+the stacked kernel. From the same recording it takes the Q stacks the loop
+passes its stationary solve (linalg.stationary_solve, or
+stationary_distribution in a tree whose loop calls that). It times
+linalg.single_closed_class, the certificate that picks each chain's path,
+on them at all three shapes (null for a tree without it); at (R, K) =
+(2, 5) and (30, 5) it times the loop's solve and counts the chains that
+reach the batched SVD (by wrapping numpy.linalg.svd) against those solved
+square.
 
 Last, it times harness.run_sweep on a fresh table for one horizon,
 T = 1024, d = 2, smcal2:ball1 with auto-smcal N, seeds 0..reps-1, at 2 and
@@ -181,8 +185,17 @@ def loop_kernel():
                  if hasattr(swapcal.forecaster, name)), None)
 
 
+def loop_solve():
+    """The name of the stationary solve commit_round calls: the unchecked
+    stationary_solve, or stationary_distribution in a tree without it."""
+    import swapcal.forecaster
+    return next(name for name in ("stationary_solve",
+                                  "stationary_distribution")
+                if hasattr(swapcal.forecaster, name))
+
+
 def loop_rows(R, n, d):
-    """The arguments of the learner kernel and of stationary_distribution
+    """The arguments of the learner kernel and of the stationary solve
     calls that lockstep_rounds makes for R forecasters, recorded from the
     loop itself, after WARMUP rounds."""
     import swapcal.forecaster
@@ -192,22 +205,22 @@ def loop_rows(R, n, d):
     streams = [generate_stream(spec, WARMUP + RECORD, d, seed=r)
                for r in range(R)]
     fcs = [BmForecaster(make_grid(n), d, seed=r) for r in range(R)]
-    loop, name = swapcal.forecaster, loop_kernel()
+    loop, name, solve = swapcal.forecaster, loop_kernel(), loop_solve()
     with mock.patch.object(loop, name, wraps=getattr(loop, name)) as kernel, \
-            mock.patch.object(loop, "stationary_distribution",
-                              wraps=loop.stationary_distribution) as stat:
+            mock.patch.object(loop, solve,
+                              wraps=getattr(loop, solve)) as stat:
         for _ in lockstep_rounds(fcs, streams):
             pass
     return ([call.args for call in kernel.call_args_list[WARMUP:]],
             [call.args for call in stat.call_args_list[WARMUP:]])
 
 
-def svd_chains(stationary_distribution, rows):
-    """How many chains of the stacks in rows stationary_distribution solves
-    without ("square") and with ("svd") the batched SVD."""
+def svd_chains(solve, rows):
+    """How many chains of the stacks in rows solve solves without
+    ("square") and with ("svd") the batched SVD."""
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         for args in rows:
-            stationary_distribution(*args)
+            solve(*args)
     chains = sum(args[0][..., 0, 0].size for args in rows)
     svd = sum(call.args[0][..., 0, 0].size for call in svd.call_args_list)
     return {"square": chains - svd, "svd": svd}
@@ -304,15 +317,18 @@ def worker(src):
             lambda: per_cell_omni_gap(Xo, yo, CW, z, DEFAULT_LOSSES,
                                       affine_restricted()), [()])
     name, paths = loop_kernel(), {}
+    solve = getattr(swapcal.linalg, loop_solve())
+    certificate = getattr(swapcal.linalg, "single_closed_class", None)
     for R, n, d in KERNEL_SHAPES:
         kernel_args, stat_args = loop_rows(R, n, d) if name else (None, None)
         out[f"ons_steps_R{R}_K{n + 1}_d{d}"] = name and _best_us(
             getattr(swapcal.ons, name), kernel_args)
+        out[f"single_closed_class_R{R}_K{n + 1}"] = (
+            name and certificate and _best_us(certificate, stat_args))
         if (R, n, d) in STATIONARY_SHAPES:
             out[f"stationary_R{R}_K{n + 1}"] = name and _best_us(
-                stationary_distribution, stat_args)
-            paths[f"R{R}_K{n + 1}"] = name and svd_chains(
-                stationary_distribution, stat_args)
+                solve, stat_args)
+            paths[f"R{R}_K{n + 1}"] = name and svd_chains(solve, stat_args)
     for reps, calls in SWEEP_CALLS.items():
         out[f"sweep_T{SWEEP_T}_r{reps}"] = min(sweep_us(reps)
                                                for _ in range(calls))
@@ -367,11 +383,16 @@ def main(argv=None):
                                 "warm-up rounds of R forecasters, "
                                 "iid-logistic noise 0.1, seeds 0..R-1; null "
                                 "for a tree without a stacked kernel",
-                   "stationary": "stationary_distribution on the Q stacks "
+                   "stationary": "the loop's stationary solve "
+                                 "(linalg.stationary_solve, else "
+                                 "stationary_distribution) on the Q stacks "
                                  "lockstep_rounds passed it in the same "
                                  "rounds; stationary_paths counts the "
                                  "chains solved square and by the batched "
                                  "SVD (numpy.linalg.svd wrapped)",
+                   "single_closed_class": "linalg.single_closed_class on "
+                                          "the same Q stacks, null for a "
+                                          "tree without it",
                    "jsonl": "Transcript.write_jsonl and read_jsonl on "
                             "the omni_somni_T4096 transcript",
                    "paired": "per kernel and later label, the median over "
