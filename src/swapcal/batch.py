@@ -6,9 +6,10 @@ snapshot k is taken at the start of round 1 + k * stride. Prediction draws a
 snapshot uniformly, commits its conditional distribution for the query
 context, and samples a grid point from it.
 
-The distributional estimators bucket draws by sampled cell and apply the
-plug-in empirical supremum over each bucket; reports label the estimates as
-plug-in and carry per-cell masses in their extras.
+Each distributional estimator is its guarantee's online report (the
+metrics builders sup_calibration, swap_regret, omni_gap) on the mixture's
+bucket weights, exact or Monte-Carlo, in place of a transcript's: the same
+per-cell extras, and notes that begin with how the weights were made.
 
 Training and test streams are one pair of arrays (X, y): contexts X float
 (T, d), outcomes y int (T,), as generate_stream returns them.
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (MEMBER_CAP, Grid, affine_restricted, as_int, linear_ball,
-                   make_grid, validate_stream)
+from .core import (MEMBER_CAP, Grid, as_int, linear_ball, make_grid,
+                   validate_stream)
 from .forecaster import (BmForecaster, commit_round, lockstep_rounds,
                          sample_cell)
-from .metrics import (DEFAULT_LOSSES, MetricReport, per_cell_omni_gap,
-                      sup_calibration, swap_regret)
+from .metrics import omni_gap, sup_calibration, swap_regret
 
 
 class MixturePredictor:
@@ -93,12 +93,12 @@ def mixture_predict(mix, x, rng):
 
 def _buckets(mix, test, mc_draws, seed):
     """The test stream (X, y) checked against the mixture, y as float, its
-    bucket weights V and how V was made; seed follows as_int."""
+    bucket weights V and the notes prefix (how V was made); seed as_int."""
     X, y = validate_stream(test, mix.d)
     if not len(y):
         raise ValueError("test sample must be non-empty")
     V, how = _bucket_weights(mix, X, mc_draws, as_int(seed, "seed", 0))
-    return X, y.astype(float), V, how
+    return X, y.astype(float), V, f"{how}; "
 
 
 def _bucket_weights(mix, X, mc_draws, seed):
@@ -133,40 +133,23 @@ def _bucket_weights(mix, X, mc_draws, seed):
 def estimate_saerr(mix, test, hc=None, mc_draws=None, seed=0):
     """Swap agnostic-learning error of the mixture on a test sample: per
     sampled cell, the squared loss of the cell value minus the best
-    comparator fit on that bucket, averaged over draws."""
+    comparator fit on that bucket, averaged over draws (swap_regret)."""
     hc = linear_ball(4.0) if hc is None else hc
     X, y, V, how = _buckets(mix, test, mc_draws, seed)
-    value, _, masses, note = swap_regret(X, y, V, mix.grid.points, hc)
-    return MetricReport(
-        "saerr", value, hc.descriptor(),
-        f"{how}; {note}; per-cell masses in extras",
-        extras={"per_cell_mass": masses})
+    return swap_regret("saerr", X, y, V, mix.grid.points, hc, how)
 
 
 def estimate_dsmcal(mix, test, hc=None, q=2, mc_draws=None, seed=0):
     """Distributional swap multicalibration of the mixture: bucket draws by
     sampled cell, take the per-bucket supremum of the mean context-weighted
-    residual, and average cell-frequency-weighted."""
+    residual, and average cell-frequency-weighted (sup_calibration)."""
     hc = linear_ball(1.0) if hc is None else hc
     X, y, V, how = _buckets(mix, test, mc_draws, seed)
-    value, _, masses, note = sup_calibration(X, y, V, mix.grid.points, hc, q)
-    return MetricReport(
-        f"dsmcal{q}", value, hc.descriptor(),
-        f"{how}; {note}; per-cell masses in extras",
-        extras={"per_cell_mass": masses})
+    return sup_calibration(f"dsmcal{q}", X, y, V, mix.grid.points, hc, q, how)
 
 
 def estimate_dsomni(mix, test, losses=None, hc=None, mc_draws=None, seed=0):
     """Distributional swap omniprediction gap of the mixture on a test
-    sample, over a loss menu and comparator class."""
-    losses = list(DEFAULT_LOSSES) if losses is None else list(losses)
-    hc = affine_restricted() if hc is None else hc
+    sample, over a loss menu and comparator class (omni_gap)."""
     X, y, V, how = _buckets(mix, test, mc_draws, seed)
-    masses = V.sum(axis=1)
-    gaps, _, note = per_cell_omni_gap(X, y, V, mix.grid.points, losses, hc)
-    value = float(np.sum(gaps[masses > 0]))
-    menu = ",".join(l.name for l in losses)
-    return MetricReport(
-        "dsomni", value, hc.descriptor(),
-        f"{how}; loss menu [{menu}]; {note}; per-cell masses in extras",
-        extras={"per_cell_mass": masses})
+    return omni_gap("dsomni", X, y, V, mix.grid.points, hc, losses, how)

@@ -300,10 +300,11 @@ class SweepConfig:
 
     metric may carry an inline class suffix (e.g. smcal2:ball1). n_rule is
     auto-smcal, auto-sreg, or an integer. Row seeds are seed_base + rep.
-    T_list (a list or tuple, kept as a tuple), reps (>= 0), seed_base and
-    d (>= 1) take integers, kept as ints (as_int). A built config cannot
-    change: its construction checks every field and builds its plan, so the
-    rows meet only the faults that need the stream or the horizon.
+    T_list (a list or tuple of horizons >= 1, kept as a tuple), reps (>= 0),
+    seed_base and d (>= 1) take integers, kept as ints (as_int). A built
+    config cannot change: its construction checks every field and builds
+    its plan, so the rows meet only the faults that need the stream or the
+    horizon.
     """
 
     T_list: tuple
@@ -323,11 +324,11 @@ class SweepConfig:
         listed = isinstance(self.T_list, (list, tuple))
         try:
             object.__setattr__(self, "T_list", tuple(
-                as_int(T, "T", None)
+                as_int(T, "T", 1)
                 for T in (self.T_list if listed else [None])))
         except ValueError:
-            raise ValueError(f"T_list must be a list of integers, got "
-                             f"{self.T_list!r}") from None
+            raise ValueError(f"T_list must be a list of positive integers, "
+                             f"got {self.T_list!r}") from None
         for name, low in (("reps", 0), ("seed_base", None), ("d", 1)):
             object.__setattr__(self, name, as_int(getattr(self, name), name,
                                                   low))
@@ -374,14 +375,12 @@ def _sweep_rows(cfg, T, reps):
     as run_sweep says."""
     metric, hc, losses, spec = cfg.plan
     seeds = [cfg.seed_base + rep for rep in reps]
-    rows = [{"T": T, "N": "", "d": cfg.d, "rep": rep, "seed": seed,
+    n = resolve_n(cfg.n_rule, T, cfg.d)
+    rows = [{"T": T, "N": n, "d": cfg.d, "rep": rep, "seed": seed,
              "metric": cfg.metric, "value": "", "wall_ms": "", "error": ""}
             for rep, seed in zip(reps, seeds)]
     t0 = time.perf_counter()
     try:
-        n = resolve_n(cfg.n_rule, T, cfg.d)
-        for row in rows:
-            row["N"] = n
         streams = [generate_stream(spec, T, cfg.d, seed=s) for s in seeds]
         runs = run_lockstep([BmForecaster(make_grid(n), cfg.d, seed=s)
                              for s in seeds], streams)
@@ -404,10 +403,14 @@ def _sweep_rows(cfg, T, reps):
 
 
 def read_results(path):
-    """Rows of a results table as dicts (strings as written); an empty file
-    has none. FormatError if the header lacks any of RESULT_COLUMNS, or, with
-    the line, if a row's T or rep is not an integer or its value not a float
-    or empty."""
+    """The rows of _numbered_rows(path): dicts of strings as written."""
+    return [row for _, row in _numbered_rows(path)]
+
+
+def _numbered_rows(path):
+    """(line, row) for each row of a results table. FormatError if the
+    header lacks any of RESULT_COLUMNS, or, with the line, if a row's T or
+    rep is not an integer or its value not a float or empty."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         table = csv.DictReader(fh)
         missing = [c for c in RESULT_COLUMNS
@@ -422,7 +425,7 @@ def read_results(path):
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: line {table.line_num}: {exc}") \
                     from exc
-            rows.append(row)
+            rows.append((table.line_num, row))
         return rows
 
 
@@ -431,24 +434,38 @@ def run_sweep(cfg, out_path=None):
     as rows finish.
 
     Each distinct horizon runs once, in first-seen order. Resumable: rows
-    of this metric already present in the table are skipped. The pending
-    reps of one horizon run together in lockstep, in groups of at most
-    max(1, LOCKSTEP_ROUNDS // T) reps and, on a grid of K cells, at most
-    max(1, MEMBER_CAP // K^2) reps, which bounds a group's memory. A
-    group's rows are written, in configuration order, when the group
-    finishes. A failed group reruns each rep as a group of one, so only a
-    faulty rep's row carries the error. A row's wall_ms is its share of its
-    group's time (grid size, streams, forecasters, lockstep run) plus its
-    own metric time. The rows run cfg.plan, built with cfg, so no field
-    fault and no second csv read reach the table. Returns all rows,
-    previously completed first.
+    of this metric already in the table at one of cfg's (T, rep) are
+    skipped; one whose d, seed or non-empty N is not cfg's is a FormatError
+    naming its line, before any row runs. The pending reps of one horizon
+    run together in lockstep, in groups of at most max(1, LOCKSTEP_ROUNDS
+    // T) reps and, on a grid of K cells, at most max(1, MEMBER_CAP // K^2)
+    reps, which bounds a group's memory. A group's rows are written, in
+    configuration order, when the group finishes. A failed group reruns
+    each rep as a group of one, so only a faulty rep's row carries the
+    error. A row's wall_ms is its share of its group's time (grid size,
+    streams, forecasters, lockstep run) plus its own metric time. The rows
+    run cfg.plan, built with cfg, so no field fault and no second csv read
+    reach the table. Returns all rows, previously completed first.
     """
     out_path = out_path or cfg.out
     if not out_path:
         raise ValueError("sweep needs an output path")
-    existing = read_results(out_path) if os.path.exists(out_path) else []
-    done = {(int(r["T"]), int(r["rep"])) for r in existing
-            if r["metric"] == cfg.metric}
+    numbered = _numbered_rows(out_path) if os.path.exists(out_path) else []
+    done = set()
+    for line, row in numbered:
+        T, rep = int(row["T"]), int(row["rep"])
+        if row["metric"] != cfg.metric or T not in cfg.T_list \
+                or rep not in range(cfg.reps):
+            continue
+        want = {"d": cfg.d, "seed": cfg.seed_base + rep,
+                "N": resolve_n(cfg.n_rule, T, cfg.d) if row["N"] else ""}
+        field = next((f for f in want if row[f] != str(want[f])), None)
+        if field:
+            raise FormatError(
+                f"{out_path}: line {line}: {field} is {row[field]!r}, not "
+                f"{want[field]}: another config wrote this {cfg.metric} row")
+        done.add((T, rep))
+    existing = [row for _, row in numbered]
     new_rows = []
     mode = "a" if existing else "w"
     with open(out_path, mode, encoding="utf-8", newline="") as fh:
@@ -458,10 +475,8 @@ def run_sweep(cfg, out_path=None):
             fh.flush()
         for T in dict.fromkeys(cfg.T_list):
             reps = [rep for rep in range(cfg.reps) if (T, rep) not in done]
-            # a horizon below 1 fails its rows; it is sized as T = 1
-            K = resolve_n(cfg.n_rule, max(T, 1), cfg.d) + 1
-            size = max(1, min(LOCKSTEP_ROUNDS // max(T, 1),
-                              MEMBER_CAP // K ** 2))
+            K = resolve_n(cfg.n_rule, T, cfg.d) + 1
+            size = max(1, min(LOCKSTEP_ROUNDS // T, MEMBER_CAP // K ** 2))
             for i in range(0, len(reps), size):
                 rows = _sweep_rows(cfg, T, reps[i:i + size])
                 writer.writerows(rows)

@@ -273,37 +273,35 @@ def _check_q(q):
         raise ValueError(f"moment q must be 1 or 2, got {q!r}")
 
 
-def sup_calibration(X, y, CW, z, hc, q):
-    """Sum over cells of mass_c * sup_f |rho_{c,f}|^q, rho_{c,f} the
-    CW-weighted mean of f(x)(y - z_c) on cell c; empty cells contribute 0.
-    Returns (value, per-cell sups, per-cell masses, note)."""
+def sup_calibration(name, X, y, CW, z, hc, q, how):
+    """Report `name`: sum over cells of mass_c * sup_f |rho_{c,f}|^q, rho_{c,f}
+    the CW-weighted mean of f(x)(y - z_c) on cell c. how prefixes the notes
+    ("" on a transcript). Extras: per_cell_mass and per_cell_sup."""
     _check_q(q)
     mass = CW.sum(axis=1)
     num, note = per_cell_sup_numerators(X, y, CW, z, hc)
     nz = mass > 0
     sups = np.zeros_like(mass)
     sups[nz] = num[nz] / mass[nz]
-    return float(np.sum(mass[nz] * sups[nz] ** q)), sups, mass, note
-
-
-def _sup_report(name, tr, CW, hc, q):
-    value, sups, mass, note = sup_calibration(
-        tr.contexts, tr.outcomes.astype(float), CW, tr.grid.points, hc, q)
-    return MetricReport(name, value, hc.descriptor(),
-                        f"{note}; empty cells contribute 0",
-                        extras={"per_cell_sup": sups, "per_cell_mass": mass})
+    return MetricReport(name, float(np.sum(mass[nz] * sups[nz] ** q)),
+                        hc.descriptor(),
+                        f"{how}{note}; empty cells contribute 0",
+                        extras={"per_cell_mass": mass, "per_cell_sup": sups})
 
 
 def smcal(tr, hc, q=2):
     """Swap multicalibration error: sum over cells of
     count_p * sup_f |rho_{p,f}|^q with realized (indicator) weights."""
-    return _sup_report(f"smcal{q}", tr, realized_weights(tr).T, hc, q)
+    return sup_calibration(f"smcal{q}", tr.contexts, tr.outcomes.astype(float),
+                           realized_weights(tr).T, tr.grid.points, hc, q, "")
 
 
 def psmcal(tr, hc, q=2):
     """Pseudo swap multicalibration error: conditional-distribution weights
     in place of realized indicators."""
-    return _sup_report(f"psmcal{q}", tr, tr.cond_dists.T.copy(), hc, q)
+    return sup_calibration(f"psmcal{q}", tr.contexts,
+                           tr.outcomes.astype(float), tr.cond_dists.T.copy(),
+                           tr.grid.points, hc, q, "")
 
 
 def mcal(tr, hc, q=2):
@@ -358,35 +356,32 @@ def cal(tr, q=2):
 # swap regret
 
 
-def swap_regret(X, y, CW, z, hc):
-    """Contextual swap regret under squared loss: per cell, the CW-weighted
-    loss of the cell value z_c (the sum SS_c) minus the best comparator's;
-    empty cells contribute 0. Returns (value, per-cell gaps, per-cell
-    masses, note)."""
+def swap_regret(name, X, y, CW, z, hc, how):
+    """Report `name`: contextual swap regret under squared loss, per cell the
+    CW-weighted loss of the cell value z_c (the sum SS_c) minus the best
+    comparator's; how as in sup_calibration. Extras: per_cell_mass and
+    per_cell_gap."""
     s = cell_sums(X, y, CW, z)
     mins, note = per_cell_min_squared(X, y, CW, hc)
     nz = s.mass > 0
-    return (float(np.sum(s.SS[nz] - mins[nz])), s.SS - mins, s.mass,
-            f"squared loss; {note}")
-
-
-def _regret_report(name, tr, CW, hc):
-    value, gaps, _, note = swap_regret(tr.contexts, tr.outcomes.astype(float),
-                                       CW, tr.grid.points, hc)
-    return MetricReport(name, value, hc.descriptor(),
-                        f"{note}; empty cells contribute 0",
-                        extras={"per_cell_gap": gaps})
+    return MetricReport(name, float(np.sum(s.SS[nz] - mins[nz])),
+                        hc.descriptor(),
+                        f"{how}squared loss; {note}; empty cells contribute 0",
+                        extras={"per_cell_mass": s.mass,
+                                "per_cell_gap": s.SS - mins})
 
 
 def sreg(tr, hc):
     """Contextual swap regret under squared loss, realized weights: per cell,
     the learner's loss minus the best fixed comparator on that cell."""
-    return _regret_report("sreg", tr, realized_weights(tr).T, hc)
+    return swap_regret("sreg", tr.contexts, tr.outcomes.astype(float),
+                       realized_weights(tr).T, tr.grid.points, hc, "")
 
 
 def psreg(tr, hc):
     """Pseudo contextual swap regret: conditional-distribution weights."""
-    return _regret_report("psreg", tr, tr.cond_dists.T.copy(), hc)
+    return swap_regret("psreg", tr.contexts, tr.outcomes.astype(float),
+                       tr.cond_dists.T.copy(), tr.grid.points, hc, "")
 
 
 def bm_external_regrets(tr, hc):
@@ -419,27 +414,29 @@ def bm_external_regrets(tr, hc):
 # omniprediction
 
 
-def somni(tr, losses=None, hc=None):
-    """Swap omniprediction gap: per cell, the worst loss-menu entry's gap
-    between the post-processed learner and the best comparator in the class.
-
-    Non-convex custom losses are rejected; the V-shaped menu members are
-    accepted as proper-loss basis elements. Their subgradient vanishes
-    almost everywhere, so their affine inner minimization stays at
-    theta = 0.
-    """
+def omni_gap(name, X, y, CW, z, hc, losses, how):
+    """Report `name`: swap omniprediction gap, per cell the worst loss-menu
+    entry's gap between the post-processed learner and the best comparator
+    in the class (losses None: DEFAULT_LOSSES, hc None: affine-restricted),
+    as per_cell_omni_gap checks and computes it, which also says how the
+    V-shaped losses fare; how as in sup_calibration. Extras: per_cell_mass,
+    per_cell_gap and achieved_comparator_loss."""
     losses = list(DEFAULT_LOSSES) if losses is None else list(losses)
     hc = affine_restricted() if hc is None else hc
-    CW = realized_weights(tr).T
-    gaps, achieved, note = per_cell_omni_gap(
-        tr.contexts, tr.outcomes.astype(float), CW, tr.grid.points, losses, hc)
-    value = float(np.sum(gaps))
+    gaps, achieved, note = per_cell_omni_gap(X, y, CW, z, losses, hc)
     menu = ",".join(l.name for l in losses)
     return MetricReport(
-        "somni", value, hc.descriptor(),
-        f"loss menu [{menu}]; grid best responses; {note}; achieved per-cell "
-        "objectives in extras; empty cells contribute 0",
-        extras={"per_cell_gap": gaps, "achieved_comparator_loss": achieved})
+        name, float(np.sum(gaps)), hc.descriptor(),
+        f"{how}loss menu [{menu}]; grid best responses; {note}; achieved "
+        "per-cell objectives in extras; empty cells contribute 0",
+        extras={"per_cell_mass": CW.sum(axis=1), "per_cell_gap": gaps,
+                "achieved_comparator_loss": achieved})
+
+
+def somni(tr, losses=None, hc=None):
+    """Swap omniprediction gap (omni_gap) with realized weights."""
+    return omni_gap("somni", tr.contexts, tr.outcomes.astype(float),
+                    realized_weights(tr).T, tr.grid.points, hc, losses, "")
 
 
 # ---------------------------------------------------------------------------

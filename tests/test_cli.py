@@ -219,9 +219,11 @@ _GOOD_SWEEP = {"T_list": [8], "d": 2, "reps": 1, "metric": "cal2",
     ({**_GOOD_SWEEP, "reps": -1},
      "reps must be a non-negative integer, got -1"),
     ({**_GOOD_SWEEP, "T_list": 32},
-     "T_list must be a list of integers, got 32"),
+     "T_list must be a list of positive integers, got 32"),
     ({**_GOOD_SWEEP, "T_list": [8, True]},
-     "T_list must be a list of integers, got [8, True]"),
+     "T_list must be a list of positive integers, got [8, True]"),
+    ({**_GOOD_SWEEP, "T_list": [-4, 0, 8]},
+     "T_list must be a list of positive integers, got [-4, 0, 8]"),
     ({**_GOOD_SWEEP, "seed_base": "x"},
      "seed_base must be an integer, got 'x'"),
     ([1, 2], "a sweep config is one JSON object"),
@@ -247,10 +249,10 @@ _GOOD_SWEEP = {"T_list": [8], "d": 2, "reps": 1, "metric": "cal2",
      "csv adversary needs a path, got 3"),
     (_GOOD_SWEEP, "not a results table, its header lacks ['T', 'N'"),
 ], ids=["reps-str", "reps-float", "reps-negative", "T_list-int",
-        "T_list-bool", "seed_base-str", "not-an-object", "metric",
-        "metric-int", "class", "class-file", "somni-ball", "losses", "bias",
-        "adversary", "n_rule-str", "n_rule-float", "d-zero", "csv_path-int",
-        "foreign-table"])
+        "T_list-bool", "T_list-below-1", "seed_base-str", "not-an-object",
+        "metric", "metric-int", "class", "class-file", "somni-ball", "losses",
+        "bias", "adversary", "n_rule-str", "n_rule-float", "d-zero",
+        "csv_path-int", "foreign-table"])
 def test_sweep_rejects_malformed_input(tmp_path, doc, message):
     """A malformed config, any fault of it that does not depend on the
     horizon included, or a --out that is not a results table (the good
@@ -285,6 +287,23 @@ def test_sweep_rerun_after_a_config_fault_writes_every_row(tmp_path):
     proc = run_cli("sweep", "--config", str(cfg), "--out", str(out))
     assert json.loads(proc.stdout) == {"rows": 4, "errors": 0,
                                        "out": str(out)}
+
+
+def test_sweep_refuses_a_table_another_config_wrote(tmp_path):
+    """Resuming a table whose rows at the config's horizons another config
+    wrote (d = 2, seeds 0 and 1) exits 2 naming the line and the field, and
+    writes no row."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    doc = {"T_list": [32, 64], "d": 2, "reps": 2, "metric": "smcal2"}
+    cfg.write_text(json.dumps(doc))
+    run_cli("sweep", "--config", str(cfg), "--out", str(out))
+    before = out.read_bytes()
+    cfg.write_text(json.dumps({**doc, "d": 3, "seed_base": 100,
+                               "adversary": "iid-bernoulli"}))
+    proc = run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                   expect=2)
+    assert proc.stderr.startswith(f"error: {out}: line 2: d is '2', not 3")
+    assert proc.stdout == "" and out.read_bytes() == before
 
 
 def test_fit_rate_too_few_points(tmp_path):

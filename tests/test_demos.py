@@ -152,7 +152,7 @@ def test_report_diff_finds_no_difference_in_one_tree():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "reports": 247, "differ": 0, "max_abs": 0.0, "max_rel": 0.0,
-        "worst": None, "notes_differ": 0}
+        "worst": None, "notes_differ": 0, "extras_keys_differ": 0}
 
 
 def test_report_diff_counts_what_differs():
@@ -161,20 +161,25 @@ def test_report_diff_counts_what_differs():
         import report_diff
     finally:
         sys.path.remove(str(ROOT / "tools"))
-    base = {"a": {"numbers": [1.0, 2.0], "notes": "x"},
-            "b": {"numbers": [4.0], "notes": "y"},
+    base = {"a": {"value": [1.0], "extras": {"m": [2.0]}, "notes": "x"},
+            "b": {"value": [4.0], "extras": {}, "notes": "y"},
             "c": {"error": "ValueError: no"},
-            "d": {"numbers": [0.0], "notes": ""}}
-    other = {"a": {"numbers": [1.0, 2.0], "notes": "x"},
-             "b": {"numbers": [4.0 + 1e-12], "notes": "z"},
+            "d": {"value": [0.0], "extras": {}, "notes": ""}}
+    other = {"a": {"value": [1.0], "extras": {"m": [2.0], "g": [5.0]},
+                   "notes": "x"},
+             "b": {"value": [4.0 + 1e-12], "extras": {}, "notes": "z"},
              "c": {"error": "ValueError: no"},
-             "d": {"numbers": [-0.0], "notes": ""},
-             "e": {"numbers": [1.0], "notes": ""}}
+             "d": {"value": [-0.0], "extras": {}, "notes": ""},
+             "e": {"value": [1.0], "extras": {}, "notes": ""}}
     doc = report_diff.compare(base, other)
     assert doc["reports"] == 5 and doc["differ"] == 3
     assert doc["notes_differ"] == 2 and doc["worst"] == "e"
+    assert doc["extras_keys_differ"] == 1
     assert doc["max_abs"] == float("inf") == doc["max_rel"]
     doc = report_diff.compare(base, {k: v for k, v in other.items()
                                      if k in "abcd"})
     assert doc["differ"] == 2 and doc["worst"] == "b"
     assert doc["max_rel"] == pytest.approx(1e-12 / 4, rel=1e-3)
+    other["a"]["extras"]["m"] = [3.0]   # a key both trees have differs
+    doc = report_diff.compare(base, other)
+    assert doc["differ"] == 4 and doc["extras_keys_differ"] == 1

@@ -315,6 +315,42 @@ def test_sweep_resumes_by_metric(tmp_path):
     assert fit_rate(rows, "sreg:ball4").n_points == 3
 
 
+@pytest.mark.parametrize("over, field", [
+    (dict(d=3, seed_base=100, adversary="iid-bernoulli"), "d"),
+    (dict(seed_base=100), "seed"),
+    (dict(n_rule="3"), "N"),
+], ids=["other-config", "seed_base", "n_rule"])
+def test_sweep_refuses_rows_another_config_wrote(tmp_path, monkeypatch,
+                                                 over, field):
+    """A row of this metric at one of the config's (T, rep) whose d, seed or
+    N is not the config's was written by another config: run_sweep raises
+    FormatError naming the file, the line and the field, before any stream,
+    and the table is unchanged. The first case's config used to get the
+    d = 2 table's rows back as its own and simulate nothing."""
+    base = dict(T_list=[32, 64], d=2, reps=2, metric="smcal2", seed_base=0)
+    path = tmp_path / "rows.csv"
+    assert len(run_sweep(SweepConfig(**base), out_path=str(path))) == 4
+    before = path.read_bytes()
+    cfg = SweepConfig(**{**base, **over})
+    monkeypatch.setattr(harness, "generate_stream",
+                        lambda *a, **k: pytest.fail("a stream was made"))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: "
+                                          rf"line 2: {field} is '"):
+        run_sweep(cfg, out_path=str(path))
+    assert path.read_bytes() == before
+
+
+def test_sweep_checks_only_the_rows_it_would_run(tmp_path):
+    """Rows of the metric at horizons the config does not run are neither
+    checked nor skipped, so configs of another d and seed_base can share a
+    table by their horizons."""
+    run_sweep(_tiny_config(tmp_path, T_list=[8], reps=2))
+    rows = run_sweep(_tiny_config(tmp_path, T_list=[16], d=3, reps=1,
+                                  seed_base=7))
+    assert [(r["T"], r["d"], r["seed"]) for r in rows] == [
+        ("8", "2", "0"), ("8", "2", "1"), (16, 3, 7)]
+
+
 def test_sweep_records_errors_and_continues(tmp_path):
     data = tmp_path / "short.csv"
     data.write_text("\n".join("0.1,1" for _ in range(10)) + "\n")
@@ -398,6 +434,13 @@ def test_sweep_bad_metric_or_losses_simulate_nothing(tmp_path, monkeypatch,
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, field, value)
     assert calls == [] and not (tmp_path / "rows.csv").exists()
+
+
+def test_sweep_config_refuses_a_horizon_below_1(tmp_path):
+    """A horizon below 1 fails the config, not its rows."""
+    with pytest.raises(ValueError, match=re.escape(
+            "T_list must be a list of positive integers, got [-4, 0, 8]")):
+        _tiny_config(tmp_path, T_list=[-4, 0, 8])
 
 
 def test_sweep_config_horizons_cannot_change(tmp_path):

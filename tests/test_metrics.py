@@ -1143,3 +1143,79 @@ def test_reports_frozen_values(cls):
     assert got.keys() == want.keys()
     for name, value in want.items():
         assert got[name] == pytest.approx(value, rel=1e-12), name
+
+
+# ---------------------------------------------------------------------------
+# one report format per family: a transcript report and its batch estimator
+# come from the same builder
+
+
+_CAL = {"per_cell_mass", "per_cell_sup"}
+_REG = {"per_cell_mass", "per_cell_gap"}
+_OMNI = {"per_cell_mass", "per_cell_gap", "achieved_comparator_loss"}
+# mcal2 takes one f over every cell and cal2 one constant: neither goes
+# through a per-cell builder, and both carry no extras
+_EXTRAS = {"smcal1": _CAL, "smcal2": _CAL, "psmcal1": _CAL,
+           "psmcal2": _CAL, "mcal2": set(), "cal2": set(), "sreg": _REG,
+           "psreg": _REG, "somni": _OMNI}
+_ESTIMATORS = {"saerr": (estimate_saerr, _REG),
+               "dsmcal2": (estimate_dsmcal, _CAL),
+               "dsomni": (estimate_dsomni, _OMNI)}
+
+
+def _check_format(rep, keys, weights):
+    """The family's extras keys exactly, K entries each, per_cell_mass the
+    weights' row sums bit for bit, notes ending as every report's do."""
+    assert set(rep.extras) == keys, rep.name
+    assert all(len(arr) == len(weights) for arr in rep.extras.values())
+    if keys:
+        assert rep.extras["per_cell_mass"].tobytes() == \
+            weights.sum(axis=1).tobytes(), rep.name
+    assert rep.notes.endswith("; empty cells contribute 0"), rep.name
+
+
+def test_every_transcript_report_has_its_familys_format():
+    """Every METRICS report under its default class, on the weights it
+    evaluates (pseudo for psmcal and psreg, realized for the rest)."""
+    assert set(_EXTRAS) == set(METRICS)
+    tr = simulate_run(AdversarySpec("iid-logistic", noise=0.1), 200, 3, 6,
+                      seed=9)
+    for name in METRICS:
+        weights = (tr.cond_dists.T.copy() if name.startswith("ps")
+                   else realized_weights(tr).T)
+        _check_format(evaluate_metric(tr, name), _EXTRAS[name], weights)
+
+
+@pytest.mark.parametrize("draws", [None, 300])
+@pytest.mark.parametrize("name", _ESTIMATORS)
+def test_every_batch_report_has_its_familys_format(name, draws):
+    """The transcript report's format, on the bucket weights, behind the
+    bucket weights' description."""
+    spec = AdversarySpec("iid-logistic", noise=0.1)
+    mix = train_mixture(generate_stream(spec, 128, 3, seed=10), 6, stride=8)
+    X, y = generate_stream(spec, 40, 3, seed=11)
+    estimate, keys = _ESTIMATORS[name]
+    rep = estimate(mix, (X, y), mc_draws=draws, seed=4)
+    V, how = _bucket_weights(mix, X, draws, 4)
+    _check_format(rep, keys, V)
+    assert rep.notes.startswith(how + "; ")
+
+
+def test_dsomni_sums_every_cells_gap():
+    """dsomni's value is the sum of every cell's gap, as somni's is, on
+    mixtures with K = 10 and 15 and empty buckets; the masked sum over the
+    non-empty cells that it used to take is at most 4 ulps away."""
+    spec = AdversarySpec("iid-logistic", noise=0.1)
+    for n in (9, 14):
+        for seed in range(6):
+            mix = train_mixture(generate_stream(spec, 512, 2, seed=seed), n,
+                                stride=16)
+            test = generate_stream(spec, 64, 2, seed=100 + seed)
+            for draws in (None, 300):
+                rep = estimate_dsomni(mix, test, mc_draws=draws)
+                mass, gaps = (rep.extras[k]
+                              for k in ("per_cell_mass", "per_cell_gap"))
+                assert np.any(mass == 0) and np.count_nonzero(mass) >= 4
+                assert rep.value == float(np.sum(gaps))
+                masked = float(np.sum(gaps[mass > 0]))
+                assert abs(rep.value - masked) <= 4 * np.spacing(masked)

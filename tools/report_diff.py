@@ -29,13 +29,16 @@ MENU holds one loss of each kind: squared, absolute, vshaped(0.5) and the
 custom convex loss _custom, so the omniprediction reports run every kind's
 value, subgradient and best response.
 
-A report's numbers are its value followed by every extras array,
-flattened in key order. It differs bitwise when any number's bits, the
-count of numbers, or the error it raised differ between the trees. The
-output is one JSON line: the number of reports, how many differ bitwise,
-the largest absolute and relative deviation over all numbers (relative to
-the larger magnitude of the pair), the report with the largest relative
-deviation (null when none differs), and how many reports' notes differ.
+A report's numbers are its value and its extras arrays, each under its
+key. It differs bitwise when its value, or an extras array under a key that
+both trees have, differs in its bits or its count of numbers, or when the
+error it raised differs between the trees. The output is one JSON line: the
+number of reports, how many differ bitwise, the largest absolute and
+relative deviation over the compared numbers (relative to the larger
+magnitude of the pair), the report with the largest relative deviation
+(null when none differs), how many reports' notes differ, and how many
+reports that both trees evaluated have extras key sets that differ (a key
+added or dropped).
 Only numpy and the source trees are needed.
 """
 
@@ -81,17 +84,18 @@ def _write_csv(directory, d):
 
 
 def _entry(fn):
-    """{"numbers": [...], "notes": str} of one report, or {"error": str}."""
+    """{"value": [...], "extras": {key: [...]}, "notes": str} of one report,
+    or {"error": str}; an array result is all value."""
     try:
         rep = fn()
     except Exception as exc:  # a report that raises is compared by its error
         return {"error": f"{type(exc).__name__}: {exc}"}
     if isinstance(rep, np.ndarray):
-        return {"numbers": rep.ravel().tolist(), "notes": ""}
-    numbers = [float(rep.value)]
-    for key in sorted(rep.extras):
-        numbers += np.asarray(rep.extras[key], dtype=float).ravel().tolist()
-    return {"numbers": numbers, "notes": rep.notes}
+        return {"value": rep.ravel().tolist(), "extras": {}, "notes": ""}
+    return {"value": [float(rep.value)],
+            "extras": {key: np.asarray(arr, dtype=float).ravel().tolist()
+                       for key, arr in rep.extras.items()},
+            "notes": rep.notes}
 
 
 def reports():
@@ -173,11 +177,17 @@ def worker(src):
 
 def _deviation(a, b):
     """(bitwise equal, largest absolute, largest relative deviation) of two
-    report entries."""
-    if "error" in a or "error" in b or len(a["numbers"]) != len(b["numbers"]):
-        same = a.get("error") == b.get("error") and "error" in a
+    report entries, over their values and the extras keys both have."""
+    if "error" in a or "error" in b:
+        same = a.get("error") == b.get("error")
         return same, (0.0 if same else math.inf), (0.0 if same else math.inf)
-    x, y = np.array(a["numbers"]), np.array(b["numbers"])
+    pairs = [(a["value"], b["value"])] + [
+        (a["extras"][key], b["extras"][key])
+        for key in sorted(set(a["extras"]) & set(b["extras"]))]
+    if any(len(x) != len(y) for x, y in pairs):
+        return False, math.inf, math.inf
+    x, y = (np.array([v for pair in pairs for v in pair[i]], dtype=float)
+            for i in (0, 1))
     same = x.tobytes() == y.tobytes()
     with np.errstate(invalid="ignore"):
         gap = np.where(x == y, 0.0, np.abs(x - y))
@@ -191,18 +201,21 @@ def compare(base, other):
     """The summary line's fields for two trees' report entries."""
     names = sorted(set(base) | set(other))
     missing = {"error": "report missing"}
-    differ, max_abs, max_rel, worst, notes = 0, 0.0, 0.0, None, 0
+    differ, max_abs, max_rel, worst, notes, keys = 0, 0.0, 0.0, None, 0, 0
     for name in names:
         a, b = base.get(name, missing), other.get(name, missing)
         same, dev_abs, dev_rel = _deviation(a, b)
         differ += not same
         notes += a.get("notes") != b.get("notes")
+        keys += ("extras" in a and "extras" in b
+                 and set(a["extras"]) != set(b["extras"]))
         max_abs = max(max_abs, dev_abs)
         if not same and (worst is None or dev_rel > max_rel):
             worst = name
         max_rel = max(max_rel, dev_rel)
     return {"reports": len(names), "differ": differ, "max_abs": max_abs,
-            "max_rel": max_rel, "worst": worst, "notes_differ": notes}
+            "max_rel": max_rel, "worst": worst, "notes_differ": notes,
+            "extras_keys_differ": keys}
 
 
 def main(argv=None):
