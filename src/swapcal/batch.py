@@ -1,5 +1,5 @@
 """Online-to-batch conversion: uniform mixtures over per-round predictor
-snapshots, and Monte-Carlo estimators of their distributional guarantees.
+snapshots, and estimators of their distributional guarantees.
 
 A trained mixture keeps the learners' parameter stack, thetas (S, K, d):
 snapshot k is taken at the start of round 1 + k * stride. Prediction draws a
@@ -8,8 +8,10 @@ context, and samples a grid point from it.
 
 Each distributional estimator is its guarantee's online report (the
 metrics builders sup_calibration, swap_regret, omni_gap) on the mixture's
-bucket weights, exact or Monte-Carlo, in place of a transcript's: the same
-per-cell extras, and notes that begin with how the weights were made.
+bucket weights in place of a transcript's: the same per-cell extras, and
+notes that begin with how the weights were made. The weights average every
+snapshot over every test point exactly, so an estimate costs S x M commits
+for S snapshots and M test points.
 
 Training and test streams are one pair of arrays (X, y): contexts X float
 (T, d), outcomes y int (T,), as generate_stream returns them.
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (MEMBER_CAP, Grid, as_int, linear_ball, make_grid,
-                   validate_stream)
+from .core import (MEMBER_CAP, Grid, as_context, as_int, linear_ball,
+                   make_grid, validate_stream)
 from .forecaster import (BmForecaster, commit_round, lockstep_rounds,
                          sample_cell)
 from .metrics import omni_gap, sup_calibration, swap_regret
@@ -47,12 +49,13 @@ class MixturePredictor:
 
     def cond_dist(self, t, X):
         """Conditional distribution over grid points that snapshot t commits
-        to on context X, shape (d,), or on each row of X, shape (M, d),
-        max(1, MEMBER_CAP // K^2) rows at a time to bound memory
-        (deterministic)."""
+        to on context X, shape (d,) and checked by as_context, or on each
+        row of X, shape (M, d) and unchecked (the estimators check their
+        test stream), max(1, MEMBER_CAP // K^2) rows at a time to bound
+        memory (deterministic)."""
         X, thetas = np.asarray(X, dtype=float), self.thetas[t]
         if X.ndim == 1:
-            return commit_round(thetas, X, self.grid)[2]
+            return commit_round(thetas, as_context(X, self.d), self.grid)[2]
         rows = max(1, MEMBER_CAP // self.grid.size ** 2)
         return np.concatenate([commit_round(thetas, X[i:i + rows], self.grid)[2]
                                for i in range(0, max(len(X), 1), rows)])
@@ -81,8 +84,10 @@ def select_snapshot(mix, rng):
 
 def mixture_predict(mix, x, rng):
     """Sample a grid index: uniform snapshot, then a draw from its
-    conditional distribution on x. Returns the index; the grid value is
+    conditional distribution on the (d,) context x, which as_context checks
+    before rng draws anything. Returns the index; the grid value is
     mix.grid.points[index]."""
+    x = as_context(x, mix.d)
     P = mix.cond_dist(select_snapshot(mix, rng), x)
     return int(sample_cell(P, rng.random()))
 
@@ -90,66 +95,51 @@ def mixture_predict(mix, x, rng):
 # ---------------------------------------------------------------------------
 # distributional estimators
 
+# the notes prefix of every estimator: how _bucket_weights makes V
+_HOW = "exhaustive enumeration over snapshots x test points; "
 
-def _buckets(mix, test, mc_draws, seed):
-    """The test stream (X, y) checked against the mixture, y as float, its
-    bucket weights V and the notes prefix (how V was made); seed as_int."""
+
+def _buckets(mix, test):
+    """The test stream (X, y) checked against the mixture, y as float, and
+    its bucket weights V."""
     X, y = validate_stream(test, mix.d)
     if not len(y):
         raise ValueError("test sample must be non-empty")
-    V, how = _bucket_weights(mix, X, mc_draws, as_int(seed, "seed", 0))
-    return X, y.astype(float), V, f"{how}; "
+    return X, y.astype(float), _bucket_weights(mix, X)
 
 
-def _bucket_weights(mix, X, mc_draws, seed):
-    """Joint weight matrix V (n+1, M) over (cell, test point).
-
-    mc_draws=None averages every snapshot's conditional cell weights over
-    the test points exactly (total mass 1); an as_int >= 1 runs that many
-    Monte-Carlo draws of (test point, snapshot, uniform), drawn as three
-    arrays in that order and then committed one snapshot at a time.
-    """
-    M = len(X)
-    V = np.zeros((mix.grid.size, M))
-    if mc_draws is None:
-        for t in range(mix.size):
-            V += mix.cond_dist(t, X).T
-        V /= mix.size * M
-        return V, "exhaustive enumeration over snapshots x test points"
-    draws = as_int(mc_draws, "mc_draws", 1)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    xi = rng.integers(M, size=draws)
-    snap = rng.integers(mix.size, size=draws)
-    u = rng.random(draws)
-    for t in np.unique(snap):
-        mine = snap == t
-        points, back = np.unique(xi[mine], return_inverse=True)
-        cells = sample_cell(mix.cond_dist(t, X[points])[back], u[mine])
-        np.add.at(V, (cells, xi[mine]), 1.0)
-    V /= draws
-    return V, f"plug-in Monte-Carlo, {draws} draws"
+def _bucket_weights(mix, X):
+    """Joint weight matrix V (n+1, M) over (cell, test point): every
+    snapshot's conditional cell weights averaged over the snapshots and the
+    test points exactly (total mass 1), by S x M commits."""
+    V = np.zeros((mix.grid.size, len(X)))
+    for t in range(mix.size):
+        V += mix.cond_dist(t, X).T
+    V /= mix.size * len(X)
+    return V
 
 
-def estimate_saerr(mix, test, hc=None, mc_draws=None, seed=0):
+def estimate_saerr(mix, test, hc=None):
     """Swap agnostic-learning error of the mixture on a test sample: per
-    sampled cell, the squared loss of the cell value minus the best
-    comparator fit on that bucket, averaged over draws (swap_regret)."""
+    bucket, the squared loss of the cell value minus the best comparator
+    fit on that bucket, summed over the buckets (swap_regret)."""
     hc = linear_ball(4.0) if hc is None else hc
-    X, y, V, how = _buckets(mix, test, mc_draws, seed)
-    return swap_regret("saerr", X, y, V, mix.grid.points, hc, how)
+    X, y, V = _buckets(mix, test)
+    return swap_regret("saerr", X, y, V, mix.grid.points, hc, _HOW)
 
 
-def estimate_dsmcal(mix, test, hc=None, q=2, mc_draws=None, seed=0):
-    """Distributional swap multicalibration of the mixture: bucket draws by
-    sampled cell, take the per-bucket supremum of the mean context-weighted
-    residual, and average cell-frequency-weighted (sup_calibration)."""
+def estimate_dsmcal(mix, test, hc=None, q=2):
+    """Distributional swap multicalibration of the mixture: bucket the test
+    points by cell weight, take the per-bucket supremum of the mean
+    context-weighted residual, and average cell-mass-weighted
+    (sup_calibration)."""
     hc = linear_ball(1.0) if hc is None else hc
-    X, y, V, how = _buckets(mix, test, mc_draws, seed)
-    return sup_calibration(f"dsmcal{q}", X, y, V, mix.grid.points, hc, q, how)
+    X, y, V = _buckets(mix, test)
+    return sup_calibration(f"dsmcal{q}", X, y, V, mix.grid.points, hc, q, _HOW)
 
 
-def estimate_dsomni(mix, test, losses=None, hc=None, mc_draws=None, seed=0):
+def estimate_dsomni(mix, test, losses=None, hc=None):
     """Distributional swap omniprediction gap of the mixture on a test
     sample, over a loss menu and comparator class (omni_gap)."""
-    X, y, V, how = _buckets(mix, test, mc_draws, seed)
-    return omni_gap("dsomni", X, y, V, mix.grid.points, hc, losses, how)
+    X, y, V = _buckets(mix, test)
+    return omni_gap("dsomni", X, y, V, mix.grid.points, hc, losses, _HOW)

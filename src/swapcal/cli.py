@@ -87,11 +87,10 @@ def build_parser():
     bat.add_argument("--T", type=int, required=True, help="training horizon")
     bat.add_argument("--seed", type=int, default=0)
     bat.add_argument("--report", required=True, choices=list(BATCH_REPORTS))
-    bat.add_argument("--draws", type=int, default=None,
-                     help="Monte Carlo draws in total, over all test "
-                          "points (default: average over snapshots exactly)")
     bat.add_argument("--stride", type=int, default=1,
-                     help="keep every stride-th snapshot")
+                     help="keep every stride-th snapshot; the report "
+                          "commits every snapshot on every test point, so "
+                          "its cost follows --T / --stride times --test-T")
     bat.add_argument("--test-T", type=int, default=None,
                      help="test stream length (default: same as --T)")
 
@@ -163,9 +162,7 @@ def _cmd_batch(args):
         test = generate_stream(specs[keys[1]], test_T, d, seed=args.seed + 1)
     n = choose_n(args.T, d, "smcal")
     mix = train_mixture(train, n, stride=args.stride)
-    report = BATCH_REPORTS[args.report](mix, test, mc_draws=args.draws,
-                                        seed=args.seed)
-    print(report.to_json())
+    print(BATCH_REPORTS[args.report](mix, test).to_json())
     return 0
 
 

@@ -108,6 +108,15 @@ def check_contexts(X):
         raise ValueError(f"context norm {nrm} exceeds 1")
 
 
+def as_context(x, d):
+    """x as a float (d,) context on the stream contract, or ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ValueError(f"context dimension {x.shape} does not match {d}")
+    check_contexts(x)
+    return x
+
+
 def validate_outcome(y):
     """Check a binary outcome: a Python or numpy integer or float (a bool
     too) equal to 0 or 1, returned as int 0 or 1."""

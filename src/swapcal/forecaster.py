@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (JSONL_BLOCK, MEMBER_CAP, Grid, Transcript, as_int,
-                   check_contexts, validate_outcome, validate_stream)
+from .core import (JSONL_BLOCK, MEMBER_CAP, Grid, Transcript, as_context,
+                   as_int, validate_outcome, validate_stream)
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import stationary_solve
 from .ons import OMEGA, ons_kernel, ons_step
@@ -125,18 +125,10 @@ class BmForecaster:
         self.rounds_seen = 0
         self.rng = np.random.Generator(np.random.PCG64(seed_streams(seed)[0]))
 
-    def _context(self, x):
-        """x as a float (d,) context on the stream contract, or ValueError."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"context dimension {x.shape} does not match {self.d}")
-        check_contexts(x)
-        return x
-
     def predict(self, x):
         """Commit this round's conditional distribution for context x and
         sample a grid index from it."""
-        _, Q, P = commit_round(self.thetas, self._context(x), self.grid)
+        _, Q, P = commit_round(self.thetas, as_context(x, self.d), self.grid)
         return RoundOutput(P, Q, int(sample_cell(P, self.rng.random())))
 
     def update(self, out, y, x):
@@ -144,7 +136,7 @@ class BmForecaster:
         stationary weight out.cond_dist[i], in ascending cell order, into
         fresh stacks that replace the old ones once every cell is done. x, y
         and out.cond_dist (K weights in [0, 1]) are checked first, once."""
-        x, y = self._context(x), validate_outcome(y)
+        x, y = as_context(x, self.d), validate_outcome(y)
         P = np.asarray(out.cond_dist, dtype=float)
         if P.shape != (self.grid.size,) or not 0 <= P.min() <= P.max() <= 1:
             raise ValueError(f"cond_dist of shape {P.shape} is not "

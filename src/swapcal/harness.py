@@ -256,8 +256,9 @@ def parse_losses(spec):
         raise ValueError("empty loss menu")
     return out
 
-# name -> (metric on (transcript, class, losses), default class spec). The
-# metrics are looked up on their module at call time, not bound here.
+# name -> (metric on (transcript, class, losses), default class spec, None
+# for a metric that reads no class). The metrics are looked up on their
+# module at call time, not bound here.
 METRICS = {
     "smcal1": (lambda tr, hc, _: metrics_mod.smcal(tr, hc, 1), "ball1"),
     "smcal2": (lambda tr, hc, _: metrics_mod.smcal(tr, hc, 2), "ball1"),
@@ -272,21 +273,30 @@ METRICS = {
 }
 
 
-def resolve_metric(name, hc):
+def resolve_metric(name, hc, losses):
     """The metric on (transcript, class, losses) that a name, optionally
     suffixed :CLASS, names, and its class: hc if not None, else the suffix's,
-    else the metric's default in METRICS."""
+    else the metric's default in METRICS. A metric refuses what it does not
+    read: ValueError for a class given to one whose default is None, and for
+    a loss menu (losses not None) given to any but somni."""
     base, _, cls = name.partition(":")
     if base not in METRICS:
         raise ValueError(f"unknown metric {base!r}; known: "
                          f"{', '.join(METRICS)}")
     fn, default = METRICS[base]
-    return fn, parse_class_spec(cls or default) if hc is None else hc
+    hc = parse_class_spec(cls or default) if hc is None else hc
+    if default is None and hc is not None:
+        raise ValueError(f"{base} reads no comparator class, got "
+                         f"{hc.descriptor()}")
+    if losses is not None and base != "somni":
+        raise ValueError(f"{base} reads no loss menu; only somni does")
+    return fn, hc
 
 
 def evaluate_metric(tr, name, hc=None, losses=None):
-    """Evaluate the metric resolve_metric(name, hc) names on a transcript."""
-    fn, hc = resolve_metric(name, hc)
+    """Evaluate the metric resolve_metric(name, hc, losses) names on a
+    transcript."""
+    fn, hc = resolve_metric(name, hc, losses)
     return fn(tr, hc, losses)
 
 
@@ -358,8 +368,8 @@ class SweepConfig:
         file, and the metric is evaluated on a zero-round transcript of the
         config's grid and d. ValueError if a field is bad."""
         grid = make_grid(resolve_n(self.n_rule, 1, self.d))
-        metric, hc = resolve_metric(self.metric, None)
         losses = parse_losses(self.losses)
+        metric, hc = resolve_metric(self.metric, None, losses)
         spec = AdversarySpec(kind=self.adversary, noise=self.noise,
                              bias=self.bias, path=self.csv_path)
         if spec.kind == "csv":

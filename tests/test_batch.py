@@ -103,6 +103,27 @@ def test_mixture_sampling_determinism_and_range():
     assert all(0 <= i <= 2 for i in a)
 
 
+@pytest.mark.parametrize("x, message", [
+    ([0.9, 0.9], "first coordinate must be exactly 0.5"),
+    ([0.5, 0.1, 0.0], r"context dimension \(3,\) does not match 2"),
+    ([0.5, np.nan], "non-finite"),
+    ([0.5, 1.0], "context norm .* exceeds 1"),
+], ids=["first-coordinate", "dimension", "nan", "norm"])
+def test_one_context_is_checked_as_predict_checks_it(x, message):
+    """mixture_predict and cond_dist on one context refuse what
+    BmForecaster.predict refuses, with its message, and mixture_predict
+    draws nothing from its rng first. They used to commit any such x."""
+    mix = train_mixture(_stream(np.random.default_rng(3), 15), 2)
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    for call in (lambda: BmForecaster(mix.grid, 2).predict(x),
+                 lambda: mixture_predict(mix, x, rng),
+                 lambda: mix.cond_dist(0, x)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert rng.bit_generator.state == state
+
+
 def test_select_snapshot_uniform():
     rng = np.random.default_rng(4)
     mix = train_mixture(_stream(rng, 8), 1)
@@ -135,8 +156,7 @@ def test_bucket_weights_exhaustive_matches_naive():
     rng = np.random.default_rng(6)
     mix = train_mixture(_stream(rng, 10), 2)
     X, _ = _stream(rng, 7)
-    V, how = _bucket_weights(mix, X, None, 0)
-    assert "exhaustive" in how
+    V = _bucket_weights(mix, X)
     want = np.zeros_like(V)
     for t in range(mix.size):
         for j in range(len(X)):
@@ -179,7 +199,7 @@ def test_bucket_weights_exhaustive_in_chunks():
     rng = np.random.default_rng(15)
     mix = train_mixture(_stream(rng, 6), 99, stride=3)
     X, _ = _stream(rng, MEMBER_CAP // mix.grid.size ** 2 + 37)
-    V, _ = _bucket_weights(mix, X, None, 0)
+    V = _bucket_weights(mix, X)
     want = sum(mix.cond_dist(t, X).T for t in range(mix.size))
     np.testing.assert_allclose(V, want / (mix.size * len(X)), atol=1e-15)
 
@@ -215,7 +235,7 @@ def test_bucket_weights_frozen_values():
     rng = np.random.default_rng(32)
     mix = train_mixture(_stream(rng, 60), 3, stride=6)
     X, _ = _stream(rng, 4)
-    V, _ = _bucket_weights(mix, X, None, 0)
+    V = _bucket_weights(mix, X)
     want = [[0.22272010332115372, 0.22213118975269844, 0.2223653023606976,
              0.22098471639484715],
             [0.027279896678846293, 0.027868810247301517,
@@ -227,45 +247,13 @@ def test_bucket_weights_frozen_values():
     np.testing.assert_allclose(V, want, rtol=0, atol=1e-12)
 
 
-def test_bucket_weights_monte_carlo_matches_per_draw_loop():
-    """Draws grouped by snapshot give the same counts as committing each
-    draw on its own, reading the same (test point, snapshot, uniform)
-    arrays from the seeded generator."""
-    rng = np.random.default_rng(16)
-    mix = train_mixture(_stream(rng, 14), 3, stride=2)
-    X, _ = _stream(rng, 6)
-    V, _ = _bucket_weights(mix, X, 2000, seed=21)
-    draw = np.random.Generator(np.random.PCG64(np.random.SeedSequence(21)))
-    xis = draw.integers(len(X), size=2000)
-    snaps = draw.integers(mix.size, size=2000)
-    us = draw.random(2000)
-    want = np.zeros_like(V)
-    for xi, t, u in zip(xis, snaps, us):
-        cum = np.cumsum(mix.cond_dist(int(t), X[xi]))
-        cell = min(int(np.searchsorted(cum, u, side="right")), mix.grid.n)
-        want[cell, xi] += 1.0
-    np.testing.assert_array_equal(V, want / 2000)
-
-
-def test_bucket_weights_monte_carlo_converges():
-    rng = np.random.default_rng(7)
-    mix = train_mixture(_stream(rng, 10), 2)
-    X, _ = _stream(rng, 5)
-    exact, _ = _bucket_weights(mix, X, None, 0)
-    mc, how = _bucket_weights(mix, X, 200_000, seed=11)
-    assert "Monte-Carlo" in how
-    assert np.max(np.abs(mc - exact)) < 0.01
-    with pytest.raises(ValueError):
-        _bucket_weights(mix, X, 0, 0)
-
-
 def test_saerr_exhaustive_matches_naive_loops():
     rng = np.random.default_rng(8)
     mix = train_mixture(_stream(rng, 12), 2)
     test = _stream(rng, 9)
     rep = estimate_saerr(mix, test)
     X, y = test[0], test[1].astype(float)
-    V, _ = _bucket_weights(mix, X, None, 0)
+    V = _bucket_weights(mix, X)
     z = mix.grid.points
     want = 0.0
     for c in range(3):
@@ -286,16 +274,15 @@ def test_saerr_cover_matches_dense_enumeration():
     test = _stream(rng, 30)
     hc = cover_class(0.05, 4.0)
     X, y = test[0], test[1].astype(float)
-    for draws in (None, 400):
-        V, _ = _bucket_weights(mix, X, draws, 0)
-        z = mix.grid.points
-        learner = np.sum(V * (z[:, None] - y[None, :]) ** 2, axis=1)
-        vals = cover_thetas(hc.epsilon, hc.radius, 2) @ X.T
-        comp = np.min(((vals - y[None, :]) ** 2) @ V.T, axis=0)
-        nz = V.sum(axis=1) > 0
-        want = float(np.sum(learner[nz] - comp[nz]))
-        got = estimate_saerr(mix, test, hc=hc, mc_draws=draws).value
-        assert got == pytest.approx(want, rel=1e-12)
+    V = _bucket_weights(mix, X)
+    z = mix.grid.points
+    learner = np.sum(V * (z[:, None] - y[None, :]) ** 2, axis=1)
+    vals = cover_thetas(hc.epsilon, hc.radius, 2) @ X.T
+    comp = np.min(((vals - y[None, :]) ** 2) @ V.T, axis=0)
+    nz = V.sum(axis=1) > 0
+    want = float(np.sum(learner[nz] - comp[nz]))
+    assert estimate_saerr(mix, test, hc=hc).value == pytest.approx(want,
+                                                                  rel=1e-12)
 
 
 def test_dsmcal_zero_for_degenerate_perfect_predictor():
@@ -305,15 +292,6 @@ def test_dsmcal_zero_for_degenerate_perfect_predictor():
     test = (np.array([[0.5, 0.3], [0.5, -0.3]]), np.array([0, 0]))
     assert estimate_dsmcal(mix, test).value == pytest.approx(0.0, abs=1e-12)
     assert estimate_saerr(mix, test).value == pytest.approx(0.0, abs=1e-9)
-
-
-def test_dsmcal_monte_carlo_tracks_exhaustive():
-    rng = np.random.default_rng(9)
-    mix = train_mixture(_stream(rng, 25), 2)
-    test = _stream(rng, 15)
-    exact = estimate_dsmcal(mix, test, mc_draws=None).value
-    mc = estimate_dsmcal(mix, test, mc_draws=150_000, seed=3).value
-    assert mc == pytest.approx(exact, abs=0.01)
 
 
 def test_dsomni_runs_and_reports():

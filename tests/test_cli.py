@@ -147,6 +147,26 @@ def test_metrics_error_paths(tmp_path, capsys):
             assert captured.out == ""
 
 
+def test_metrics_refuses_a_class_or_menu_it_does_not_read(tmp_path,
+                                                         capsys):
+    """--class on cal2 and --losses on any report but somni exit 2 with one
+    error line and print no report; they used to be ignored."""
+    from swapcal import cli
+
+    out = tmp_path / "tr.jsonl"
+    assert cli.main(["simulate", "--adversary", "iid-logistic", "--T", "10",
+                     "--d", "2", "--N", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for args, error in (
+            (["--report", "smcal2", "--losses", "squared"],
+             "smcal2 reads no loss menu; only somni does"),
+            (["--report", "cal2", "--class", "ball4"],
+             "cal2 reads no comparator class, got linear-ball(r=4)")):
+        assert cli.main(["metrics", "--transcript", str(out)] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
 def test_metrics_deeply_nested_record_exits_2(tmp_path):
     path = tmp_path / "deep.jsonl"
     path.write_text('{"N":1,"d":1,"T":1,"seed":0}\n{"t":1,"x":'
@@ -347,24 +367,24 @@ def test_sweep_csv_faults_exit_2_before_the_table(tmp_path, text, message):
 
 
 def test_batch_reports(tmp_path):
-    for report in ("saerr", "dsmcal2"):
+    """swapcal batch prints the estimator's report on the mixture that
+    train_mixture makes of the --T rounds drawn with --seed, at the
+    auto-smcal grid and --stride, and the --test-T points drawn with
+    --seed + 1: byte for byte, for every report."""
+    from swapcal import (AdversarySpec, choose_n, estimate_dsmcal,
+                         estimate_dsomni, estimate_saerr, generate_stream,
+                         train_mixture)
+    spec = AdversarySpec("iid-logistic")
+    mix = train_mixture(generate_stream(spec, 60, 2, seed=3),
+                        choose_n(60, 2, "smcal"), stride=4)
+    test = generate_stream(spec, 40, 2, seed=4)
+    for report, estimate in (("saerr", estimate_saerr),
+                             ("dsmcal2", estimate_dsmcal),
+                             ("dsomni", estimate_dsomni)):
         proc = run_cli("batch", "--train", "iid-logistic", "--test",
                        "iid-logistic", "--T", "60", "--seed", "3",
                        "--report", report, "--test-T", "40", "--stride", "4")
-        rep = json.loads(proc.stdout)
-        assert rep["name"] == report
-        assert np.isfinite(rep["value"])
-
-
-def test_batch_draws_are_a_total():
-    """--draws counts Monte-Carlo draws over all test points, as its help
-    says: 40 draws on 8 test points report 40, not 320."""
-    proc = run_cli("batch", "--train", "iid-logistic", "--test",
-                   "iid-logistic", "--T", "60", "--seed", "3", "--report",
-                   "dsmcal2", "--test-T", "8", "--draws", "40")
-    assert "plug-in Monte-Carlo, 40 draws" in json.loads(proc.stdout)["notes"]
-    usage = run_cli("batch", "--help").stdout
-    assert "draws in total" in " ".join(usage.split())
+        assert proc.stdout == estimate(mix, test).to_json() + "\n", report
 
 
 def test_batch_csv_paths(tmp_path):

@@ -194,6 +194,22 @@ def test_evaluate_metric_dispatch_and_inline_class():
         evaluate_metric(tr, "calibrationest")
 
 
+def test_a_metric_refuses_what_it_does_not_read():
+    """A class given to cal2, by suffix or object, and a loss menu given to
+    any metric but somni raise ValueError; they used to be ignored."""
+    tr = simulate_run(AdversarySpec(kind="iid-logistic"), 30, 2, 2, seed=1)
+    menu = parse_losses("squared")
+    for name, hc, losses, error in (
+            ("cal2:ball4", None, None, "cal2 reads no comparator class"),
+            ("cal2", linear_ball(4.0), None, "cal2 reads no comparator"),
+            ("sreg", None, menu, "sreg reads no loss menu; only somni"),
+            ("cal2", None, menu, "cal2 reads no loss menu")):
+        with pytest.raises(ValueError, match=error):
+            evaluate_metric(tr, name, hc=hc, losses=losses)
+    assert "squared" in evaluate_metric(tr, "somni", losses=menu).notes
+    assert evaluate_metric(tr, "cal2:").name == "cal2"
+
+
 def test_simulate_run_deterministic():
     spec = AdversarySpec(kind="iid-logistic", noise=0.1)
     a = simulate_run(spec, 40, 2, 2, seed=9)
@@ -409,8 +425,15 @@ def test_sweep_bad_configuration_errors_every_row(tmp_path, over, error):
      "affine-restricted or an enumerable class, got linear-ball"),
     (dict(metric="smcal2:finite:{wide}"),
      "finite class thetas have dimension 3, the contexts have d = 2"),
+    (dict(metric="cal2:ball4"),
+     "cal2 reads no comparator class, got linear-ball(r=4)"),
+    (dict(metric="smcal2", losses="squared"),
+     "smcal2 reads no loss menu; only somni does"),
+    (dict(metric="cal2:ball4", losses="squared"),
+     "cal2 reads no comparator class, got linear-ball(r=4)"),
 ], ids=["metric", "class", "losses", "metric-and-short-csv", "somni-ball",
-        "finite-width"])
+        "finite-width", "unread-class", "unread-losses",
+        "unread-class-and-losses"])
 def test_sweep_bad_metric_or_losses_simulate_nothing(tmp_path, monkeypatch,
                                                      over, error):
     """A bad metric, class or loss menu, or a metric and class that no

@@ -8,12 +8,10 @@ import json
 import numpy as np
 import pytest
 
-from swapcal import (FormatError, LinearFn, MixturePredictor, SweepConfig,
-                     Transcript, cal, choose_n, cover_thetas, estimate_dsmcal,
-                     estimate_dsomni, estimate_saerr, generate_stream,
-                     linear_ball, make_grid, resolve_n, run_online,
-                     smcal, train_mixture, witness_f_prime)
-from swapcal.batch import _bucket_weights
+from swapcal import (FormatError, LinearFn, SweepConfig, Transcript, cal,
+                     choose_n, cover_thetas, generate_stream, linear_ball,
+                     make_grid, resolve_n, run_online, smcal, train_mixture,
+                     witness_f_prime)
 from swapcal.core import Grid, as_int
 from swapcal.forecaster import BmForecaster
 from swapcal.harness import AdversarySpec
@@ -31,7 +29,6 @@ def _point_mass_transcript():
 
 
 TR = _point_mass_transcript()
-MIX = MixturePredictor(make_grid(2), np.zeros((2, 3, 2)))
 
 
 def _sweep(**over):
@@ -59,19 +56,11 @@ SITES = {
     "SweepConfig.d": lambda v: _sweep(d=v).d,
     "train_mixture.stride": lambda v: train_mixture(STREAM, 2,
                                                     stride=v).size,
-    "_bucket_weights.mc_draws": lambda v: round(
-        _bucket_weights(MIX, STREAM[0], v, 0)[0].sum() * 2),
     "_check_q.smcal": lambda v: int(smcal(TR, linear_ball(1.0), v)
                                     .name[-1]),
     "_check_q.cal": lambda v: int(cal(TR, v).name[-1]),
     "witness_f_prime.cell": lambda v: round(witness_f_prime(
         TR, v, LinearFn([1.0, 0.0]))[0].center * 4),
-    "estimate_saerr.seed": lambda v: round(estimate_saerr(
-        MIX, STREAM, seed=v).extras["per_cell_mass"].sum()),
-    "estimate_dsmcal.seed": lambda v: round(estimate_dsmcal(
-        MIX, STREAM, mc_draws=8, seed=v).extras["per_cell_mass"].sum()),
-    "estimate_dsomni.seed": lambda v: round(estimate_dsomni(
-        MIX, STREAM, seed=v).extras["per_cell_mass"].sum()),
 }
 
 BAD = {"True": True, "2.5": 2.5, "2.0": 2.0, "str": "2"}

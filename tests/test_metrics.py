@@ -701,7 +701,7 @@ def test_finite_class_of_cover_thetas_matches_cover(d, eps, r):
     cov = cover_class(eps, r)
     fin = finite_class(cover_thetas(eps, r, d))
     tr = _forecaster_transcript(rng, 150, d, 4, seed=d)
-    for name in METRICS:
+    for name in set(METRICS) - {"cal2"}:  # cal2 reads no class
         want = evaluate_metric(tr, name, hc=cov).value
         assert evaluate_metric(tr, name, hc=fin).value == \
             pytest.approx(want, rel=1e-12), name
@@ -710,11 +710,10 @@ def test_finite_class_of_cover_thetas_matches_cover(d, eps, r):
     spec = AdversarySpec("iid-logistic", noise=0.1)
     mix = train_mixture(generate_stream(spec, 96, d, seed=d), 3, stride=8)
     test = generate_stream(spec, 40, d, seed=d + 1)
-    for draws in (None, 300):
-        for est in (estimate_saerr, estimate_dsmcal, estimate_dsomni):
-            want = est(mix, test, hc=cov, mc_draws=draws).value
-            assert est(mix, test, hc=fin, mc_draws=draws).value == \
-                pytest.approx(want, rel=1e-12), (est.__name__, draws)
+    for est in (estimate_saerr, estimate_dsmcal, estimate_dsomni):
+        want = est(mix, test, hc=cov).value
+        assert est(mix, test, hc=fin).value == \
+            pytest.approx(want, rel=1e-12), est.__name__
 
 
 def test_finite_class_dimension_mismatch():
@@ -782,13 +781,10 @@ def test_omni_enumerated_matches_dense_evaluation(kind, chunk, monkeypatch):
     spec = AdversarySpec("iid-logistic", noise=0.1)
     mix = train_mixture(generate_stream(spec, 96, 2, seed=4), 3, stride=8)
     X, y = generate_stream(spec, 40, 2, seed=5)
-    for draws in (None, 300):
-        V, _ = _bucket_weights(mix, X, draws, 0)
-        gaps, _ = _dense_omni_gap(X, y.astype(float), V, mix.grid.points,
-                                  _MENU, thetas)
-        got = estimate_dsomni(mix, (X, y), losses=_MENU, hc=hc,
-                              mc_draws=draws).value
-        assert got == pytest.approx(float(np.sum(gaps)), rel=1e-12)
+    gaps, _ = _dense_omni_gap(X, y.astype(float), _bucket_weights(mix, X),
+                              mix.grid.points, _MENU, thetas)
+    got = estimate_dsomni(mix, (X, y), losses=_MENU, hc=hc).value
+    assert got == pytest.approx(float(np.sum(gaps)), rel=1e-12)
 
 
 @pytest.mark.parametrize("radius", [1.0, 4.0])
@@ -918,9 +914,9 @@ def _affine_omni_gap_oracle(X, y, CW, z, losses, iters):
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_affine_omni_descent_matches_per_pair_oracle(d, shift, monkeypatch):
     """The batched descent of per_cell_omni_gap against the per-(cell, loss)
-    oracle: realized weights with empty cells (the somni path), exhaustive
-    and Monte-Carlo bucket weights (the dsomni path), on two data draws per d
-    (``shift`` offsets every seed)."""
+    oracle: realized weights with empty cells (the somni path) and bucket
+    weights (the dsomni path), on two data draws per d (``shift`` offsets
+    every seed)."""
     menu = [squared_loss(), absolute_loss(), vshaped_loss(0.5),
             custom_loss(lambda p, y: 0.5 * (p - y) ** 2, lipschitz_bound=1.0)]
     menu[-1].certify()
@@ -935,9 +931,8 @@ def test_affine_omni_descent_matches_per_pair_oracle(d, shift, monkeypatch):
     seed = d + 100 * shift
     mix = train_mixture(generate_stream(spec, 64, d, seed=seed), 3, stride=8)
     X, y = generate_stream(spec, 24, d, seed=seed + 1)
-    for draws in (None, 200):
-        V, _ = _bucket_weights(mix, X, draws, shift)
-        cases.append((X, y.astype(float), V, mix.grid.points))
+    cases.append((X, y.astype(float), _bucket_weights(mix, X),
+                  mix.grid.points))
     monkeypatch.setattr(metrics_mod, "OMNI_ITERS", 150)
     for X, y, CW, z in cases:
         gaps, achieved, _ = metrics_mod.per_cell_omni_gap(
@@ -1186,19 +1181,18 @@ def test_every_transcript_report_has_its_familys_format():
         _check_format(evaluate_metric(tr, name), _EXTRAS[name], weights)
 
 
-@pytest.mark.parametrize("draws", [None, 300])
 @pytest.mark.parametrize("name", _ESTIMATORS)
-def test_every_batch_report_has_its_familys_format(name, draws):
+def test_every_batch_report_has_its_familys_format(name):
     """The transcript report's format, on the bucket weights, behind the
     bucket weights' description."""
     spec = AdversarySpec("iid-logistic", noise=0.1)
     mix = train_mixture(generate_stream(spec, 128, 3, seed=10), 6, stride=8)
     X, y = generate_stream(spec, 40, 3, seed=11)
     estimate, keys = _ESTIMATORS[name]
-    rep = estimate(mix, (X, y), mc_draws=draws, seed=4)
-    V, how = _bucket_weights(mix, X, draws, 4)
-    _check_format(rep, keys, V)
-    assert rep.notes.startswith(how + "; ")
+    rep = estimate(mix, (X, y))
+    _check_format(rep, keys, _bucket_weights(mix, X))
+    assert rep.notes.startswith(
+        "exhaustive enumeration over snapshots x test points; ")
 
 
 def test_dsomni_sums_every_cells_gap():
@@ -1211,11 +1205,10 @@ def test_dsomni_sums_every_cells_gap():
             mix = train_mixture(generate_stream(spec, 512, 2, seed=seed), n,
                                 stride=16)
             test = generate_stream(spec, 64, 2, seed=100 + seed)
-            for draws in (None, 300):
-                rep = estimate_dsomni(mix, test, mc_draws=draws)
-                mass, gaps = (rep.extras[k]
-                              for k in ("per_cell_mass", "per_cell_gap"))
-                assert np.any(mass == 0) and np.count_nonzero(mass) >= 4
-                assert rep.value == float(np.sum(gaps))
-                masked = float(np.sum(gaps[mass > 0]))
-                assert abs(rep.value - masked) <= 4 * np.spacing(masked)
+            rep = estimate_dsomni(mix, test)
+            mass, gaps = (rep.extras[k]
+                          for k in ("per_cell_mass", "per_cell_gap"))
+            assert np.any(mass == 0) and np.count_nonzero(mass) >= 4
+            assert rep.value == float(np.sum(gaps))
+            masked = float(np.sum(gaps[mass > 0]))
+            assert abs(rep.value - masked) <= 4 * np.spacing(masked)

@@ -80,6 +80,7 @@ are needed.
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -177,6 +178,16 @@ def sweep_us(reps):
         return (time.perf_counter_ns() - t0) / reps / 1e3
 
 
+def bucket_weights(mix, X):
+    """The exhaustive bucket weights V of batch._bucket_weights: its
+    (mix, X) form, or (mix, X, None, 0)[0] in an older tree whose
+    _bucket_weights takes two more arguments and returns V with its notes."""
+    from swapcal.batch import _bucket_weights
+    if len(inspect.signature(_bucket_weights).parameters) == 4:
+        return _bucket_weights(mix, X, None, 0)[0]
+    return _bucket_weights(mix, X)
+
+
 def loop_kernel():
     """The name of the stacked learner kernel lockstep_rounds calls, or
     None for a tree whose loop has none."""
@@ -250,7 +261,6 @@ def worker(src):
     from swapcal import (AdversarySpec, BmForecaster, Transcript,
                          generate_stream, make_grid, rround, simulate_run,
                          stationary_distribution, train_mixture)
-    from swapcal.batch import _bucket_weights
     from swapcal.core import affine_restricted
     from swapcal.forecaster import choose_n, commit_round, sample_cell
     from swapcal.metrics import (DEFAULT_LOSSES, per_cell_omni_gap,
@@ -309,7 +319,7 @@ def worker(src):
         "omni_somni_T4096": (tr.contexts, tr.outcomes.astype(float),
                              realized_weights(tr).T, tr.grid.points),
         "omni_dsomni_M32": (Xm, ym.astype(float),
-                            _bucket_weights(mix, Xm, None, 0)[0],
+                            bucket_weights(mix, Xm),
                             mix.grid.points),
     }
     for name, (Xo, yo, CW, z) in omni_inputs.items():

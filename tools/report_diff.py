@@ -21,9 +21,8 @@ which only the iid-logistic adversary reads):
   balls), bm_external_regrets under each class of CLASSES, and somni over
   the loss menu MENU under each class of OMNI_CLASSES;
 - a mixture trained on 256 rounds (d = 3, N = 4, stride 8, seed 10) and 64
-  test points (seed 11): saerr and dsmcal2 under each class of CLASSES and
-  dsomni under each class of OMNI_CLASSES, each exhaustive and with
-  MC_DRAWS Monte-Carlo draws, and dsomni over MENU, exhaustive.
+  test points (seed 11): saerr and dsmcal2 under each class of CLASSES,
+  and dsomni under each class of OMNI_CLASSES, by itself and over MENU.
 
 MENU holds one loss of each kind: squared, absolute, vshaped(0.5) and the
 custom convex loss _custom, so the omniprediction reports run every kind's
@@ -60,7 +59,6 @@ TRANSCRIPTS = (("iid-logistic", 400, 3, 4, 9), ("iid-logistic", 1024, 2, 8, 3),
                ("anti-calibration", 256, 2, 4, 5), ("csv", 300, 2, 4, 6),
                ("csv", 300, 3, 4, 7))
 CSV_ROWS = 320
-MC_DRAWS = 200
 STDERR_TAIL = 12  # lines of a failed worker's stderr to show
 
 
@@ -140,10 +138,8 @@ def reports():
                   ("dsomni", estimate_dsomni, OMNI_CLASSES))
     for name, estimate, classes in estimators:
         for cls in classes:
-            for draws in (None, MC_DRAWS):
-                out[f"batch/{name}:{cls}/draws{draws}"] = _entry(
-                    lambda: estimate(mix, test, hc=parse_class_spec(cls),
-                                     mc_draws=draws))
+            out[f"batch/{name}:{cls}"] = _entry(
+                lambda: estimate(mix, test, hc=parse_class_spec(cls)))
     for cls in OMNI_CLASSES:
         out[f"batch/dsomni:{cls}/menu"] = _entry(
             lambda: estimate_dsomni(mix, test, losses=menu,
